@@ -1,13 +1,27 @@
 // Latency histogram with HDR-style log-linear bucketing.
 //
-// Buckets are arranged as 64 "exponents" x 32 linear sub-buckets, giving
-// ~3% relative error across the full int64 range, with O(1) record and
-// O(buckets) percentile queries. This is what every worker and every bench
-// uses to report avg/p50/p99/p99.9 latencies.
+// Buckets are arranged as 59 exponent rows x 32 linear sub-buckets (1888
+// buckets), giving ~3% relative error across the full int64 range. This is
+// what every worker and every bench uses to report avg/p50/p99/p99.9
+// latencies.
+//
+// Storage: counts are kept only for the contiguous span of rows the
+// histogram has touched — a vector plus the index of its first bucket,
+// grown a whole 32-bucket row at a time. An empty histogram allocates
+// nothing, one holding a narrow latency band costs a few rows, and the
+// worst case is the dense 1888 buckets. Record is O(1) with one span
+// compare on its fast path; Merge, Subtract and Percentile are O(stored
+// span). Reset zeroes in place and keeps the span, so a histogram that is
+// drained and reused (e.g. a metrics series between barriers) does not
+// reallocate.
 #pragma once
 
-#include <array>
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <utility>
+#include <vector>
 
 namespace gimbal {
 
@@ -18,9 +32,35 @@ class LatencyHistogram {
   static constexpr int kExponents = 64 - kSubBits;    // enough for int64
   static constexpr int kBuckets = kExponents * kSub;
 
+  LatencyHistogram() = default;
+  LatencyHistogram(const LatencyHistogram&) = default;
+  LatencyHistogram& operator=(const LatencyHistogram&) = default;
+  // A moved-from histogram is empty, not a histogram whose totals outlive
+  // its moved-away counts (Percentile relies on total_ == sum of counts).
+  LatencyHistogram(LatencyHistogram&& other) noexcept {
+    *this = std::move(other);
+  }
+  LatencyHistogram& operator=(LatencyHistogram&& other) noexcept {
+    counts_ = std::exchange(other.counts_, {});
+    base_ = std::exchange(other.base_, 0);
+    total_ = std::exchange(other.total_, 0);
+    sum_ = std::exchange(other.sum_, 0);
+    min_ = std::exchange(other.min_, 0);
+    max_ = std::exchange(other.max_, 0);
+    return *this;
+  }
+
   void Record(int64_t value) {
     if (value < 0) value = 0;
-    ++counts_[BucketIndex(static_cast<uint64_t>(value))];
+    const int idx = BucketIndex(static_cast<uint64_t>(value));
+    // One unsigned compare: an index below base_ wraps past size().
+    const auto i = static_cast<unsigned>(idx - base_);
+    if (i < counts_.size()) {
+      ++counts_[i];
+    } else {
+      Cover(idx, idx + 1);
+      ++counts_[idx - base_];
+    }
     ++total_;
     sum_ += value;
     if (value > max_) max_ = value;
@@ -28,8 +68,12 @@ class LatencyHistogram {
   }
 
   void Merge(const LatencyHistogram& other) {
-    for (int i = 0; i < kBuckets; ++i) counts_[i] += other.counts_[i];
     if (other.total_ > 0) {
+      Cover(other.base_, other.span_end());
+      uint64_t* dst = counts_.data() + (other.base_ - base_);
+      for (size_t i = 0; i < other.counts_.size(); ++i) {
+        dst[i] += other.counts_[i];
+      }
       if (total_ == 0 || other.min_ < min_) min_ = other.min_;
       if (other.max_ > max_) max_ = other.max_;
     }
@@ -37,24 +81,41 @@ class LatencyHistogram {
     sum_ += other.sum_;
   }
 
-  void Reset() { *this = LatencyHistogram{}; }
+  void Reset() {
+    std::fill(counts_.begin(), counts_.end(), 0);
+    total_ = 0;
+    sum_ = 0;
+    min_ = 0;
+    max_ = 0;
+  }
 
   // Bucket-wise difference against an earlier snapshot of this histogram
   // (every snapshot bucket count <= the corresponding one here — i.e. a
   // copy taken before a window of interest on a monotonically-recording
   // histogram). Isolates the samples recorded since the snapshot, e.g. the
   // read tail inside a fault window. min/max degrade to bucket resolution:
-  // the removed samples' exact extremes are unrecoverable.
+  // the removed samples' exact extremes are unrecoverable. A snapshot that
+  // breaks the precondition aborts in every build type.
   LatencyHistogram Subtract(const LatencyHistogram& snapshot) const {
     LatencyHistogram out;
-    int lo = -1, hi = -1;
-    for (int i = 0; i < kBuckets; ++i) {
-      out.counts_[i] = counts_[i] - snapshot.counts_[i];
-      out.total_ += out.counts_[i];
-      if (out.counts_[i] > 0) {
-        if (lo < 0) lo = i;
-        hi = i;
+    out.counts_ = counts_;
+    out.base_ = base_;
+    for (size_t j = 0; j < snapshot.counts_.size(); ++j) {
+      const uint64_t c = snapshot.counts_[j];
+      if (c == 0) continue;
+      const int idx = snapshot.base_ + static_cast<int>(j);
+      const auto i = static_cast<unsigned>(idx - base_);
+      if (i >= out.counts_.size() || c > out.counts_[i]) {
+        SubtractMismatch(idx, c);
       }
+      out.counts_[i] -= c;
+    }
+    int lo = -1, hi = -1;
+    for (size_t i = 0; i < out.counts_.size(); ++i) {
+      if (out.counts_[i] == 0) continue;
+      out.total_ += out.counts_[i];
+      if (lo < 0) lo = base_ + static_cast<int>(i);
+      hi = base_ + static_cast<int>(i);
     }
     out.sum_ = sum_ - snapshot.sum_;
     if (out.total_ > 0) {
@@ -75,9 +136,9 @@ class LatencyHistogram {
     uint64_t rank = static_cast<uint64_t>(q * static_cast<double>(total_));
     if (rank >= total_) rank = total_ - 1;
     uint64_t seen = 0;
-    for (int i = 0; i < kBuckets; ++i) {
+    for (size_t i = 0; i < counts_.size(); ++i) {
       seen += counts_[i];
-      if (seen > rank) return BucketUpperBound(i);
+      if (seen > rank) return BucketUpperBound(base_ + static_cast<int>(i));
     }
     return max_;
   }
@@ -117,8 +178,37 @@ class LatencyHistogram {
     return static_cast<int64_t>(lower + width - 1);
   }
 
-  std::array<uint64_t, kBuckets> counts_{};
-  uint64_t total_ = 0;
+  int span_end() const { return base_ + static_cast<int>(counts_.size()); }
+
+  // Widen the stored span, in whole rows, to include buckets [lo, hi).
+  // Off the Record fast path: a histogram grows at most kExponents times.
+  [[gnu::noinline]] void Cover(int lo, int hi) {
+    lo &= ~(kSub - 1);
+    hi = (hi + kSub - 1) & ~(kSub - 1);
+    if (counts_.empty()) base_ = lo;
+    if (lo >= base_ && hi <= span_end()) return;
+    lo = std::min(lo, base_);
+    hi = std::max(hi, span_end());
+    std::vector<uint64_t> grown(static_cast<size_t>(hi - lo));
+    std::copy(counts_.begin(), counts_.end(), grown.begin() + (base_ - lo));
+    counts_ = std::move(grown);
+    base_ = lo;
+  }
+
+  [[noreturn, gnu::noinline]] static void SubtractMismatch(int bucket,
+                                                           uint64_t count) {
+    std::fprintf(stderr,
+                 "LatencyHistogram::Subtract: snapshot holds %llu samples in "
+                 "bucket %d (<= %lld), more than this histogram; the "
+                 "snapshot is not an earlier copy of it\n",
+                 static_cast<unsigned long long>(count), bucket,
+                 static_cast<long long>(BucketUpperBound(bucket)));
+    std::abort();
+  }
+
+  std::vector<uint64_t> counts_;  // buckets [base_, base_ + size())
+  int base_ = 0;                  // a multiple of kSub
+  uint64_t total_ = 0;            // == sum of counts_
   int64_t sum_ = 0;
   int64_t min_ = 0;
   int64_t max_ = 0;

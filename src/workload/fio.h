@@ -44,6 +44,15 @@ struct WorkerStats {
   uint64_t total_bytes() const { return read_bytes + write_bytes; }
   uint64_t total_ios() const { return read_ios + write_ios; }
   void Reset() { *this = WorkerStats{}; }
+  void Merge(const WorkerStats& other) {
+    read_bytes += other.read_bytes;
+    write_bytes += other.write_bytes;
+    read_ios += other.read_ios;
+    write_ios += other.write_ios;
+    failed_ios += other.failed_ios;
+    read_latency.Merge(other.read_latency);
+    write_latency.Merge(other.write_latency);
+  }
 };
 
 class FioWorker {

@@ -122,14 +122,7 @@ void OpenLoopFleet::Retire(std::unique_ptr<Session> s) {
   // callbacks run here), so fold stats afterwards; the graveyard then
   // only waits for the fabric to return the issued in-flight tail.
   s->init->Shutdown();
-  const WorkerStats& ws = s->worker->stats();
-  retired_stats_.read_bytes += ws.read_bytes;
-  retired_stats_.write_bytes += ws.write_bytes;
-  retired_stats_.read_ios += ws.read_ios;
-  retired_stats_.write_ios += ws.write_ios;
-  retired_stats_.failed_ios += ws.failed_ios;
-  retired_stats_.read_latency.Merge(ws.read_latency);
-  retired_stats_.write_latency.Merge(ws.write_latency);
+  retired_stats_.Merge(s->worker->stats());
   retired_dropped_ += s->worker->dropped();
   graveyard_.push_back(std::move(s));
   ArmSweep();
@@ -180,14 +173,7 @@ OpenLoopFleet::Totals OpenLoopFleet::TotalStats() const {
   t.dropped = retired_dropped_;
   for (const auto& s : seats_) {
     if (s == nullptr) continue;
-    const WorkerStats& ws = s->worker->stats();
-    t.stats.read_bytes += ws.read_bytes;
-    t.stats.write_bytes += ws.write_bytes;
-    t.stats.read_ios += ws.read_ios;
-    t.stats.write_ios += ws.write_ios;
-    t.stats.failed_ios += ws.failed_ios;
-    t.stats.read_latency.Merge(ws.read_latency);
-    t.stats.write_latency.Merge(ws.write_latency);
+    t.stats.Merge(s->worker->stats());
     t.dropped += s->worker->dropped();
   }
   return t;

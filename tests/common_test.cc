@@ -2,8 +2,13 @@
 // streaming stats, EWMA, and the latency histogram.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <map>
+#include <utility>
+#include <vector>
 
 #include "common/histogram.h"
 #include "common/rng.h"
@@ -262,6 +267,329 @@ INSTANTIATE_TEST_SUITE_P(Values, HistogramRoundTrip,
                                            4096, 65535, 1 << 20,
                                            Milliseconds(1), Seconds(1),
                                            Seconds(1000)));
+
+// --- Span-storage equivalence -------------------------------------------
+// LatencyHistogram stores only the bucket rows it has touched. The oracle
+// below is the dense layout it replaced (every one of the 1888 buckets
+// always present), kept here so each query of the span histogram can be
+// checked against it after every operation.
+class DenseHistogram {
+ public:
+  static constexpr int kSub = 32;
+  static constexpr int kBuckets = 59 * kSub;
+
+  void Record(int64_t value) {
+    if (value < 0) value = 0;
+    ++counts_[BucketIndex(static_cast<uint64_t>(value))];
+    ++total_;
+    sum_ += value;
+    if (value > max_) max_ = value;
+    if (value < min_ || total_ == 1) min_ = value;
+  }
+
+  void Merge(const DenseHistogram& other) {
+    for (int i = 0; i < kBuckets; ++i) counts_[i] += other.counts_[i];
+    if (other.total_ > 0) {
+      if (total_ == 0 || other.min_ < min_) min_ = other.min_;
+      if (other.max_ > max_) max_ = other.max_;
+    }
+    total_ += other.total_;
+    sum_ += other.sum_;
+  }
+
+  void Reset() { *this = DenseHistogram{}; }
+
+  DenseHistogram Subtract(const DenseHistogram& snapshot) const {
+    DenseHistogram out;
+    int lo = -1, hi = -1;
+    for (int i = 0; i < kBuckets; ++i) {
+      out.counts_[i] = counts_[i] - snapshot.counts_[i];
+      out.total_ += out.counts_[i];
+      if (out.counts_[i] > 0) {
+        if (lo < 0) lo = i;
+        hi = i;
+      }
+    }
+    out.sum_ = sum_ - snapshot.sum_;
+    if (out.total_ > 0) {
+      out.min_ = lo > 0 ? BucketUpperBound(lo - 1) + 1 : 0;
+      out.max_ = BucketUpperBound(hi);
+    }
+    return out;
+  }
+
+  int64_t Percentile(double q) const {
+    if (total_ == 0) return 0;
+    if (!(q > 0.0)) q = 0.0;
+    if (q > 1.0) q = 1.0;
+    uint64_t rank = static_cast<uint64_t>(q * static_cast<double>(total_));
+    if (rank >= total_) rank = total_ - 1;
+    uint64_t seen = 0;
+    for (int i = 0; i < kBuckets; ++i) {
+      seen += counts_[i];
+      if (seen > rank) return BucketUpperBound(i);
+    }
+    return max_;
+  }
+
+  uint64_t count() const { return total_; }
+  int64_t min() const { return total_ ? min_ : 0; }
+  int64_t max() const { return max_; }
+  double mean() const {
+    return total_ == 0 ? 0.0
+                       : static_cast<double>(sum_) / static_cast<double>(total_);
+  }
+
+ private:
+  static int BucketIndex(uint64_t v) {
+    if (v < kSub) return static_cast<int>(v);
+    int msb = 63 - __builtin_clzll(v);
+    int e = msb - 5;
+    int sub = static_cast<int>(v >> e) & (kSub - 1);
+    int idx = (e + 1) * kSub + sub;
+    return idx < kBuckets ? idx : kBuckets - 1;
+  }
+
+  static int64_t BucketUpperBound(int index) {
+    if (index < kSub) return index;
+    int e = index / kSub - 1;
+    uint64_t sub = static_cast<uint64_t>(index & (kSub - 1));
+    uint64_t lower = (uint64_t{kSub} | sub) << e;
+    uint64_t width = uint64_t{1} << e;
+    return static_cast<int64_t>(lower + width - 1);
+  }
+
+  std::array<uint64_t, kBuckets> counts_{};
+  uint64_t total_ = 0;
+  int64_t sum_ = 0;
+  int64_t min_ = 0;
+  int64_t max_ = 0;
+};
+
+// A span histogram and its dense oracle, always fed the same operations.
+struct HistPair {
+  LatencyHistogram span;
+  DenseHistogram dense;
+
+  void Record(int64_t v) {
+    span.Record(v);
+    dense.Record(v);
+  }
+  void Merge(const HistPair& o) {
+    span.Merge(o.span);
+    dense.Merge(o.dense);
+  }
+  void Reset() {
+    span.Reset();
+    dense.Reset();
+  }
+  HistPair Subtract(const HistPair& snapshot) const {
+    return {span.Subtract(snapshot.span), dense.Subtract(snapshot.dense)};
+  }
+};
+
+void ExpectSameQueries(const HistPair& p, const char* where) {
+  SCOPED_TRACE(where);
+  EXPECT_EQ(p.span.count(), p.dense.count());
+  EXPECT_EQ(p.span.min(), p.dense.min());
+  EXPECT_EQ(p.span.max(), p.dense.max());
+  EXPECT_EQ(p.span.mean(), p.dense.mean());
+  static const double kQs[] = {-1.0, 0.0,   1e-4,  0.001, 0.01, 0.1,
+                               0.25, 0.5,   0.75,  0.9,   0.99, 0.999,
+                               0.9999, 1.0, 2.0,   std::nan("")};
+  for (double q : kQs) {
+    EXPECT_EQ(p.span.Percentile(q), p.dense.Percentile(q)) << "q=" << q;
+  }
+  EXPECT_EQ(p.span.p50(), p.dense.Percentile(0.5));
+  EXPECT_EQ(p.span.p999(), p.dense.Percentile(0.999));
+}
+
+// Values from one of several magnitude bands, so histograms built from
+// different bands hold disjoint or overlapping bucket spans. Band 5 sits
+// next to INT64_MAX, in the top row of buckets.
+int64_t BandValue(Rng& rng, int band) {
+  switch (band) {
+    case 0:
+      return static_cast<int64_t>(rng.NextBounded(64)) - 32;  // <0, 0, <32
+    case 1:
+      return 1000 + static_cast<int64_t>(rng.NextBounded(50000));
+    case 2:
+      return 30000 + static_cast<int64_t>(rng.NextBounded(5000000));
+    case 3:
+      return int64_t{1} << (20 + rng.NextBounded(20));
+    case 4:
+      return static_cast<int64_t>(rng.Next() >> (24 + rng.NextBounded(40)));
+    default:
+      return std::numeric_limits<int64_t>::max() -
+             static_cast<int64_t>(rng.NextBounded(1000));
+  }
+}
+
+// Whether `h` can take `more` samples of at most `top` without its int64
+// sum overflowing (samples are clamped to >= 0, so sum <= count * max).
+bool SumFits(const HistPair& h, uint64_t more, int64_t top) {
+  const __int128 bound = static_cast<__int128>(h.span.count() + more) *
+                         std::max(h.span.max(), top);
+  return bound <= std::numeric_limits<int64_t>::max();
+}
+
+TEST(HistogramSpan, RandomOpsMatchDenseReference) {
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed=" << seed);
+    Rng rng(seed);
+    std::vector<HistPair> hs(6);
+    for (int step = 0; step < 600; ++step) {
+      const size_t k = rng.NextBounded(hs.size());
+      const size_t j = rng.NextBounded(hs.size());
+      switch (rng.NextBounded(8)) {
+        case 0:
+        case 1:
+        case 2: {
+          // Mostly the histogram's own band, sometimes any band.
+          const int band = rng.NextBounded(4) != 0
+                               ? static_cast<int>(k % 5)
+                               : static_cast<int>(rng.NextBounded(6));
+          const int n = 1 + static_cast<int>(rng.NextBounded(20));
+          for (int r = 0; r < n; ++r) {
+            const int64_t v = BandValue(rng, band);
+            if (!SumFits(hs[k], 1, v)) hs[k].Reset();
+            hs[k].Record(v);
+          }
+          break;
+        }
+        case 3:
+          // j == k merges a histogram into itself.
+          if (!SumFits(hs[k], hs[j].span.count(), hs[j].span.max())) {
+            hs[k].Reset();
+          }
+          hs[k].Merge(hs[j]);
+          break;
+        case 4: {
+          // Monotone snapshot: record more, then isolate what came after.
+          const HistPair snapshot = hs[k];
+          const int band = static_cast<int>(rng.NextBounded(5));
+          const int n = static_cast<int>(rng.NextBounded(30));
+          for (int r = 0; r < n; ++r) {
+            const int64_t v = BandValue(rng, band);
+            if (SumFits(hs[k], 1, v)) hs[k].Record(v);
+          }
+          ExpectSameQueries(hs[k].Subtract(snapshot), "subtract");
+          ExpectSameQueries(hs[k].Subtract(hs[k]), "subtract self");
+          break;
+        }
+        case 5:
+          hs[k].Reset();
+          break;
+        case 6:
+          hs[k] = hs[j];
+          break;
+        default: {
+          HistPair moved = hs[j];
+          hs[k] = std::move(moved);
+          break;
+        }
+      }
+      ExpectSameQueries(hs[k], "after op");
+    }
+  }
+}
+
+TEST(HistogramSpan, MergeDisjointOverlappingAndEmptyBothWays) {
+  Rng rng(7);
+  HistPair low, high, mid, empty, reset;
+  for (int i = 0; i < 200; ++i) {
+    low.Record(BandValue(rng, 0));
+    high.Record(BandValue(rng, 2));
+    mid.Record(BandValue(rng, 1));
+    reset.Record(BandValue(rng, 3));
+  }
+  reset.Reset();  // zero counts, span kept
+  const HistPair all[] = {low, high, mid, empty, reset};
+  for (const HistPair& a : all) {
+    for (const HistPair& b : all) {
+      HistPair ab = a;
+      ab.Merge(b);
+      ExpectSameQueries(ab, "a.Merge(b)");
+      HistPair ba = b;
+      ba.Merge(a);
+      ExpectSameQueries(ba, "b.Merge(a)");
+    }
+  }
+}
+
+TEST(HistogramSpan, ResetThenReuse) {
+  HistPair p;
+  for (int i = 0; i < 100; ++i) p.Record(i * 1000);
+  p.Reset();
+  ExpectSameQueries(p, "reset");
+  for (int i = 0; i < 50; ++i) p.Record(7);  // below the kept span
+  p.Record(std::numeric_limits<int64_t>::max() - 1000);  // above it
+  ExpectSameQueries(p, "reuse");
+}
+
+TEST(HistogramSpan, CopyAndMoveKeepQueriesAndEmptyTheSource) {
+  HistPair p;
+  for (int i = 0; i < 100; ++i) p.Record(100 + i * 37);
+  HistPair copy = p;
+  ExpectSameQueries(copy, "copy");
+  HistPair moved = std::move(copy);
+  ExpectSameQueries(moved, "move");
+  EXPECT_EQ(moved.span.p99(), p.span.p99());
+  // A moved-from histogram is empty and usable.
+  EXPECT_EQ(copy.span.count(), 0u);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(copy.span.Percentile(0.5), 0);
+  copy.span.Record(5);
+  EXPECT_EQ(copy.span.count(), 1u);
+  EXPECT_EQ(copy.span.Percentile(1.0), 5);
+}
+
+TEST(HistogramSpan, StaysSmall) {
+  // Counts live behind one vector; a return to in-object dense storage
+  // (1888 x 8 bytes) fails here, not only in the benchmark's RSS.
+  EXPECT_LE(sizeof(LatencyHistogram), 64u);
+}
+
+TEST(Histogram, SubtractIsolatesLaterSamples) {
+  LatencyHistogram h;
+  for (int i = 0; i < 100; ++i) h.Record(50);
+  const LatencyHistogram before = h;
+  for (int i = 0; i < 10; ++i) h.Record(5000);
+  const LatencyHistogram window = h.Subtract(before);
+  EXPECT_EQ(window.count(), 10u);
+  EXPECT_EQ(window.mean(), 5000.0);
+  EXPECT_GE(window.Percentile(0.0), 5000);
+  EXPECT_LE(window.min(), 5000);
+  EXPECT_GE(window.max(), 5000);
+  EXPECT_EQ(h.Subtract(h).count(), 0u);
+}
+
+TEST(Histogram, SubtractSkipsEmptySnapshotBucketsOutsideSpan) {
+  LatencyHistogram snapshot;
+  snapshot.Record(Seconds(100));
+  snapshot.Reset();  // keeps a span far above h's, all zero
+  LatencyHistogram h;
+  h.Record(5);
+  const LatencyHistogram d = h.Subtract(snapshot);
+  EXPECT_EQ(d.count(), 1u);
+  EXPECT_EQ(d.Percentile(0.5), 5);
+}
+
+TEST(HistogramDeathTest, SubtractRejectsSampleOutsideSpan) {
+  LatencyHistogram h;
+  h.Record(5);
+  LatencyHistogram other;
+  other.Record(Seconds(1));
+  EXPECT_DEATH(h.Subtract(other), "not an earlier copy");
+}
+
+TEST(HistogramDeathTest, SubtractRejectsLargerBucket) {
+  LatencyHistogram h;
+  h.Record(5);
+  LatencyHistogram other;
+  other.Record(5);
+  other.Record(5);
+  EXPECT_DEATH(h.Subtract(other), "not an earlier copy");
+}
 
 }  // namespace
 }  // namespace gimbal
