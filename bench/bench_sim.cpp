@@ -2,10 +2,10 @@
 //
 // Self-timing A/B of the two EventQueue engines — the timing wheel that
 // runs every figure and the reference binary heap it replaced — plus a
-// wall-clock rerun of a Fig 11-style KV scenario on both engines. Writes
-// machine-readable results to BENCH_sim.json (override with --out=PATH)
-// so the perf trajectory is tracked across commits; CI runs it with
-// --quick and uploads the JSON.
+// wall-clock rerun of a Fig 11-style KV scenario on both engines.
+// --bench-json=PATH writes the printed tables as JSON, so the perf
+// trajectory is tracked across commits (BENCH_sim.json in the repo root);
+// CI runs it with --quick and uploads the JSON.
 //
 // Microbench scenarios (fixed seeds, steady state reached before timing):
 //
@@ -25,7 +25,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <deque>
 #include <random>
 #include <string>
@@ -79,7 +78,6 @@ struct MicroResult {
   uint64_t events;
   double wheel_eps = 0;  // events (pops) per wall-clock second
   double heap_eps = 0;
-  double speedup() const { return heap_eps > 0 ? wheel_eps / heap_eps : 0; }
 };
 
 // Steady-state hold loop: `pending` events in flight, each pop schedules a
@@ -132,9 +130,6 @@ MicroResult RunScenario(const char* name, size_t pending, uint64_t events,
       RunHold(EventQueue::Impl::kTimingWheel, pending, events, churn, 42);
   r.heap_eps =
       RunHold(EventQueue::Impl::kReferenceHeap, pending, events, churn, 42);
-  std::printf("  %-14s pending=%-7zu wheel %10.0f ev/s   heap %10.0f ev/s"
-              "   speedup %.2fx\n",
-              name, pending, r.wheel_eps, r.heap_eps, r.speedup());
   return r;
 }
 
@@ -210,11 +205,6 @@ struct SweepPoint {
   double wall_ms = 0;
   uint64_t epochs = 0;        // engine barrier count (thread-invariant)
   uint64_t idle_wakeups = 0;  // doorbells that claimed nothing
-  // Hardware threads visible to *this point's* run. Recorded per point so
-  // the CI speedup gate can tell a genuine regression from a starved
-  // runner: a point with hardware_threads < threads measured
-  // oversubscription, not parallelism, and must be skipped, not failed.
-  unsigned hardware_threads = 0;
 };
 
 // Sharded-engine threads sweep (docs/SIMULATOR.md): a Fig 11-style KV
@@ -251,7 +241,6 @@ SweepPoint ShardedWallclock(int threads, int instances, Tick measure) {
   SweepPoint p;
   p.threads = threads;
   p.wall_ms = SecondsSince(t0) * 1e3;
-  p.hardware_threads = std::thread::hardware_concurrency();
   if (sim::ShardedEngine* eng = cluster.bed().engine()) {
     p.epochs = eng->epochs();
     p.idle_wakeups = eng->idle_wakeups();
@@ -259,173 +248,101 @@ SweepPoint ShardedWallclock(int threads, int instances, Tick measure) {
   return p;
 }
 
-void JsonEscapePrint(FILE* f, const std::string& s) {
-  std::fputc('"', f);
-  for (char c : s) {
-    if (c == '"' || c == '\\') std::fputc('\\', f);
-    std::fputc(c, f);
-  }
-  std::fputc('"', f);
+// Ratio cells carry three decimals: the CI speedup gate reads them.
+std::string Ratio(double num, double den) {
+  return Table::Num(den > 0 ? num / den : 0, 3);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string out = "BENCH_sim.json";
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    const std::string a = argv[i];
-    if (a.rfind("--out=", 0) == 0) {
-      out = a.substr(6);
-    } else if (a == "--quick") {
-      quick = true;
-    } else {
-      std::fprintf(stderr, "usage: %s [--out=PATH] [--quick]\n", argv[0]);
-      return 2;
-    }
-  }
-
+  ObsSession obs_session(argc, argv);
   workload::PrintHeader(
       "bench_sim - EventQueue timing wheel vs reference heap",
       "simulator hot-path overhaul (docs/SIMULATOR.md)",
       "timing wheel >= 1.5x events/sec at testbed-like pending-set sizes");
 
-  const uint64_t kEvents = quick ? 200'000 : 2'000'000;
+  const uint64_t kEvents = Quick() ? 200'000 : 2'000'000;
   const uint64_t fallbacks_before = sim::InlineFn::heap_fallbacks();
-
-  std::printf("\nsteady_fire (pop-advance-push hold loop):\n");
   std::vector<MicroResult> results;
   results.push_back(RunScenario("steady_fire", 1'000, kEvents, false));
   results.push_back(RunScenario("steady_fire", 100'000, kEvents, false));
-  std::printf("timeout_churn (every round arms a timeout, cancels one):\n");
   results.push_back(RunScenario("timeout_churn", 1'000, kEvents, true));
   results.push_back(RunScenario("timeout_churn", 100'000, kEvents, true));
   const MicroResult& headline = results.back();
-
   const uint64_t fallbacks_after = sim::InlineFn::heap_fallbacks();
 
-  const uint64_t kBreakN = quick ? 100'000 : 1'000'000;
-  const Breakdown wheel_bd =
-      RunBreakdown(EventQueue::Impl::kTimingWheel, kBreakN, 7);
-  const Breakdown heap_bd =
-      RunBreakdown(EventQueue::Impl::kReferenceHeap, kBreakN, 7);
-  std::printf("\nper-op breakdown (ns/op, %llu events):\n",
-              static_cast<unsigned long long>(kBreakN));
-  std::printf("  %-14s schedule %6.1f   cancel %6.1f   fire %6.1f\n",
-              "timing_wheel", wheel_bd.schedule_ns, wheel_bd.cancel_ns,
-              wheel_bd.fire_ns);
-  std::printf("  %-14s schedule %6.1f   cancel %6.1f   fire %6.1f\n",
-              "reference_heap", heap_bd.schedule_ns, heap_bd.cancel_ns,
-              heap_bd.fire_ns);
+  // steady_fire: pop-advance-push hold loop; timeout_churn: every round
+  // also arms a timeout and cancels one.
+  Table micro("EventQueue hold loop (events/sec)");
+  micro.Columns({"scenario", "pending", "events", "wheel_events_per_sec",
+                 "heap_events_per_sec", "speedup"});
+  for (const MicroResult& r : results) {
+    micro.Row({r.scenario, std::to_string(r.pending), std::to_string(r.events),
+               Table::Num(r.wheel_eps, 0), Table::Num(r.heap_eps, 0),
+               Ratio(r.wheel_eps, r.heap_eps)});
+  }
+  micro.Print();
 
-  const int kInstances = quick ? 2 : 4;
-  const Tick kMeasure = quick ? Milliseconds(50) : Milliseconds(200);
+  const uint64_t kBreakN = Quick() ? 100'000 : 1'000'000;
+  Table bd("Per-op breakdown (ns/op, " + std::to_string(kBreakN) + " events)");
+  bd.Columns({"engine", "schedule", "cancel", "fire"});
+  for (EventQueue::Impl impl : {EventQueue::Impl::kTimingWheel,
+                                EventQueue::Impl::kReferenceHeap}) {
+    const Breakdown b = RunBreakdown(impl, kBreakN, 7);
+    bd.Row({ImplName(impl), Table::Num(b.schedule_ns),
+            Table::Num(b.cancel_ns), Table::Num(b.fire_ns)});
+  }
+  bd.Print();
+
+  const int kInstances = Quick() ? 2 : 4;
+  const Tick kMeasure = Quick() ? Milliseconds(50) : Milliseconds(200);
   const double fig11_wheel =
       Fig11Wallclock(EventQueue::Impl::kTimingWheel, kInstances, kMeasure);
   const double fig11_heap =
       Fig11Wallclock(EventQueue::Impl::kReferenceHeap, kInstances, kMeasure);
-  std::printf("\nfig11-style KV rerun (%d instances, %.0f ms simulated):\n",
-              kInstances, ToSec(kMeasure) * 1e3);
-  std::printf("  timing_wheel   %7.1f ms wall\n", fig11_wheel * 1e3);
-  std::printf("  reference_heap %7.1f ms wall   speedup %.2fx\n",
-              fig11_heap * 1e3,
-              fig11_wheel > 0 ? fig11_heap / fig11_wheel : 0);
+  Table kv("Fig 11-style KV rerun (wall clock)");
+  kv.Columns({"instances", "simulated_ms", "wheel_ms", "heap_ms",
+              "speedup"});
+  kv.Row({std::to_string(kInstances), Table::Num(ToSec(kMeasure) * 1e3, 0),
+          Table::Num(fig11_wheel * 1e3), Table::Num(fig11_heap * 1e3),
+          Ratio(fig11_heap, fig11_wheel)});
+  kv.Print();
 
-  const int kSweepThreads[] = {1, 2, 4};
-  const int kSweepInstances = quick ? 6 : 12;
-  const Tick kSweepMeasure = quick ? Milliseconds(60) : Milliseconds(200);
-  const unsigned hw = std::thread::hardware_concurrency();
-  SweepPoint sweep[3];
-  std::printf("\nsharded-engine threads sweep (6 SSDs / 6 cores, %d KV "
-              "instances, %.0f ms simulated, %u hardware threads):\n",
-              kSweepInstances, ToSec(kSweepMeasure) * 1e3, hw);
-  if (hw < 4) {
-    std::printf("  note: fewer hardware threads than the widest point; "
-                "oversubscribed points measure epoch-barrier overhead, "
-                "not parallel speedup\n");
+  const int kSweepInstances = Quick() ? 6 : 12;
+  const Tick kSweepMeasure = Quick() ? Milliseconds(60) : Milliseconds(200);
+  if (std::thread::hardware_concurrency() < 4) {
+    std::printf("\nnote: fewer hardware threads than the widest sweep "
+                "point; oversubscribed points measure epoch-barrier "
+                "overhead, not parallel speedup\n");
   }
-  for (size_t i = 0; i < 3; ++i) {
-    sweep[i] =
-        ShardedWallclock(kSweepThreads[i], kSweepInstances, kSweepMeasure);
-    std::printf("  threads=%d  %8.1f ms wall   speedup %.2fx   "
-                "epochs %llu   idle_wakeups %llu\n",
-                sweep[i].threads, sweep[i].wall_ms,
-                sweep[i].wall_ms > 0 ? sweep[0].wall_ms / sweep[i].wall_ms
-                                     : 0,
-                static_cast<unsigned long long>(sweep[i].epochs),
-                static_cast<unsigned long long>(sweep[i].idle_wakeups));
+  // The CI speedup gate (tools/check_speedup.py) finds this table by its
+  // title and reads its threads and speedup_vs_serial columns.
+  Table sweep("Sharded-engine threads sweep (6 SSDs / 6 cores, " +
+              std::to_string(kSweepInstances) + " KV instances, " +
+              Table::Num(ToSec(kSweepMeasure) * 1e3, 0) + " ms simulated)");
+  sweep.Columns({"threads", "wall_ms", "speedup_vs_serial", "epochs",
+                 "idle_wakeups"});
+  double serial_ms = 0;
+  for (int threads : {1, 2, 4}) {
+    const SweepPoint p =
+        ShardedWallclock(threads, kSweepInstances, kSweepMeasure);
+    if (threads == 1) serial_ms = p.wall_ms;
+    sweep.Row({std::to_string(p.threads), Table::Num(p.wall_ms),
+               Ratio(serial_ms, p.wall_ms), std::to_string(p.epochs),
+               std::to_string(p.idle_wakeups)});
   }
+  sweep.Print();
 
-  std::printf("\nInlineFn heap fallbacks over the hot loops: %llu\n",
-              static_cast<unsigned long long>(fallbacks_after -
-                                              fallbacks_before));
-  std::printf("headline (timeout_churn, pending=%zu): %.2fx (target 1.5x)\n",
-              headline.pending, headline.speedup());
-
-  FILE* f = std::fopen(out.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: could not write %s\n", out.c_str());
-    return 1;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"bench_sim\",\n  \"quick\": %s,\n",
-               quick ? "true" : "false");
-  std::fprintf(f, "  \"inline_fn\": {\"capacity\": %zu, "
-               "\"heap_fallbacks_delta\": %llu},\n",
-               sim::InlineFn::kInlineCapacity,
-               static_cast<unsigned long long>(fallbacks_after -
-                                               fallbacks_before));
-  std::fprintf(f, "  \"microbench\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const MicroResult& r = results[i];
-    std::fprintf(f, "    {\"scenario\": ");
-    JsonEscapePrint(f, r.scenario);
-    std::fprintf(f,
-                 ", \"pending\": %zu, \"events\": %llu, "
-                 "\"wheel_events_per_sec\": %.0f, "
-                 "\"heap_events_per_sec\": %.0f, \"speedup\": %.3f}%s\n",
-                 r.pending, static_cast<unsigned long long>(r.events),
-                 r.wheel_eps, r.heap_eps, r.speedup(),
-                 i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"breakdown_ns_per_op\": {\n"
-               "    \"timing_wheel\": {\"schedule\": %.1f, \"cancel\": %.1f,"
-               " \"fire\": %.1f},\n"
-               "    \"reference_heap\": {\"schedule\": %.1f, \"cancel\": "
-               "%.1f, \"fire\": %.1f}\n  },\n",
-               wheel_bd.schedule_ns, wheel_bd.cancel_ns, wheel_bd.fire_ns,
-               heap_bd.schedule_ns, heap_bd.cancel_ns, heap_bd.fire_ns);
-  std::fprintf(f,
-               "  \"fig11_wallclock\": {\"instances\": %d, "
-               "\"simulated_ms\": %.0f, \"wheel_ms\": %.1f, "
-               "\"heap_ms\": %.1f, \"speedup\": %.3f},\n",
-               kInstances, ToSec(kMeasure) * 1e3, fig11_wheel * 1e3,
-               fig11_heap * 1e3,
-               fig11_wheel > 0 ? fig11_heap / fig11_wheel : 0);
-  std::fprintf(f, "  \"threads_sweep\": {\"ssds\": 6, \"instances\": %d, "
-               "\"simulated_ms\": %.0f, \"hardware_threads\": %u, "
-               "\"points\": [\n",
-               kSweepInstances, ToSec(kSweepMeasure) * 1e3, hw);
-  for (size_t i = 0; i < 3; ++i) {
-    std::fprintf(f,
-                 "    {\"threads\": %d, \"wall_ms\": %.1f, "
-                 "\"speedup_vs_serial\": %.3f, \"hardware_threads\": %u, "
-                 "\"epochs\": %llu, \"idle_wakeups\": %llu}%s\n",
-                 sweep[i].threads, sweep[i].wall_ms,
-                 sweep[i].wall_ms > 0 ? sweep[0].wall_ms / sweep[i].wall_ms
-                                      : 0,
-                 sweep[i].hardware_threads,
-                 static_cast<unsigned long long>(sweep[i].epochs),
-                 static_cast<unsigned long long>(sweep[i].idle_wakeups),
-                 i + 1 < 3 ? "," : "");
-  }
-  std::fprintf(f, "  ]},\n");
-  std::fprintf(f,
-               "  \"headline\": {\"scenario\": \"timeout_churn\", "
-               "\"pending\": %zu, \"speedup\": %.3f, \"target\": 1.5}\n}\n",
-               headline.pending, headline.speedup());
-  std::fclose(f);
-  std::printf("wrote %s\n", out.c_str());
+  Table sum("Summary");
+  sum.Columns({"metric", "value"});
+  sum.Row({"inline_fn_capacity",
+           std::to_string(sim::InlineFn::kInlineCapacity)});
+  sum.Row({"inline_fn_heap_fallbacks",
+           std::to_string(fallbacks_after - fallbacks_before)});
+  sum.Row({"headline_timeout_churn_100k_speedup",
+           Ratio(headline.wheel_eps, headline.heap_eps)});
+  sum.Row({"headline_target", "1.5"});
+  sum.Print();
   return 0;
 }

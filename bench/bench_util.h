@@ -1,16 +1,19 @@
 // Shared helpers for the reproduction bench binaries.
 #pragma once
 
+#include <cerrno>
+#include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
+#include <thread>
 #include <vector>
-
-#include <cinttypes>
 
 #include "common/histogram.h"
 #include "common/time.h"
+#include "obs/json.h"
 #include "obs/obs.h"
 #include "sim/simulator.h"
 #include "workload/fio.h"
@@ -58,7 +61,63 @@ inline sim::EventQueue::Impl g_queue = sim::EventQueue::Impl::kTimingWheel;
 // quick configs at several thread counts.
 inline int g_threads = 1;
 
-// Per-binary observability session. Construct first thing in main():
+// Fault-plan knobs of the fault benches (docs/FAULTS.md). A bench passes
+// its defaults to ObsSession, which parses --fault-media-p=P and
+// --fault-seed=N, plus --fault-stall-ms=N and --fault-link-drop=P where the
+// bench gives those knobs a default.
+struct FaultKnobs {
+  double media_p = 0.2;  // media-error probability per IO in the burst
+  uint64_t seed = 1;     // fault RNG seed
+  std::optional<double> stall_ms;   // extra device latency during a stall
+  std::optional<double> link_drop;  // message drop probability in a flap
+};
+
+// A self-check a bench certifies its run with (printed PASS or FAIL).
+struct Check {
+  std::string name;
+  bool pass;
+};
+
+// Where ReportChecks records checks for --bench-json; set by ObsSession.
+inline std::vector<Check>* g_check_log = nullptr;
+
+// Prints a blank line, then one "%-60s PASS|FAIL" line per check, records
+// the checks for --bench-json, and returns whether every check passed.
+inline bool ReportChecks(const std::vector<Check>& checks) {
+  bool all = true;
+  std::printf("\n");
+  for (const Check& c : checks) {
+    all = all && c.pass;
+    std::printf("%-60s %s\n", c.name.c_str(), c.pass ? "PASS" : "FAIL");
+    if (g_check_log != nullptr) g_check_log->push_back(c);
+  }
+  return all;
+}
+
+// Strict flag-value parsers: the whole text must parse, or the value is
+// left untouched and false is returned.
+inline bool ParseU64(const std::string& s, uint64_t* out) {
+  if (s.empty() || s[0] < '0' || s[0] > '9') return false;  // no sign
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
+  if (*end != '\0' || errno == ERANGE) return false;
+  *out = v;
+  return true;
+}
+
+// Accepts a finite number in [lo, hi].
+inline bool ParseDouble(const std::string& s, double lo, double hi,
+                        double* out) {
+  char* end = nullptr;
+  const double v = std::strtod(s.c_str(), &end);
+  if (s.empty() || *end != '\0' || !(v >= lo && v <= hi)) return false;
+  *out = v;
+  return true;
+}
+
+// Per-binary session: the one argv parser and the one machine-readable
+// result writer of every bench. Construct first thing in main():
 //
 //   int main(int argc, char** argv) {
 //     gimbal::bench::ObsSession obs(argc, argv);
@@ -72,6 +131,9 @@ inline int g_threads = 1;
 //                        chrome://tracing JSON)
 //   --trace-limit=N      cap the trace at N events (default 1M); events
 //                        past the cap are counted, not stored
+//   --bench-json=PATH    write every table the bench printed and every
+//                        self-check it reported as JSON; attaches no
+//                        observability
 //
 // Regression-harness flags (docs/TESTING.md):
 //   --quick              shrink the bench to its golden-figure quick config
@@ -83,69 +145,64 @@ inline int g_threads = 1;
 //                        16 hex chars; bit-identical across runs and
 //                        wheel/heap for the same config
 //
-// Files are written when the session goes out of scope at the end of main.
+// Given `faults`, the session also parses that bench's --fault-* knobs. A
+// malformed value is rejected with a warning and the default kept. Files
+// are written when the session goes out of scope at the end of main.
 class ObsSession {
  public:
-  ObsSession(int argc, char** argv) {
+  ObsSession(int argc, char** argv, FaultKnobs* faults = nullptr)
+      : bench_(BaseName(argv[0])) {
     for (int i = 1; i < argc; ++i) {
       const std::string a = argv[i];
+      std::string v;
       if (TakeValue(a, "--metrics-out=", &metrics_path_)) continue;
       if (TakeValue(a, "--trace-out=", &trace_path_)) continue;
       if (TakeValue(a, "--digest-out=", &digest_path_)) continue;
+      if (TakeValue(a, "--bench-json=", &bench_json_path_)) continue;
       if (a == "--quick") {
         g_quick = true;
         continue;
       }
-      std::string seed;
-      if (TakeValue(a, "--seed=", &seed)) {
-        char* end = nullptr;
-        g_seed = std::strtoull(seed.c_str(), &end, 10);
-        if (end == seed.c_str() || *end != '\0') {
-          std::fprintf(stderr, "warning: bad --seed '%s', keeping 0\n",
-                       seed.c_str());
-          g_seed = 0;
+      if (TakeValue(a, "--seed=", &v)) {
+        if (!ParseU64(v, &g_seed)) {
+          Reject("--seed", v, std::to_string(g_seed));
         }
         continue;
       }
-      std::string queue;
-      if (TakeValue(a, "--queue=", &queue)) {
-        if (queue == "wheel") {
+      if (TakeValue(a, "--queue=", &v)) {
+        if (v == "wheel") {
           g_queue = sim::EventQueue::Impl::kTimingWheel;
-        } else if (queue == "heap") {
+        } else if (v == "heap") {
           g_queue = sim::EventQueue::Impl::kReferenceHeap;
         } else {
-          std::fprintf(stderr, "warning: bad --queue '%s', keeping wheel\n",
-                       queue.c_str());
+          Reject("--queue", v, "wheel");
         }
         continue;
       }
-      std::string threads;
-      if (TakeValue(a, "--threads=", &threads)) {
-        char* end = nullptr;
-        const long n = std::strtol(threads.c_str(), &end, 10);
-        if (end == threads.c_str() || *end != '\0' || n < 1) {
-          std::fprintf(stderr, "warning: bad --threads '%s', keeping 1\n",
-                       threads.c_str());
-        } else {
+      if (TakeValue(a, "--threads=", &v)) {
+        uint64_t n = 0;
+        if (ParseU64(v, &n) && n >= 1 && n <= 1024) {
           g_threads = static_cast<int>(n);
-        }
-        continue;
-      }
-      std::string limit;
-      if (TakeValue(a, "--trace-limit=", &limit)) {
-        char* end = nullptr;
-        const uint64_t n = std::strtoull(limit.c_str(), &end, 10);
-        if (end == limit.c_str() || *end != '\0' || n == 0) {
-          std::fprintf(stderr,
-                       "warning: bad --trace-limit '%s', keeping %llu\n",
-                       limit.c_str(),
-                       static_cast<unsigned long long>(trace_limit_));
         } else {
-          trace_limit_ = n;
+          Reject("--threads", v, std::to_string(g_threads));
         }
         continue;
       }
+      if (TakeValue(a, "--trace-limit=", &v)) {
+        uint64_t n = 0;
+        if (ParseU64(v, &n) && n > 0) {
+          trace_limit_ = n;
+        } else {
+          Reject("--trace-limit", v, std::to_string(trace_limit_));
+        }
+        continue;
+      }
+      if (faults != nullptr && ParseFaultFlag(a, faults)) continue;
       std::fprintf(stderr, "warning: ignoring unknown flag '%s'\n", a.c_str());
+    }
+    if (!bench_json_path_.empty()) {
+      workload::SetPrintLog(&tables_);
+      g_check_log = &checks_;
     }
     if (metrics_path_.empty() && trace_path_.empty() && digest_path_.empty()) {
       return;
@@ -163,6 +220,11 @@ class ObsSession {
 
   ~ObsSession() {
     if (g_obs == &obs_) g_obs = nullptr;
+    if (!bench_json_path_.empty()) {
+      workload::SetPrintLog(nullptr);
+      g_check_log = nullptr;
+      WriteBenchJson();
+    }
     if (!metrics_path_.empty()) {
       WriteOut(metrics_path_, obs_.metrics.WriteFile(metrics_path_));
     }
@@ -200,6 +262,81 @@ class ObsSession {
     return true;
   }
 
+  static std::string BaseName(const char* path) {
+    const std::string p = path;
+    return p.substr(p.find_last_of('/') + 1);
+  }
+
+  static void Reject(const char* flag, const std::string& value,
+                     const std::string& kept) {
+    std::fprintf(stderr, "warning: bad %s '%s', keeping %s\n", flag,
+                 value.c_str(), kept.c_str());
+  }
+
+  static std::string Fmt(double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", v);
+    return buf;
+  }
+
+  // Consumes one --fault-* flag into `k`; false if `arg` is not one.
+  static bool ParseFaultFlag(const std::string& arg, FaultKnobs* k) {
+    std::string v;
+    if (TakeValue(arg, "--fault-media-p=", &v)) {
+      if (!ParseDouble(v, 0, 1, &k->media_p)) {
+        Reject("--fault-media-p", v, Fmt(k->media_p));
+      }
+    } else if (TakeValue(arg, "--fault-seed=", &v)) {
+      if (!ParseU64(v, &k->seed)) {
+        Reject("--fault-seed", v, std::to_string(k->seed));
+      }
+    } else if (k->stall_ms && TakeValue(arg, "--fault-stall-ms=", &v)) {
+      if (!ParseDouble(v, 0, 1e6, &*k->stall_ms)) {
+        Reject("--fault-stall-ms", v, Fmt(*k->stall_ms));
+      }
+    } else if (k->link_drop && TakeValue(arg, "--fault-link-drop=", &v)) {
+      if (!ParseDouble(v, 0, 1, &*k->link_drop)) {
+        Reject("--fault-link-drop", v, Fmt(*k->link_drop));
+      }
+    } else {
+      return false;
+    }
+    return true;
+  }
+
+  // {"bench", "mode", "hardware_threads", "tables", "checks"}; the shape is
+  // documented in docs/OBSERVABILITY.md.
+  void WriteBenchJson() const {
+    std::vector<std::string> tables;
+    for (const Table& t : tables_) tables.push_back(t.ToJson());
+    std::vector<std::string> checks;
+    for (const Check& c : checks_) {
+      checks.push_back("{\"name\": " + obs::JsonQuote(c.name) +
+                       ", \"pass\": " + (c.pass ? "true" : "false") + "}");
+    }
+    const std::string out =
+        "{\n  \"bench\": " + obs::JsonQuote(bench_) + ",\n  \"mode\": \"" +
+        (Quick() ? "quick" : "full") + "\",\n  \"hardware_threads\": " +
+        std::to_string(std::thread::hardware_concurrency()) +
+        ",\n  \"tables\": " + JsonList(tables) +
+        ",\n  \"checks\": " + JsonList(checks) + "\n}\n";
+    std::FILE* f = std::fopen(bench_json_path_.c_str(), "w");
+    bool ok =
+        f != nullptr && std::fwrite(out.data(), 1, out.size(), f) == out.size();
+    if (f != nullptr && std::fclose(f) != 0) ok = false;
+    WriteOut(bench_json_path_, ok);
+  }
+
+  // A JSON array of already-serialized items, one per line.
+  static std::string JsonList(const std::vector<std::string>& items) {
+    if (items.empty()) return "[]";
+    std::string out = "[";
+    for (size_t i = 0; i < items.size(); ++i) {
+      out += (i > 0 ? ",\n    " : "\n    ") + items[i];
+    }
+    return out + "\n  ]";
+  }
+
   static void WriteOut(const std::string& path, bool ok) {
     if (!ok) {
       std::fprintf(stderr, "error: could not write %s\n", path.c_str());
@@ -207,10 +344,14 @@ class ObsSession {
   }
 
   obs::Observability obs_;
+  std::string bench_;
   std::string metrics_path_;
   std::string trace_path_;
   std::string digest_path_;
+  std::string bench_json_path_;
   uint64_t trace_limit_ = obs::EventTracer::kDefaultLimit;
+  std::vector<Table> tables_;
+  std::vector<Check> checks_;
 };
 
 // Bandwidth in MB/s a worker achieved over the measurement window.

@@ -18,8 +18,6 @@
 //   --fault-stall-ms=N    extra device latency during the stall (2)
 //   --fault-link-drop=P   message drop probability during the flap (0.01)
 //   --fault-seed=N        fault RNG seed (1)
-#include <cstring>
-
 #include "bench_util.h"
 #include "fault/fault.h"
 #include "obs/schema.h"
@@ -28,42 +26,6 @@ using namespace gimbal;
 using namespace gimbal::bench;
 
 namespace {
-
-struct FaultKnobs {
-  double media_p = 0.05;
-  double stall_ms = 2.0;
-  double link_drop = 0.01;
-  uint64_t seed = 1;
-};
-
-bool TakeDouble(const char* arg, const char* prefix, double* out) {
-  const size_t n = std::strlen(prefix);
-  if (std::strncmp(arg, prefix, n) != 0) return false;
-  *out = std::atof(arg + n);
-  return true;
-}
-
-// Strip --fault-* flags (consumed here) so ObsSession sees only its own.
-FaultKnobs ParseFaultFlags(int* argc, char** argv) {
-  FaultKnobs k;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    double v = 0;
-    if (TakeDouble(argv[i], "--fault-media-p=", &v)) {
-      k.media_p = v;
-    } else if (TakeDouble(argv[i], "--fault-stall-ms=", &v)) {
-      k.stall_ms = v;
-    } else if (TakeDouble(argv[i], "--fault-link-drop=", &v)) {
-      k.link_drop = v;
-    } else if (TakeDouble(argv[i], "--fault-seed=", &v)) {
-      k.seed = static_cast<uint64_t>(v);
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  *argc = out;
-  return k;
-}
 
 // Quick (golden) config halves the measurement window and every fault
 // window with it; the isolation and balance self-checks still hold.
@@ -106,13 +68,13 @@ RunResult RunScenario(obs::Observability& obs, bool faulted,
   if (faulted) {
     cfg.faults.stalls.push_back(
         {1, Scaled(Milliseconds(100)), Scaled(Milliseconds(150)),
-         static_cast<Tick>(k.stall_ms * 1e6)});
+         static_cast<Tick>(*k.stall_ms * 1e6)});
     cfg.faults.media_errors.push_back(
         {1, Scaled(Milliseconds(180)), Scaled(Milliseconds(230)), k.media_p,
          Microseconds(500)});
-    if (k.link_drop > 0) {
+    if (*k.link_drop > 0) {
       cfg.faults.link_flaps.push_back(
-          {Scaled(Milliseconds(190)), Scaled(Milliseconds(210)), k.link_drop,
+          {Scaled(Milliseconds(190)), Scaled(Milliseconds(210)), *k.link_drop,
            Microseconds(20)});
     }
     cfg.faults.failures.push_back(
@@ -170,8 +132,9 @@ RunResult RunScenario(obs::Observability& obs, bool faulted,
 }  // namespace
 
 int main(int argc, char** argv) {
-  FaultKnobs knobs = ParseFaultFlags(&argc, argv);
-  ObsSession obs_session(argc, argv);
+  FaultKnobs knobs{/*media_p=*/0.05, /*seed=*/1, /*stall_ms=*/2.0,
+                   /*link_drop=*/0.01};
+  ObsSession obs_session(argc, argv, &knobs);
   workload::PrintHeader(
       "fig_faults - SLO isolation under SSD/fabric faults (Gimbal, 2 SSDs)",
       "fault-injection extension (docs/FAULTS.md); not a paper figure",

@@ -16,7 +16,6 @@
 // Fault knobs (defaults in parentheses; see docs/EXPERIMENTS.md):
 //   --fault-media-p=P   media-error probability per IO in the burst (0.2)
 //   --fault-seed=N      fault RNG seed (1)
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -32,36 +31,6 @@ using kv::KvClusterConfig;
 using kv::YcsbClient;
 
 namespace {
-
-struct FaultKnobs {
-  double media_p = 0.2;
-  uint64_t seed = 1;
-};
-
-bool TakeDouble(const char* arg, const char* prefix, double* out) {
-  const size_t n = std::strlen(prefix);
-  if (std::strncmp(arg, prefix, n) != 0) return false;
-  *out = std::atof(arg + n);
-  return true;
-}
-
-// Strip --fault-* flags (consumed here) so ObsSession sees only its own.
-FaultKnobs ParseFaultFlags(int* argc, char** argv) {
-  FaultKnobs k;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    double v = 0;
-    if (TakeDouble(argv[i], "--fault-media-p=", &v)) {
-      k.media_p = v;
-    } else if (TakeDouble(argv[i], "--fault-seed=", &v)) {
-      k.seed = static_cast<uint64_t>(v);
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  *argc = out;
-  return k;
-}
 
 constexpr int kInstances = 4;
 constexpr int kSsds = 3;
@@ -244,8 +213,8 @@ RunResult RunScenario(bool faulted, const FaultKnobs& k) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  FaultKnobs knobs = ParseFaultFlags(&argc, argv);
-  ObsSession obs_session(argc, argv);
+  FaultKnobs knobs;
+  ObsSession obs_session(argc, argv, &knobs);
   workload::PrintHeader(
       "fig_kv_faults - KV durability under faults (4 instances, 3 SSDs)",
       "fault-tolerance extension (docs/FAULTS.md); not a paper figure",
@@ -307,10 +276,7 @@ int main(int argc, char** argv) {
   ft.Print();
 
   // --- Self-checks (the durability contract) ------------------------------
-  struct Check {
-    const char* name;
-    bool pass;
-  } checks[] = {
+  const bool all = ReportChecks({
       {"no acked write lost (kv.lost_writes == 0, both runs)",
        control.lost_writes == 0 && faulted.lost_writes == 0},
       {"dirty ledger drained (0 pending) and balanced",
@@ -332,12 +298,6 @@ int main(int argc, char** argv) {
        control.failover_reads == 0 && control.degraded_writes == 0 &&
            control.dirty_recorded == 0 && control.failed_ops == 0 &&
            control.aborted_ops == 0},
-  };
-  bool all = true;
-  std::printf("\n");
-  for (const Check& c : checks) {
-    all = all && c.pass;
-    std::printf("%-60s %s\n", c.name, c.pass ? "PASS" : "FAIL");
-  }
+  });
   return all ? 0 : 1;
 }

@@ -19,18 +19,17 @@
 // every session drained, the target session table empty.
 //
 // Part 3 — scheduler dispatch cost vs *total* tenant population (full run
-// or --bench-json only: wall-clock timings are not golden material). A
+// only: wall-clock timings are not golden material). A
 // DrrScheduler is loaded with T registered tenants of which 64 are active;
 // ns/dispatch must stay flat as T grows 1k -> 100k, demonstrating that
 // dispatch is O(active tenants), not O(total) — the point of the arena
 // refactor.
 //
-// --bench-json=PATH writes the machine-readable results table
-// (BENCH_openloop.json in the repo root is a committed full-run snapshot).
+// --bench-json=PATH writes the printed tables as JSON (BENCH_openloop.json
+// in the repo root is a committed full-run snapshot).
 #include "bench_util.h"
 
 #include <chrono>
-#include <cstring>
 
 #include "core/drr_scheduler.h"
 #include "core/write_cost.h"
@@ -205,18 +204,7 @@ DispatchPoint MeasureDispatch(uint64_t total_tenants, int active) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel --bench-json=PATH off before ObsSession sees (and warns about) it.
-  std::string bench_json;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    const char* prefix = "--bench-json=";
-    if (i > 0 && std::strncmp(argv[i], prefix, std::strlen(prefix)) == 0) {
-      bench_json = argv[i] + std::strlen(prefix);
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  ObsSession obs_session(static_cast<int>(args.size()), args.data());
+  ObsSession obs_session(argc, argv);
 
   workload::PrintHeader(
       "Extension - open-loop suite: latency vs load, tenant-scale scenarios",
@@ -285,61 +273,16 @@ int main(int argc, char** argv) {
   }
 
   // Wall-clock timings only exist outside the deterministic golden run.
-  std::vector<DispatchPoint> dispatch;
-  if (!Quick() || !bench_json.empty()) {
-    for (uint64_t total : {uint64_t{1000}, uint64_t{10000},
-                           uint64_t{100000}}) {
-      dispatch.push_back(MeasureDispatch(total, 64));
-    }
-  }
-  if (!Quick() && !dispatch.empty()) {
+  if (!Quick()) {
     Table d("DRR dispatch cost vs registered tenant population (64 active)");
     d.Columns({"total_tenants", "active", "ns_per_dispatch"});
-    for (const DispatchPoint& p : dispatch) {
+    for (uint64_t total : {uint64_t{1000}, uint64_t{10000},
+                           uint64_t{100000}}) {
+      const DispatchPoint p = MeasureDispatch(total, 64);
       d.Row({std::to_string(p.total_tenants), std::to_string(p.active),
              Table::Num(p.ns_per_dispatch)});
     }
     d.Print();
-  }
-
-  if (!bench_json.empty()) {
-    std::FILE* f = std::fopen(bench_json.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: could not write %s\n", bench_json.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"fig_openloop_latency\",\n");
-    std::fprintf(f, "  \"mode\": \"%s\",\n", Quick() ? "quick" : "full");
-    std::fprintf(f, "  \"scenarios\": [\n");
-    for (size_t i = 0; i < results.size(); ++i) {
-      const ScenarioResult& r = results[i];
-      std::fprintf(
-          f,
-          "    {\"name\": \"%s\", \"sessions\": %llu, \"connects\": %llu, "
-          "\"disconnects\": %llu, \"kiops\": %.1f, \"p99_us\": %.1f, "
-          "\"p999_us\": %.1f, \"slo_windows\": %llu, "
-          "\"slo_windows_violated\": %llu, \"shed_arrivals\": %llu, "
-          "\"drained\": %s}%s\n",
-          r.name.c_str(), static_cast<unsigned long long>(r.sessions),
-          static_cast<unsigned long long>(r.connects),
-          static_cast<unsigned long long>(r.disconnects), r.kiops, r.p99_us,
-          r.p999_us, static_cast<unsigned long long>(r.slo_windows),
-          static_cast<unsigned long long>(r.slo_violated),
-          static_cast<unsigned long long>(r.dropped),
-          r.drained ? "true" : "false",
-          i + 1 < results.size() ? "," : "");
-    }
-    std::fprintf(f, "  ],\n  \"dispatch_cost\": [\n");
-    for (size_t i = 0; i < dispatch.size(); ++i) {
-      const DispatchPoint& p = dispatch[i];
-      std::fprintf(f,
-                   "    {\"total_tenants\": %llu, \"active\": %d, "
-                   "\"ns_per_dispatch\": %.1f}%s\n",
-                   static_cast<unsigned long long>(p.total_tenants), p.active,
-                   p.ns_per_dispatch, i + 1 < dispatch.size() ? "," : "");
-    }
-    std::fprintf(f, "  ]\n}\n");
-    std::fclose(f);
   }
   return 0;
 }

@@ -19,9 +19,9 @@
 //   * the invariant checker (kv.placement.domain, rack.uplink.conservation
 //     among the rest) stayed silent on both runs.
 //
-// --bench-json=PATH writes the machine-readable summary (BENCH_rack.json
-// in CI: uplink utilization, failover tail latency, rebuild completion).
-#include <cstring>
+// --bench-json=PATH writes the tables and self-checks as JSON
+// (BENCH_rack.json in CI: uplink utilization, failover tail latency,
+// rebuild completion).
 #include <memory>
 #include <string>
 #include <vector>
@@ -221,18 +221,7 @@ RunResult RunScenario(bool faulted) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Peel --bench-json=PATH off before ObsSession sees (and warns about) it.
-  std::string bench_json;
-  std::vector<char*> args;
-  for (int i = 0; i < argc; ++i) {
-    const char* prefix = "--bench-json=";
-    if (i > 0 && std::strncmp(argv[i], prefix, std::strlen(prefix)) == 0) {
-      bench_json = argv[i] + std::strlen(prefix);
-    } else {
-      args.push_back(argv[i]);
-    }
-  }
-  ObsSession obs_session(static_cast<int>(args.size()), args.data());
+  ObsSession obs_session(argc, argv);
   workload::PrintHeader(
       "fig_rack - rack-scale disaggregation (3 nodes x 2 SSDs, shared ToR)",
       "rack-topology extension (docs/SIMULATOR.md); not a paper figure",
@@ -303,10 +292,7 @@ int main(int argc, char** argv) {
     for (uint64_t b : r.node_bytes) sum += b;
     return sum == r.uplink_bytes;
   };
-  struct Check {
-    const char* name;
-    bool pass;
-  } checks[] = {
+  const bool all = ReportChecks({
       {"no acked write lost (kv.lost_writes == 0, both runs)",
        control.lost_writes == 0 && faulted.lost_writes == 0},
       {"every blob regained node-disjoint replicas (ledger drained)",
@@ -330,40 +316,6 @@ int main(int argc, char** argv) {
        control.failover_reads == 0 && control.degraded_writes == 0 &&
            control.dirty_recorded == 0 && control.failed_ops == 0 &&
            control.aborted_ops == 0},
-  };
-  bool all = true;
-  std::printf("\n");
-  for (const Check& c : checks) {
-    all = all && c.pass;
-    std::printf("%-60s %s\n", c.name, c.pass ? "PASS" : "FAIL");
-  }
-
-  if (!bench_json.empty()) {
-    std::FILE* f = std::fopen(bench_json.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: could not write %s\n", bench_json.c_str());
-      return 1;
-    }
-    std::fprintf(f, "{\n  \"bench\": \"fig_rack\",\n");
-    std::fprintf(f, "  \"mode\": \"%s\",\n", Quick() ? "quick" : "full");
-    std::fprintf(f, "  \"nodes\": %d,\n  \"ssds_per_node\": %d,\n", kNodes,
-                 kSsdsPerNode);
-    std::fprintf(f, "  \"control_kiops\": %.1f,\n", control.kiops);
-    std::fprintf(f, "  \"faulted_kiops\": %.1f,\n", faulted.kiops);
-    std::fprintf(f, "  \"uplink_utilization\": %.4f,\n", faulted.uplink_util);
-    std::fprintf(f, "  \"uplink_mib\": %.1f,\n",
-                 BytesToMiB(faulted.uplink_bytes));
-    std::fprintf(f, "  \"node_drops\": %llu,\n",
-                 static_cast<unsigned long long>(faulted.node_drops));
-    std::fprintf(f, "  \"failover_read_p99_us\": %.1f,\n",
-                 faulted.outage_read_p99_us);
-    std::fprintf(f, "  \"steady_read_p99_us\": %.1f,\n", control.read_p99_us);
-    std::fprintf(f, "  \"rebuild_completion_ms\": %.1f,\n",
-                 faulted.rebuild_done_ms);
-    std::fprintf(f, "  \"rebuild_mib\": %.1f,\n",
-                 BytesToMiB(faulted.rebuild_bytes));
-    std::fprintf(f, "  \"self_checks_pass\": %s\n}\n", all ? "true" : "false");
-    std::fclose(f);
-  }
+  });
   return all ? 0 : 1;
 }

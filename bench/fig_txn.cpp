@@ -24,7 +24,6 @@
 // Fault knobs (defaults in parentheses; see EXPERIMENTS.md):
 //   --fault-media-p=P   media-error probability per IO in the burst (0.2)
 //   --fault-seed=N      fault RNG seed (1)
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -44,36 +43,6 @@ using kv::TxnCoordinator;
 using kv::TxnProtocol;
 
 namespace {
-
-struct FaultKnobs {
-  double media_p = 0.2;
-  uint64_t seed = 1;
-};
-
-bool TakeDouble(const char* arg, const char* prefix, double* out) {
-  const size_t n = std::strlen(prefix);
-  if (std::strncmp(arg, prefix, n) != 0) return false;
-  *out = std::atof(arg + n);
-  return true;
-}
-
-// Strip --fault-* flags (consumed here) so ObsSession sees only its own.
-FaultKnobs ParseFaultFlags(int* argc, char** argv) {
-  FaultKnobs k;
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    double v = 0;
-    if (TakeDouble(argv[i], "--fault-media-p=", &v)) {
-      k.media_p = v;
-    } else if (TakeDouble(argv[i], "--fault-seed=", &v)) {
-      k.seed = static_cast<uint64_t>(v);
-    } else {
-      argv[out++] = argv[i];
-    }
-  }
-  *argc = out;
-  return k;
-}
 
 constexpr int kInstances = 2;
 constexpr int kSsds = 3;
@@ -234,8 +203,8 @@ RunResult RunCell(const RunConfig& rc, const FaultKnobs& k) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  FaultKnobs knobs = ParseFaultFlags(&argc, argv);
-  ObsSession obs_session(argc, argv);
+  FaultKnobs knobs;
+  ObsSession obs_session(argc, argv, &knobs);
   workload::PrintHeader(
       "fig_txn - TPC-C-lite transactions under 2PL (2 instances, 3 SSDs)",
       "transactional extension (docs/WORKLOADS.md); not a paper figure",
@@ -322,10 +291,7 @@ int main(int argc, char** argv) {
     }
     return ok;
   };
-  struct Check {
-    const char* name;
-    bool pass;
-  } checks[] = {
+  const bool all = ReportChecks({
       {"invariant checker silent in every cell (incl. drain)",
        all_cells([](const RunResult& r) {
          return r.checker_ok && r.checker_violations == 0;
@@ -355,12 +321,6 @@ int main(int argc, char** argv) {
                    faulted.wal_retries >
                0 &&
            faulted.commits > 0},
-  };
-  bool all = true;
-  std::printf("\n");
-  for (const Check& c : checks) {
-    all = all && c.pass;
-    std::printf("%-60s %s\n", c.name, c.pass ? "PASS" : "FAIL");
-  }
+  });
   return all ? 0 : 1;
 }

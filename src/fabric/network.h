@@ -94,11 +94,6 @@ class Network {
                          std::move(deliver));
   }
 
-  // Compatibility form for direct unit-test use; routes like ssd 0.
-  void Send(Direction dir, uint64_t bytes, sim::EventFn deliver) {
-    Send(dir, 0, bytes, std::move(deliver));
-  }
-
   // Enter sharded mode: client-to-target messages for pipeline i deliver
   // onto `ssd_sims[i]`, target-to-client messages onto `client_sim`.
   // `client_sim` must be the engine's shard 0.

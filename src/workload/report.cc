@@ -1,9 +1,34 @@
 #include "workload/report.h"
 
 #include <algorithm>
-#include <cstdarg>
+#include <regex>
+
+#include "obs/json.h"
 
 namespace gimbal::workload {
+
+namespace {
+
+std::vector<Table>* g_print_log = nullptr;
+
+bool IsJsonNumber(const std::string& s) {
+  static const std::regex kNumber(
+      R"(-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?)");
+  return std::regex_match(s, kNumber);
+}
+
+std::string JsonStrings(const std::vector<std::string>& v, bool numbers) {
+  std::string out = "[";
+  for (size_t i = 0; i < v.size(); ++i) {
+    if (i > 0) out += ", ";
+    out += numbers && IsJsonNumber(v[i]) ? v[i] : obs::JsonQuote(v[i]);
+  }
+  return out + "]";
+}
+
+}  // namespace
+
+void SetPrintLog(std::vector<Table>* log) { g_print_log = log; }
 
 Table& Table::Columns(std::vector<std::string> names) {
   columns_ = std::move(names);
@@ -31,7 +56,19 @@ std::string Table::Kiops(double ios_per_sec) {
   return Num(ios_per_sec / 1000.0, 1);
 }
 
+std::string Table::ToJson() const {
+  std::string out = "{\"title\": " + obs::JsonQuote(title_) +
+                    ", \"columns\": " + JsonStrings(columns_, false) +
+                    ", \"rows\": [";
+  for (size_t i = 0; i < rows_.size(); ++i) {
+    out += i > 0 ? ",\n      " : "\n      ";
+    out += JsonStrings(rows_[i], true);
+  }
+  return out + "]}";
+}
+
 void Table::Print() const {
+  if (g_print_log != nullptr) g_print_log->push_back(*this);
   std::vector<size_t> widths(columns_.size(), 0);
   for (size_t i = 0; i < columns_.size(); ++i) widths[i] = columns_[i].size();
   for (const auto& row : rows_) {

@@ -22,7 +22,8 @@ TEST(Network, BaseLatencyDominatesSmallMessages) {
   sim::Simulator sim;
   Network net(sim);
   Tick arrival = -1;
-  net.Send(Direction::kClientToTarget, 64, [&]() { arrival = sim.now(); });
+  net.Send(Direction::kClientToTarget, /*ssd=*/0, 64,
+           [&]() { arrival = sim.now(); });
   sim.Run();
   // 64B at 12.5 GB/s ~ 5ns serialization + 5us base.
   EXPECT_GE(arrival, Microseconds(5));
@@ -33,7 +34,8 @@ TEST(Network, LargeMessageSerializationCost) {
   sim::Simulator sim;
   Network net(sim);
   Tick arrival = -1;
-  net.Send(Direction::kTargetToClient, 1 << 20, [&]() { arrival = sim.now(); });
+  net.Send(Direction::kTargetToClient, /*ssd=*/0, 1 << 20,
+           [&]() { arrival = sim.now(); });
   sim.Run();
   // 1 MiB at 12.5 GB/s ~ 84us + 5us base.
   EXPECT_GT(arrival, Microseconds(80));
@@ -44,8 +46,10 @@ TEST(Network, SharedLinkSerializes) {
   sim::Simulator sim;
   Network net(sim);
   Tick first = -1, second = -1;
-  net.Send(Direction::kClientToTarget, 1 << 20, [&]() { first = sim.now(); });
-  net.Send(Direction::kClientToTarget, 1 << 20, [&]() { second = sim.now(); });
+  net.Send(Direction::kClientToTarget, /*ssd=*/0, 1 << 20,
+           [&]() { first = sim.now(); });
+  net.Send(Direction::kClientToTarget, /*ssd=*/0, 1 << 20,
+           [&]() { second = sim.now(); });
   sim.Run();
   EXPECT_GT(second, first + Microseconds(70));  // queued behind the first
 }
@@ -54,8 +58,10 @@ TEST(Network, DirectionsAreIndependent) {
   sim::Simulator sim;
   Network net(sim);
   Tick up = -1, down = -1;
-  net.Send(Direction::kClientToTarget, 1 << 20, [&]() { up = sim.now(); });
-  net.Send(Direction::kTargetToClient, 1 << 20, [&]() { down = sim.now(); });
+  net.Send(Direction::kClientToTarget, /*ssd=*/0, 1 << 20,
+           [&]() { up = sim.now(); });
+  net.Send(Direction::kTargetToClient, /*ssd=*/0, 1 << 20,
+           [&]() { down = sim.now(); });
   sim.Run();
   // Full duplex: both complete around the same time.
   EXPECT_NEAR(static_cast<double>(up), static_cast<double>(down), 1000.0);

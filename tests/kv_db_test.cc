@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "kv/cluster.h"
-#include "kv/coro_adapters.h"
-#include "sim/coro.h"
 
 namespace gimbal::kv {
 namespace {
@@ -264,35 +262,6 @@ TEST(YcsbClientTest, WorkloadEScans) {
   EXPECT_GT(client.stats().scanned_records, client.stats().scans);
   EXPECT_GT(client.stats().inserts, 0u);
   EXPECT_GT(inst.db->stats().scan_block_reads, 0u);
-}
-
-}  // namespace
-}  // namespace gimbal::kv
-
-namespace gimbal::kv {
-namespace {
-
-// Coroutine adapters drive the DB with sequential-looking code.
-sim::Task CoroClient(KvDb& db, bool& done) {
-  co_await AwaitPut(db, 7, 1024, 42);
-  auto [found, v] = co_await AwaitGet(db, 7);
-  EXPECT_TRUE(found);
-  EXPECT_EQ(v.stamp, 42u);
-  auto [missing, v2] = co_await AwaitGet(db, 9999);
-  (void)v2;
-  EXPECT_FALSE(missing);
-  auto rows = co_await AwaitScan(db, 0, 5);
-  EXPECT_GE(rows.size(), 1u);
-  done = true;
-}
-
-TEST(KvCoro, SequentialClient) {
-  KvCluster cluster(SmallCluster());
-  auto& inst = cluster.AddInstance();
-  bool done = false;
-  CoroClient(*inst.db, done);
-  cluster.sim().RunUntil(Milliseconds(50));
-  EXPECT_TRUE(done);
 }
 
 }  // namespace

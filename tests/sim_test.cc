@@ -1,14 +1,13 @@
-// Unit tests for the discrete-event engine: ordering, determinism,
-// resources, and coroutine integration — plus the timing-wheel event queue
-// (cross-checked against the reference-heap engine), the allocation-free
-// event callback, and the cancellable-timer API (docs/SIMULATOR.md).
+// Unit tests for the discrete-event engine: ordering, determinism and
+// resources — plus the timing-wheel event queue (cross-checked against the
+// reference-heap engine), the allocation-free event callback, and the
+// cancellable-timer API (docs/SIMULATOR.md).
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <random>
 #include <vector>
 
-#include "sim/coro.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
 
@@ -133,77 +132,6 @@ TEST(FifoResource, BusyTimeAccounting) {
   res.Acquire(Microseconds(15), nullptr);
   sim.Run();
   EXPECT_EQ(res.busy_time_total(), Microseconds(25));
-}
-
-TEST(Coro, DelayResumesAtRightTime) {
-  Simulator sim;
-  Tick resumed = -1;
-  auto coro = [&]() -> Task {
-    co_await Delay{sim, Microseconds(42)};
-    resumed = sim.now();
-  };
-  coro();
-  sim.Run();
-  EXPECT_EQ(resumed, Microseconds(42));
-}
-
-TEST(Coro, SequentialDelays) {
-  Simulator sim;
-  std::vector<Tick> marks;
-  auto coro = [&]() -> Task {
-    for (int i = 0; i < 3; ++i) {
-      co_await Delay{sim, Microseconds(10)};
-      marks.push_back(sim.now());
-    }
-  };
-  coro();
-  sim.Run();
-  EXPECT_EQ(marks, (std::vector<Tick>{Microseconds(10), Microseconds(20),
-                                      Microseconds(30)}));
-}
-
-TEST(Coro, AsyncEventDeliversValue) {
-  Simulator sim;
-  AsyncEvent<int> ev(sim);
-  int got = 0;
-  auto coro = [&]() -> Task {
-    got = co_await ev;
-  };
-  coro();
-  sim.At(Microseconds(5), [&]() { ev.Set(99); });
-  sim.Run();
-  EXPECT_EQ(got, 99);
-}
-
-TEST(Coro, AsyncEventAlreadySet) {
-  Simulator sim;
-  AsyncEvent<int> ev(sim);
-  ev.Set(7);
-  int got = 0;
-  auto coro = [&]() -> Task {
-    got = co_await ev;
-  };
-  coro();
-  sim.Run();
-  EXPECT_EQ(got, 7);
-}
-
-TEST(Coro, LatchFanIn) {
-  Simulator sim;
-  AsyncLatch latch(sim, 3);
-  bool done = false;
-  auto coro = [&]() -> Task {
-    co_await latch;
-    done = true;
-  };
-  coro();
-  sim.At(Microseconds(1), [&]() { latch.CountDown(); });
-  sim.At(Microseconds(2), [&]() { latch.CountDown(); });
-  sim.RunUntil(Microseconds(5));
-  EXPECT_FALSE(done);
-  sim.At(Microseconds(6), [&]() { latch.CountDown(); });
-  sim.Run();
-  EXPECT_TRUE(done);
 }
 
 // --- InlineFn (allocation-free event callback) -----------------------------

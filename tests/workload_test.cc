@@ -201,6 +201,60 @@ TEST(Report, TableFormatsNumbers) {
   EXPECT_EQ(Table::Kiops(2000.0), "2.0");
 }
 
+TEST(Report, TableJsonWritesNumericCellsAsNumbers) {
+  Table t("t");
+  t.Columns({"a", "b", "c", "d"});
+  t.Row({"12", "-3.5", "1e6", "0.000"});
+  EXPECT_EQ(t.ToJson(),
+            "{\"title\": \"t\", \"columns\": [\"a\", \"b\", \"c\", \"d\"], "
+            "\"rows\": [\n      [12, -3.5, 1e6, 0.000]]}");
+}
+
+TEST(Report, TableJsonQuotesEveryOtherCell) {
+  Table t("t");
+  t.Columns({"a"});
+  // Not JSON number literals: placeholders, verdicts, units, padded or
+  // non-finite values, and a column header that looks numeric.
+  for (const char* cell : {"-", "PASS", "12.3x", "nan", "inf", "01", "1.",
+                           ".5", "+1", " 1", ""}) {
+    t.Row({cell});
+  }
+  Table h("h");
+  h.Columns({"1"});
+  EXPECT_EQ(t.ToJson(),
+            "{\"title\": \"t\", \"columns\": [\"a\"], \"rows\": [\n"
+            "      [\"-\"],\n      [\"PASS\"],\n      [\"12.3x\"],\n"
+            "      [\"nan\"],\n      [\"inf\"],\n      [\"01\"],\n"
+            "      [\"1.\"],\n      [\".5\"],\n      [\"+1\"],\n"
+            "      [\" 1\"],\n      [\"\"]]}");
+  EXPECT_EQ(h.ToJson(),
+            "{\"title\": \"h\", \"columns\": [\"1\"], \"rows\": []}");
+}
+
+TEST(Report, TableJsonEscapesTitleAndCells) {
+  Table t("say \"hi\"\\now");
+  t.Columns({"q\""});
+  t.Row({"a\"b"});
+  EXPECT_EQ(t.ToJson(), R"({"title": "say \"hi\"\\now", "columns": ["q\""], )"
+                        "\"rows\": [\n      " R"(["a\"b"]]})");
+}
+
+TEST(Report, PrintLogRecordsPrintedTables) {
+  std::vector<Table> log;
+  SetPrintLog(&log);
+  Table a("a");
+  a.Columns({"x"}).Row({"1"});
+  a.Print();
+  Table b("b");
+  b.Print();
+  SetPrintLog(nullptr);
+  Table c("c");
+  c.Print();
+  ASSERT_EQ(log.size(), 2u);
+  EXPECT_EQ(log[0].ToJson(), a.ToJson());
+  EXPECT_EQ(log[1].ToJson(), b.ToJson());
+}
+
 TEST(SchemeNames, AllDistinct) {
   std::set<std::string> names;
   for (Scheme s : {Scheme::kVanilla, Scheme::kReflex, Scheme::kParda,

@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """CI gate on the sharded engine's measured speedup (ROADMAP item 1).
 
-Reads BENCH_sim.json (written by bench_sim) and checks the threads_sweep
-points against per-thread-count thresholds. A point measured with fewer
-hardware threads than worker threads is SKIPPED with a logged reason — an
+Reads BENCH_sim.json (written by `bench_sim --bench-json=...`) and checks
+the rows of its "Sharded-engine threads sweep" table against
+per-thread-count thresholds. A point measured with fewer hardware threads
+than worker threads is SKIPPED with a logged reason — an
 oversubscribed runner measures epoch-barrier overhead, not parallelism, so
 gating on it would be noise in both directions (spurious failures on a
 starved runner, spurious passes if a slowdown hid behind the skip logic).
@@ -30,11 +31,18 @@ def main() -> int:
         print(f"check_speedup: cannot read {path}: {e}")
         return 2
 
-    sweep = doc.get("threads_sweep", {})
-    points = sweep.get("points", [])
-    if not points:
-        print(f"check_speedup: no threads_sweep points in {path}")
+    sweeps = [t for t in doc.get("tables", [])
+              if t.get("title", "").startswith("Sharded-engine threads sweep")]
+    if not sweeps or not sweeps[0].get("rows"):
+        print(f"check_speedup: no threads-sweep rows in {path}")
         return 2
+    columns = sweeps[0].get("columns", [])
+    if "threads" not in columns or "speedup_vs_serial" not in columns:
+        print(f"check_speedup: threads-sweep table in {path} lacks the "
+              "threads/speedup_vs_serial columns")
+        return 2
+    points = [dict(zip(columns, row)) for row in sweeps[0]["rows"]]
+    hw = doc.get("hardware_threads", 0)
 
     failures = 0
     gated = 0
@@ -43,7 +51,6 @@ def main() -> int:
         if threads not in GATES:
             continue
         speedup = p.get("speedup_vs_serial", 0.0)
-        hw = p.get("hardware_threads", sweep.get("hardware_threads", 0))
         if hw < threads:
             print(
                 f"SKIP  threads={threads}: runner has {hw} hardware "
