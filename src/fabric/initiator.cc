@@ -24,7 +24,7 @@ Initiator::Initiator(sim::Simulator& sim, Network& net, Target& target,
     // sink is registered before the first completion could need it.
     ++control_inflight_;
     net_.Send(Direction::kClientToTarget, pipeline_, kCapsuleBytes, [this]() {
-      --control_inflight_;
+      CapsuleDelivered();
       target_.OnConnectCapsule(pipeline_, tenant_, this);
     });
   }
@@ -41,11 +41,15 @@ void Initiator::KeepaliveTick() {
   if (shutdown_) return;
   ++control_inflight_;
   net_.Send(Direction::kClientToTarget, pipeline_, kCapsuleBytes, [this]() {
-    --control_inflight_;
+    CapsuleDelivered();
     target_.OnKeepaliveCapsule(pipeline_, tenant_);
   });
   keepalive_timer_ =
       sim_.After(retry_.keepalive_interval, [this]() { KeepaliveTick(); });
+}
+
+void Initiator::CapsuleDelivered() {
+  net_.PostToClient([this]() { --control_inflight_; });
 }
 
 bool Initiator::CanIssue() const {
@@ -157,7 +161,7 @@ void Initiator::Shutdown() {
   // is FIFO per direction), so the target sees them first.
   ++control_inflight_;
   net_.Send(Direction::kClientToTarget, pipeline_, kCapsuleBytes, [this]() {
-    --control_inflight_;
+    CapsuleDelivered();
     target_.OnDisconnectCapsule(pipeline_, tenant_);
   });
 }
@@ -199,7 +203,7 @@ void Initiator::Trim(uint64_t offset, uint32_t length) {
   ++control_inflight_;
   net_.Send(Direction::kClientToTarget, pipeline_, kCapsuleBytes,
             [this, offset, length]() {
-              --control_inflight_;
+              CapsuleDelivered();
               target_.OnTrimCapsule(pipeline_, offset, length);
             });
 }

@@ -106,6 +106,8 @@ class Initiator : public CompletionSink {
   // delivered. Their network callbacks capture `this`, so an initiator
   // must not be destroyed while any is pending — the open-loop fleet's
   // graveyard sweep waits for zero here as well as zero inflight/queued.
+  // A delivery on a target shard reaches this count at the next epoch
+  // barrier (Network::PostToClient), never mid-epoch.
   uint32_t control_inflight() const { return control_inflight_; }
   // Client-visible credit total (the §3.7 virtual-view load signal the KV
   // load balancer uses: more credits = less loaded SSD).
@@ -146,6 +148,8 @@ class Initiator : public CompletionSink {
   void ArmTimeout(uint64_t id, int attempt);
   void OnTimeout(uint64_t id, int attempt);
   void KeepaliveTick();
+  // Called by a control capsule's delivery callback, wherever it runs.
+  void CapsuleDelivered();
   // `was_issued` tells the checker whether the IO ever left the local
   // queue (its in-flight ledger only covers issued IOs).
   void FailLocally(Pending p, IoStatus status, bool was_issued);

@@ -104,10 +104,23 @@ void Network::BufferSend(Direction dir, int ssd, uint64_t bytes,
                              : client_sim_;
   outbox_[static_cast<size_t>(src)].push_back(
       PendingSend{when, dir, node_of(ssd), bytes, dest, std::move(deliver)});
-  ++pending_count_;
+}
+
+void Network::PostToClient(sim::EventFn fn) {
+  const int src =
+      ssd_sims_.empty() ? -1 : sim::ShardedEngine::CurrentShard();
+  if (src <= 0) {
+    fn();
+    return;
+  }
+  client_posts_[static_cast<size_t>(src)].push_back(std::move(fn));
 }
 
 size_t Network::ReplayPending() {
+  for (auto& posts : client_posts_) {
+    for (sim::EventFn& fn : posts) fn();
+    posts.clear();
+  }
   // Canonical order: (send time, source shard, per-shard issue order).
   // Each outbox is already time-sorted — a shard's clock is monotone
   // within an epoch — so an in-place k-way merge over the outboxes with a
@@ -250,7 +263,6 @@ size_t Network::ReplayPending() {
     }
     for (int n : touched_nodes_) uplink_delta_[static_cast<size_t>(n)] = 0;
   }
-  pending_count_ = 0;
   return replayed;
 }
 

@@ -103,12 +103,13 @@ class Network {
     client_sim_ = client_sim;
     ssd_sims_ = std::move(ssd_sims);
     outbox_.resize(static_cast<size_t>(num_shards));
+    client_posts_.resize(static_cast<size_t>(num_shards));
   }
 
   // Fold every buffered cross-shard message into the shared link in
-  // canonical order and schedule its delivery. Runs on the control thread
-  // at epoch barriers, while all shards are quiescent. Returns the number
-  // of messages replayed.
+  // canonical order and schedule its delivery, after running the buffered
+  // PostToClient work. Runs on the control thread at epoch barriers, while
+  // all shards are quiescent. Returns the number of messages replayed.
   //
   // The replay is a k-way merge over the per-source outboxes (each is
   // time-sorted: shard clocks are monotone within an epoch) with link
@@ -119,8 +120,23 @@ class Network {
 
   // True while buffered cross-shard sends await replay. The sharded
   // engine's coarsening probe: a coarsened epoch must end at the first
-  // sub-epoch that buffers a send (sim/shard.h).
-  bool has_pending() const { return pending_count_ > 0; }
+  // sub-epoch that buffers a send (sim/shard.h). Control thread only.
+  bool has_pending() const {
+    for (const auto& box : outbox_) {
+      if (!box.empty()) return true;
+    }
+    return false;
+  }
+
+  // Client-side bookkeeping a delivery owes its sender (an initiator's
+  // count of control capsules still on the wire). Runs `fn` at once in
+  // plain mode, in control context and on the client shard. On a target
+  // shard it is buffered and run by the next ReplayPending(), in (source
+  // shard, issue) order: that is where a one-thread run's client shard
+  // first sees it, since shard 0 runs ahead of the target shards in every
+  // epoch. Running it in place would race with the client shard's own
+  // thread and make what that shard sees depend on thread timing.
+  void PostToClient(sim::EventFn fn);
 
   // Route every message through `faults` (null detaches).
   void set_fault_injector(fault::FaultInjector* faults) { faults_ = faults; }
@@ -197,7 +213,7 @@ class Network {
   sim::Simulator* client_sim_ = nullptr;
   std::vector<sim::Simulator*> ssd_sims_;  // empty = plain mode
   std::vector<std::vector<PendingSend>> outbox_;
-  size_t pending_count_ = 0;
+  std::vector<std::vector<sim::EventFn>> client_posts_;  // per source shard
   Tick busy_until_[2] = {0, 0};
 
   // Rack mode state (num_nodes_ == 0 = flat single-node fabric). Indexed

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/drr_scheduler.h"
 #include "core/write_cost.h"
@@ -106,6 +107,46 @@ TEST(FleetChurn, StormDrainsCleanAndIsThreadCountInvariant) {
   EXPECT_EQ(t1.connects, t4.connects);
   EXPECT_EQ(t1.digest, t2.digest) << "threads=2 diverged from serial";
   EXPECT_EQ(t1.digest, t4.digest) << "threads=4 diverged from serial";
+}
+
+// Client-side bookkeeping posted from a target shard (a delivered control
+// capsule decrementing its initiator's count) must wait for the barrier.
+// Applied in place it raced with the client shard's thread: the graveyard
+// sweep read the count mid-epoch, freed initiators whose callbacks were
+// still running, and re-armed its timer at thread-timing-dependent times,
+// which moved epoch boundaries and so the stitched trace.
+TEST(FleetChurn, TargetShardPostRunsAtTheNextBarrier) {
+  for (int threads : {1, 2}) {
+    Testbed bed(ChurnConfig(threads, nullptr));
+    sim::ShardedEngine* engine = bed.engine();
+    ASSERT_NE(engine, nullptr);
+    std::vector<int> order;
+    int seen_on_target = -1;
+    int seen_on_client = -1;
+    // SSD 0 and SSD 1 sit on shards 1 and 2. Every event below falls in
+    // one epoch: the lookahead is the 5 us fabric base latency.
+    engine->shard(2).At(1000, [&]() {
+      bed.net().PostToClient([&]() { order.push_back(2); });
+    });
+    engine->shard(1).At(1500, [&]() {
+      bed.net().PostToClient([&]() { order.push_back(1); });
+      bed.net().PostToClient([&]() { order.push_back(11); });
+    });
+    engine->shard(1).At(2000, [&]() {
+      seen_on_target = static_cast<int>(order.size());
+    });
+    bed.sim().At(3000, [&]() {
+      seen_on_client = static_cast<int>(order.size());
+    });
+    bed.sim().Run();
+    EXPECT_EQ(seen_on_target, 0) << "threads=" << threads;
+    EXPECT_EQ(seen_on_client, 0) << "threads=" << threads;
+    // Source-shard order, then issue order, regardless of post time.
+    EXPECT_EQ(order, (std::vector<int>{1, 11, 2})) << "threads=" << threads;
+    // Control context is the client side: the work runs at once.
+    bed.net().PostToClient([&]() { order.push_back(0); });
+    EXPECT_EQ(order.size(), 4u);
+  }
 }
 
 TEST(DrrScheduler, DisconnectReapsWeightedTenant) {
