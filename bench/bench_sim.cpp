@@ -28,7 +28,6 @@
 #include <deque>
 #include <random>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -200,55 +199,6 @@ double Fig11Wallclock(EventQueue::Impl impl, int instances, Tick measure) {
   return SecondsSince(t0);
 }
 
-struct SweepPoint {
-  int threads = 0;
-  double wall_ms = 0;
-  uint64_t epochs = 0;        // engine barrier count (thread-invariant)
-  uint64_t idle_wakeups = 0;  // doorbells that claimed nothing
-};
-
-// Sharded-engine threads sweep (docs/SIMULATOR.md): a Fig 11-style KV
-// scenario wide enough to shard — one pipeline per target core, six cores —
-// run to the same simulated instant at several worker-thread counts. The
-// schedule is bit-identical at every count (the determinism suite pins
-// that); only the wall clock may move. Serial (threads=1) is the baseline.
-SweepPoint ShardedWallclock(int threads, int instances, Tick measure) {
-  kv::KvClusterConfig cfg;
-  cfg.testbed.scheme = Scheme::kGimbal;
-  cfg.testbed.num_ssds = 6;
-  cfg.testbed.target.cores = 6;
-  cfg.testbed.condition = SsdCondition::kFragmented;
-  cfg.testbed.ssd.logical_bytes = 128ull << 20;
-  cfg.testbed.threads = threads;
-  cfg.testbed.run_label = "bench_sim:threads" + std::to_string(threads);
-  cfg.hba.backend_bytes = 128ull << 20;
-  cfg.db.memtable_bytes = 1ull << 20;
-  kv::KvCluster cluster(cfg);
-  std::vector<std::unique_ptr<kv::YcsbClient>> clients;
-  for (int i = 0; i < instances; ++i) {
-    auto& inst = cluster.AddInstance();
-    inst.db->BulkLoad(5'000, 1024);
-    workload::YcsbSpec spec;
-    spec.workload = workload::YcsbWorkload::kB;
-    spec.record_count = 5'000;
-    spec.seed = static_cast<uint64_t>(i) + 1;
-    clients.push_back(
-        std::make_unique<kv::YcsbClient>(cluster.sim(), *inst.db, spec, 16));
-  }
-  for (auto& c : clients) c->Start();
-  const auto t0 = Clock::now();
-  cluster.sim().RunUntil(measure);
-  SweepPoint p;
-  p.threads = threads;
-  p.wall_ms = SecondsSince(t0) * 1e3;
-  if (sim::ShardedEngine* eng = cluster.bed().engine()) {
-    p.epochs = eng->epochs();
-    p.idle_wakeups = eng->idle_wakeups();
-  }
-  return p;
-}
-
-// Ratio cells carry three decimals: the CI speedup gate reads them.
 std::string Ratio(double num, double den) {
   return Table::Num(den > 0 ? num / den : 0, 3);
 }
@@ -308,31 +258,6 @@ int main(int argc, char** argv) {
           Table::Num(fig11_wheel * 1e3), Table::Num(fig11_heap * 1e3),
           Ratio(fig11_heap, fig11_wheel)});
   kv.Print();
-
-  const int kSweepInstances = Quick() ? 6 : 12;
-  const Tick kSweepMeasure = Quick() ? Milliseconds(60) : Milliseconds(200);
-  if (std::thread::hardware_concurrency() < 4) {
-    std::printf("\nnote: fewer hardware threads than the widest sweep "
-                "point; oversubscribed points measure epoch-barrier "
-                "overhead, not parallel speedup\n");
-  }
-  // The CI speedup gate (tools/check_speedup.py) finds this table by its
-  // title and reads its threads and speedup_vs_serial columns.
-  Table sweep("Sharded-engine threads sweep (6 SSDs / 6 cores, " +
-              std::to_string(kSweepInstances) + " KV instances, " +
-              Table::Num(ToSec(kSweepMeasure) * 1e3, 0) + " ms simulated)");
-  sweep.Columns({"threads", "wall_ms", "speedup_vs_serial", "epochs",
-                 "idle_wakeups"});
-  double serial_ms = 0;
-  for (int threads : {1, 2, 4}) {
-    const SweepPoint p =
-        ShardedWallclock(threads, kSweepInstances, kSweepMeasure);
-    if (threads == 1) serial_ms = p.wall_ms;
-    sweep.Row({std::to_string(p.threads), Table::Num(p.wall_ms),
-               Ratio(serial_ms, p.wall_ms), std::to_string(p.epochs),
-               std::to_string(p.idle_wakeups)});
-  }
-  sweep.Print();
 
   Table sum("Summary");
   sum.Columns({"metric", "value"});

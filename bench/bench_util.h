@@ -53,14 +53,6 @@ inline uint64_t g_seed = 0;
 // wheel's bit-for-bit (docs/SIMULATOR.md).
 inline sim::EventQueue::Impl g_queue = sim::EventQueue::Impl::kTimingWheel;
 
-// --threads=N: worker threads for the sharded engine behind every testbed
-// (docs/SIMULATOR.md). Multi-SSD testbeds run one shard per used target
-// core; N > 1 executes shards in parallel within conservative-lookahead
-// epochs. Results — stdout tables, metrics, trace digests — are
-// bit-identical at any N; the golden suite pins that down by replaying
-// quick configs at several thread counts.
-inline int g_threads = 1;
-
 // Fault-plan knobs of the fault benches (docs/FAULTS.md). A bench passes
 // its defaults to ObsSession, which parses --fault-media-p=P and
 // --fault-seed=N, plus --fault-stall-ms=N and --fault-link-drop=P where the
@@ -139,8 +131,6 @@ inline bool ParseDouble(const std::string& s, double lo, double hi,
 //   --quick              shrink the bench to its golden-figure quick config
 //   --seed=N             shift workload RNG seeds by N (default 0)
 //   --queue=wheel|heap   event-queue engine (default wheel)
-//   --threads=N          sharded-engine worker threads (default 1);
-//                        never changes any result, only wall-clock
 //   --digest-out=PATH    enable the tracer and write its FNV digest as
 //                        16 hex chars; bit-identical across runs and
 //                        wheel/heap for the same config
@@ -176,15 +166,6 @@ class ObsSession {
           g_queue = sim::EventQueue::Impl::kReferenceHeap;
         } else {
           Reject("--queue", v, "wheel");
-        }
-        continue;
-      }
-      if (TakeValue(a, "--threads=", &v)) {
-        uint64_t n = 0;
-        if (ParseU64(v, &n) && n >= 1 && n <= 1024) {
-          g_threads = static_cast<int>(n);
-        } else {
-          Reject("--threads", v, std::to_string(g_threads));
         }
         continue;
       }
@@ -388,7 +369,6 @@ inline TestbedConfig MicroConfig(Scheme scheme, SsdCondition cond) {
   cfg.ssd.logical_bytes = 512ull << 20;
   cfg.obs = CurrentObs();
   cfg.queue_impl = g_queue;
-  cfg.threads = g_threads;
   return cfg;
 }
 

@@ -37,7 +37,6 @@ RunResult RunOne(Scheme scheme, workload::YcsbWorkload wl) {
   cfg.testbed.condition = SsdCondition::kFragmented;
   cfg.testbed.ssd.logical_bytes = 256ull << 20;
   cfg.testbed.obs = CurrentObs();
-  cfg.testbed.threads = g_threads;
   cfg.testbed.run_label =
       std::string(ToString(scheme)) + ":" + workload::ToString(wl);
   cfg.hba.backend_bytes = 256ull << 20;

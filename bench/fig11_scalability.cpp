@@ -34,7 +34,6 @@ Point RunOne(workload::YcsbWorkload wl, int instances) {
   cfg.testbed.ssd.logical_bytes = 256ull << 20;
   cfg.testbed.obs = CurrentObs();
   cfg.testbed.queue_impl = g_queue;
-  cfg.testbed.threads = g_threads;
   cfg.testbed.run_label =
       std::string(workload::ToString(wl)) + ":" + std::to_string(instances);
   cfg.hba.backend_bytes = 256ull << 20;

@@ -31,7 +31,6 @@ double P999ReadUs(workload::YcsbWorkload wl, bool flow_control,
   cfg.testbed.condition = SsdCondition::kFragmented;
   cfg.testbed.ssd.logical_bytes = 256ull << 20;
   cfg.testbed.obs = CurrentObs();
-  cfg.testbed.threads = g_threads;
   cfg.testbed.run_label = std::string(workload::ToString(wl)) +
                           (flow_control ? ":fc" : ":plain") +
                           (load_balance ? "+lb" : "");

@@ -91,7 +91,6 @@ double NullDeviceKiops(Scheme scheme, int cores, int workers) {
   // target CPU — the quantity under test — is the binding resource at
   // 4-core rates (~3.7M x 4KB IOPS exceeds 100 Gbps).
   cfg.num_ssds = cores;
-  cfg.threads = g_threads;
   cfg.net.bandwidth_bps = 400e9 / 8;
   Testbed bed(cfg);
   for (int i = 0; i < workers; ++i) {

@@ -87,7 +87,6 @@ void InvariantChecker::Violate(const char* invariant, TenantId tenant,
 
 void InvariantChecker::OnClientAdmit(TenantId tenant, int ssd,
                                      size_t queued) {
-  const LockGuard lock(*this);
   ++checks_run_;
   ClientLedger& c = Client(tenant, ssd);
   ++c.admitted;
@@ -106,7 +105,6 @@ void InvariantChecker::OnClientAdmit(TenantId tenant, int ssd,
 void InvariantChecker::OnClientIssue(TenantId tenant, int ssd, size_t queued,
                                      uint32_t inflight, uint32_t credit_total,
                                      bool credit_throttled) {
-  const LockGuard lock(*this);
   ++checks_run_;
   ClientLedger& c = Client(tenant, ssd);
   ++c.issued;
@@ -141,7 +139,6 @@ void InvariantChecker::OnClientIssue(TenantId tenant, int ssd, size_t queued,
 
 void InvariantChecker::OnClientTerminal(TenantId tenant, int ssd, bool ok,
                                         bool was_issued, uint32_t inflight) {
-  const LockGuard lock(*this);
   ++checks_run_;
   (void)ok;
   ClientLedger& c = Client(tenant, ssd);
@@ -169,7 +166,6 @@ void InvariantChecker::OnClientTerminal(TenantId tenant, int ssd, bool ok,
 
 void InvariantChecker::OnClientCreditUpdate(TenantId tenant, int ssd,
                                             uint32_t credit) {
-  const LockGuard lock(*this);
   ++checks_run_;
   ClientLedger& c = Client(tenant, ssd);
   if (credit > c.max_credit_granted) {
@@ -183,13 +179,11 @@ void InvariantChecker::OnClientCreditUpdate(TenantId tenant, int ssd,
 // --- Target / policy -------------------------------------------------------
 
 void InvariantChecker::OnTargetAdmit(TenantId tenant, int ssd) {
-  const LockGuard lock(*this);
   ++checks_run_;
   ++Policy(tenant, ssd).target_admitted;
 }
 
 void InvariantChecker::OnPolicyDispatch(TenantId tenant, int ssd) {
-  const LockGuard lock(*this);
   ++checks_run_;
   PolicyLedger& p = Policy(tenant, ssd);
   ++p.dispatched;
@@ -201,7 +195,6 @@ void InvariantChecker::OnPolicyDispatch(TenantId tenant, int ssd) {
 }
 
 void InvariantChecker::OnDeviceReturn(TenantId tenant, int ssd, bool ok) {
-  const LockGuard lock(*this);
   ++checks_run_;
   (void)ok;
   PolicyLedger& p = Policy(tenant, ssd);
@@ -214,7 +207,6 @@ void InvariantChecker::OnDeviceReturn(TenantId tenant, int ssd, bool ok) {
 }
 
 void InvariantChecker::OnPolicyDeliver(TenantId tenant, int ssd, bool ok) {
-  const LockGuard lock(*this);
   ++checks_run_;
   (void)ok;
   PolicyLedger& p = Policy(tenant, ssd);
@@ -233,7 +225,6 @@ void InvariantChecker::OnPolicyDeliver(TenantId tenant, int ssd, bool ok) {
 }
 
 void InvariantChecker::OnPolicyFail(TenantId tenant, int ssd) {
-  const LockGuard lock(*this);
   ++checks_run_;
   PolicyLedger& p = Policy(tenant, ssd);
   ++p.failed;
@@ -248,7 +239,6 @@ void InvariantChecker::OnPolicyFail(TenantId tenant, int ssd) {
 
 void InvariantChecker::ConfigureDrr(int ssd, uint64_t quantum_bytes,
                                     uint64_t slot_bytes, double cost_worst) {
-  const LockGuard lock(*this);
   DrrState& d = drr_[ssd];
   d.quantum = quantum_bytes;
   d.max_weighted =
@@ -257,7 +247,6 @@ void InvariantChecker::ConfigureDrr(int ssd, uint64_t quantum_bytes,
 
 void InvariantChecker::OnCreditGrant(TenantId tenant, int ssd,
                                      uint32_t credit) {
-  const LockGuard lock(*this);
   ++checks_run_;
   ClientLedger& c = Client(tenant, ssd);
   c.max_credit_granted = std::max(c.max_credit_granted, credit);
@@ -268,7 +257,6 @@ void InvariantChecker::OnDrrQuantum(TenantId tenant, int ssd,
                                     uint64_t deficit_after, double weight,
                                     uint64_t rounds, double frac_before,
                                     double frac_after) {
-  const LockGuard lock(*this);
   ++checks_run_;
   DrrState& d = drr_[ssd];
   // §3.5 Algorithm 2 with fractional carry: `rounds` rounds grant
@@ -309,7 +297,6 @@ void InvariantChecker::OnDrrQuantum(TenantId tenant, int ssd,
 
 void InvariantChecker::OnDrrPassExhausted(int ssd, uint64_t passes,
                                           uint64_t active, uint64_t queued) {
-  const LockGuard lock(*this);
   ++checks_run_;
   Violate("drr.pass.exhausted", 0, ssd,
           Format("Dequeue gave up after %" PRIu64 " passes with %" PRIu64
@@ -319,7 +306,6 @@ void InvariantChecker::OnDrrPassExhausted(int ssd, uint64_t passes,
 
 void InvariantChecker::OnDrrBacklog(TenantId tenant, int ssd,
                                     bool backlogged) {
-  const LockGuard lock(*this);
   DrrState& d = drr_[ssd];
   const uint32_t pos = d.index.Find(tenant);
   const bool member = pos != common::IdIndexMap::kNotFound;
@@ -369,7 +355,6 @@ void InvariantChecker::CheckDrrSkew(const DrrState& d, int ssd) {
 
 void InvariantChecker::OnDrrServe(TenantId tenant, int ssd,
                                   uint64_t weighted_bytes, double weight) {
-  const LockGuard lock(*this);
   ++checks_run_;
   DrrState& d = drr_[ssd];
   if (weight <= 0.0) weight = 1.0;
@@ -396,7 +381,6 @@ void InvariantChecker::OnDrrServe(TenantId tenant, int ssd,
 
 void InvariantChecker::OnSlotOpen(TenantId tenant, int ssd,
                                   uint32_t slots_in_use, uint32_t allotted) {
-  const LockGuard lock(*this);
   ++checks_run_;
   if (slots_in_use > allotted) {
     Violate("slot.occupancy", tenant, ssd,
@@ -411,7 +395,6 @@ void InvariantChecker::OnBucketUpdate(int ssd, Tick elapsed,
                                       double target_rate, double read_before,
                                       double write_before, double read_after,
                                       double write_after, double cap) {
-  const LockGuard lock(*this);
   ++checks_run_;
   const double before = read_before + write_before;
   const double after = read_after + write_after;
@@ -438,7 +421,6 @@ void InvariantChecker::OnBucketUpdate(int ssd, Tick elapsed,
 void InvariantChecker::OnBucketConsume(int ssd, bool is_read, uint64_t bytes,
                                        double before, double after,
                                        double cap) {
-  const LockGuard lock(*this);
   ++checks_run_;
   (void)cap;
   const double delta = before - after;
@@ -460,7 +442,6 @@ void InvariantChecker::OnBucketConsume(int ssd, bool is_read, uint64_t bytes,
 void InvariantChecker::OnLatencySample(int ssd, bool is_read, double ewma,
                                        double threshold, double thresh_min,
                                        double thresh_max, int state) {
-  const LockGuard lock(*this);
   ++checks_run_;
   const char* dir = is_read ? "read" : "write";
   if (ewma < 0.0) {
@@ -490,7 +471,6 @@ void InvariantChecker::OnLatencySample(int ssd, bool is_read, double ewma,
 // --- SSD health ------------------------------------------------------------
 
 void InvariantChecker::OnHealthTransition(int ssd, int from, int to) {
-  const LockGuard lock(*this);
   ++checks_run_;
   if (!LegalHealthTransition(from, to)) {
     static const char* kNames[] = {"healthy", "degraded", "failed",
@@ -508,7 +488,6 @@ void InvariantChecker::OnHealthTransition(int ssd, int from, int to) {
 
 void InvariantChecker::OnKvWriteAck(TenantId instance, int ssd, int durable,
                                     bool acked) {
-  const LockGuard lock(*this);
   ++checks_run_;
   if (acked && durable < 1) {
     Violate("kv.ack.lost", instance, ssd,
@@ -520,7 +499,6 @@ void InvariantChecker::OnKvWriteAck(TenantId instance, int ssd, int durable,
 
 void InvariantChecker::OnKvDirtyRecord(TenantId instance, int ssd,
                                        uint64_t bytes) {
-  const LockGuard lock(*this);
   ++checks_run_;
   KvLedger& l = kv_[Key(instance, ssd)];
   ++l.recorded;
@@ -529,7 +507,6 @@ void InvariantChecker::OnKvDirtyRecord(TenantId instance, int ssd,
 
 void InvariantChecker::OnKvDirtyRepair(TenantId instance, int ssd,
                                        uint64_t bytes) {
-  const LockGuard lock(*this);
   ++checks_run_;
   KvLedger& l = kv_[Key(instance, ssd)];
   ++l.repaired;
@@ -544,7 +521,6 @@ void InvariantChecker::OnKvDirtyRepair(TenantId instance, int ssd,
 
 void InvariantChecker::OnKvDirtyDrop(TenantId instance, int ssd,
                                      uint64_t bytes) {
-  const LockGuard lock(*this);
   ++checks_run_;
   KvLedger& l = kv_[Key(instance, ssd)];
   ++l.dropped;
@@ -562,7 +538,6 @@ void InvariantChecker::OnKvDirtyDrop(TenantId instance, int ssd,
 void InvariantChecker::OnKvReplicaPlacement(TenantId instance, int primary,
                                             int shadow, int primary_node,
                                             int shadow_node) {
-  const LockGuard lock(*this);
   ++checks_run_;
   if (primary_node == shadow_node) {
     Violate("kv.placement.domain", instance, primary,
@@ -575,7 +550,6 @@ void InvariantChecker::OnKvReplicaPlacement(TenantId instance, int primary,
 void InvariantChecker::OnRackUplink(int node, uint64_t bytes,
                                     uint64_t node_total_sum,
                                     uint64_t uplink_total) {
-  const LockGuard lock(*this);
   ++checks_run_;
   if (node_total_sum != uplink_total) {
     Violate("rack.uplink.conservation", kNoTenant, node,
@@ -596,7 +570,6 @@ InvariantChecker::TxnState* InvariantChecker::FindTxn(TenantId instance,
 
 void InvariantChecker::OnTxnBegin(TenantId instance, uint64_t txn,
                                   uint64_t ts) {
-  const LockGuard lock(*this);
   ++checks_run_;
   TxnLedger& l = txns_[static_cast<int32_t>(instance)];
   ++l.begun;
@@ -613,7 +586,6 @@ void InvariantChecker::OnTxnBegin(TenantId instance, uint64_t txn,
 void InvariantChecker::OnTxnLockAcquire(TenantId instance, uint64_t txn,
                                         uint64_t key, bool exclusive,
                                         bool upgrade) {
-  const LockGuard lock(*this);
   ++checks_run_;
   (void)exclusive;
   TxnState* t = FindTxn(instance, txn);
@@ -652,7 +624,6 @@ void InvariantChecker::OnTxnLockAcquire(TenantId instance, uint64_t txn,
 
 void InvariantChecker::OnTxnLockRelease(TenantId instance, uint64_t txn,
                                         uint64_t key) {
-  const LockGuard lock(*this);
   ++checks_run_;
   TxnState* t = FindTxn(instance, txn);
   if (t == nullptr) {
@@ -677,7 +648,6 @@ void InvariantChecker::OnTxnLockRelease(TenantId instance, uint64_t txn,
 void InvariantChecker::OnTxnWound(TenantId instance, uint64_t wounder,
                                   uint64_t wounder_ts, uint64_t victim,
                                   uint64_t victim_ts) {
-  const LockGuard lock(*this);
   ++checks_run_;
   // Wound-wait legality: only an older (smaller-ts) transaction may wound;
   // a younger wounder would re-introduce the abort cycles the timestamp
@@ -693,7 +663,6 @@ void InvariantChecker::OnTxnWound(TenantId instance, uint64_t wounder,
 void InvariantChecker::OnTxnCommit(TenantId instance, uint64_t txn,
                                    uint64_t writes_acked,
                                    uint64_t writes_total) {
-  const LockGuard lock(*this);
   ++checks_run_;
   TxnState* t = FindTxn(instance, txn);
   if (t == nullptr) {
@@ -719,7 +688,6 @@ void InvariantChecker::OnTxnCommit(TenantId instance, uint64_t txn,
 }
 
 void InvariantChecker::OnTxnAbort(TenantId instance, uint64_t txn) {
-  const LockGuard lock(*this);
   ++checks_run_;
   TxnState* t = FindTxn(instance, txn);
   if (t == nullptr) {
@@ -737,7 +705,6 @@ void InvariantChecker::OnTxnAbort(TenantId instance, uint64_t txn) {
 // --- End-of-run ------------------------------------------------------------
 
 bool InvariantChecker::CheckDrained() {
-  const LockGuard lock(*this);
   const size_t before = violations_.size();
   for (const uint32_t slot : clients_.live()) {
     const ClientLedger& c = clients_[slot];

@@ -41,7 +41,6 @@
 #pragma once
 
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -64,15 +63,6 @@ class InvariantChecker {
   void AttachSim(const sim::Simulator* sim) { sim_ = sim; }
   // Trace-context snippets in fail-fast reports; null is allowed.
   void AttachTracer(const obs::EventTracer* tracer) { tracer_ = tracer; }
-
-  // Sharded testbeds with a worker pool fire hooks from several shard
-  // threads; enable the checker-wide mutex before the first epoch runs.
-  // Serial runs leave it off and pay nothing. The epoch barrier orders
-  // every cross-shard dependency (a credit granted in epoch k is read by
-  // the client no earlier than epoch k+1), and clean-run checker state
-  // never feeds back into the schedule, so lock timing cannot perturb
-  // determinism.
-  void SetConcurrent(bool on) { concurrent_ = on; }
 
   struct Violation {
     Tick when = 0;
@@ -334,19 +324,7 @@ class InvariantChecker {
                std::string detail);
   void CheckDrrSkew(const DrrState& d, int ssd);
 
-  struct LockGuard {
-    explicit LockGuard(const InvariantChecker& c) : c(c) {
-      if (c.concurrent_) c.mu_.lock();
-    }
-    ~LockGuard() {
-      if (c.concurrent_) c.mu_.unlock();
-    }
-    const InvariantChecker& c;
-  };
-
   bool fail_fast_;
-  bool concurrent_ = false;
-  mutable std::mutex mu_;
   const sim::Simulator* sim_ = nullptr;
   const obs::EventTracer* tracer_ = nullptr;
   uint64_t checks_run_ = 0;

@@ -149,8 +149,8 @@ size_t Network::ReplayPending() {
   auto replay_one = [&](PendingSend& p) {
     Tick fault_delay = 0;
     if (faults_) {
-      // Link-fault draws happen here, in canonical replay order on the
-      // control thread, so the fault RNG stream is thread-count invariant.
+      // Link-fault draws happen here, in canonical replay order, so the
+      // fault RNG stream does not depend on shard interleaving.
       const fault::FaultInjector::LinkFault lf = faults_->OnLinkMessage(p.when);
       if (lf.drop) {
         ++messages_dropped_;
@@ -214,7 +214,7 @@ size_t Network::ReplayPending() {
   };
 
   if (nonempty == 1) {
-    // Common case: a coarsened epoch ends with one shard's sends buffered.
+    // Common case: only one shard buffered sends this epoch.
     for (PendingSend& p : *only) replay_one(p);
     only->clear();
   } else {

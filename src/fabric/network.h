@@ -19,9 +19,8 @@
 //     serialization end + base_latency, which the engine's lookahead
 //     guarantees is never in any shard's past (docs/SIMULATOR.md).
 //
-// Because the canonical replay order is a pure function of simulated
-// times and shard structure, the resulting schedule is bit-identical for
-// any worker-thread count.
+// The canonical replay order is a pure function of simulated times and
+// shard structure, so the resulting schedule is too.
 #pragma once
 
 #include <cstdint>
@@ -108,8 +107,8 @@ class Network {
 
   // Fold every buffered cross-shard message into the shared link in
   // canonical order and schedule its delivery, after running the buffered
-  // PostToClient work. Runs on the control thread at epoch barriers, while
-  // all shards are quiescent. Returns the number of messages replayed.
+  // PostToClient work. Runs at epoch barriers, while no shard event is
+  // executing. Returns the number of messages replayed.
   //
   // The replay is a k-way merge over the per-source outboxes (each is
   // time-sorted: shard clocks are monotone within an epoch) with link
@@ -118,24 +117,14 @@ class Network {
   // conservation invariant is still checked against the post-batch sums.
   size_t ReplayPending();
 
-  // True while buffered cross-shard sends await replay. The sharded
-  // engine's coarsening probe: a coarsened epoch must end at the first
-  // sub-epoch that buffers a send (sim/shard.h). Control thread only.
-  bool has_pending() const {
-    for (const auto& box : outbox_) {
-      if (!box.empty()) return true;
-    }
-    return false;
-  }
-
   // Client-side bookkeeping a delivery owes its sender (an initiator's
   // count of control capsules still on the wire). Runs `fn` at once in
   // plain mode, in control context and on the client shard. On a target
   // shard it is buffered and run by the next ReplayPending(), in (source
-  // shard, issue) order: that is where a one-thread run's client shard
-  // first sees it, since shard 0 runs ahead of the target shards in every
-  // epoch. Running it in place would race with the client shard's own
-  // thread and make what that shard sees depend on thread timing.
+  // shard, issue) order: that is where the client shard first sees it,
+  // since shard 0 runs ahead of the target shards in every epoch. Keeping
+  // client-side state out of target-shard events is what lets each shard
+  // run an epoch without reading another shard's state.
   void PostToClient(sim::EventFn fn);
 
   // Route every message through `faults` (null detaches).
@@ -159,8 +148,8 @@ class Network {
   // Register a node outage window [fail_at, recover_at) (recover_at 0 =
   // never recovers): every message to or from the node whose *send time*
   // falls inside the window is dropped. Down-ness is a pure function of
-  // (node, send time), so sharded replay on the control thread makes the
-  // same drop decisions at any worker-thread count.
+  // (node, send time), so sharded replay at the barrier makes the same
+  // drop decisions as the plain path.
   void AddNodeOutage(int node, Tick fail_at, Tick recover_at);
   bool NodeDown(int node, Tick when) const;
 

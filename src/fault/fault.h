@@ -172,8 +172,8 @@ class FaultInjector {
   IoFault OnDeviceSubmit(int ssd, IoType type, Tick now);
 
   // Decision for one fabric message. Under sharding the network calls this
-  // from the barrier replay on the control thread, in canonical message
-  // order, so the link RNG stream is thread-count invariant.
+  // from the barrier replay, in canonical message order, so the link RNG
+  // stream does not depend on how shards interleave within an epoch.
   struct LinkFault {
     bool drop = false;
     Tick extra_delay = 0;
@@ -257,7 +257,7 @@ class FaultInjector {
   std::vector<int> node_of_;  // empty: single node
   FaultPlan plan_;
   // Writer-context-split counters: link_* are written by the network call
-  // path (control thread under sharding), crashes_ by the client shard.
+  // path (the barrier replay under sharding), crashes_ by the client shard.
   uint64_t link_dropped_ = 0;
   uint64_t link_delayed_ = 0;
   uint64_t crashes_ = 0;

@@ -20,7 +20,7 @@
 // up). Under the sharded engine the injector's health machines live on the
 // SSD shards, so the client deliberately never reads them directly — the
 // observed view is driven purely by events that already cross the shard
-// boundary, which keeps every schedule bit-identical at any thread count.
+// boundary, which keeps every schedule independent of shard order.
 //
 // Fault-free runs are event-for-event identical to the pre-fault-tolerance
 // blobstore: no timers are armed and no submit order changes unless a

@@ -13,9 +13,10 @@
 // the initiator's retry policy. The first attempt after the SSD recovers
 // simply succeeds — no subscription to the injector's health machine is
 // needed, which matters under the sharded engine: health machines live on
-// SSD shards, and reading them from the client shard would break the
-// bit-identical-at-any-thread-count contract. Completions observed by the
-// blobstore also Poke() the scanner when a down backend serves an IO again.
+// SSD shards, and reading them from the client shard would make the
+// client's view depend on shard order within an epoch. Completions
+// observed by the blobstore also Poke() the scanner when a down backend
+// serves an IO again.
 //
 // Fault-free runs never record dirty replicas, so the scanner arms no
 // timers and is entirely absent from the event schedule.

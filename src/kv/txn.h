@@ -16,10 +16,9 @@
 //
 // Determinism: every structure here lives on the client shard next to the
 // DB instance that owns it and is driven purely by simulated-time events,
-// so sharded runs are bit-identical at any worker-thread count. Conflict
-// decisions are keyed on transaction timestamps (a monotonic counter a
-// restarted transaction keeps), never on wall clock or iteration order of
-// unordered containers.
+// so sharded runs are deterministic. Conflict decisions are keyed on
+// transaction timestamps (a monotonic counter a restarted transaction
+// keeps), never on wall clock or iteration order of unordered containers.
 //
 // Deadlock freedom (asserted by tests/txn_lock_test.cc):
 //   * NO_WAIT never enqueues a waiter — conflicts abort immediately.

@@ -201,15 +201,8 @@ inline constexpr MetricDef kRackNodeDrops{
     "workload/runner.cc:FlushObservability"};
 inline constexpr MetricDef kShardEpochs{
     "shard.epochs", "epochs",
-    "full synchronization rounds the sharded engine has run (epoch "
-    "coarsening makes this shrink on sparse cross-shard traffic; "
-    "identical at any thread count)",
-    "workload/runner.cc:PublishEngineMetrics"};
-inline constexpr MetricDef kShardIdleWakeups{
-    "shard.idle_wakeups", "wakeups",
-    "worker doorbell rings that claimed zero shards — stays 0 unless "
-    "claim racing leaves a woken worker empty-handed (never on sparse "
-    "traffic, where single-active epochs ring no doorbell)",
+    "epoch barriers the sharded engine has run (one per lookahead "
+    "horizon with a pending event)",
     "workload/runner.cc:PublishEngineMetrics"};
 inline constexpr MetricDef kTxnCommits{
     "txn.commits", "txns",

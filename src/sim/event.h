@@ -12,7 +12,6 @@
 // regression is visible in tests and in bench_sim.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <new>
@@ -47,7 +46,7 @@ class InlineFn {
     } else {
       ::new (static_cast<void*>(buf_)) T*(new T(std::forward<F>(f)));
       ops_ = &HeapOps<T>::ops;
-      heap_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+      ++heap_fallbacks_;
     }
   }
 
@@ -87,12 +86,8 @@ class InlineFn {
   }
 
   // Closures that exceeded kInlineCapacity since process start (process-
-  // wide; relaxed-atomic because sharded testbeds construct closures from
-  // several shard threads). bench_sim asserts this stays flat across the
-  // hot loop.
-  static uint64_t heap_fallbacks() {
-    return heap_fallbacks_.load(std::memory_order_relaxed);
-  }
+  // wide). bench_sim asserts this stays flat across the hot loop.
+  static uint64_t heap_fallbacks() { return heap_fallbacks_; }
 
  private:
   struct Ops {
@@ -128,7 +123,7 @@ class InlineFn {
   alignas(std::max_align_t) unsigned char buf_[kInlineCapacity];
   const Ops* ops_ = nullptr;
 
-  static inline std::atomic<uint64_t> heap_fallbacks_{0};
+  static inline uint64_t heap_fallbacks_ = 0;
 };
 
 using EventFn = InlineFn;

@@ -6,18 +6,15 @@
 namespace gimbal::sim {
 
 namespace {
-thread_local int tls_shard = -1;
-thread_local Simulator* tls_sim = nullptr;
+int current_shard = -1;
+Simulator* current_sim = nullptr;
 }  // namespace
 
-int ShardedEngine::CurrentShard() { return tls_shard; }
-Simulator* ShardedEngine::CurrentSim() { return tls_sim; }
+int ShardedEngine::CurrentShard() { return current_shard; }
+Simulator* ShardedEngine::CurrentSim() { return current_sim; }
 
 ShardedEngine::ShardedEngine(int num_shards, const Config& config)
-    : lookahead_(config.lookahead),
-      threads_(std::clamp(config.threads, 1, num_shards)),
-      adaptive_(config.adaptive),
-      serial_grain_(config.serial_grain) {
+    : lookahead_(config.lookahead) {
   assert(num_shards >= 1);
   assert(lookahead_ > 0 && "conservative lookahead requires a positive "
                            "minimum cross-shard latency");
@@ -26,119 +23,18 @@ ShardedEngine::ShardedEngine(int num_shards, const Config& config)
     shards_.push_back(std::make_unique<Simulator>(config.impl));
   }
   shards_[0]->set_engine(this);
-  active_.reserve(static_cast<size_t>(num_shards));
-  const int nworkers = threads_ - 1;
-  slots_.reserve(static_cast<size_t>(nworkers));
-  for (int i = 0; i < nworkers; ++i) {
-    slots_.push_back(std::make_unique<WorkerSlot>());
-  }
-  for (int i = 0; i < nworkers; ++i) {
-    workers_.emplace_back([this, i]() { WorkerMain(i); });
-  }
 }
 
-ShardedEngine::~ShardedEngine() {
-  quit_.store(true, std::memory_order_release);
-  ++seq_;
-  for (auto& s : slots_) Ring(*s, seq_);
-  for (std::thread& t : workers_) t.join();
-  shards_[0]->set_engine(nullptr);
-}
-
-// Doorbell ring: publish the epoch with a release store the worker
-// acquires, then issue the futex wake only if the worker actually parked.
-// The seq_cst fence pairs with the one in WorkerMain's park path: either
-// the worker's post-park recheck sees the new `go`, or this load sees
-// `parked` and notifies — a wakeup can never be lost.
-void ShardedEngine::Ring(WorkerSlot& slot, uint64_t seq) {
-  slot.go.store(seq, std::memory_order_release);
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (slot.parked.load(std::memory_order_relaxed)) slot.go.notify_all();
-}
-
-void ShardedEngine::WaitDone(WorkerSlot& slot, uint64_t seq) {
-  int spins = 0;
-  uint64_t done;
-  while ((done = slot.done.load(std::memory_order_acquire)) < seq) {
-    if (++spins > kSpinLimit) {
-      waiting_.store(1, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      done = slot.done.load(std::memory_order_acquire);
-      if (done >= seq) break;
-      slot.done.wait(done, std::memory_order_acquire);
-      spins = 0;
-    }
-  }
-  waiting_.store(0, std::memory_order_relaxed);
-}
-
-bool ShardedEngine::RunClaimedShards() {
-  const uint64_t n = active_.size();
-  bool claimed = false;
-  for (;;) {
-    const uint64_t idx = next_claim_.fetch_add(1, std::memory_order_relaxed);
-    if (idx >= n) return claimed;
-    claimed = true;
-    const int shard_idx = active_[static_cast<size_t>(idx)];
-    Simulator* s = shards_[static_cast<size_t>(shard_idx)].get();
-    tls_shard = shard_idx;
-    tls_sim = s;
-    s->StepUntil(epoch_end_);
-    tls_shard = -1;
-    tls_sim = nullptr;
-  }
-}
-
-void ShardedEngine::WorkerMain(int index) {
-  WorkerSlot& slot = *slots_[static_cast<size_t>(index)];
-  uint64_t seen = 0;
-  for (;;) {
-    // Spin hot briefly (epochs on a busy run are microseconds apart), then
-    // park on the futex-backed atomic wait so an idle or oversubscribed
-    // engine neither burns a core nor yield-storms. The parked flag lets
-    // the control thread skip the wake syscall while we are still
-    // spinning — the common case on a loaded run.
-    int spins = 0;
-    uint64_t go;
-    while ((go = slot.go.load(std::memory_order_acquire)) == seen) {
-      if (++spins > kSpinLimit) {
-        slot.parked.store(1, std::memory_order_relaxed);
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        go = slot.go.load(std::memory_order_acquire);
-        if (go != seen) {
-          slot.parked.store(0, std::memory_order_relaxed);
-          break;
-        }
-        slot.go.wait(seen, std::memory_order_acquire);
-        slot.parked.store(0, std::memory_order_relaxed);
-        spins = 0;
-      }
-    }
-    seen = go;  // sequence values may skip when this worker sat out epochs
-    if (quit_.load(std::memory_order_acquire)) return;
-    if (!RunClaimedShards()) {
-      idle_wakeups_.fetch_add(1, std::memory_order_relaxed);
-    }
-    slot.done.store(seen, std::memory_order_release);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (waiting_.load(std::memory_order_relaxed)) slot.done.notify_all();
-  }
-}
+ShardedEngine::~ShardedEngine() { shards_[0]->set_engine(nullptr); }
 
 bool ShardedEngine::ComputeEpoch(Tick deadline) {
   Tick earliest = kNone;
-  sole_live_ = -1;
-  int live_shards = 0;
-  const int n = num_shards();
-  for (int i = 0; i < n; ++i) {
-    EventQueue& q = shards_[static_cast<size_t>(i)]->queue();
+  for (auto& s : shards_) {
+    EventQueue& q = s->queue();
     if (q.empty()) continue;
-    ++live_shards;
-    sole_live_ = i;
     const Tick t = q.next_time();
     if (earliest == kNone || t < earliest) earliest = t;
   }
-  if (live_shards != 1) sole_live_ = -1;
   if (earliest == kNone || (deadline != kNone && earliest > deadline)) {
     return false;
   }
@@ -149,98 +45,22 @@ bool ShardedEngine::ComputeEpoch(Tick deadline) {
   return true;
 }
 
-// Coarsened epoch: exactly one shard holds events and (right after a
-// barrier) no send is buffered, so nothing can influence that shard until
-// one of its own sends completes a round trip. Run its uniform sub-epochs
-// back to back on the control thread. Each quiet sub-boundary still runs
-// the barrier hook — replay is a no-op there, but the testbed's trace
-// batch marks must land exactly where the uniform engine would have put
-// them, which is what keeps the stitched trace byte-identical. Stop at the
-// first sub-epoch that buffers a send: its delivery seeds another shard at
-// send + W, and the engine returns to normal epochs.
-void ShardedEngine::RunCoarse(Tick deadline) {
-  Simulator* s = shards_[static_cast<size_t>(sole_live_)].get();
-  for (;;) {
-    tls_shard = sole_live_;
-    tls_sim = s;
-    s->StepUntil(epoch_end_);
-    tls_shard = -1;
-    tls_sim = nullptr;
-    if (pending_sends_fn_()) break;
-    EventQueue& q = s->queue();
-    if (q.empty()) break;
-    const Tick t = q.next_time();
-    if (deadline != kNone && t > deadline) break;
-    if (barrier_fn_) barrier_fn_();  // quiet sub-epoch close
-    epoch_end_ = t + lookahead_ - 1;
-    if (deadline != kNone) epoch_end_ = std::min(epoch_end_, deadline);
-  }
-  // Idle shards advance to the (final) epoch end exactly as RunEpoch's
-  // uniform path would have advanced them sub-epoch by sub-epoch.
+void ShardedEngine::RunEpoch() {
+  // A shard with nothing due just has its clock advanced, so injected
+  // deliveries and later control-context At() calls see a consistent now.
   const int n = num_shards();
   for (int i = 0; i < n; ++i) {
-    if (i == sole_live_) continue;
-    Simulator* idle = shards_[static_cast<size_t>(i)].get();
-    if (idle->now() < epoch_end_) idle->StepUntil(epoch_end_);
+    current_shard = i;
+    current_sim = shards_[static_cast<size_t>(i)].get();
+    current_sim->StepUntil(epoch_end_);
   }
-}
-
-void ShardedEngine::RunEpoch(Tick deadline) {
-  if (adaptive_ && sole_live_ >= 0 && pending_sends_fn_) {
-    RunCoarse(deadline);
-    return;
-  }
-  active_.clear();
-  size_t live = 0;
-  const int n = num_shards();
-  for (int i = 0; i < n; ++i) {
-    Simulator* s = shards_[static_cast<size_t>(i)].get();
-    if (!s->queue().empty() && s->queue().next_time() <= epoch_end_) {
-      active_.push_back(i);
-      live += s->queue().size();
-    } else if (s->now() < epoch_end_) {
-      // Idle shard: advance its clock directly so injected deliveries and
-      // later control-context At() calls see a consistent `now`.
-      s->StepUntil(epoch_end_);
-    }
-  }
-  if (active_.empty()) return;
-  const int want = std::min(static_cast<int>(slots_.size()),
-                            static_cast<int>(active_.size()) - 1);
-  if (want <= 0 || live < serial_grain_) {
-    // Serial fast path: identical schedule, no synchronization, and no
-    // worker is woken — epochs with one active shard or a handful of
-    // events cost nothing in sync.
-    for (int i : active_) {
-      Simulator* s = shards_[static_cast<size_t>(i)].get();
-      tls_shard = i;
-      tls_sim = s;
-      s->StepUntil(epoch_end_);
-      tls_shard = -1;
-      tls_sim = nullptr;
-    }
-    return;
-  }
-  // Ring exactly `want` doorbells: workers beyond the active-shard count
-  // stay parked (their `go` never moves), which is what keeps
-  // idle_wakeups() at zero on sparse traffic. Epoch state written above is
-  // published by the release store in Ring().
-  next_claim_.store(0, std::memory_order_relaxed);
-  ++seq_;
-  for (int i = 0; i < want; ++i) Ring(*slots_[static_cast<size_t>(i)], seq_);
-  RunClaimedShards();
-  for (int i = 0; i < want; ++i) {
-    WaitDone(*slots_[static_cast<size_t>(i)], seq_);
-  }
+  current_shard = -1;
+  current_sim = nullptr;
 }
 
 void ShardedEngine::Barrier() {
   ++epochs_;
   if (barrier_fn_) barrier_fn_();
-}
-
-void ShardedEngine::RunEnd() {
-  if (run_end_fn_) run_end_fn_();
 }
 
 void ShardedEngine::EngineRunUntil(Tick deadline) {
@@ -249,31 +69,22 @@ void ShardedEngine::EngineRunUntil(Tick deadline) {
   // shard's clock past the buffered send's delivery time.
   Barrier();
   while (ComputeEpoch(deadline)) {
-    RunEpoch(deadline);
+    RunEpoch();
     Barrier();
   }
   for (auto& s : shards_) {
     if (s->now() < deadline) s->StepUntil(deadline);
   }
-  RunEnd();
+  if (run_end_fn_) run_end_fn_();
 }
 
 void ShardedEngine::EngineRunToIdle() {
   Barrier();  // see EngineRunUntil
   while (ComputeEpoch(kNone)) {
-    RunEpoch(kNone);
+    RunEpoch();
     Barrier();
   }
-  // A coarsened final epoch can leave the live shard ahead of the rest;
-  // equalize on the furthest clock so control-context sends issued after
-  // this run (e.g. Shutdown capsules) deliver in every shard's future,
-  // exactly as the uniform-epoch engine left things.
-  Tick latest = 0;
-  for (auto& s : shards_) latest = std::max(latest, s->now());
-  for (auto& s : shards_) {
-    if (s->now() < latest) s->StepUntil(latest);
-  }
-  RunEnd();
+  if (run_end_fn_) run_end_fn_();
 }
 
 }  // namespace gimbal::sim

@@ -1,55 +1,36 @@
-// Conservative-lookahead parallel scheduler over per-shard simulators.
+// Conservative-lookahead epoch scheduler over per-shard simulators.
 //
 // A sharded testbed partitions the event space structurally: shard 0 owns
 // the client domain (initiators, workers, KV layer, crash timers) and each
 // further shard owns one target core together with every SSD pipeline
 // mapped onto it (GimbalSwitch/DRR/token bucket, device model, per-core
-// FifoResource). Within a shard, events execute exactly as on the serial
+// FifoResource). Within a shard, events execute exactly as on the plain
 // engine — same EventQueue, same (when, seq) ordering contract.
 //
 // Shards only interact through the fabric: an initiator-to-target
 // submission or a target-to-client completion always crosses the modeled
 // network and therefore arrives at least NetworkConfig::base_latency after
-// it was sent. That minimum is the engine's *lookahead* W, and it makes a
-// conservative PDES protocol safe (docs/SIMULATOR.md):
+// it was sent. That minimum is the engine's *lookahead* W
+// (docs/SIMULATOR.md):
 //
-//   epoch:    every shard runs its events up to the uniform horizon
-//             E = T + W - 1 (T = earliest pending event anywhere); no
-//             cross-shard send issued at t >= T can deliver at or
-//             before E.
+//   epoch:    every shard, in index order on the calling thread, runs its
+//             events up to the uniform horizon E = T + W - 1 (T = earliest
+//             pending event anywhere); no cross-shard send issued at
+//             t >= T can deliver at or before E.
 //   barrier:  cross-shard sends buffered during the epoch are folded
 //             into the shared link in one canonical order and injected
 //             into their destination shards; they all deliver strictly
 //             after E.
 //
-// Adaptive coarsening: an epoch barrier is only *useful* when it has
-// sends to replay or when several shards need a common horizon. Right
-// after a barrier every outbox is empty, so whenever exactly one shard
-// holds pending events the engine runs that shard's uniform sub-epochs
-// back to back on the control thread — no worker doorbells, no done
-// waits — calling the barrier hook at each quiet sub-boundary (replay is
-// a no-op there) and stopping only once the shard buffers a cross-shard
-// send. The executed schedule, the barrier-hook call sequence and hence
-// the stitched trace are bit-identical to the uniform engine's; only the
-// number of full synchronization rounds (epochs()) drops. On sparse
-// cross-shard traffic this collapses most barriers
-// (tests/shard_adaptive_test.cc pins both the digest identity and the
-// reduction).
-//
-// Determinism: the schedule inside a shard never depends on other shards
-// within an epoch, horizons and the coarsening decision are pure
-// functions of queue states at the barrier, and the barrier replays
-// buffered sends in a canonical (send_time, source shard, issue order)
-// order — so the full event trace is bit-identical for any worker-thread
-// count, including 1. The thread count only chooses how many shards
-// execute concurrently per epoch.
+// Determinism: horizons are pure functions of queue states at the barrier
+// and the barrier replays buffered sends in a canonical (send_time,
+// source shard, issue order) order, so the event schedule is a function of
+// the testbed alone.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "common/time.h"
@@ -60,19 +41,8 @@ namespace gimbal::sim {
 class ShardedEngine : public Simulator::Engine {
  public:
   struct Config {
-    int threads = 1;  // worker pool size (clamped to [1, num_shards])
     Tick lookahead = 0;  // min cross-shard latency; must be > 0
     EventQueue::Impl impl = EventQueue::Impl::kTimingWheel;
-    // Coarsen single-shard stretches into one synchronization round (see
-    // file comment). The executed schedule is identical either way; false
-    // forces a full barrier per uniform epoch, which the adaptive-epoch
-    // tests use as the A side of their A/B digest comparison.
-    bool adaptive = true;
-    // Epochs whose active shards hold fewer than this many live events in
-    // total run on the control thread even when workers are available:
-    // waking a worker costs more than a handful of events. Purely a
-    // dispatch heuristic — the schedule is identical either way.
-    size_t serial_grain = 32;
   };
 
   ShardedEngine(int num_shards, const Config& config);
@@ -83,13 +53,10 @@ class ShardedEngine : public Simulator::Engine {
 
   Simulator& shard(int i) { return *shards_[i]; }
   int num_shards() const { return static_cast<int>(shards_.size()); }
-  int threads() const { return threads_; }
 
-  // Runs on the control thread at every epoch barrier (all shards
-  // quiescent) and at every quiet sub-epoch boundary inside a coarsened
-  // epoch. The testbed hooks the network's cross-shard replay and its
-  // trace batch marks here. Keep it cheap: it runs once per uniform
-  // epoch, which is the engine's synchronization constant factor.
+  // Runs at every epoch barrier, with no shard event executing. The
+  // testbed hooks the network's cross-shard replay and its trace batch
+  // marks here. Keep it cheap: it runs once per epoch.
   void set_barrier_fn(std::function<void()> fn) { barrier_fn_ = std::move(fn); }
 
   // Runs once at the end of every EngineRunUntil / EngineRunToIdle, after
@@ -99,95 +66,40 @@ class ShardedEngine : public Simulator::Engine {
     run_end_fn_ = std::move(fn);
   }
 
-  // Coarsening probe: returns true while cross-shard sends sit buffered in
-  // the fabric's outboxes. A coarsened epoch must stop at the first
-  // sub-epoch that buffers a send — the destination shard gains an event
-  // at send + W and the single-shard premise breaks. Coarsening stays off
-  // until this is set; the testbed wires it to fabric::Network.
-  void set_pending_sends_fn(std::function<bool()> fn) {
-    pending_sends_fn_ = std::move(fn);
-  }
-
   // Simulator::Engine: shard 0 delegates its Run()/RunUntil() here, so
   // `testbed.sim().RunUntil(t)` drives the whole sharded testbed.
   void EngineRunUntil(Tick deadline) override;
   void EngineRunToIdle() override;
 
-  // Full synchronization rounds (worker dispatch + replay barrier) so far.
-  // Coarsening makes this *smaller* for the same run, never different
-  // across thread counts.
+  // Epoch barriers run so far.
   uint64_t epochs() const { return epochs_; }
 
-  // Times a worker was woken for an epoch and then claimed no shard. The
-  // control thread rings exactly min(workers, active_shards - 1)
-  // doorbells, so this stays 0 unless claim racing leaves a woken worker
-  // empty-handed; on sparse traffic (single active shard per epoch) no
-  // doorbell rings at all. Surfaced as the `shard.idle_wakeups` metric.
-  uint64_t idle_wakeups() const {
-    return idle_wakeups_.load(std::memory_order_relaxed);
-  }
+  // Always 0: the engine has no worker pool. Kept only for callers that
+  // still report it.
+  uint64_t idle_wakeups() const { return 0; }
 
   // Shard context of the currently-executing event, or -1 / nullptr when
-  // no shard event is running (control thread between epochs, or a plain
-  // unsharded simulator). Thread-local.
+  // no shard event is running (between epochs, or a plain unsharded
+  // simulator).
   static int CurrentShard();
   static Simulator* CurrentSim();
 
  private:
   static constexpr Tick kNone = -1;
-  static constexpr int kSpinLimit = 4096;
-
-  // One cache line per worker: the control thread publishes an epoch by
-  // storing its sequence number into `go` (a doorbell only that worker
-  // reads) and the worker posts the same number into `done` when its claim
-  // loop drains. `parked`/the engine-wide `waiting_` flag implement an
-  // eventcount: futex syscalls happen only when the other side actually
-  // went to sleep, so back-to-back epochs synchronize with plain loads.
-  struct alignas(64) WorkerSlot {
-    std::atomic<uint64_t> go{0};
-    std::atomic<uint64_t> done{0};
-    std::atomic<uint32_t> parked{0};
-  };
 
   // Computes the uniform horizon for the next epoch from the shards' queue
   // states; returns false when no event is pending at or before
-  // `deadline` (kNone = no deadline). Also notes whether exactly one shard
-  // holds events, which is what arms coarsening in RunEpoch.
+  // `deadline` (kNone = no deadline).
   bool ComputeEpoch(Tick deadline);
-  void RunEpoch(Tick deadline);
-  // Runs the single live shard's uniform sub-epochs back to back until it
-  // buffers a send, drains, or passes `deadline`.
-  void RunCoarse(Tick deadline);
+  void RunEpoch();
   void Barrier();
-  void RunEnd();
-  void WorkerMain(int index);
-  bool RunClaimedShards();  // claim loop shared by workers and control
-  void Ring(WorkerSlot& slot, uint64_t seq);
-  void WaitDone(WorkerSlot& slot, uint64_t seq);
 
   std::vector<std::unique_ptr<Simulator>> shards_;
   Tick lookahead_;
-  int threads_;
-  bool adaptive_;
-  size_t serial_grain_;
   std::function<void()> barrier_fn_;
   std::function<void()> run_end_fn_;
-  std::function<bool()> pending_sends_fn_;
   uint64_t epochs_ = 0;
-
-  // Epoch state: written by the control thread while every worker is
-  // parked (enforced by last epoch's done wait), published by the
-  // release store in Ring().
-  std::vector<int> active_;  // shard indices with events in this epoch
   Tick epoch_end_ = 0;
-  int sole_live_ = -1;  // the only shard with pending events, or -1
-  uint64_t seq_ = 0;  // control-thread epoch sequence
-  std::atomic<uint64_t> next_claim_{0};
-  std::atomic<uint32_t> waiting_{0};  // control parked on a done counter
-  std::atomic<uint64_t> idle_wakeups_{0};
-  std::atomic<bool> quit_{false};
-  std::vector<std::unique_ptr<WorkerSlot>> slots_;
-  std::vector<std::thread> workers_;
 };
 
 }  // namespace gimbal::sim

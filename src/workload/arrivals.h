@@ -24,8 +24,7 @@
 //
 // Determinism: all randomness flows through the caller-owned Rng, and MMPP
 // state advances lazily as a pure function of (rng sequence, query times),
-// so a given seed reproduces the same arrival schedule on any engine or
-// thread count.
+// so a given seed reproduces the same arrival schedule on any engine.
 #pragma once
 
 #include <cassert>

@@ -20,8 +20,9 @@
 // Stop(), run the sim to idle, then ExportSlo() into a registry.
 //
 // All fleet activity — stagger timers, lifetime timers, RNG draws, the
-// sweep — executes on the testbed's client-domain simulator (shard 0), so
-// a sharded engine replays the exact same schedule at any thread count.
+// sweep — executes on the testbed's client-domain simulator (shard 0) and
+// never reads target-shard state, so the schedule does not depend on the
+// order shards run within an epoch.
 #pragma once
 
 #include <cstdint>

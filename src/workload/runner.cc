@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 
 namespace gimbal::workload {
 
@@ -44,30 +46,31 @@ Testbed::Testbed(TestbedConfig cfg) : cfg_(cfg) {
   if (cfg_.obs && cfg_.run_label.empty()) cfg_.run_label = ToString(cfg_.scheme);
   if (cfg_.obs) cfg_.obs->metrics.set_run(cfg_.run_label);
 
+  if (cfg_.threads != 1) {
+    // The engine runs every shard on the calling thread; the field stays
+    // only so existing configs compile. Checked in every build type.
+    std::fprintf(stderr,
+                 "Testbed: TestbedConfig::threads=%d is not supported; the "
+                 "sharded engine is single-threaded (threads must be 1)\n",
+                 cfg_.threads);
+    std::abort();
+  }
   assert(cfg_.nodes >= 1);
   assert(cfg_.num_ssds % cfg_.nodes == 0 &&
          "num_ssds must divide evenly across nodes");
   ssds_per_node_ = cfg_.num_ssds / cfg_.nodes;
 
-  // Sharding is structural, not a function of the thread count: the same
-  // shard/epoch schedule runs whether 1 or N threads execute it, which is
-  // what makes the determinism contract trivial to honor. A single-SSD
-  // testbed (or a zero-latency fabric, which admits no lookahead) keeps
-  // the original single-simulator path unchanged.
+  // A multi-SSD testbed runs on the sharded engine, whose epoch schedule
+  // is the canonical event order the goldens pin. A single-SSD testbed (or
+  // a zero-latency fabric, which admits no lookahead) keeps the original
+  // single-simulator path unchanged.
   const bool sharded = cfg_.num_ssds > 1 && cfg_.net.base_latency > 0;
   if (sharded) {
-    // (node, core) topology: one shard per used core per node, so a rack
-    // bed's schedule — like the single node's — is thread-count invariant.
+    // (node, core) topology: one shard per used core per node.
     used_cores_ = std::min(cfg_.target.cores, ssds_per_node_);
     sim::ShardedEngine::Config ec;
-    ec.threads = cfg_.threads;
     ec.lookahead = cfg_.net.base_latency;
     ec.impl = cfg_.queue_impl;
-    // Coarsening merges single-shard stretches into one synchronization
-    // round without changing the executed schedule or the barrier-hook
-    // sequence (sim/shard.h); `uniform_epochs` keeps the full barrier
-    // cadence for the adaptive-epoch tests' A/B comparisons.
-    ec.adaptive = !cfg_.uniform_epochs;
     engine_ =
         std::make_unique<sim::ShardedEngine>(1 + cfg_.nodes * used_cores_, ec);
     sim_ = &engine_->shard(0);
@@ -96,7 +99,6 @@ Testbed::Testbed(TestbedConfig cfg) : cfg_(cfg) {
   }
   check_->AttachSim(sim_);
   if (cfg_.obs) check_->AttachTracer(&cfg_.obs->tracer);
-  check_->SetConcurrent(engine_ && engine_->threads() > 1);
 
   net_ = std::make_unique<fabric::Network>(*sim_, cfg_.net);
   faults_ = std::make_unique<fault::FaultInjector>(*sim_, cfg_.num_ssds,
@@ -124,9 +126,6 @@ Testbed::Testbed(TestbedConfig cfg) : cfg_(cfg) {
       ssd_obs[i] = shard_obs_.empty() ? nullptr : SsdObs(i);
     }
     net_->ConfigureSharded(sim_, ssd_sims, engine_->num_shards());
-    // Coarsening probe: a coarsened epoch must stop at the first sub-epoch
-    // that buffers a cross-shard send (sim/shard.h).
-    engine_->set_pending_sends_fn([this]() { return net_->has_pending(); });
     faults_->ConfigureShards(ssd_sims, ssd_obs);
   }
   // Client-side components record into shard 0's private observability
@@ -358,8 +357,6 @@ void Testbed::PublishEngineMetrics() {
   obs::MetricsRegistry& reg = cfg_.obs->metrics;
   reg.GetGauge(schema::kShardEpochs)
       .Set(static_cast<double>(engine_->epochs()));
-  reg.GetGauge(schema::kShardIdleWakeups)
-      .Set(static_cast<double>(engine_->idle_wakeups()));
 }
 
 std::unique_ptr<core::IoPolicy> Testbed::MakePolicy(sim::Simulator& psim,

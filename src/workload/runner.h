@@ -10,11 +10,11 @@
 // used target core hosts its pipelines, SSD models and fault state on its
 // own shard. Cross-shard traffic flows only through the Network, which
 // buffers sends per shard and replays them in one canonical order at every
-// epoch barrier. TestbedConfig::threads sizes the worker pool; the
-// schedule — and so every trace digest and golden figure — is bit-identical
-// for any thread count, because threads only execute independently-claimed
-// shards within conservative-lookahead epochs. Single-SSD (or zero-latency)
-// testbeds keep the exact pre-sharding single-simulator path.
+// epoch barrier. The engine steps the shards one after another on the
+// calling thread, in conservative-lookahead epochs; that epoch schedule is
+// the canonical event order every trace digest and golden figure pins.
+// Single-SSD (or zero-latency) testbeds keep the exact pre-sharding
+// single-simulator path.
 #pragma once
 
 #include <memory>
@@ -63,8 +63,7 @@ struct TestbedConfig {
   // are per node), fabric messages serialize on the shared uplink and the
   // node's access link, and replica placement / whole-node faults become
   // node-aware. Shard topology generalizes to (node, core): one shard per
-  // used core per node, so rack runs stay bit-identical at any thread
-  // count.
+  // used core per node.
   int nodes = 1;
   // Shared ToR uplink bandwidth (bytes/sec); 0 = same as net.bandwidth_bps.
   double uplink_bps = 0;
@@ -80,11 +79,9 @@ struct TestbedConfig {
   baselines::TimesliceParams timeslice = {};
   bool use_null_device = false;  // Table 1b's NULL bdev mode
 
-  // Worker threads for the sharded engine (see file header). 1 — the
-  // default — runs the sharded schedule on the calling thread alone; N > 1
-  // adds N-1 workers. Has no effect on single-SSD testbeds and NO effect
-  // on results at any value: determinism is a hard contract, enforced by
-  // the golden-figure suite at several thread counts.
+  // Must be 1: the sharded engine runs on the calling thread, and the
+  // Testbed aborts on any other value. Kept only so existing configs that
+  // set it compile.
   int threads = 1;
 
   // Fault injection (docs/FAULTS.md). A non-empty plan wraps every SSD in
@@ -97,12 +94,6 @@ struct TestbedConfig {
   fault::FaultPlan faults = {};
   uint64_t fault_seed = 1;
   fabric::RetryParams retry = {};
-
-  // Force a full synchronization barrier per uniform T + W - 1 epoch
-  // instead of coarsening single-shard stretches (docs/SIMULATOR.md).
-  // Results are identical either way — the determinism suite runs both and
-  // compares digests; this knob exists for those tests and for perf A/Bs.
-  bool uniform_epochs = false;
 
   // Event-queue engine under the simulator(s). The timing wheel is the
   // production default; the reference heap is kept as an ordering oracle so

@@ -2,9 +2,10 @@
 //
 // Runs whole testbeds — a Fig-4-style interference scenario and a faulted
 // scenario exercising stalls, media errors, link flaps, a device failure
-// and a tenant crash — with the event tracer on, and hashes the full event
-// trace (timestamp, event name, tenant, ssd, args) into one digest. For
-// each seed the digest must be
+// and a tenant crash, each on one SSD and on a sharded multi-SSD bed —
+// with the event tracer on, and hashes the full event trace (timestamp,
+// event name, tenant, ssd, args) into one digest. For each seed the digest
+// must be
 //
 //   * identical run-to-run (the simulation is deterministic), and
 //   * identical between the timing-wheel event queue and the reference
@@ -109,10 +110,8 @@ uint64_t FaultedDigest(sim::EventQueue::Impl impl, uint64_t seed) {
 }
 
 // Multi-SSD testbed → the sharded engine (docs/SIMULATOR.md): shard 0 is
-// the client domain, each used target core a shard of its own. The digest
-// must not depend on how many worker threads execute the shards.
-uint64_t ShardedDigest(sim::EventQueue::Impl impl, int threads,
-                       uint64_t seed) {
+// the client domain, each used target core a shard of its own.
+uint64_t ShardedDigest(sim::EventQueue::Impl impl, uint64_t seed) {
   obs::Observability obs;
   obs.tracer.Enable(kTraceLimit);
   TestbedConfig cfg;
@@ -121,7 +120,6 @@ uint64_t ShardedDigest(sim::EventQueue::Impl impl, int threads,
   cfg.condition = SsdCondition::kClean;
   cfg.ssd.logical_bytes = 128ull << 20;
   cfg.queue_impl = impl;
-  cfg.threads = threads;
   cfg.obs = &obs;
   cfg.run_label = "determinism_sharded";
   Testbed bed(cfg);
@@ -146,7 +144,7 @@ uint64_t ShardedDigest(sim::EventQueue::Impl impl, int threads,
 // The faulted variant stresses the riskiest cross-shard machinery: per-SSD
 // fault RNG streams, link-flap draws at barrier replay, a device failure
 // on one shard and a tenant crash timer on the client shard.
-uint64_t ShardedFaultedDigest(int threads, uint64_t seed) {
+uint64_t ShardedFaultedDigest(sim::EventQueue::Impl impl, uint64_t seed) {
   obs::Observability obs;
   obs.tracer.Enable(kTraceLimit);
   TestbedConfig cfg;
@@ -154,7 +152,7 @@ uint64_t ShardedFaultedDigest(int threads, uint64_t seed) {
   cfg.scheme = Scheme::kGimbal;
   cfg.condition = SsdCondition::kClean;
   cfg.ssd.logical_bytes = 128ull << 20;
-  cfg.threads = threads;
+  cfg.queue_impl = impl;
   cfg.obs = &obs;
   cfg.run_label = "determinism_sharded_faults";
   cfg.fault_seed = seed;
@@ -220,29 +218,30 @@ TEST_P(DeterminismGolden, FaultedTraceDigestIsStable) {
       << "timing wheel and reference heap diverged, seed " << seed;
 }
 
-TEST_P(DeterminismGolden, ShardedDigestInvariantAcrossThreadCounts) {
+TEST_P(DeterminismGolden, ShardedTraceDigestIsStable) {
   const uint64_t seed = GetParam();
-  const uint64_t serial =
-      ShardedDigest(sim::EventQueue::Impl::kTimingWheel, 1, seed);
-  const uint64_t t2 =
-      ShardedDigest(sim::EventQueue::Impl::kTimingWheel, 2, seed);
-  EXPECT_EQ(serial, t2) << "threads=2 diverged from serial, seed " << seed;
-  const uint64_t t4 =
-      ShardedDigest(sim::EventQueue::Impl::kTimingWheel, 4, seed);
-  EXPECT_EQ(serial, t4) << "threads=4 diverged from serial, seed " << seed;
-  const uint64_t heap4 =
-      ShardedDigest(sim::EventQueue::Impl::kReferenceHeap, 4, seed);
-  EXPECT_EQ(serial, heap4)
-      << "reference heap at threads=4 diverged, seed " << seed;
+  const uint64_t wheel1 =
+      ShardedDigest(sim::EventQueue::Impl::kTimingWheel, seed);
+  const uint64_t wheel2 =
+      ShardedDigest(sim::EventQueue::Impl::kTimingWheel, seed);
+  EXPECT_EQ(wheel1, wheel2) << "sharded run not deterministic, seed " << seed;
+  const uint64_t heap =
+      ShardedDigest(sim::EventQueue::Impl::kReferenceHeap, seed);
+  EXPECT_EQ(wheel1, heap)
+      << "timing wheel and reference heap diverged, seed " << seed;
 }
 
-TEST_P(DeterminismGolden, ShardedFaultedDigestInvariantAcrossThreadCounts) {
+TEST_P(DeterminismGolden, ShardedFaultedTraceDigestIsStable) {
   const uint64_t seed = GetParam();
-  const uint64_t serial = ShardedFaultedDigest(1, seed);
-  const uint64_t t2 = ShardedFaultedDigest(2, seed);
-  EXPECT_EQ(serial, t2) << "threads=2 diverged from serial, seed " << seed;
-  const uint64_t t4 = ShardedFaultedDigest(4, seed);
-  EXPECT_EQ(serial, t4) << "threads=4 diverged from serial, seed " << seed;
+  const uint64_t wheel1 =
+      ShardedFaultedDigest(sim::EventQueue::Impl::kTimingWheel, seed);
+  const uint64_t wheel2 =
+      ShardedFaultedDigest(sim::EventQueue::Impl::kTimingWheel, seed);
+  EXPECT_EQ(wheel1, wheel2) << "sharded run not deterministic, seed " << seed;
+  const uint64_t heap =
+      ShardedFaultedDigest(sim::EventQueue::Impl::kReferenceHeap, seed);
+  EXPECT_EQ(wheel1, heap)
+      << "timing wheel and reference heap diverged, seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeterminismGolden,

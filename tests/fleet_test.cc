@@ -4,7 +4,7 @@
 //   * churn storm — ~100k connect/disconnect cycles on a sharded 2-SSD
 //     testbed must drain to nothing: no live target sessions, no scheduler
 //     tenants, every arena slot recycled, ledgers balanced, and the trace
-//     digest bit-identical at 1/2/4 worker threads;
+//     digest bit-identical run to run;
 //   * weight-leak regression — SetTenantWeight + Disconnect must reap the
 //     whole tenant slot (the weight once lived in a side map the
 //     disconnect path forgot to clear);
@@ -26,13 +26,12 @@
 namespace gimbal::workload {
 namespace {
 
-TestbedConfig ChurnConfig(int threads, obs::Observability* obs) {
+TestbedConfig ChurnConfig(obs::Observability* obs) {
   TestbedConfig cfg;
   cfg.scheme = Scheme::kGimbal;
   cfg.condition = SsdCondition::kClean;
   cfg.num_ssds = 2;  // >1 SSD + fabric latency => sharded engine
   cfg.ssd.logical_bytes = 64ull << 20;
-  cfg.threads = threads;
   cfg.obs = obs;
   cfg.run_label = "fleet_churn";
   return cfg;
@@ -58,10 +57,10 @@ struct ChurnResult {
   uint64_t digest = 0;
 };
 
-ChurnResult RunChurnStorm(int threads) {
+ChurnResult RunChurnStorm() {
   obs::Observability obs;
   obs.tracer.Enable(4u << 20);
-  Testbed bed(ChurnConfig(threads, &obs));
+  Testbed bed(ChurnConfig(&obs));
   OpenLoopFleet fleet(bed, ChurnSpec());
   fleet.Start();
   bed.sim().RunUntil(Milliseconds(50));
@@ -99,54 +98,47 @@ ChurnResult RunChurnStorm(int threads) {
   return {fleet.connects(), obs.tracer.Digest()};
 }
 
-TEST(FleetChurn, StormDrainsCleanAndIsThreadCountInvariant) {
-  const ChurnResult t1 = RunChurnStorm(1);
-  const ChurnResult t2 = RunChurnStorm(2);
-  const ChurnResult t4 = RunChurnStorm(4);
-  EXPECT_EQ(t1.connects, t2.connects);
-  EXPECT_EQ(t1.connects, t4.connects);
-  EXPECT_EQ(t1.digest, t2.digest) << "threads=2 diverged from serial";
-  EXPECT_EQ(t1.digest, t4.digest) << "threads=4 diverged from serial";
+TEST(FleetChurn, StormDrainsCleanAndIsDeterministic) {
+  const ChurnResult a = RunChurnStorm();
+  const ChurnResult b = RunChurnStorm();
+  EXPECT_EQ(a.connects, b.connects);
+  EXPECT_EQ(a.digest, b.digest) << "same storm, different trace";
 }
 
 // Client-side bookkeeping posted from a target shard (a delivered control
 // capsule decrementing its initiator's count) must wait for the barrier.
-// Applied in place it raced with the client shard's thread: the graveyard
-// sweep read the count mid-epoch, freed initiators whose callbacks were
-// still running, and re-armed its timer at thread-timing-dependent times,
-// which moved epoch boundaries and so the stitched trace.
+// Applied in place, the client shard's graveyard sweep could see the count
+// change mid-epoch, in an order that depends on which shard ran first.
 TEST(FleetChurn, TargetShardPostRunsAtTheNextBarrier) {
-  for (int threads : {1, 2}) {
-    Testbed bed(ChurnConfig(threads, nullptr));
-    sim::ShardedEngine* engine = bed.engine();
-    ASSERT_NE(engine, nullptr);
-    std::vector<int> order;
-    int seen_on_target = -1;
-    int seen_on_client = -1;
-    // SSD 0 and SSD 1 sit on shards 1 and 2. Every event below falls in
-    // one epoch: the lookahead is the 5 us fabric base latency.
-    engine->shard(2).At(1000, [&]() {
-      bed.net().PostToClient([&]() { order.push_back(2); });
-    });
-    engine->shard(1).At(1500, [&]() {
-      bed.net().PostToClient([&]() { order.push_back(1); });
-      bed.net().PostToClient([&]() { order.push_back(11); });
-    });
-    engine->shard(1).At(2000, [&]() {
-      seen_on_target = static_cast<int>(order.size());
-    });
-    bed.sim().At(3000, [&]() {
-      seen_on_client = static_cast<int>(order.size());
-    });
-    bed.sim().Run();
-    EXPECT_EQ(seen_on_target, 0) << "threads=" << threads;
-    EXPECT_EQ(seen_on_client, 0) << "threads=" << threads;
-    // Source-shard order, then issue order, regardless of post time.
-    EXPECT_EQ(order, (std::vector<int>{1, 11, 2})) << "threads=" << threads;
-    // Control context is the client side: the work runs at once.
-    bed.net().PostToClient([&]() { order.push_back(0); });
-    EXPECT_EQ(order.size(), 4u);
-  }
+  Testbed bed(ChurnConfig(nullptr));
+  sim::ShardedEngine* engine = bed.engine();
+  ASSERT_NE(engine, nullptr);
+  std::vector<int> order;
+  int seen_on_target = -1;
+  int seen_on_client = -1;
+  // SSD 0 and SSD 1 sit on shards 1 and 2. Every event below falls in
+  // one epoch: the lookahead is the 5 us fabric base latency.
+  engine->shard(2).At(1000, [&]() {
+    bed.net().PostToClient([&]() { order.push_back(2); });
+  });
+  engine->shard(1).At(1500, [&]() {
+    bed.net().PostToClient([&]() { order.push_back(1); });
+    bed.net().PostToClient([&]() { order.push_back(11); });
+  });
+  engine->shard(1).At(2000, [&]() {
+    seen_on_target = static_cast<int>(order.size());
+  });
+  bed.sim().At(3000, [&]() {
+    seen_on_client = static_cast<int>(order.size());
+  });
+  bed.sim().Run();
+  EXPECT_EQ(seen_on_target, 0);
+  EXPECT_EQ(seen_on_client, 0);
+  // Source-shard order, then issue order, regardless of post time.
+  EXPECT_EQ(order, (std::vector<int>{1, 11, 2}));
+  // Control context is the client side: the work runs at once.
+  bed.net().PostToClient([&]() { order.push_back(0); });
+  EXPECT_EQ(order.size(), 4u);
 }
 
 TEST(DrrScheduler, DisconnectReapsWeightedTenant) {
