@@ -17,6 +17,7 @@ Ftl::Ftl(const SsdConfig& config) : config_(config) {
   erase_count_.assign(blocks, 0);
   free_blocks_.resize(config_.dies());
   open_block_.assign(config_.dies(), -1);
+  gc_survivors_.resize(config_.pages_per_block);
   // Block b lives on die b % dies; hand every block to its die's free list.
   for (uint32_t b = 0; b < blocks; ++b) {
     free_blocks_[DieOfBlock(b)].push_back(b);
@@ -55,14 +56,18 @@ void Ftl::Invalidate(Lpn lpn) {
   p2l_[old] = kInvalidPage;
 }
 
-Ppn Ftl::AllocateOnDie(Lpn lpn, int die) {
-  assert(lpn < l2p_.size());
+uint32_t Ftl::WritableBlock(int die) {
   if (open_block_[die] < 0 ||
       write_ptr_[open_block_[die]] >= config_.pages_per_block) {
     OpenNewBlock(die);
   }
+  return static_cast<uint32_t>(open_block_[die]);
+}
+
+Ppn Ftl::AllocateOnDie(Lpn lpn, int die) {
+  assert(lpn < l2p_.size());
+  uint32_t block = WritableBlock(die);
   Invalidate(lpn);
-  uint32_t block = static_cast<uint32_t>(open_block_[die]);
   uint16_t off = write_ptr_[block]++;
   Ppn ppn = block * config_.pages_per_block + off;
   l2p_[lpn] = ppn;
@@ -93,13 +98,24 @@ int Ftl::SelectGcVictim(int die) const {
   return best;
 }
 
-std::vector<Lpn> Ftl::CollectValid(uint32_t block) const {
-  std::vector<Lpn> out;
-  out.reserve(valid_count_[block]);
-  Ppn base = block * config_.pages_per_block;
+uint32_t Ftl::CompactValid(uint32_t block, Lpn* out) const {
+  // ~3/4 of a fragmented victim's pages are live in no predictable pattern,
+  // so a per-page branch mispredicts; store every slot and advance the
+  // cursor by the validity bit instead.
+  const Lpn* pages = &p2l_[block * config_.pages_per_block];
+  uint32_t n = 0;
   for (uint32_t i = 0; i < config_.pages_per_block; ++i) {
-    if (p2l_[base + i] != kInvalidPage) out.push_back(p2l_[base + i]);
+    const Lpn lpn = pages[i];
+    out[n] = lpn;
+    n += lpn != kInvalidPage;
   }
+  assert(n == valid_count_[block]);
+  return n;
+}
+
+std::vector<Lpn> Ftl::CollectValid(uint32_t block) const {
+  std::vector<Lpn> out(config_.pages_per_block);
+  out.resize(CompactValid(block, out.data()));
   return out;
 }
 
@@ -126,12 +142,33 @@ void Ftl::GcSynchronous(int die) {
       // this die (it is packed solid). Bail out rather than livelock.
       return;
     }
-    BeginGcAllocation();
-    for (Lpn lpn : CollectValid(static_cast<uint32_t>(victim))) {
-      AllocateOnDie(lpn, die);
+    const uint32_t block = static_cast<uint32_t>(victim);
+    const uint32_t survivors = CompactValid(block, gc_survivors_.data());
+    // Append the survivors to the open block in runs that end where it
+    // fills; a new block opens only when a survivor is left to write, as
+    // it would for a page-at-a-time AllocateOnDie. The victim's stale p2l_
+    // slots are left to EraseBlock, which clears the whole block.
+    for (uint32_t done = 0; done < survivors;) {
+      const uint32_t open = WritableBlock(die);
+      const uint32_t room = config_.pages_per_block - write_ptr_[open];
+      const uint32_t run = std::min(survivors - done, room);
+      const Ppn first = open * config_.pages_per_block + write_ptr_[open];
+      const Lpn* lpns = &gc_survivors_[done];
+      for (uint32_t i = 0; i < run; ++i) {
+        // The survivors' l2p_ slots are scattered across the mapping.
+        if (i + 8 < run) __builtin_prefetch(&l2p_[lpns[i + 8]], 1);
+        const Lpn lpn = lpns[i];
+        assert(BlockOf(l2p_[lpn]) == block);
+        l2p_[lpn] = first + i;
+        p2l_[first + i] = lpn;
+      }
+      write_ptr_[open] = static_cast<uint16_t>(write_ptr_[open] + run);
+      valid_count_[open] = static_cast<uint16_t>(valid_count_[open] + run);
+      done += run;
     }
-    EndGcAllocation();
-    EraseBlock(static_cast<uint32_t>(victim));
+    valid_count_[block] = 0;
+    stats_.gc_pages_relocated += survivors;
+    EraseBlock(block);
   }
 }
 

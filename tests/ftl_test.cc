@@ -4,6 +4,7 @@
 
 #include <numeric>
 #include <set>
+#include <vector>
 
 #include "common/rng.h"
 #include "ssd/ftl.h"
@@ -154,9 +155,52 @@ TEST(Ftl, GcSynchronousReclaimsSpace) {
     if (!ftl.CanAllocate(0)) break;
   }
   int before = ftl.FreeBlocks(0);
+  const Ftl::Stats stats_before = ftl.stats();
+  std::vector<uint16_t> valid_before;
+  std::vector<uint32_t> erases_before;
+  for (uint32_t b = 0; b < c.physical_blocks(); ++b) {
+    valid_before.push_back(ftl.ValidPages(b));
+    erases_before.push_back(ftl.EraseCount(b));
+  }
+  const int first_victim = ftl.SelectGcVictim(0);
+  ASSERT_GE(first_victim, 0);
+  const std::vector<Lpn> survivors =
+      ftl.CollectValid(static_cast<uint32_t>(first_victim));
+  ASSERT_FALSE(survivors.empty());
+
   ftl.GcSynchronous(0);
   EXPECT_TRUE(ftl.GcSatisfied(0) || ftl.FreeBlocks(0) >= before);
   EXPECT_GT(ftl.stats().blocks_erased, 0u);
+
+  // Every erased block was a victim erased once; GC relocated exactly its
+  // pre-GC valid pages and wrote nothing on the host's account.
+  uint64_t victims = 0, victim_valid = 0;
+  for (uint32_t b = 0; b < c.physical_blocks(); ++b) {
+    uint32_t erased = ftl.EraseCount(b) - erases_before[b];
+    ASSERT_LE(erased, 1u) << "block " << b;
+    if (erased == 0) continue;
+    EXPECT_EQ(ftl.DieOfBlock(b), 0);
+    ++victims;
+    victim_valid += valid_before[b];
+  }
+  EXPECT_EQ(ftl.stats().blocks_erased - stats_before.blocks_erased, victims);
+  EXPECT_EQ(ftl.stats().gc_pages_relocated - stats_before.gc_pages_relocated,
+            victim_valid);
+  EXPECT_EQ(ftl.stats().host_pages_written, stats_before.host_pages_written);
+
+  // The first victim's survivors were appended to die 0's open block in
+  // their old block order: each one follows its predecessor, or starts a
+  // freshly opened block.
+  for (size_t i = 0; i < survivors.size(); ++i) {
+    Ppn p = ftl.Translate(survivors[i]);
+    EXPECT_EQ(ftl.DieOfPpn(p), 0);
+    EXPECT_NE(ftl.BlockOf(p), static_cast<uint32_t>(first_victim));
+    if (i > 0) {
+      Ppn prev = ftl.Translate(survivors[i - 1]);
+      EXPECT_TRUE(p == prev + 1 || p % c.pages_per_block == 0)
+          << "survivor " << i << " at " << p << ", previous at " << prev;
+    }
+  }
 }
 
 TEST(Ftl, PreconditionSequentialMapsEverything) {
@@ -279,6 +323,93 @@ TEST(Ftl, StatsAccounting) {
   EXPECT_EQ(ftl.stats().host_pages_written, 1u);
   EXPECT_EQ(ftl.stats().gc_pages_relocated, 1u);
   EXPECT_NEAR(ftl.stats().WriteAmplification(), 2.0, 1e-9);
+}
+
+// FNV-1a over everything a preconditioned FTL exposes: the full mapping,
+// per-block valid and erase counts, per-die free-block counts, the stats,
+// and the PPNs the next 8 allocations on every die receive (taken on a copy,
+// so they pin the free-list order and the wear-levelling pick without
+// disturbing `ftl`).
+uint64_t StateHash(const Ftl& ftl) {
+  const SsdConfig& c = ftl.config();
+  uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+  for (Lpn l = 0; l < c.logical_pages(); ++l) mix(ftl.Translate(l));
+  for (uint32_t b = 0; b < c.physical_blocks(); ++b) {
+    mix(ftl.ValidPages(b));
+    mix(ftl.EraseCount(b));
+  }
+  for (int d = 0; d < c.dies(); ++d) {
+    mix(static_cast<uint64_t>(ftl.FreeBlocks(d)));
+  }
+  mix(ftl.stats().host_pages_written);
+  mix(ftl.stats().gc_pages_relocated);
+  mix(ftl.stats().blocks_erased);
+  Ftl probe = ftl;
+  for (int d = 0; d < c.dies(); ++d) {
+    for (Lpn i = 0; i < 8; ++i) {
+      Lpn lpn = (static_cast<Lpn>(d) * 8 + i) % c.logical_pages();
+      mix(probe.AllocateOnDie(lpn, d));
+    }
+  }
+  return h;
+}
+
+// The preconditioned state, and the state after further GC-driven
+// overwrites, must not drift: every golden figure and benchmark model
+// metric starts from it. The expected hashes were recorded from the
+// per-page relocation path.
+TEST(Ftl, PreconditionedStateIsPinned) {
+  struct Case {
+    int channels;
+    int dies_per_channel;
+    uint32_t pages_per_block;
+    uint64_t logical_mb;
+    double overwrite_factor;
+    uint64_t preconditioned;
+    uint64_t overwritten;
+  };
+  const Case cases[] = {
+      // Default geometry at the benches' capacities.
+      {8, 4, 128, 256, 3.0,
+       5822728655678711177ull, 11782001301097393080ull},
+      {8, 4, 128, 512, 3.0,
+       6643617824194146886ull, 2836755773419283562ull},
+      // The GeometrySweep geometries (property_sweep_test.cc).
+      {2, 2, 64, 64, 2.0,
+       3566351673454484078ull, 1443142606985271476ull},
+      {4, 4, 128, 128, 2.0,
+       7221530404202578170ull, 9784381469766902372ull},
+      {8, 4, 128, 256, 2.0,
+       5943034321959177375ull, 6059682061455256512ull},
+      {8, 8, 64, 256, 2.0,
+       6911384586588380937ull, 771501335438343357ull},
+      {1, 4, 128, 64, 2.0,
+       18205322116397172287ull, 3973338093374026219ull},
+  };
+  for (const Case& k : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << k.channels << "x" << k.dies_per_channel << " ppb "
+                 << k.pages_per_block << " " << k.logical_mb << " MiB x"
+                 << k.overwrite_factor);
+    SsdConfig c;
+    c.channels = k.channels;
+    c.dies_per_channel = k.dies_per_channel;
+    c.pages_per_block = k.pages_per_block;
+    c.logical_bytes = k.logical_mb << 20;
+    Ftl ftl(c);
+    ftl.PreconditionRandom(k.overwrite_factor, 42);
+    EXPECT_EQ(StateHash(ftl), k.preconditioned);
+    Rng rng(7);
+    const uint32_t pages = c.logical_pages();
+    for (int i = 0; i < 100000; ++i) {
+      Lpn lpn = static_cast<Lpn>(rng.NextBounded(pages));
+      int die = ftl.NextWriteDie();
+      if (!ftl.CanAllocate(die) || ftl.NeedsGc(die)) ftl.GcSynchronous(die);
+      ftl.AllocateOnDie(lpn, die);
+    }
+    EXPECT_EQ(StateHash(ftl), k.overwritten);
+  }
 }
 
 TEST(Ftl, NextWriteDieAdvancesPerProgramUnit) {
