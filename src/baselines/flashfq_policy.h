@@ -18,9 +18,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
 
+#include "common/fifo.h"
 #include "core/io_policy.h"
 
 namespace gimbal::baselines {
@@ -49,7 +49,7 @@ class FlashFqPolicy : public core::PolicyBase {
     double start_tag = 0;
   };
   struct Flow {
-    std::deque<Tagged> queue;
+    common::Fifo<Tagged> queue;
     double last_finish = 0;
     Tick last_completion = -1;   // for anticipation
     bool anticipating = false;

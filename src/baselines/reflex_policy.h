@@ -13,6 +13,7 @@
 #include <optional>
 #include <unordered_map>
 
+#include "common/fifo.h"
 #include "core/io_policy.h"
 
 namespace gimbal::baselines {
@@ -46,7 +47,7 @@ class ReflexPolicy : public core::PolicyBase {
 
  private:
   struct Flow {
-    std::deque<IoRequest> queue;
+    common::Fifo<IoRequest> queue;
     double deficit = 0;
     bool in_round = false;
   };

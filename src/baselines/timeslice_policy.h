@@ -17,6 +17,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/fifo.h"
 #include "core/io_policy.h"
 
 namespace gimbal::baselines {
@@ -39,7 +40,7 @@ class TimeslicePolicy : public core::PolicyBase {
 
  private:
   struct Flow {
-    std::deque<IoRequest> queue;
+    common::Fifo<IoRequest> queue;
     bool in_rotation = false;
   };
 

@@ -9,10 +9,12 @@
 //   SlabArena<T>   — slot storage with stable addresses (deque-backed) and a
 //                    free-list. Freed slots are *recycled*, not destroyed:
 //                    Allocate() on a recycled slot calls T::Reset(args...)
-//                    so a TenantState's deque/vector capacity survives churn
-//                    instead of being reallocated per connect. A dense
-//                    live-index list (swap-remove) makes iteration O(live)
-//                    and gives tests an exact "no orphaned slots" probe.
+//                    so a TenantState's queue (common::Fifo) and slot
+//                    buffers keep whatever capacity they grew to instead
+//                    of being reallocated per connect; a tenant that never
+//                    queued has none to keep. A dense live-index list
+//                    (swap-remove) makes iteration O(live) and gives tests
+//                    an exact "no orphaned slots" probe.
 //
 //   IdIndexMap     — open-addressing uint64 -> uint32 map (linear probing,
 //                    backshift deletion) from an external id (TenantId,

@@ -9,9 +9,9 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
+#include "common/fifo.h"
 #include "core/params.h"
 #include "nvme/types.h"
 
@@ -123,8 +123,7 @@ class TenantState {
     std::vector<IoRequest> out;
     out.reserve(queued_);
     for (auto& q : queues_) {
-      for (auto& r : q) out.push_back(r);
-      q.clear();
+      for (; !q.empty(); q.pop_front()) out.push_back(q.front());
     }
     queued_ = 0;
     return out;
@@ -155,7 +154,7 @@ class TenantState {
 
  private:
   TenantId id_;
-  std::deque<IoRequest> queues_[kNumPriorities];
+  common::Fifo<IoRequest> queues_[kNumPriorities];
   uint32_t queued_ = 0;
   int rr_cursor_ = 0;      // priority queue being served
   int rr_budget_ = 0;      // remaining weight for the cursor queue

@@ -145,6 +145,14 @@ void Initiator::FailLocally(Pending p, IoStatus status, bool was_issued) {
   }
 }
 
+void Initiator::FailQueued() {
+  common::Fifo<Pending> pending = std::move(pending_);
+  for (; !pending.empty(); pending.pop_front()) {
+    FailLocally(std::move(pending.front()), IoStatus::kAborted,
+                /*was_issued=*/false);
+  }
+}
+
 void Initiator::Shutdown() {
   if (shutdown_) return;
   shutdown_ = true;
@@ -152,11 +160,7 @@ void Initiator::Shutdown() {
   // Issued IOs keep their timeout timers: each either completes normally
   // or is aborted when its timer fires (no retransmission follows a
   // disconnect). Fail everything still queued locally.
-  std::deque<Pending> pending = std::move(pending_);
-  pending_.clear();
-  for (auto& p : pending) {
-    FailLocally(std::move(p), IoStatus::kAborted, /*was_issued=*/false);
-  }
+  FailQueued();
   // The disconnect capsule trails any already-issued commands (the fabric
   // is FIFO per direction), so the target sees them first.
   ++control_inflight_;
@@ -180,11 +184,7 @@ void Initiator::Crash() {
   // locally, no disconnect capsule crosses the fabric, the keepalive loop
   // stops. The target learns of the death from its session timeout;
   // completions still in flight arrive for unknown ids and count as late.
-  std::deque<Pending> pending = std::move(pending_);
-  pending_.clear();
-  for (auto& p : pending) {
-    FailLocally(std::move(p), IoStatus::kAborted, /*was_issued=*/false);
-  }
+  FailQueued();
   std::vector<uint64_t> ids;
   ids.reserve(issued_.size());
   for (const auto& [id, p] : issued_) ids.push_back(id);

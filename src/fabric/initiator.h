@@ -11,12 +11,12 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <unordered_map>
 
 #include "baselines/parda_policy.h"
 #include "check/invariants.h"
+#include "common/fifo.h"
 #include "fabric/network.h"
 #include "fabric/target.h"
 #include "nvme/types.h"
@@ -153,6 +153,8 @@ class Initiator : public CompletionSink {
   // `was_issued` tells the checker whether the IO ever left the local
   // queue (its in-flight ledger only covers issued IOs).
   void FailLocally(Pending p, IoStatus status, bool was_issued);
+  // Fail every locally-queued IO (status=aborted) on Shutdown()/Crash().
+  void FailQueued();
 
   sim::Simulator& sim_;
   Network& net_;
@@ -163,7 +165,7 @@ class Initiator : public CompletionSink {
   baselines::PardaWindow parda_;
   RetryParams retry_;
 
-  std::deque<Pending> pending_;
+  common::Fifo<Pending> pending_;
   std::unordered_map<uint64_t, Pending> issued_;
   // The armed heartbeat; cancelled by Shutdown()/Crash() so a dead client
   // stops ticking immediately instead of leaving a timer to fire inert.

@@ -118,9 +118,12 @@ void OpenLoopFleet::EndSession(uint32_t seat, bool replace) {
 void OpenLoopFleet::Retire(std::unique_ptr<Session> s) {
   s->worker->Stop();
   slo_.OnDisconnect(s->init->tenant());
-  // Shutdown aborts locally-queued IOs synchronously (their failed-IO
-  // callbacks run here), so fold stats afterwards; the graveyard then
-  // only waits for the fabric to return the issued in-flight tail.
+  // Shutdown empties the local queue at once, but Initiator::FailLocally
+  // defers each aborted IO's callback with After(0), so the stats folded
+  // below include neither those aborts nor the issued in-flight tail the
+  // graveyard waits for: both land in the retired worker's own stats,
+  // which TotalStats() never reads. A tail completion also re-creates the
+  // tenant's SLO slot after OnDisconnect, and nothing frees it.
   s->init->Shutdown();
   retired_stats_.Merge(s->worker->stats());
   retired_dropped_ += s->worker->dropped();

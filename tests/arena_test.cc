@@ -1,14 +1,18 @@
-// Unit tests for the dense index-pool containers (src/common/index_arena.h)
-// that back every per-tenant hot-path map: SlabArena slot recycling and
-// live-list bookkeeping under churn, and IdIndexMap's open-addressing
-// semantics — overwrite, backshift deletion across wrapped probe chains,
-// and growth.
+// Unit tests for the per-tenant containers: the dense index-pool arenas
+// (src/common/index_arena.h) that back every per-tenant hot-path map —
+// SlabArena slot recycling and live-list bookkeeping under churn, and
+// IdIndexMap's open-addressing semantics (overwrite, backshift deletion
+// across wrapped probe chains, growth) — and the Fifo ring
+// (src/common/fifo.h) behind every per-tenant queue.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <set>
+#include <utility>
 #include <vector>
 
+#include "common/fifo.h"
 #include "common/index_arena.h"
 #include "common/rng.h"
 
@@ -138,6 +142,97 @@ TEST(IdIndexMap, BackshiftDeletionKeepsProbeChainsIntact) {
       ASSERT_EQ(m.Find(k), IdIndexMap::kNotFound) << "key " << k;
     }
   }
+}
+
+TEST(Fifo, DefaultConstructedAllocatesNothing) {
+  Fifo<int> q;
+  EXPECT_EQ(q.capacity(), 0u);
+  EXPECT_TRUE(q.empty());
+  q.push_back(1);
+  EXPECT_EQ(q.capacity(), 1u);  // growth starts at 1, then doubles
+  q.push_back(2);
+  EXPECT_EQ(q.capacity(), 2u);
+  q.push_back(3);
+  EXPECT_EQ(q.capacity(), 4u);
+}
+
+TEST(Fifo, OrderHoldsAcrossWrapAndGrowthWhileWrapped) {
+  // Differential against a plain index sequence: pushes outpace pops, so
+  // the ring wraps at every capacity and grows while its head sits
+  // mid-buffer.
+  Fifo<int> q;
+  int next_in = 0;
+  int next_out = 0;
+  Rng rng(3);
+  for (int i = 0; i < 20000; ++i) {
+    if (q.empty() || rng.NextBool(0.55)) {
+      q.push_back(next_in++);
+    } else {
+      ASSERT_EQ(q.front(), next_out) << "step " << i;
+      q.pop_front();
+      ++next_out;
+    }
+    ASSERT_EQ(q.size(), static_cast<size_t>(next_in - next_out));
+  }
+  for (; !q.empty(); q.pop_front()) ASSERT_EQ(q.front(), next_out++);
+  EXPECT_EQ(next_out, next_in);
+
+  // Deterministic wrapped growth: head at slot 3 of 4, then overflow.
+  Fifo<int> w;
+  for (int v = 0; v < 4; ++v) w.push_back(v);
+  for (int v = 0; v < 3; ++v) w.pop_front();
+  for (int v = 4; v < 8; ++v) w.push_back(v);  // wraps, then grows to 8
+  EXPECT_EQ(w.capacity(), 8u);
+  for (int v = 3; v < 8; ++v, w.pop_front()) ASSERT_EQ(w.front(), v);
+  EXPECT_TRUE(w.empty());
+}
+
+TEST(Fifo, ClearKeepsCapacity) {
+  Fifo<int> q;
+  for (int v = 0; v < 5; ++v) q.push_back(v);
+  q.pop_front();
+  q.clear();
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.capacity(), 8u);
+  q.push_back(42);
+  EXPECT_EQ(q.front(), 42);
+  EXPECT_EQ(q.capacity(), 8u);
+}
+
+TEST(Fifo, MovedFromIsEmptyAndReusable) {
+  Fifo<int> a;
+  for (int v = 0; v < 3; ++v) a.push_back(v);
+  a.pop_front();
+  Fifo<int> b = std::move(a);
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a.capacity(), 0u);
+  a.push_back(7);
+  EXPECT_EQ(a.front(), 7);
+  EXPECT_EQ(b.size(), 2u);
+  EXPECT_EQ(b.front(), 1);
+
+  Fifo<int> c;
+  c.push_back(9);
+  c = std::move(b);
+  EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move)
+  b.push_back(5);
+  EXPECT_EQ(b.front(), 5);
+  ASSERT_EQ(c.size(), 2u);
+  EXPECT_EQ(c.front(), 1);
+}
+
+TEST(Fifo, PopFrontReleasesTheElementAtOnce) {
+  // A queued IO's completion callback owns its captures; popping it must
+  // drop them immediately, not when the ring slot is next overwritten.
+  auto token = std::make_shared<int>(0);
+  Fifo<std::shared_ptr<int>> q;
+  q.push_back(token);
+  q.push_back(token);
+  EXPECT_EQ(token.use_count(), 3);
+  q.pop_front();
+  EXPECT_EQ(token.use_count(), 2);
+  q.clear();
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 }  // namespace

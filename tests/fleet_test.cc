@@ -9,15 +9,23 @@
 //     whole tenant slot (the weight once lived in a side map the
 //     disconnect path forgot to clear);
 //   * SLO export — the tracker's p99/p99.9 gauges and violation counters
-//     appear in the metrics JSON under their documented names.
+//     appear in the metrics JSON under their documented names;
+//   * idle-tenant heap — a registered tenant or connected initiator that
+//     never queues an IO costs its own struct plus index bookkeeping, not
+//     a preallocated queue buffer.
 #include <gtest/gtest.h>
+#include <malloc.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/drr_scheduler.h"
+#include "core/virtual_slot.h"
 #include "core/write_cost.h"
+#include "fabric/initiator.h"
 #include "obs/obs.h"
 #include "obs/schema.h"
 #include "workload/fleet.h"
@@ -159,6 +167,58 @@ TEST(DrrScheduler, DisconnectReapsWeightedTenant) {
   EXPECT_EQ(drr.tenant_arena().capacity(), drr.tenant_arena().free_count());
   // A reaped tenant's weight reverts to the default.
   EXPECT_EQ(drr.TenantWeight(1), 1.0);
+}
+
+// Heap bytes in use (glibc), mmapped chunks included.
+size_t HeapInUseBytes() {
+  const struct mallinfo2 mi = mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+
+constexpr int kIdleTenants = 4096;
+
+TEST(IdleTenantHeap, DrrTenantCostsItsStateOnly) {
+  // Regression: each TenantState once held three std::deques, and an
+  // empty libstdc++ deque allocates a 64 B map plus a 512 B node, so an
+  // idle tenant cost ~1.7 KiB of queue buffers on top of its state.
+  core::GimbalParams params;
+  core::WriteCostEstimator cost(params);
+  core::DrrScheduler drr(params, cost);
+  const size_t before = HeapInUseBytes();
+  for (TenantId t = 1; t <= kIdleTenants; ++t) drr.SetTenantWeight(t, 1.0);
+  const size_t per_tenant = (HeapInUseBytes() - before) / kIdleTenants;
+  // Slack: the arena's deque rounds slots into 512 B nodes, its live and
+  // position lists hold 8 B per slot, and the index's 16 B cells sit at
+  // 35-70% load (~46 B per tenant at worst).
+  constexpr size_t kArenaAndIndexSlack = 96;
+  EXPECT_LE(per_tenant, sizeof(core::TenantState) + kArenaAndIndexSlack)
+      << "sizeof(TenantState) = " << sizeof(core::TenantState);
+  EXPECT_EQ(drr.tenant_count(), static_cast<size_t>(kIdleTenants));
+}
+
+TEST(IdleTenantHeap, IdleInitiatorCostsItsStateOnly) {
+  // Same regression for the client side: Initiator::pending_ was a
+  // std::deque, ~0.6 KiB per connected initiator that never queued.
+  TestbedConfig cfg;
+  cfg.scheme = Scheme::kGimbal;
+  cfg.condition = SsdCondition::kClean;
+  cfg.ssd.logical_bytes = 64ull << 20;
+  Testbed bed(cfg);
+  std::vector<std::unique_ptr<fabric::Initiator>> inits;
+  inits.reserve(kIdleTenants);
+  const size_t before = HeapInUseBytes();
+  for (int i = 0; i < kIdleTenants; ++i) {
+    inits.push_back(bed.MakeInitiator(
+        0, static_cast<TenantId>(1000 + i), fabric::ConnectMode::kDirect));
+  }
+  const size_t per_init = (HeapInUseBytes() - before) / kIdleTenants;
+  // Slack: the allocation's chunk header, plus the target's session slot
+  // (arena node rounding, live/position lists, session index) that a
+  // direct connect registers.
+  constexpr size_t kSessionSlack = 192;
+  EXPECT_LE(per_init, sizeof(fabric::Initiator) + kSessionSlack)
+      << "sizeof(Initiator) = " << sizeof(fabric::Initiator);
+  EXPECT_EQ(inits.back()->queued(), 0u);
 }
 
 TEST(Slo, MetricsAppearInJsonExport) {
