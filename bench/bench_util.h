@@ -15,7 +15,6 @@
 #include "common/time.h"
 #include "obs/json.h"
 #include "obs/obs.h"
-#include "sim/simulator.h"
 #include "workload/fio.h"
 #include "workload/report.h"
 #include "workload/runner.h"
@@ -47,11 +46,6 @@ inline bool Quick() { return g_quick; }
 // --seed=N: shift every workload RNG seed so the same figure can be
 // replayed under fresh randomness (golden runs pin the default).
 inline uint64_t g_seed = 0;
-
-// --queue=wheel|heap: event-queue engine for every testbed the binary
-// builds. The heap is the ordering oracle; golden digests must match the
-// wheel's bit-for-bit (docs/SIMULATOR.md).
-inline sim::EventQueue::Impl g_queue = sim::EventQueue::Impl::kTimingWheel;
 
 // Fault-plan knobs of the fault benches (docs/FAULTS.md). A bench passes
 // its defaults to ObsSession, which parses --fault-media-p=P and
@@ -130,10 +124,9 @@ inline bool ParseDouble(const std::string& s, double lo, double hi,
 // Regression-harness flags (docs/TESTING.md):
 //   --quick              shrink the bench to its golden-figure quick config
 //   --seed=N             shift workload RNG seeds by N (default 0)
-//   --queue=wheel|heap   event-queue engine (default wheel)
 //   --digest-out=PATH    enable the tracer and write its FNV digest as
-//                        16 hex chars; bit-identical across runs and
-//                        wheel/heap for the same config
+//                        16 hex chars; bit-identical across runs for the
+//                        same config
 //
 // Given `faults`, the session also parses that bench's --fault-* knobs. A
 // malformed value is rejected with a warning and the default kept. Files
@@ -156,16 +149,6 @@ class ObsSession {
       if (TakeValue(a, "--seed=", &v)) {
         if (!ParseU64(v, &g_seed)) {
           Reject("--seed", v, std::to_string(g_seed));
-        }
-        continue;
-      }
-      if (TakeValue(a, "--queue=", &v)) {
-        if (v == "wheel") {
-          g_queue = sim::EventQueue::Impl::kTimingWheel;
-        } else if (v == "heap") {
-          g_queue = sim::EventQueue::Impl::kReferenceHeap;
-        } else {
-          Reject("--queue", v, "wheel");
         }
         continue;
       }
@@ -368,7 +351,6 @@ inline TestbedConfig MicroConfig(Scheme scheme, SsdCondition cond) {
   cfg.condition = cond;
   cfg.ssd.logical_bytes = 512ull << 20;
   cfg.obs = CurrentObs();
-  cfg.queue_impl = g_queue;
   return cfg;
 }
 

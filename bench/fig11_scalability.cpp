@@ -33,7 +33,6 @@ Point RunOne(workload::YcsbWorkload wl, int instances) {
   cfg.testbed.condition = SsdCondition::kFragmented;
   cfg.testbed.ssd.logical_bytes = 256ull << 20;
   cfg.testbed.obs = CurrentObs();
-  cfg.testbed.queue_impl = g_queue;
   cfg.testbed.run_label =
       std::string(workload::ToString(wl)) + ":" + std::to_string(instances);
   cfg.hba.backend_bytes = 256ull << 20;

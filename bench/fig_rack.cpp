@@ -89,7 +89,6 @@ RunResult RunScenario(bool faulted) {
   cfg.testbed.condition = SsdCondition::kClean;
   cfg.testbed.ssd.logical_bytes = 256ull << 20;
   cfg.testbed.obs = CurrentObs();
-  cfg.testbed.queue_impl = g_queue;
   cfg.testbed.check = &chk;
   cfg.testbed.run_label = faulted ? "faulted" : "control";
   // Capsules to a dark node vanish at the fabric; the initiators' per-IO

@@ -102,7 +102,6 @@ RunResult RunCell(const RunConfig& rc, const FaultKnobs& k) {
   cfg.testbed.condition = SsdCondition::kClean;
   cfg.testbed.ssd.logical_bytes = 256ull << 20;
   cfg.testbed.obs = CurrentObs();
-  cfg.testbed.queue_impl = g_queue;
   cfg.testbed.check = &chk;
   cfg.testbed.fault_seed = k.seed;
   cfg.testbed.run_label = rc.label;

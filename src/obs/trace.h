@@ -114,8 +114,8 @@ class EventTracer {
   // Order-sensitive FNV-1a hash over every recorded event (timestamp,
   // duration, name, labels, args — values hashed by bit pattern). Two runs
   // of a deterministic simulation must produce equal digests; the
-  // determinism golden test compares digests across seeds, repeats and
-  // event-queue engines (docs/SIMULATOR.md).
+  // determinism golden test compares digests across seeds and repeats
+  // (docs/SIMULATOR.md).
   uint64_t Digest() const;
 
   std::string ToChromeJson() const;

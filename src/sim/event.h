@@ -9,7 +9,7 @@
 // IoCompletion (40 B) and two pointers — so the schedule path allocates
 // nothing. Larger closures still work; they fall back to the heap like
 // std::function would, and a counter records that it happened so the
-// regression is visible in tests and in bench_sim.
+// regression is visible in tests and in perfbench.
 #pragma once
 
 #include <cstddef>
@@ -86,7 +86,8 @@ class InlineFn {
   }
 
   // Closures that exceeded kInlineCapacity since process start (process-
-  // wide). bench_sim asserts this stays flat across the hot loop.
+  // wide). The sharded faulted determinism test asserts it stays flat over
+  // a whole testbed run.
   static uint64_t heap_fallbacks() { return heap_fallbacks_; }
 
  private:

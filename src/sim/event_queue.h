@@ -1,28 +1,17 @@
 // Priority queue of timed events for the discrete-event simulator.
 //
 // Events fire in (time, insertion-order) order so the simulation is fully
-// deterministic even when many events share a timestamp. Two engines
-// implement that contract behind one class:
+// deterministic even when many events share a timestamp. The queue is a
+// binary min-heap of 24-byte {when, seq, node, gen} entries over a pooled,
+// recycled node slab that holds the callbacks (EventFn is sim/event.h's
+// allocation-free InlineFn); heap operations move entries only.
 //
-//   * kTimingWheel (default) — a 4-level hierarchical timing wheel
-//     (256 slots/level, 1.024 us base granularity, ~73 simulated minutes
-//     of horizon) with a far-future overflow min-heap. Push and Cancel are
-//     O(1); Pop is amortized O(1) plus a small per-slot heap, instead of
-//     the O(log n) percolation a binary heap pays at every operation.
-//   * kReferenceHeap — the original binary-heap algorithm, kept as the
-//     ordering oracle: the determinism golden test runs whole testbeds on
-//     both engines and asserts bit-identical event traces, and the
-//     property test cross-checks randomized Push/Pop/Cancel/Reschedule
-//     interleavings between the two.
-//
-// Both engines store callbacks in a pooled, recycled node slab (EventFn is
-// sim/event.h's allocation-free InlineFn), and both support first-class
-// cancellation: Push returns a TimerHandle that can Cancel or Reschedule
-// the event while it is pending. Cancellation destroys the callback and
-// recycles the node immediately; the queue keeps only a 24-byte tombstone
-// entry that is skipped (and reclaimed) when it surfaces. A cancelled or
-// fired handle goes inert — Cancel/Reschedule on it are safe no-ops — so
-// completed IOs can always tear down their timers without bookkeeping.
+// Push returns a TimerHandle that can Cancel or Reschedule the event while
+// it is pending. Cancellation destroys the callback and recycles the node
+// immediately; the heap keeps only a tombstone entry that is skipped (and
+// reclaimed) when it surfaces. A cancelled or fired handle goes inert —
+// Cancel/Reschedule on it are safe no-ops — so completed IOs can always
+// tear down their timers without bookkeeping.
 //
 // Ordering contract (see docs/SIMULATOR.md): every live event fires in
 // ascending (when, seq); seq is assigned at Push and re-assigned at
@@ -30,10 +19,8 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <cstdint>
-#include <limits>
 #include <utility>
 #include <vector>
 
@@ -76,18 +63,9 @@ class TimerHandle {
 
 class EventQueue {
  public:
-  enum class Impl { kTimingWheel, kReferenceHeap };
-
-  explicit EventQueue(Impl impl = Impl::kTimingWheel) : impl_(impl) {}
-
   TimerHandle Push(Tick when, EventFn fn) {
     const uint32_t node = AllocNode(when, std::move(fn));
-    const Entry e{when, pool_[node].seq, node, pool_[node].gen};
-    if (impl_ == Impl::kReferenceHeap) {
-      HeapPush(heap_, e);
-    } else {
-      InsertEntry(e);
-    }
+    HeapPush({when, pool_[node].seq, node, pool_[node].gen});
     ++live_;
     return TimerHandle(this, node, pool_[node].gen);
   }
@@ -97,23 +75,22 @@ class EventQueue {
 
   // Earliest live event's time. Requires !empty().
   Tick next_time() {
-    const Entry* top = PeekLive();
+    const Entry* top = LiveTop();
     assert(top != nullptr);
     return top->when;
   }
 
   // Removes and returns the earliest live event's callback; sets *when.
   EventFn Pop(Tick* when) {
-    const Entry* top = PeekLive();
+    const Entry* top = LiveTop();
     assert(top != nullptr);
     const Entry e = *top;
-    DropTop();
+    HeapPop();
     *when = e.when;
     Node& n = pool_[e.node];
     EventFn fn = std::move(n.fn);
     FreeNode(e.node);
     --live_;
-    if (impl_ == Impl::kTimingWheel && e.when > cursor_) cursor_ = e.when;
     return fn;
   }
 
@@ -124,13 +101,6 @@ class EventQueue {
   // before the Clear stay inert rather than aliasing recycled nodes.
   void Clear() {
     heap_.clear();
-    overflow_.clear();
-    current_.clear();
-    for (auto& level : levels_) {
-      for (auto& slot : level) slot.clear();
-    }
-    occupancy_.fill({});
-    used_slots_.fill(0);
     free_head_ = kNone;
     for (uint32_t i = 0; i < pool_.size(); ++i) {
       Node& n = pool_[i];
@@ -142,13 +112,11 @@ class EventQueue {
     live_ = 0;
     tombstones_ = 0;
     next_seq_ = 0;
-    cursor_ = 0;
   }
 
-  Impl impl() const { return impl_; }
   uint64_t next_seq() const { return next_seq_; }
-  // Tombstone entries currently parked in the queue (cancelled or
-  // rescheduled-away events whose 24-byte entries have not surfaced yet).
+  // Tombstone entries currently parked in the heap (cancelled or
+  // rescheduled-away events whose entries have not surfaced yet).
   size_t tombstones() const { return tombstones_; }
 
  private:
@@ -232,290 +200,41 @@ class EventQueue {
     ++tombstones_;
     n.when = when;
     n.seq = next_seq_++;
-    const Entry e{when, n.seq, node, n.gen};
-    if (impl_ == Impl::kReferenceHeap) {
-      HeapPush(heap_, e);
-    } else {
-      InsertEntry(e);
-    }
+    HeapPush({when, n.seq, node, n.gen});
     return n.gen;
   }
 
-  // --- Binary heaps (reference engine + wheel overflow/current) ------------
+  // --- Binary heap -----------------------------------------------------------
 
-  static void HeapPush(std::vector<Entry>& heap, const Entry& e) {
-    heap.push_back(e);
-    std::push_heap(heap.begin(), heap.end(), Later);
+  void HeapPush(const Entry& e) {
+    heap_.push_back(e);
+    std::push_heap(heap_.begin(), heap_.end(), Later);
   }
 
-  static void HeapPop(std::vector<Entry>& heap) {
-    std::pop_heap(heap.begin(), heap.end(), Later);
-    heap.pop_back();
+  void HeapPop() {
+    std::pop_heap(heap_.begin(), heap_.end(), Later);
+    heap_.pop_back();
   }
 
-  // Discards stale tombstones at the top of `heap`; returns its live top
-  // or nullptr if it drained empty.
-  const Entry* HeapLiveTop(std::vector<Entry>& heap) {
-    while (!heap.empty()) {
-      if (!Stale(heap.front())) return &heap.front();
+  // Discards tombstones at the top of the heap; returns the live top, or
+  // nullptr if the heap drained empty.
+  const Entry* LiveTop() {
+    while (!heap_.empty()) {
+      if (!Stale(heap_.front())) return &heap_.front();
       --tombstones_;
-      HeapPop(heap);
+      HeapPop();
     }
     return nullptr;
   }
 
-  // --- Timing wheel --------------------------------------------------------
-
-  // 256 slots per level, 2^10 ns (1.024 us) base granularity. Level k slot
-  // spans 2^(10+8k) ns; level 3's window ends ~2^42 ns (~73 min) past the
-  // cursor, beyond which events park in the overflow heap.
-  static constexpr int kLevels = 4;
-  static constexpr int kSlotBits = 8;
-  static constexpr uint32_t kSlots = 1u << kSlotBits;
-  static constexpr uint32_t kSlotMask = kSlots - 1;
-  static constexpr int kGranularityBits = 10;
-  static constexpr int Shift(int level) {
-    return kGranularityBits + level * kSlotBits;
-  }
-
-  static uint64_t SlotOf(Tick when, int level) {
-    return static_cast<uint64_t>(when) >> Shift(level);
-  }
-
-  void MarkOccupied(int level, uint32_t slot) {
-    uint64_t& word = occupancy_[level][slot >> 6];
-    const uint64_t bit = 1ull << (slot & 63);
-    if ((word & bit) == 0) {
-      word |= bit;
-      ++used_slots_[level];
-    }
-  }
-  void ClearOccupied(int level, uint32_t slot) {
-    uint64_t& word = occupancy_[level][slot >> 6];
-    const uint64_t bit = 1ull << (slot & 63);
-    if ((word & bit) != 0) {
-      word &= ~bit;
-      --used_slots_[level];
-    }
-  }
-
-  // Routes an entry into the current heap, a wheel slot, or overflow,
-  // based on its distance from the cursor.
-  void InsertEntry(const Entry& e) {
-    assert(e.when >= 0);
-    if (SlotOf(e.when, 0) <= SlotOf(cursor_, 0)) {
-      HeapPush(current_, e);
-      return;
-    }
-    for (int k = 0; k < kLevels; ++k) {
-      if (SlotOf(e.when, k) - SlotOf(cursor_, k) < kSlots) {
-        const uint32_t slot = static_cast<uint32_t>(SlotOf(e.when, k)) &
-                              kSlotMask;
-        levels_[k][slot].push_back(e);
-        MarkOccupied(k, slot);
-        return;
-      }
-    }
-    HeapPush(overflow_, e);
-  }
-
-  // Moves overflow events that now fit the wheel's horizon into the wheel,
-  // so the wheel scan alone determines the next event among them.
-  void MigrateOverflow() {
-    while (const Entry* top = HeapLiveTop(overflow_)) {
-      if (SlotOf(top->when, kLevels - 1) - SlotOf(cursor_, kLevels - 1) >=
-          kSlots) {
-        return;  // still beyond the horizon
-      }
-      const Entry e = *top;
-      HeapPop(overflow_);
-      InsertEntry(e);
-    }
-  }
-
-  static constexpr uint64_t kNoSlot = UINT64_MAX;
-  static constexpr Tick kTickMax = std::numeric_limits<Tick>::max();
-
-  // Finds the next occupied slot at `level` at or after the cursor's slot,
-  // within the level's one-lap window. The cursor's own slot is included:
-  // a cascade can advance the cursor into a slot that was strictly ahead
-  // when its entries were filed, and skipping it would strand them.
-  // Returns the absolute slot number, or kNoSlot if the window is empty.
-  uint64_t NextOccupied(int level) const {
-    const uint64_t cur = SlotOf(cursor_, level);
-    const uint32_t s = static_cast<uint32_t>(cur) & kSlotMask;
-    const auto& bm = occupancy_[level];
-    constexpr uint32_t kWords = kSlots / 64;
-    uint32_t w = s >> 6;
-    // First probe: the cursor's word with bits below the cursor masked off;
-    // then the remaining words in circular order; finally the cursor's word
-    // again for the bits that wrapped (offsets near the top of the lap).
-    uint64_t word = bm[w] & (~0ull << (s & 63));
-    for (uint32_t i = 0; i <= kWords; ++i) {
-      if (word) {
-        const uint32_t slot =
-            (w << 6) | static_cast<uint32_t>(__builtin_ctzll(word));
-        return cur + ((slot - s) & kSlotMask);
-      }
-      w = (w + 1) & (kWords - 1);
-      word = bm[w];
-      if (i == kWords - 1) word &= ~(~0ull << (s & 63));  // wrapped partial
-    }
-    return kNoSlot;
-  }
-
-  // Advances the cursor through occupied wheel slots in order of their
-  // start time until the current heap provably holds the earliest wheel
-  // events, cascading higher-level slots down as it goes. A higher-level
-  // slot can start *earlier* than the nearest occupied level-0 slot (its
-  // entries were beyond the level-0 window when filed and the cursor has
-  // advanced since), so each step picks the earliest-starting occupied
-  // slot across all levels — on equal start times the highest level, so
-  // outer shells cascade inward before anything at that time is surfaced.
-  void AdvanceWheel() {
-    while (true) {
-      int best_k = -1;
-      uint64_t best_j = 0;
-      Tick best_start = 0;
-      // Runner-up start time among the non-chosen levels' first slots;
-      // used to skip the rescan after a plain level-0 drain (below).
-      Tick second_start = kTickMax;
-      for (int k = 0; k < kLevels; ++k) {
-        if (used_slots_[k] == 0) continue;
-        const uint64_t j = NextOccupied(k);
-        if (j == kNoSlot) continue;
-        const Tick start = static_cast<Tick>(j << Shift(k));
-        if (best_k < 0) {
-          best_k = k;
-          best_j = j;
-          best_start = start;
-        } else if (start <= best_start) {
-          second_start = std::min(second_start, best_start);
-          best_k = k;
-          best_j = j;
-          best_start = start;
-        } else {
-          second_start = std::min(second_start, start);
-        }
-      }
-      if (best_k < 0) return;  // wheel exhausted
-      // Done once the current heap is populated and the earliest-starting
-      // occupied slot begins after the cursor's level-0 slot ends — then
-      // nothing in the wheel can precede the current heap's top.
-      if (!current_.empty()) {
-        const Tick slot_end =
-            static_cast<Tick>(((SlotOf(cursor_, 0) + 1) << Shift(0)) - 1);
-        if (best_start > slot_end) return;
-      }
-      const uint32_t slot = static_cast<uint32_t>(best_j) & kSlotMask;
-      ClearOccupied(best_k, slot);
-      if (best_start > cursor_) cursor_ = best_start;
-      // Drain the bucket in place and clear() it afterwards so the slot
-      // keeps its buffer — slots recycle, and a swap-with-temporary here
-      // would pay a heap allocation per slot lap. Safe to insert while
-      // iterating: a level-k slot spans exactly 256 level-(k-1) slots, so
-      // every cascading entry re-routes to a lower level or the current
-      // heap, never back into this bucket.
-      std::vector<Entry>& bucket = levels_[best_k][slot];
-      const size_t count = bucket.size();
-      for (size_t i = 0; i < count; ++i) {
-        // The Stale() check random-indexes the node slab; the bucket scan
-        // is sequential, so fetch a few nodes ahead to hide that latency.
-        if (i + 8 < count) __builtin_prefetch(&pool_[bucket[i + 8].node]);
-        const Entry& e = bucket[i];
-        if (Stale(e)) {
-          --tombstones_;
-          continue;
-        }
-        if (best_k == 0) {
-          // Drain into the current heap (heapified once below).
-          current_.push_back(e);
-        } else {
-          // Cascade: re-route; entries land in levels < best_k or the
-          // current heap relative to the (possibly advanced) cursor.
-          InsertEntry(e);
-        }
-      }
-      if (best_k == 0) std::make_heap(current_.begin(), current_.end(), Later);
-      bucket.clear();
-      // Fast exit after a level-0 drain: it added no wheel occupancy, the
-      // cursor now sits in the drained slot, and every remaining level-0
-      // slot starts after it — so only the other levels' first slots
-      // (second_start, unchanged since the scan) could still precede the
-      // current heap's top. If none does, skip the rescan.
-      if (best_k == 0 && !current_.empty()) {
-        const Tick slot_end =
-            static_cast<Tick>(((SlotOf(cursor_, 0) + 1) << Shift(0)) - 1);
-        if (second_start > slot_end) return;
-      }
-    }
-  }
-
-  // Returns the earliest live entry across the active engine's structures
-  // (discarding surfaced tombstones), or nullptr when no live event
-  // exists. The returned pointer is the engine's current top: DropTop()
-  // removes exactly that entry.
-  const Entry* PeekLive() {
-    if (impl_ == Impl::kReferenceHeap) {
-      top_in_overflow_ = false;
-      return HeapLiveTop(heap_);
-    }
-    MigrateOverflow();
-    const Entry* cur = HeapLiveTop(current_);
-    if (cur == nullptr) {
-      AdvanceWheel();
-      MigrateOverflow();
-      cur = HeapLiveTop(current_);
-    }
-    const Entry* over = HeapLiveTop(overflow_);
-    if (cur == nullptr) {
-      top_in_overflow_ = over != nullptr;
-      return over;
-    }
-    if (over != nullptr && Later(*cur, *over)) {
-      top_in_overflow_ = true;
-      return over;
-    }
-    top_in_overflow_ = false;
-    return cur;
-  }
-
-  // Removes the entry PeekLive() just returned.
-  void DropTop() {
-    if (impl_ == Impl::kReferenceHeap) {
-      HeapPop(heap_);
-    } else if (top_in_overflow_) {
-      HeapPop(overflow_);
-    } else {
-      HeapPop(current_);
-    }
-  }
-
-  Impl impl_;
-
-  // Shared node slab: callbacks live here and never move once placed;
-  // queue structures shuffle 24-byte entries only.
+  // Callbacks live in the slab and never move once placed; the heap
+  // shuffles 24-byte entries only.
   std::vector<Node> pool_;
   uint32_t free_head_ = kNone;
   size_t live_ = 0;
   size_t tombstones_ = 0;
   uint64_t next_seq_ = 0;
-
-  // kReferenceHeap engine.
   std::vector<Entry> heap_;
-
-  // kTimingWheel engine. cursor_ is the time of the latest pop (or slot
-  // advance); every live event at or before the cursor's level-0 slot is
-  // in current_.
-  Tick cursor_ = 0;
-  std::vector<Entry> current_;
-  std::array<std::array<std::vector<Entry>, kSlots>, kLevels> levels_;
-  std::array<std::array<uint64_t, kSlots / 64>, kLevels> occupancy_{};
-  // Occupied-slot count per level, so the slot scan skips empty levels —
-  // in a typical testbed only levels 0-1 ever hold events.
-  std::array<uint16_t, kLevels> used_slots_{};
-  std::vector<Entry> overflow_;
-  bool top_in_overflow_ = false;
 };
 
 inline bool TimerHandle::active() const {

@@ -20,7 +20,7 @@ ShardedEngine::ShardedEngine(int num_shards, const Config& config)
                            "minimum cross-shard latency");
   shards_.reserve(static_cast<size_t>(num_shards));
   for (int i = 0; i < num_shards; ++i) {
-    shards_.push_back(std::make_unique<Simulator>(config.impl));
+    shards_.push_back(std::make_unique<Simulator>());
   }
   shards_[0]->set_engine(this);
 }

@@ -42,7 +42,6 @@ class ShardedEngine : public Simulator::Engine {
  public:
   struct Config {
     Tick lookahead = 0;  // min cross-shard latency; must be > 0
-    EventQueue::Impl impl = EventQueue::Impl::kTimingWheel;
   };
 
   ShardedEngine(int num_shards, const Config& config);

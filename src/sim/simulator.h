@@ -33,11 +33,6 @@ class Simulator {
     virtual void EngineRunToIdle() = 0;
   };
 
-  // kReferenceHeap swaps in the binary-heap ordering oracle; identical
-  // observable behaviour, used by the determinism A/B tests and bench_sim.
-  explicit Simulator(EventQueue::Impl impl = EventQueue::Impl::kTimingWheel)
-      : queue_(impl) {}
-
   Tick now() const { return now_; }
 
   // Schedule `fn` to run at absolute time `when` (>= now).

@@ -70,7 +70,6 @@ Testbed::Testbed(TestbedConfig cfg) : cfg_(cfg) {
     used_cores_ = std::min(cfg_.target.cores, ssds_per_node_);
     sim::ShardedEngine::Config ec;
     ec.lookahead = cfg_.net.base_latency;
-    ec.impl = cfg_.queue_impl;
     engine_ =
         std::make_unique<sim::ShardedEngine>(1 + cfg_.nodes * used_cores_, ec);
     sim_ = &engine_->shard(0);
@@ -87,7 +86,7 @@ Testbed::Testbed(TestbedConfig cfg) : cfg_(cfg) {
     // session tracer right after sim().Run() still see a complete trace.
     engine_->set_run_end_fn([this]() { MergeShardTracers(); });
   } else {
-    owned_sim_ = std::make_unique<sim::Simulator>(cfg_.queue_impl);
+    owned_sim_ = std::make_unique<sim::Simulator>();
     sim_ = owned_sim_.get();
   }
 

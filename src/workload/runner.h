@@ -95,12 +95,6 @@ struct TestbedConfig {
   uint64_t fault_seed = 1;
   fabric::RetryParams retry = {};
 
-  // Event-queue engine under the simulator(s). The timing wheel is the
-  // production default; the reference heap is kept as an ordering oracle so
-  // determinism tests can replay the same testbed on both engines and
-  // compare trace digests bit-for-bit (docs/SIMULATOR.md).
-  sim::EventQueue::Impl queue_impl = sim::EventQueue::Impl::kTimingWheel;
-
   // Optional metrics/trace sinks (see docs/OBSERVABILITY.md). When set, the
   // testbed attaches them to the target, every policy and every SSD, and
   // labels everything it emits with `run_label` (defaults to the scheme

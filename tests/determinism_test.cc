@@ -5,20 +5,14 @@
 // and a tenant crash, each on one SSD and on a sharded multi-SSD bed —
 // with the event tracer on, and hashes the full event trace (timestamp,
 // event name, tenant, ssd, args) into one digest. For each seed the digest
-// must be
-//
-//   * identical run-to-run (the simulation is deterministic), and
-//   * identical between the timing-wheel event queue and the reference
-//     binary heap (the hot-path overhaul changed no simulated result).
-//
-// Any ordering bug in the timing wheel, any stray RNG draw, or any event
-// scheduled differently between the engines changes the digest.
+// must be identical run-to-run (the simulation is deterministic): any
+// ordering bug in the event queue or any stray RNG draw changes it.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 
 #include "obs/obs.h"
-#include "sim/event_queue.h"
+#include "sim/event.h"
 #include "workload/runner.h"
 
 namespace gimbal {
@@ -34,14 +28,13 @@ using workload::TestbedConfig;
 // weaken the digest, but dropped() is hashed too, so check it anyway.
 constexpr size_t kTraceLimit = 4u << 20;
 
-uint64_t InterferenceDigest(sim::EventQueue::Impl impl, uint64_t seed) {
+uint64_t InterferenceDigest(uint64_t seed) {
   obs::Observability obs;
   obs.tracer.Enable(kTraceLimit);
   TestbedConfig cfg;
   cfg.scheme = Scheme::kGimbal;
   cfg.condition = SsdCondition::kClean;
   cfg.ssd.logical_bytes = 128ull << 20;
-  cfg.queue_impl = impl;
   cfg.obs = &obs;
   cfg.run_label = "determinism";
   Testbed bed(cfg);
@@ -64,14 +57,13 @@ uint64_t InterferenceDigest(sim::EventQueue::Impl impl, uint64_t seed) {
   return obs.tracer.Digest();
 }
 
-uint64_t FaultedDigest(sim::EventQueue::Impl impl, uint64_t seed) {
+uint64_t FaultedDigest(uint64_t seed) {
   obs::Observability obs;
   obs.tracer.Enable(kTraceLimit);
   TestbedConfig cfg;
   cfg.scheme = Scheme::kGimbal;
   cfg.condition = SsdCondition::kClean;
   cfg.ssd.logical_bytes = 128ull << 20;
-  cfg.queue_impl = impl;
   cfg.obs = &obs;
   cfg.run_label = "determinism_faults";
   cfg.fault_seed = seed;
@@ -111,7 +103,7 @@ uint64_t FaultedDigest(sim::EventQueue::Impl impl, uint64_t seed) {
 
 // Multi-SSD testbed → the sharded engine (docs/SIMULATOR.md): shard 0 is
 // the client domain, each used target core a shard of its own.
-uint64_t ShardedDigest(sim::EventQueue::Impl impl, uint64_t seed) {
+uint64_t ShardedDigest(uint64_t seed) {
   obs::Observability obs;
   obs.tracer.Enable(kTraceLimit);
   TestbedConfig cfg;
@@ -119,7 +111,6 @@ uint64_t ShardedDigest(sim::EventQueue::Impl impl, uint64_t seed) {
   cfg.scheme = Scheme::kGimbal;
   cfg.condition = SsdCondition::kClean;
   cfg.ssd.logical_bytes = 128ull << 20;
-  cfg.queue_impl = impl;
   cfg.obs = &obs;
   cfg.run_label = "determinism_sharded";
   Testbed bed(cfg);
@@ -143,8 +134,11 @@ uint64_t ShardedDigest(sim::EventQueue::Impl impl, uint64_t seed) {
 
 // The faulted variant stresses the riskiest cross-shard machinery: per-SSD
 // fault RNG streams, link-flap draws at barrier replay, a device failure
-// on one shard and a tenant crash timer on the client shard.
-uint64_t ShardedFaultedDigest(sim::EventQueue::Impl impl, uint64_t seed) {
+// on one shard and a tenant crash timer on the client shard. It also runs
+// the target's completion step, the largest closure the stack schedules,
+// so it checks that no real closure outgrows InlineFn's inline buffer.
+uint64_t ShardedFaultedDigest(uint64_t seed) {
+  const uint64_t fallbacks_before = sim::InlineFn::heap_fallbacks();
   obs::Observability obs;
   obs.tracer.Enable(kTraceLimit);
   TestbedConfig cfg;
@@ -152,7 +146,6 @@ uint64_t ShardedFaultedDigest(sim::EventQueue::Impl impl, uint64_t seed) {
   cfg.scheme = Scheme::kGimbal;
   cfg.condition = SsdCondition::kClean;
   cfg.ssd.logical_bytes = 128ull << 20;
-  cfg.queue_impl = impl;
   cfg.obs = &obs;
   cfg.run_label = "determinism_sharded_faults";
   cfg.fault_seed = seed;
@@ -185,6 +178,8 @@ uint64_t ShardedFaultedDigest(sim::EventQueue::Impl impl, uint64_t seed) {
   }
   bed.sim().Run();
   EXPECT_EQ(obs.tracer.dropped(), 0u);
+  EXPECT_EQ(sim::InlineFn::heap_fallbacks(), fallbacks_before)
+      << "a scheduled closure outgrew InlineFn's inline buffer";
   return obs.tracer.Digest();
 }
 
@@ -192,56 +187,26 @@ class DeterminismGolden : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(DeterminismGolden, InterferenceTraceDigestIsStable) {
   const uint64_t seed = GetParam();
-  const uint64_t wheel1 =
-      InterferenceDigest(sim::EventQueue::Impl::kTimingWheel, seed);
-  const uint64_t wheel2 =
-      InterferenceDigest(sim::EventQueue::Impl::kTimingWheel, seed);
-  EXPECT_EQ(wheel1, wheel2) << "timing wheel not deterministic, seed "
-                            << seed;
-  const uint64_t heap =
-      InterferenceDigest(sim::EventQueue::Impl::kReferenceHeap, seed);
-  EXPECT_EQ(wheel1, heap)
-      << "timing wheel and reference heap diverged, seed " << seed;
+  EXPECT_EQ(InterferenceDigest(seed), InterferenceDigest(seed))
+      << "run not deterministic, seed " << seed;
 }
 
 TEST_P(DeterminismGolden, FaultedTraceDigestIsStable) {
   const uint64_t seed = GetParam();
-  const uint64_t wheel1 =
-      FaultedDigest(sim::EventQueue::Impl::kTimingWheel, seed);
-  const uint64_t wheel2 =
-      FaultedDigest(sim::EventQueue::Impl::kTimingWheel, seed);
-  EXPECT_EQ(wheel1, wheel2) << "timing wheel not deterministic, seed "
-                            << seed;
-  const uint64_t heap =
-      FaultedDigest(sim::EventQueue::Impl::kReferenceHeap, seed);
-  EXPECT_EQ(wheel1, heap)
-      << "timing wheel and reference heap diverged, seed " << seed;
+  EXPECT_EQ(FaultedDigest(seed), FaultedDigest(seed))
+      << "run not deterministic, seed " << seed;
 }
 
 TEST_P(DeterminismGolden, ShardedTraceDigestIsStable) {
   const uint64_t seed = GetParam();
-  const uint64_t wheel1 =
-      ShardedDigest(sim::EventQueue::Impl::kTimingWheel, seed);
-  const uint64_t wheel2 =
-      ShardedDigest(sim::EventQueue::Impl::kTimingWheel, seed);
-  EXPECT_EQ(wheel1, wheel2) << "sharded run not deterministic, seed " << seed;
-  const uint64_t heap =
-      ShardedDigest(sim::EventQueue::Impl::kReferenceHeap, seed);
-  EXPECT_EQ(wheel1, heap)
-      << "timing wheel and reference heap diverged, seed " << seed;
+  EXPECT_EQ(ShardedDigest(seed), ShardedDigest(seed))
+      << "sharded run not deterministic, seed " << seed;
 }
 
 TEST_P(DeterminismGolden, ShardedFaultedTraceDigestIsStable) {
   const uint64_t seed = GetParam();
-  const uint64_t wheel1 =
-      ShardedFaultedDigest(sim::EventQueue::Impl::kTimingWheel, seed);
-  const uint64_t wheel2 =
-      ShardedFaultedDigest(sim::EventQueue::Impl::kTimingWheel, seed);
-  EXPECT_EQ(wheel1, wheel2) << "sharded run not deterministic, seed " << seed;
-  const uint64_t heap =
-      ShardedFaultedDigest(sim::EventQueue::Impl::kReferenceHeap, seed);
-  EXPECT_EQ(wheel1, heap)
-      << "timing wheel and reference heap diverged, seed " << seed;
+  EXPECT_EQ(ShardedFaultedDigest(seed), ShardedFaultedDigest(seed))
+      << "sharded run not deterministic, seed " << seed;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DeterminismGolden,
@@ -250,11 +215,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DeterminismGolden,
 // Digests must also *differ* when the workload differs — a constant hash
 // would pass the equality tests above while checking nothing.
 TEST(DeterminismGolden, DigestDiscriminatesDifferentRuns) {
-  const uint64_t a =
-      InterferenceDigest(sim::EventQueue::Impl::kTimingWheel, 1);
-  const uint64_t b =
-      InterferenceDigest(sim::EventQueue::Impl::kTimingWheel, 2);
-  EXPECT_NE(a, b);
+  EXPECT_NE(InterferenceDigest(1), InterferenceDigest(2));
 }
 
 }  // namespace

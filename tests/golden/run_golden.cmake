@@ -5,13 +5,14 @@
 # Invoked by ctest (registered in tests/CMakeLists.txt) as:
 #
 #   cmake -DBIN=<bench binary> -DNAME=<output name> [-DGOLDEN_NAME=<name>]
-#         [-DEXTRA_ARGS="--queue=heap"] -DGOLDEN_DIR=<repo>/tests/golden
+#         [-DEXTRA_ARGS="<flags>"] -DGOLDEN_DIR=<repo>/tests/golden
 #         -DOUT_DIR=<build>/golden_out [-DREGEN=1] -P run_golden.cmake
 #
-# GOLDEN_NAME defaults to NAME; the wheel-vs-heap variants set NAME to
-# <fig>.heap but compare against <fig>'s goldens — the digest must be
-# engine-independent. REGEN=1 rewrites the goldens from this run instead of
-# comparing (the `regen-goldens` build target drives this).
+# GOLDEN_NAME defaults to NAME; a variant that must reproduce a figure's
+# goldens under extra flags (golden.fig_kv_faults.bad_fault_flags) sets its
+# own NAME but compares against that figure's goldens. REGEN=1 rewrites the
+# goldens from this run instead of comparing (the `regen-goldens` build
+# target drives this).
 cmake_minimum_required(VERSION 3.16)
 
 foreach(v BIN NAME GOLDEN_DIR OUT_DIR)

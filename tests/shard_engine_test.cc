@@ -14,22 +14,18 @@
 //   * the shard context is visible only while a shard event runs.
 //
 // The testbed matrix then runs sparse (one QD1 tenant on one of three
-// SSDs) and dense (every SSD loaded) traffic on the wheel and the
-// reference heap, which must agree on the trace digest and on the epoch
-// count, and checks that no epoch after a run's leading barrier is empty.
+// SSDs) and dense (every SSD loaded) traffic and checks that no epoch
+// after a run's leading barrier is empty and that every shard's clock
+// ends at the deadline.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <ostream>
-#include <random>
 #include <string>
-#include <tuple>
 #include <vector>
 
-#include "obs/obs.h"
-#include "sim/event_queue.h"
 #include "sim/shard.h"
 #include "workload/runner.h"
 
@@ -40,11 +36,9 @@ using sim::ShardedEngine;
 
 constexpr Tick kLookahead = 100;
 
-ShardedEngine::Config EngineConfig(
-    sim::EventQueue::Impl impl = sim::EventQueue::Impl::kTimingWheel) {
+ShardedEngine::Config EngineConfig() {
   ShardedEngine::Config c;
   c.lookahead = kLookahead;
-  c.impl = impl;
   return c;
 }
 
@@ -246,56 +240,6 @@ TEST(ShardedEngine, EmptyEngineRunsOnlyTheLeadingBarrier) {
   }
 }
 
-// Random cross-shard traffic: the reference heap must execute the same
-// (shard, time, id) sequence and the same number of epochs as the wheel.
-std::tuple<std::vector<std::tuple<int, Tick, int>>, uint64_t> RandomTraffic(
-    sim::EventQueue::Impl impl, uint64_t seed) {
-  ShardedEngine engine(4, EngineConfig(impl));
-  std::vector<Send> outbox;
-  engine.set_barrier_fn([&]() {
-    for (Send& s : outbox) {
-      engine.shard(s.dst).At(s.deliver_at, std::move(s.fn));
-    }
-    outbox.clear();
-  });
-  std::mt19937_64 rng(seed);
-  std::vector<std::tuple<int, Tick, int>> log;
-  int next_id = 0;
-  std::function<void(int)> event = [&](int id) {
-    const int self = ShardedEngine::CurrentShard();
-    sim::Simulator& sim = *ShardedEngine::CurrentSim();
-    log.emplace_back(self, sim.now(), id);
-    if (next_id >= 2000) return;
-    const int local = next_id++;
-    sim.After(static_cast<Tick>(rng() % 300), [&, local]() { event(local); });
-    if (rng() % 3 == 0) {
-      const int remote = next_id++;
-      const int dst = static_cast<int>(rng() % 4);
-      const Tick at = sim.now() + kLookahead + static_cast<Tick>(rng() % 50);
-      outbox.push_back({dst, at, [&, remote]() { event(remote); }});
-    }
-  };
-  for (int s = 0; s < 4; ++s) {
-    const int id = next_id++;
-    engine.shard(s).At(static_cast<Tick>(rng() % 200),
-                       [&, id]() { event(id); });
-  }
-  engine.shard(0).Run();
-  return {log, engine.epochs()};
-}
-
-TEST(ShardedEngine, ReferenceHeapMatchesWheelOnRandomCrossShardTraffic) {
-  for (uint64_t seed : {1u, 7u, 42u}) {
-    const auto [wheel_log, wheel_epochs] =
-        RandomTraffic(sim::EventQueue::Impl::kTimingWheel, seed);
-    const auto [heap_log, heap_epochs] =
-        RandomTraffic(sim::EventQueue::Impl::kReferenceHeap, seed);
-    EXPECT_GE(wheel_log.size(), 2000u);
-    EXPECT_EQ(wheel_log, heap_log) << "seed " << seed;
-    EXPECT_EQ(wheel_epochs, heap_epochs) << "seed " << seed;
-  }
-}
-
 // --- Testbed matrix ---------------------------------------------------------
 
 using workload::FioSpec;
@@ -304,27 +248,21 @@ using workload::SsdCondition;
 using workload::Testbed;
 using workload::TestbedConfig;
 
-constexpr size_t kTraceLimit = 4u << 20;
 constexpr Tick kWarmup = Milliseconds(5);
 constexpr Tick kMeasure = Milliseconds(15);
 
 struct ShardRun {
-  uint64_t digest = 0;
   uint64_t epochs = 0;
   uint64_t events = 0;          // executed across every shard
   std::vector<Tick> end_clocks;  // per shard, after Run()
 };
 
-ShardRun RunSharded(sim::EventQueue::Impl impl, uint64_t seed, bool sparse) {
-  obs::Observability obs;
-  obs.tracer.Enable(kTraceLimit);
+ShardRun RunSharded(uint64_t seed, bool sparse) {
   TestbedConfig cfg;
   cfg.num_ssds = 3;  // < target cores (4): one pipeline per core shard
   cfg.scheme = Scheme::kGimbal;
   cfg.condition = SsdCondition::kClean;
   cfg.ssd.logical_bytes = 128ull << 20;
-  cfg.queue_impl = impl;
-  cfg.obs = &obs;
   cfg.run_label = sparse ? "epoch_sparse" : "epoch_dense";
   Testbed bed(cfg);
   if (sparse) {
@@ -349,9 +287,7 @@ ShardRun RunSharded(sim::EventQueue::Impl impl, uint64_t seed, bool sparse) {
     }
   }
   bed.Run(kWarmup, kMeasure);
-  EXPECT_EQ(obs.tracer.dropped(), 0u);
   ShardRun out;
-  out.digest = obs.tracer.Digest();
   ShardedEngine* engine = bed.engine();
   EXPECT_NE(engine, nullptr) << "testbed unexpectedly unsharded";
   if (engine != nullptr) {
@@ -375,25 +311,9 @@ void PrintTo(const MatrixParam& p, std::ostream* os) {
 
 class ShardEpochMatrix : public ::testing::TestWithParam<MatrixParam> {};
 
-TEST_P(ShardEpochMatrix, WheelAndHeapAgreeOnDigestAndEpochs) {
-  const MatrixParam p = GetParam();
-  const ShardRun wheel =
-      RunSharded(sim::EventQueue::Impl::kTimingWheel, p.seed, p.sparse);
-  const ShardRun heap =
-      RunSharded(sim::EventQueue::Impl::kReferenceHeap, p.seed, p.sparse);
-  EXPECT_EQ(wheel.digest, heap.digest)
-      << "reference heap diverged, seed " << p.seed
-      << (p.sparse ? " (sparse)" : " (dense)");
-  // The epoch chop is a pure function of queue states, so even the
-  // barrier count must not depend on the queue implementation.
-  EXPECT_EQ(wheel.epochs, heap.epochs);
-  EXPECT_EQ(wheel.events, heap.events);
-}
-
 TEST_P(ShardEpochMatrix, NoEpochIsEmptyAndEveryShardEndsAtTheDeadline) {
   const MatrixParam p = GetParam();
-  const ShardRun run =
-      RunSharded(sim::EventQueue::Impl::kTimingWheel, p.seed, p.sparse);
+  const ShardRun run = RunSharded(p.seed, p.sparse);
   // Testbed::Run drives two RunUntil calls (warm-up, measurement), each
   // opening with one leading barrier; every other epoch starts at a
   // pending event, so it executes at least one.

@@ -1,11 +1,14 @@
 // Unit tests for the discrete-event engine: ordering, determinism and
-// resources — plus the timing-wheel event queue (cross-checked against the
-// reference-heap engine), the allocation-free event callback, and the
-// cancellable-timer API (docs/SIMULATOR.md).
+// resources — plus the event queue (cross-checked against a std::set
+// oracle), the allocation-free event callback, and the cancellable-timer
+// API (docs/SIMULATOR.md).
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <limits>
 #include <random>
+#include <set>
+#include <tuple>
 #include <vector>
 
 #include "sim/resource.h"
@@ -198,18 +201,13 @@ TEST(InlineFn, NullAndDefaultAreFalsy) {
   EXPECT_FALSE(static_cast<bool>(b));
 }
 
-// --- Timing wheel vs reference heap ----------------------------------------
+// --- Event queue ordering contract ----------------------------------------
 
-// Granularity of a level-0 wheel slot (2^10 ns) — mirrored here so the
-// tests can aim events at specific wheel levels without reaching into the
-// queue's internals.
-constexpr Tick kSlotNs = 1 << 10;
-// One lap of level 0 (256 slots); events beyond this distance file into
-// level 1 or higher.
-constexpr Tick kLevel0Window = 256 * kSlotNs;
-// The whole wheel's horizon (4 levels); events beyond it park in the
-// overflow heap.
-constexpr Tick kWheelHorizon = Tick{1} << 42;
+// Time scales the ordering tests and the randomized op generator mix: a
+// couple of microseconds, a quarter millisecond, and ~73 simulated minutes.
+constexpr Tick kShortGap = 2 << 10;
+constexpr Tick kMediumGap = 256 << 10;
+constexpr Tick kFarFuture = Tick{1} << 42;
 
 TEST(EventQueue, PopReportsTimeAndDrainsInOrder) {
   EventQueue q;
@@ -227,46 +225,23 @@ TEST(EventQueue, PopReportsTimeAndDrainsInOrder) {
   EXPECT_TRUE(q.empty());
 }
 
-// Regression for the wheel's slot-selection rule: a higher-level slot can
-// start earlier than the nearest occupied level-0 slot (its events were
-// beyond the level-0 window when filed and the cursor advanced since).
-// The scan must take the earliest-starting slot across levels, not the
-// first occupied level-0 slot.
-TEST(EventQueue, HigherLevelSlotCanPrecedeNearestLevelZeroSlot) {
+TEST(EventQueue, FarFutureEventsFireInOrder) {
   EventQueue q;
   std::vector<int> order;
-  // B lands in level 1: 300 slots ahead of cursor 0.
-  q.Push(300 * kSlotNs, [&order]() { order.push_back(2); });
-  // Filler advances the cursor into slot 100.
-  q.Push(100 * kSlotNs, [&order]() { order.push_back(1); });
-  Tick t;
-  q.Pop(&t)();  // fires the filler; cursor now at slot 100
-  // A lands in level 0 at slot 350 — *later* than B but found first by a
-  // level-0-first scan.
-  q.Push(350 * kSlotNs, [&order]() { order.push_back(3); });
-  while (!q.empty()) q.Pop(&t)();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-}
-
-TEST(EventQueue, FarFutureEventsBeyondHorizonFireInOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.Push(kWheelHorizon * 3, [&order]() { order.push_back(4); });
-  q.Push(kWheelHorizon + 5, [&order]() { order.push_back(3); });
-  q.Push(kLevel0Window * 2, [&order]() { order.push_back(2); });
+  q.Push(kFarFuture * 3, [&order]() { order.push_back(4); });
+  q.Push(kFarFuture + 5, [&order]() { order.push_back(3); });
+  q.Push(kMediumGap * 2, [&order]() { order.push_back(2); });
   q.Push(17, [&order]() { order.push_back(1); });
   Tick t = -1;
   while (!q.empty()) q.Pop(&t)();
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
-  EXPECT_EQ(t, kWheelHorizon * 3);
+  EXPECT_EQ(t, kFarFuture * 3);
 }
 
-TEST(EventQueue, SameTickBurstAcrossHorizonKeepsInsertionOrder) {
-  // A same-tick burst far beyond the horizon migrates overflow -> wheel ->
-  // current heap; insertion order must survive all three hops.
+TEST(EventQueue, FarFutureSameTickBurstKeepsInsertionOrder) {
   EventQueue q;
   std::vector<int> order;
-  const Tick when = kWheelHorizon + 12345;
+  const Tick when = kFarFuture + 12345;
   for (int i = 0; i < 64; ++i) {
     q.Push(when, [&order, i]() { order.push_back(i); });
   }
@@ -274,18 +249,6 @@ TEST(EventQueue, SameTickBurstAcrossHorizonKeepsInsertionOrder) {
   while (!q.empty()) q.Pop(&t)();
   ASSERT_EQ(order.size(), 64u);
   for (int i = 0; i < 64; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(EventQueue, ReferenceHeapEngineHonorsSameContract) {
-  EventQueue q(EventQueue::Impl::kReferenceHeap);
-  EXPECT_EQ(q.impl(), EventQueue::Impl::kReferenceHeap);
-  std::vector<int> order;
-  q.Push(20, [&order]() { order.push_back(2); });
-  q.Push(10, [&order]() { order.push_back(1); });
-  q.Push(10, [&order]() { order.push_back(11); });  // same tick: FIFO
-  Tick t;
-  while (!q.empty()) q.Pop(&t)();
-  EXPECT_EQ(order, (std::vector<int>{1, 11, 2}));
 }
 
 // --- TimerHandle -----------------------------------------------------------
@@ -409,7 +372,7 @@ TEST(EventQueue, ClearResetsInsertionSequence) {
 TEST(EventQueue, ClearedQueueBehavesLikeFresh) {
   auto run = [](EventQueue& q) {
     std::vector<int> order;
-    q.Push(kLevel0Window * 3, [&order]() { order.push_back(2); });
+    q.Push(kMediumGap * 3, [&order]() { order.push_back(2); });
     q.Push(5, [&order]() { order.push_back(1); });
     q.Push(5, [&order]() { order.push_back(11); });
     Tick t;
@@ -420,10 +383,10 @@ TEST(EventQueue, ClearedQueueBehavesLikeFresh) {
   const std::vector<int> want = run(fresh);
 
   EventQueue reused;
-  reused.Push(kWheelHorizon + 7, nullptr);  // park something in overflow
+  reused.Push(kFarFuture + 7, nullptr);  // left pending across the Clear
   reused.Push(3, nullptr);
   Tick t;
-  reused.Pop(&t);  // advance the cursor off zero
+  reused.Pop(&t);
   reused.Clear();
   EXPECT_EQ(run(reused), want);
 }
@@ -455,96 +418,117 @@ TEST(EventQueue, TombstonesDrainAsTheQueueAdvances) {
   EXPECT_EQ(q.tombstones(), 0u);  // surfaced entries were reclaimed
 }
 
-// --- Property test: randomized interleavings, wheel vs reference heap ------
+// --- Property test: randomized interleavings vs a std::set oracle ---------
 
-// Drives both engines through an identical randomized stream of Push, Pop,
-// Cancel and Reschedule — same-tick bursts, far-future overflow parking,
-// cancels of already-fired handles, reschedules to now — and asserts the
-// two agree on every observable: pop times, fired-callback identity,
-// operation return values, and sizes.
-TEST(EventQueue, RandomizedOpsMatchReferenceHeap) {
+// Drives the queue through a randomized stream of Push, Pop, Cancel and
+// Reschedule — same-tick bursts, far-future times, cancels of already-
+// fired handles, reschedules to now — while a std::set of live
+// (when, seq, id) keys mirrors every operation. The queue must agree with
+// the oracle on pop times, fired-callback identity, operation return
+// values and sizes. A second set holds the keys of stranded entries
+// (cancelled or rescheduled away): a pop reclaims every one that orders
+// before it, so the set must match tombstones() at every step, and a
+// final pop past every stranded key must leave no tombstone behind.
+TEST(EventQueue, RandomizedOpsMatchOracle) {
   constexpr int kSeeds = 10;
   constexpr int kOpsPerSeed = 10000;
+  using Key = std::tuple<Tick, uint64_t, int>;  // (when, seq, id)
   for (uint64_t seed = 1; seed <= kSeeds; ++seed) {
     std::mt19937_64 rng(seed * 0x9E3779B97F4A7C15ull);
-    EventQueue wheel(EventQueue::Impl::kTimingWheel);
-    EventQueue ref(EventQueue::Impl::kReferenceHeap);
-    std::vector<std::pair<TimerHandle, TimerHandle>> handles;
-    std::vector<int> wfired, rfired;
+    EventQueue q;
+    std::set<Key> live;
+    std::set<Key> stranded;
+    std::vector<TimerHandle> handles;  // indexed by id
+    std::vector<Key> key_of;           // id's current key while live
+    std::vector<int> fired;
+    uint64_t seq = 0;
     Tick now = 0;
-    int next_id = 0;
 
     auto random_delta = [&]() -> Tick {
       switch (rng() % 5) {
         case 0: return 0;  // same tick
-        case 1: return static_cast<Tick>(rng() % (2 * kSlotNs));
-        case 2: return static_cast<Tick>(rng() % kLevel0Window);
-        case 3: return static_cast<Tick>(rng() % kWheelHorizon);
-        default:
-          return kWheelHorizon + static_cast<Tick>(rng() % kWheelHorizon);
+        case 1: return static_cast<Tick>(rng() % kShortGap);
+        case 2: return static_cast<Tick>(rng() % kMediumGap);
+        case 3: return static_cast<Tick>(rng() % kFarFuture);
+        default: return kFarFuture + static_cast<Tick>(rng() % kFarFuture);
       }
     };
-    auto push_one = [&]() {
-      const Tick when = now + random_delta();
-      const int id = next_id++;
-      handles.emplace_back(
-          wheel.Push(when, [&wfired, id]() { wfired.push_back(id); }),
-          ref.Push(when, [&rfired, id]() { rfired.push_back(id); }));
+    auto push_at = [&](Tick when) {
+      const int id = static_cast<int>(handles.size());
+      handles.push_back(q.Push(when, [&fired, id]() { fired.push_back(id); }));
+      key_of.emplace_back(when, seq++, id);
+      live.insert(key_of.back());
     };
     auto pop_one = [&]() {
-      Tick tw = -1, tr = -2;
-      EventFn fw = wheel.Pop(&tw);
-      EventFn fr = ref.Pop(&tr);
-      ASSERT_EQ(tw, tr) << "pop time diverged, seed " << seed;
-      ASSERT_GE(tw, now);
-      now = tw;
-      fw();
-      fr();
-      ASSERT_EQ(wfired.back(), rfired.back())
-          << "fired different events at t=" << tw << ", seed " << seed;
+      const Key want = *live.begin();
+      const Tick want_when = std::get<0>(want);
+      const int want_id = std::get<2>(want);
+      live.erase(live.begin());
+      stranded.erase(stranded.begin(), stranded.lower_bound(want));
+      Tick t = -1;
+      q.Pop(&t)();
+      ASSERT_EQ(t, want_when) << "pop time diverged, seed " << seed;
+      ASSERT_GE(t, now);
+      now = t;
+      ASSERT_EQ(fired.back(), want_id)
+          << "fired the wrong event at t=" << t << ", seed " << seed;
     };
 
     for (int op = 0; op < kOpsPerSeed; ++op) {
       const uint64_t what = rng() % 100;
-      if (what < 40 || wheel.empty()) {
+      if (what < 40 || q.empty()) {
         if (what < 8) {
           // Same-tick burst: several events on one future tick.
           const Tick when = now + random_delta();
-          for (int i = 0; i < 5; ++i) {
-            const int id = next_id++;
-            handles.emplace_back(
-                wheel.Push(when, [&wfired, id]() { wfired.push_back(id); }),
-                ref.Push(when, [&rfired, id]() { rfired.push_back(id); }));
-          }
+          for (int i = 0; i < 5; ++i) push_at(when);
         } else {
-          push_one();
+          push_at(now + random_delta());
         }
       } else if (what < 65) {
         pop_one();
         if (HasFatalFailure()) return;
       } else if (what < 85 && !handles.empty()) {
         // Cancel a random handle — often one that already fired or was
-        // cancelled before; both engines must agree either way.
-        auto& [hw, hr] = handles[rng() % handles.size()];
-        ASSERT_EQ(hw.active(), hr.active());
-        ASSERT_EQ(hw.Cancel(), hr.Cancel()) << "cancel diverged, seed "
-                                            << seed;
+        // cancelled before, which must be a no-op.
+        const size_t id = rng() % handles.size();
+        const bool pending = live.count(key_of[id]) != 0;
+        ASSERT_EQ(handles[id].active(), pending);
+        ASSERT_EQ(handles[id].Cancel(), pending)
+            << "cancel diverged, seed " << seed;
+        if (pending) {
+          live.erase(key_of[id]);
+          stranded.insert(key_of[id]);
+        }
       } else if (!handles.empty()) {
-        auto& [hw, hr] = handles[rng() % handles.size()];
+        const size_t id = rng() % handles.size();
         const Tick when = now + (rng() % 3 == 0 ? 0 : random_delta());
-        ASSERT_EQ(hw.Reschedule(when), hr.Reschedule(when))
+        const bool pending = live.count(key_of[id]) != 0;
+        ASSERT_EQ(handles[id].Reschedule(when), pending)
             << "reschedule diverged, seed " << seed;
+        if (pending) {
+          live.erase(key_of[id]);
+          stranded.insert(key_of[id]);
+          key_of[id] = {when, seq++, static_cast<int>(id)};
+          live.insert(key_of[id]);
+        }
       }
-      ASSERT_EQ(wheel.size(), ref.size());
-      ASSERT_EQ(wheel.empty(), ref.empty());
+      ASSERT_EQ(q.size(), live.size()) << "size diverged, seed " << seed;
+      ASSERT_EQ(q.tombstones(), stranded.size())
+          << "tombstones diverged, seed " << seed;
+      ASSERT_EQ(q.next_seq(), seq);
     }
-    while (!ref.empty()) {
-      ASSERT_FALSE(wheel.empty()) << "wheel drained early, seed " << seed;
+    while (!live.empty()) {
+      ASSERT_FALSE(q.empty()) << "queue drained early, seed " << seed;
       pop_one();
       if (HasFatalFailure()) return;
     }
-    EXPECT_TRUE(wheel.empty()) << "wheel kept extra events, seed " << seed;
-    EXPECT_EQ(wfired, rfired) << "full firing order diverged, seed " << seed;
+    EXPECT_TRUE(q.empty()) << "queue kept extra events, seed " << seed;
+    // Tombstones that order after the last live event surface only when
+    // a later event pops.
+    push_at(std::numeric_limits<Tick>::max());
+    pop_one();
+    if (HasFatalFailure()) return;
+    EXPECT_EQ(q.tombstones(), 0u) << "tombstones left, seed " << seed;
   }
 }
 
