@@ -6,9 +6,11 @@
 
 #include <cstring>
 #include <limits>
+#include <memory>
 #include <random>
 #include <set>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "sim/resource.h"
@@ -416,6 +418,205 @@ TEST(EventQueue, TombstonesDrainAsTheQueueAdvances) {
   Tick t;
   while (!q.empty()) q.Pop(&t);
   EXPECT_EQ(q.tombstones(), 0u);  // surfaced entries were reclaimed
+}
+
+TEST(EventQueue, NextTimeSkipsAndReclaimsCancelledHead) {
+  EventQueue q;
+  TimerHandle head = q.Push(10, nullptr);
+  q.Push(20, nullptr);
+  EXPECT_TRUE(head.Cancel());
+  EXPECT_EQ(q.tombstones(), 1u);
+  EXPECT_EQ(q.next_time(), 20);
+  EXPECT_EQ(q.tombstones(), 0u);  // peeking surfaced and dropped it
+  EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(EventQueue, CancelReleasesCapturesAtOnce) {
+  EventQueue q;
+  auto token = std::make_shared<int>(7);
+  TimerHandle h = q.Push(10, [token]() {});
+  EXPECT_EQ(token.use_count(), 2);
+  EXPECT_TRUE(h.Cancel());
+  // The heap still holds a tombstone entry, but the callback is gone.
+  EXPECT_EQ(q.tombstones(), 1u);
+  EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(EventQueue, ClearReleasesPendingCaptures) {
+  EventQueue q;
+  auto token = std::make_shared<int>(7);
+  for (int i = 0; i < 3; ++i) q.Push(10 + i, [token]() {});
+  q.Push(kFarFuture, [token]() {});
+  EXPECT_EQ(token.use_count(), 5);
+  q.Clear();
+  EXPECT_EQ(token.use_count(), 1);
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, NullCallbackIsAPureTimer) {
+  EventQueue q;
+  TimerHandle h = q.Push(5, nullptr);
+  EXPECT_TRUE(h.active());
+  EXPECT_EQ(q.size(), 1u);
+  Tick t = -1;
+  EventFn fn = q.Pop(&t);
+  EXPECT_EQ(t, 5);
+  EXPECT_FALSE(static_cast<bool>(fn));
+  EXPECT_FALSE(h.active());
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, MaxTickEventFiresLast) {
+  EventQueue q;
+  constexpr Tick kMax = std::numeric_limits<Tick>::max();
+  std::vector<int> order;
+  q.Push(kMax, [&order]() { order.push_back(3); });
+  q.Push(0, [&order]() { order.push_back(1); });
+  q.Push(kFarFuture, [&order]() { order.push_back(2); });
+  Tick t = -1;
+  while (!q.empty()) q.Pop(&t)();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(t, kMax);
+}
+
+// Seq numbers are drawn by Push and Reschedule only; Cancel, Pop and a
+// refused Reschedule leave the counter alone.
+TEST(EventQueue, NextSeqCountsPushesAndReschedulesOnly) {
+  EventQueue q;
+  TimerHandle a = q.Push(10, nullptr);
+  TimerHandle b = q.Push(20, nullptr);
+  q.Push(30, nullptr);
+  EXPECT_EQ(q.next_seq(), 3u);
+  EXPECT_TRUE(a.Reschedule(40));
+  EXPECT_EQ(q.next_seq(), 4u);
+  EXPECT_TRUE(b.Cancel());
+  EXPECT_FALSE(b.Reschedule(50));
+  Tick t;
+  q.Pop(&t);
+  EXPECT_EQ(t, 30);
+  EXPECT_EQ(q.next_seq(), 4u);
+}
+
+// Callbacks stay in their slab node while the heap reorders its entries
+// around them: every move-only capture reaches the right event.
+TEST(EventQueue, MoveOnlyCapturesSurviveHeapReordering) {
+  EventQueue q;
+  std::mt19937_64 rng(99);
+  std::vector<Tick> whens;
+  std::vector<std::pair<Tick, int>> fired;  // (pop time, captured id)
+  Tick t = 0;
+  for (int i = 0; i < 500; ++i) {
+    const Tick when = static_cast<Tick>(rng() % kMediumGap);
+    whens.push_back(when);
+    auto owned = std::make_unique<int>(i);
+    q.Push(when, [&fired, &t, owned = std::move(owned)]() {
+      fired.emplace_back(t, *owned);
+    });
+  }
+  while (!q.empty()) q.Pop(&t)();
+  ASSERT_EQ(fired.size(), 500u);
+  for (size_t k = 0; k < fired.size(); ++k) {
+    EXPECT_EQ(fired[k].first, whens[static_cast<size_t>(fired[k].second)]);
+    if (k > 0) EXPECT_LE(fired[k - 1].first, fired[k].first);
+  }
+}
+
+// --- Reschedule / Cancel interplay -------------------------------------------
+
+TEST(TimerHandle, RescheduleEarlierOvertakesPendingEvents) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.At(Microseconds(10), [&order]() { order.push_back(1); });
+  sim.At(Microseconds(20), [&order]() { order.push_back(2); });
+  TimerHandle h =
+      sim.At(Microseconds(30), [&order]() { order.push_back(3); });
+  EXPECT_TRUE(h.Reschedule(Microseconds(5)));
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{3, 1, 2}));
+  EXPECT_EQ(sim.now(), Microseconds(20));
+}
+
+// A reschedule hands the claim to the handle that made it; copies taken
+// before the move refer to the old generation and go inert.
+TEST(TimerHandle, CopyGoesStaleWhenAnotherCopyReschedules) {
+  Simulator sim;
+  std::vector<Tick> fired_at;
+  TimerHandle a =
+      sim.After(Microseconds(10), [&]() { fired_at.push_back(sim.now()); });
+  TimerHandle b = a;
+  EXPECT_TRUE(a.Reschedule(Microseconds(40)));
+  EXPECT_TRUE(a.active());
+  EXPECT_FALSE(b.active());
+  EXPECT_FALSE(b.Cancel());
+  EXPECT_FALSE(b.Reschedule(Microseconds(60)));
+  sim.Run();
+  EXPECT_EQ(fired_at, (std::vector<Tick>{Microseconds(40)}));
+}
+
+TEST(TimerHandle, CancelAfterRescheduleStrandsBothEntries) {
+  EventQueue q;
+  int fired = 0;
+  TimerHandle h = q.Push(10, [&fired]() { ++fired; });
+  EXPECT_TRUE(h.Reschedule(30));
+  EXPECT_TRUE(h.Cancel());
+  EXPECT_FALSE(h.active());
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.tombstones(), 2u);
+  q.Push(50, nullptr);
+  Tick t;
+  q.Pop(&t);
+  EXPECT_EQ(t, 50);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(q.tombstones(), 0u);
+}
+
+TEST(TimerHandle, RepeatedReschedulesFireOnce) {
+  EventQueue q;
+  int fired = 0;
+  TimerHandle h = q.Push(1, [&fired]() { ++fired; });
+  for (Tick when = 2; when <= 101; ++when) {
+    ASSERT_TRUE(h.Reschedule(when));
+  }
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_EQ(q.tombstones(), 100u);
+  Tick t;
+  q.Pop(&t)();
+  EXPECT_EQ(t, 101);
+  EXPECT_EQ(fired, 1);
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.tombstones(), 0u);
+}
+
+// --- Simulator over cancelled events -----------------------------------------
+
+TEST(Simulator, CancelledEventNeitherMovesClockNorCounts) {
+  Simulator sim;
+  int fired = 0;
+  sim.At(Microseconds(50), [&fired]() { ++fired; });
+  TimerHandle late = sim.At(Microseconds(100), [&fired]() { ++fired; });
+  EXPECT_EQ(sim.pending_events(), 2u);
+  EXPECT_TRUE(late.Cancel());
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.Run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.events_executed(), 1u);
+  EXPECT_EQ(sim.now(), Microseconds(50));
+  EXPECT_TRUE(sim.idle());
+}
+
+TEST(Simulator, RunEventsStopsAtTheBudget) {
+  Simulator sim;
+  std::vector<int> order;
+  for (int i = 0; i < 5; ++i) {
+    sim.At(Microseconds(i + 1), [&order, i]() { order.push_back(i); });
+  }
+  EXPECT_EQ(sim.RunEvents(2), 2u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(sim.now(), Microseconds(2));
+  EXPECT_EQ(sim.pending_events(), 3u);
+  EXPECT_EQ(sim.RunEvents(10), 3u);
+  EXPECT_EQ(sim.events_executed(), 5u);
+  EXPECT_TRUE(sim.idle());
 }
 
 // --- Property test: randomized interleavings vs a std::set oracle ---------
