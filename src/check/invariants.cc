@@ -5,6 +5,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 namespace gimbal::check {
 namespace {
@@ -48,6 +49,18 @@ bool LegalHealthTransition(int from, int to) {
     case 3: return to == 0 || to == 2;
     default: return false;
   }
+}
+
+// A ledger arena's live slots in (tenant, ssd) order. Live order depends on
+// which ledgers were freed and recycled; the drain report must not.
+template <typename Ledger>
+std::vector<uint32_t> ByTenantSsd(const common::SlabArena<Ledger>& arena) {
+  std::vector<uint32_t> slots = arena.live();
+  std::sort(slots.begin(), slots.end(), [&](uint32_t a, uint32_t b) {
+    return std::make_pair(arena[a].tenant, arena[a].ssd) <
+           std::make_pair(arena[b].tenant, arena[b].ssd);
+  });
+  return slots;
 }
 
 }  // namespace
@@ -162,6 +175,7 @@ void InvariantChecker::OnClientTerminal(TenantId tenant, int ssd, bool ok,
                    " but initiator inflight=%u",
                    c.issued - c.terminal_issued, inflight));
   }
+  MaybeRetireClient(c);
 }
 
 void InvariantChecker::OnClientCreditUpdate(TenantId tenant, int ssd,
@@ -174,6 +188,14 @@ void InvariantChecker::OnClientCreditUpdate(TenantId tenant, int ssd,
                    "than %u",
                    credit, c.max_credit_granted));
   }
+}
+
+void InvariantChecker::OnClientClose(TenantId tenant, int ssd) {
+  const uint32_t slot = client_index_.Find(Key(tenant, ssd));
+  if (slot == common::IdIndexMap::kNotFound) return;  // never admitted
+  ClientLedger& c = clients_[slot];
+  c.closed = true;
+  MaybeRetireClient(c);
 }
 
 // --- Target / policy -------------------------------------------------------
@@ -204,6 +226,7 @@ void InvariantChecker::OnDeviceReturn(TenantId tenant, int ssd, bool ok) {
             Format("device returns=%" PRIu64 " exceed dispatches=%" PRIu64,
                    p.device_returns, p.dispatched));
   }
+  MaybeRetirePolicy(p);
 }
 
 void InvariantChecker::OnPolicyDeliver(TenantId tenant, int ssd, bool ok) {
@@ -222,6 +245,7 @@ void InvariantChecker::OnPolicyDeliver(TenantId tenant, int ssd, bool ok) {
             Format("delivered+failed=%" PRIu64 " exceed target admits=%" PRIu64,
                    p.delivered + p.failed, p.target_admitted));
   }
+  MaybeRetirePolicy(p);
 }
 
 void InvariantChecker::OnPolicyFail(TenantId tenant, int ssd) {
@@ -233,6 +257,15 @@ void InvariantChecker::OnPolicyFail(TenantId tenant, int ssd) {
             Format("delivered+failed=%" PRIu64 " exceed target admits=%" PRIu64,
                    p.delivered + p.failed, p.target_admitted));
   }
+  MaybeRetirePolicy(p);
+}
+
+void InvariantChecker::OnTargetSessionClosed(TenantId tenant, int ssd) {
+  const uint32_t slot = policy_index_.Find(Key(tenant, ssd));
+  if (slot == common::IdIndexMap::kNotFound) return;  // no IO reached it
+  PolicyLedger& p = policies_[slot];
+  p.closed = true;
+  MaybeRetirePolicy(p);
 }
 
 // --- Gimbal switch ---------------------------------------------------------
@@ -248,7 +281,9 @@ void InvariantChecker::ConfigureDrr(int ssd, uint64_t quantum_bytes,
 void InvariantChecker::OnCreditGrant(TenantId tenant, int ssd,
                                      uint32_t credit) {
   ++checks_run_;
-  ClientLedger& c = Client(tenant, ssd);
+  const uint32_t slot = client_index_.Find(Key(tenant, ssd));
+  if (slot == common::IdIndexMap::kNotFound) return;
+  ClientLedger& c = clients_[slot];
   c.max_credit_granted = std::max(c.max_credit_granted, credit);
 }
 
@@ -706,7 +741,7 @@ void InvariantChecker::OnTxnAbort(TenantId instance, uint64_t txn) {
 
 bool InvariantChecker::CheckDrained() {
   const size_t before = violations_.size();
-  for (const uint32_t slot : clients_.live()) {
+  for (const uint32_t slot : ByTenantSsd(clients_)) {
     const ClientLedger& c = clients_[slot];
     ++checks_run_;
     if (c.terminal != c.admitted) {
@@ -722,7 +757,7 @@ bool InvariantChecker::CheckDrained() {
                      c.issued, c.terminal_issued));
     }
   }
-  for (const uint32_t slot : policies_.live()) {
+  for (const uint32_t slot : ByTenantSsd(policies_)) {
     const PolicyLedger& p = policies_[slot];
     ++checks_run_;
     if (p.delivered + p.failed != p.target_admitted) {

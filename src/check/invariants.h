@@ -38,6 +38,32 @@
 // CheckDrained() runs the end-of-run balance checks (admitted == terminal,
 // nothing in flight) and may only be called after the testbed has fully
 // quiesced (workers stopped, initiators shut down, event queue drained).
+//
+// Ledger lifetime. A (tenant, ssd) ledger is *closed* when its session is
+// torn down — OnClientClose() from Initiator::Shutdown()/Crash(),
+// OnTargetSessionClosed() when the target frees the session slot — and a
+// closed ledger is freed as soon as it balances: at once if it already
+// does, else by the terminal (client) or deliver/fail/device-return
+// (policy) hook that balances it. A closed ledger that never balances is
+// kept, so CheckDrained() reports it exactly as if nothing were ever
+// freed. Per-ledger state is therefore O(live + draining sessions), not
+// O(sessions ever).
+//
+// Why freeing changes no verdict. CheckDrained() only fails on an
+// unbalanced ledger, and those are never freed; it reports in (tenant,
+// ssd) order, so which ledgers were freed and recycled does not reorder
+// the report. A reused (tenant, ssd) starts again from a zeroed ledger,
+// i.e. its per-hook checks see the full history minus a balanced prefix.
+// In that prefix the differences the checks compare — queued, in flight,
+// terminal minus admitted, delivered + failed minus target admits,
+// device returns minus dispatches — are all 0. The only terms a balanced
+// prefix may leave non-zero are slack that loosens a check: IOs failed
+// before issue (admitted - issued, in "issued exceeds admitted"), IOs the
+// policy failed before dispatch (target admits - dispatched, in
+// policy.dispatch), device returns not delivered (in policy.deliver), and
+// the highest credit granted (in client.credit.bound). In a
+// violation-free prefix — always, under fail_fast — each is >= 0, so the
+// reused key is checked at least as strictly as before.
 #pragma once
 
 #include <cstdint>
@@ -75,6 +101,15 @@ class InvariantChecker {
   const std::vector<Violation>& violations() const { return violations_; }
   bool ok() const { return violations_.empty(); }
   uint64_t checks_run() const { return checks_run_; }
+  // Client and policy ledgers currently held (open, or closed and not yet
+  // balanced).
+  struct LedgerCount {
+    size_t client = 0;
+    size_t policy = 0;
+  };
+  LedgerCount live_ledgers() const {
+    return {clients_.size(), policies_.size()};
+  }
 
   // --- Client (initiator) hooks --------------------------------------------
   // An IO was admitted into the local queue (post MDTS split; one call per
@@ -93,6 +128,9 @@ class InvariantChecker {
                         uint32_t inflight);
   // The client adopted a piggybacked credit from a completion.
   void OnClientCreditUpdate(TenantId tenant, int ssd, uint32_t credit);
+  // The client's session was torn down (Shutdown or Crash): its ledger is
+  // freed once it balances (see "Ledger lifetime" above).
+  void OnClientClose(TenantId tenant, int ssd);
 
   // --- Target / policy hooks -----------------------------------------------
   void OnTargetAdmit(TenantId tenant, int ssd);
@@ -100,12 +138,17 @@ class InvariantChecker {
   void OnDeviceReturn(TenantId tenant, int ssd, bool ok);
   void OnPolicyDeliver(TenantId tenant, int ssd, bool ok);
   void OnPolicyFail(TenantId tenant, int ssd);           // never dispatched
+  // The target freed the tenant's session slot on this SSD: the policy
+  // ledger is freed once it balances.
+  void OnTargetSessionClosed(TenantId tenant, int ssd);
 
   // --- Gimbal switch hooks -------------------------------------------------
   // Per-SSD DRR constants, registered once at attach time.
   void ConfigureDrr(int ssd, uint64_t quantum_bytes, uint64_t slot_bytes,
                     double cost_worst);
-  // The switch granted a credit (piggybacked on a completion).
+  // The switch granted a credit (piggybacked on a completion). Updates an
+  // existing client ledger only: the client admit always precedes a grant,
+  // and a grant for a timed-out IO of a freed ledger is moot.
   void OnCreditGrant(TenantId tenant, int ssd, uint32_t credit);
   // A DRR grant of `rounds` quanta: deficit and fractional carry
   // before/after. The grant must equal floor(rounds x weight x quantum +
@@ -204,16 +247,18 @@ class InvariantChecker {
   void OnTxnAbort(TenantId instance, uint64_t txn);
 
   // --- End-of-run ----------------------------------------------------------
-  // Balance checks over every ledger; call only after a full drain.
-  // Returns true when no new violation was recorded.
+  // Balance checks over every ledger still held, in (tenant, ssd) order;
+  // call only after a full drain. Returns true when no new violation was
+  // recorded.
   bool CheckDrained();
 
  private:
   // Ledgers live in dense arenas (common/index_arena.h) rather than
   // unordered_maps: at 100k churned sessions the per-node allocations and
-  // pointer chases dominated the checker's cost. Ledgers are never freed —
-  // CheckDrained() audits every tenant that ever existed — so the arena
-  // acts as a dense bump allocator with O(1) flat-hash lookup.
+  // pointer chases dominated the checker's cost. A closed ledger's slot is
+  // freed once it balances and recycled by the next session's first hook,
+  // so under churn the arenas and indexes stay at the high-water mark of
+  // live + draining sessions.
   struct ClientLedger {
     ClientLedger(TenantId t, int s) : tenant(t), ssd(s) {}
     void Reset(TenantId t, int s) { *this = ClientLedger(t, s); }
@@ -226,6 +271,10 @@ class InvariantChecker {
     // Highest credit the switch ever granted this (tenant, ssd); starts at
     // the client's optimistic initial grant.
     uint32_t max_credit_granted = 8;
+    bool closed = false;  // OnClientClose seen: free once balanced
+    bool balanced() const {
+      return admitted == terminal && issued == terminal_issued;
+    }
   };
   struct PolicyLedger {
     PolicyLedger(TenantId t, int s) : tenant(t), ssd(s) {}
@@ -237,6 +286,11 @@ class InvariantChecker {
     uint64_t device_returns = 0;
     uint64_t delivered = 0;  // ok + non-ok through Deliver()
     uint64_t failed = 0;     // FailRequest() (never dispatched)
+    bool closed = false;     // OnTargetSessionClosed seen: free once balanced
+    bool balanced() const {
+      return delivered + failed == target_admitted &&
+             device_returns == dispatched;
+    }
   };
   // One currently-backlogged tenant in a DRR's fairness comparison.
   // Cost-normalized service accrues while the tenant stays backlogged; the
@@ -310,6 +364,22 @@ class InvariantChecker {
       policy_index_.Put(key, slot);
     }
     return policies_[slot];
+  }
+  // Free the ledger's slot and index entry: the caller checked that it is
+  // closed and balanced.
+  template <typename Ledger>
+  static void Retire(const Ledger& l, common::SlabArena<Ledger>& arena,
+                     common::IdIndexMap& index) {
+    const uint64_t key = Key(l.tenant, l.ssd);
+    const uint32_t slot = index.Find(key);
+    index.Erase(key);
+    arena.Free(slot);
+  }
+  void MaybeRetireClient(const ClientLedger& c) {
+    if (c.closed && c.balanced()) Retire(c, clients_, client_index_);
+  }
+  void MaybeRetirePolicy(const PolicyLedger& p) {
+    if (p.closed && p.balanced()) Retire(p, policies_, policy_index_);
   }
 
   // The clock of the shard executing the current hook; falls back to the

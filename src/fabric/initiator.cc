@@ -161,6 +161,8 @@ void Initiator::Shutdown() {
   // or is aborted when its timer fires (no retransmission follows a
   // disconnect). Fail everything still queued locally.
   FailQueued();
+  // The checker frees this session's ledger once the issued tail drains.
+  if (chk_) chk_->OnClientClose(tenant_, pipeline_);
   // The disconnect capsule trails any already-issued commands (the fabric
   // is FIFO per direction), so the target sees them first.
   ++control_inflight_;
@@ -197,6 +199,7 @@ void Initiator::Crash() {
     p.timer.Cancel();
     FailLocally(std::move(p), IoStatus::kAborted, /*was_issued=*/true);
   }
+  if (chk_) chk_->OnClientClose(tenant_, pipeline_);
 }
 
 void Initiator::Trim(uint64_t offset, uint32_t length) {

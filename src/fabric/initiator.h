@@ -125,6 +125,7 @@ class Initiator : public CompletionSink {
 
   // Attach the invariant checker: admit/issue/terminal conservation and
   // the §3.6 credit law are checked at every transition (docs/TESTING.md).
+  // Shutdown() and Crash() close the session's ledger.
   void AttachChecker(check::InvariantChecker* chk) { chk_ = chk; }
 
  private:

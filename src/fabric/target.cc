@@ -97,6 +97,7 @@ void Target::FreeSessionIfDrained(Pipeline& p, TenantId tenant) {
   Untrack(p, s);
   p.session_index.Erase(tenant);
   p.sessions.Free(slot);
+  if (chk_) chk_->OnTargetSessionClosed(tenant, p.id);
 }
 
 void Target::Connect(int pipeline, TenantId tenant, CompletionSink* sink) {

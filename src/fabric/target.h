@@ -230,7 +230,7 @@ class Target {
     }
   }
   // Free the slot once a parting (or sink-less ghost) session has no
-  // outstanding commands left.
+  // outstanding commands left, and tell the checker the session closed.
   void FreeSessionIfDrained(Pipeline& p, TenantId tenant);
   void DeliverToPolicy(Pipeline& p, const IoRequest& req);
   void FinishCompletion(Pipeline& p, const IoRequest& req, IoCompletion cpl);

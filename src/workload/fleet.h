@@ -13,8 +13,10 @@
 // starts a replacement under a brand-new tenant id. A retired session
 // moves to the graveyard until its last completion drains (the fabric may
 // still deliver completions to its sink), then its memory is reclaimed by
-// the periodic sweep — so steady-state memory is O(seats + draining), not
-// O(sessions ever).
+// the periodic sweep. The fleet, the target's session table, the DRR
+// arena and the invariant checker's ledgers are O(seats + draining); the
+// one exception is the SloTracker slot a retired session's in-flight tail
+// re-creates after OnDisconnect, which nothing frees (docs/WORKLOADS.md).
 //
 // Every session's completions feed the SloTracker (obs/slo.h); call
 // Stop(), run the sim to idle, then ExportSlo() into a registry.

@@ -278,6 +278,11 @@ TEST(FaultE2eTest, CrashedTenantIsReapedAndLeavesNoState) {
   EXPECT_EQ(bed.gimbal_switch(0)->scheduler().tenant_count(), 0u);
   // The surviving tenant kept running after the crash.
   EXPECT_GT(bed.workers()[1]->stats().total_bytes(), 0u);
+  // The checker freed both tenants' ledgers: Crash() and Shutdown() closed
+  // the client side, the reap and the disconnect the target side.
+  EXPECT_TRUE(bed.checker().CheckDrained());
+  EXPECT_EQ(bed.checker().live_ledgers().client, 0u);
+  EXPECT_EQ(bed.checker().live_ledgers().policy, 0u);
 
   // Every admitted IO of both tenants reached exactly one terminal status.
   for (auto& ini : bed.initiators()) {

@@ -3,8 +3,9 @@
 //
 //   * churn storm — ~100k connect/disconnect cycles on a sharded 2-SSD
 //     testbed must drain to nothing: no live target sessions, no scheduler
-//     tenants, every arena slot recycled, ledgers balanced, and the trace
-//     digest bit-identical run to run;
+//     tenants, every arena slot recycled, ledgers balanced and freed (and
+//     never more of them than live + draining sessions along the way),
+//     and the trace digest bit-identical run to run;
 //   * weight-leak regression — SetTenantWeight + Disconnect must reap the
 //     whole tenant slot (the weight once lived in a side map the
 //     disconnect path forgot to clear);
@@ -12,16 +13,19 @@
 //     appear in the metrics JSON under their documented names;
 //   * idle-tenant heap — a registered tenant or connected initiator that
 //     never queues an IO costs its own struct plus index bookkeeping, not
-//     a preallocated queue buffer.
+//     a preallocated queue buffer, and a closed session leaves nothing in
+//     the invariant checker.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "check/invariants.h"
 #include "core/drr_scheduler.h"
 #include "core/virtual_slot.h"
 #include "core/write_cost.h"
@@ -70,8 +74,25 @@ ChurnResult RunChurnStorm() {
   obs.tracer.Enable(4u << 20);
   Testbed bed(ChurnConfig(&obs));
   OpenLoopFleet fleet(bed, ChurnSpec());
+  // Sweep the graveyard every 100 us of the storm and bound the checker's
+  // ledgers by the sessions still alive: seats plus draining.
+  size_t sweeps = 0;
+  std::function<void()> probe = [&]() {
+    const size_t draining = fleet.SweepGraveyard();
+    const size_t alive = fleet.active_sessions() + draining;
+    const check::InvariantChecker::LedgerCount live =
+        bed.checker().live_ledgers();
+    EXPECT_LE(live.client, alive) << "at " << bed.sim().now();
+    EXPECT_LE(live.policy, alive) << "at " << bed.sim().now();
+    ++sweeps;
+    if (bed.sim().now() < Milliseconds(50)) {
+      bed.sim().After(Microseconds(100), probe);
+    }
+  };
+  bed.sim().After(Microseconds(100), probe);
   fleet.Start();
   bed.sim().RunUntil(Milliseconds(50));
+  EXPECT_EQ(sweeps, 500u);
   fleet.Stop();
   // Run to idle: the storm's capsule backlog on the shared link can take
   // far longer than any fixed deadline to drain.
@@ -100,8 +121,11 @@ ChurnResult RunChurnStorm() {
         << "orphaned arena slots on ssd " << i;
   }
 
-  // Ledger balance across the whole storm (admit == terminal everywhere).
+  // Ledger balance across the whole storm (admit == terminal everywhere),
+  // and every closed session's ledgers were freed as they balanced.
   EXPECT_TRUE(bed.checker().CheckDrained());
+  EXPECT_EQ(bed.checker().live_ledgers().client, 0u);
+  EXPECT_EQ(bed.checker().live_ledgers().policy, 0u);
   EXPECT_EQ(obs.tracer.dropped(), 0u);
   return {fleet.connects(), obs.tracer.Digest()};
 }
@@ -219,6 +243,55 @@ TEST(IdleTenantHeap, IdleInitiatorCostsItsStateOnly) {
   EXPECT_LE(per_init, sizeof(fabric::Initiator) + kSessionSlack)
       << "sizeof(Initiator) = " << sizeof(fabric::Initiator);
   EXPECT_EQ(inits.back()->queued(), 0u);
+}
+
+TEST(IdleTenantHeap, ClosedSessionsLeaveNoCheckerLedgers) {
+  // Regression: the invariant checker kept a client and a policy ledger
+  // for every (tenant, ssd) that ever submitted an IO, ~3 MiB by the end
+  // of a fleet_churn window. A closed session's ledgers are now freed once
+  // they balance, so the checker's heap follows the sessions alive at
+  // once (kWindow here), not the sessions ever run.
+  constexpr TenantId kWindow = 64;
+  constexpr TenantId kSessions = 16384;
+  check::InvariantChecker chk;
+  auto open_io = [&](TenantId t) {
+    const int ssd = static_cast<int>(t % 2);
+    chk.OnClientAdmit(t, ssd, 1);
+    chk.OnClientIssue(t, ssd, 0, 1, 8, true);
+    chk.OnTargetAdmit(t, ssd);
+    chk.OnPolicyDispatch(t, ssd);
+  };
+  auto finish_and_close = [&](TenantId t) {
+    const int ssd = static_cast<int>(t % 2);
+    chk.OnDeviceReturn(t, ssd, true);
+    chk.OnCreditGrant(t, ssd, 16);
+    chk.OnPolicyDeliver(t, ssd, true);
+    chk.OnClientCreditUpdate(t, ssd, 16);
+    chk.OnClientClose(t, ssd);  // one IO still in flight: kept
+    chk.OnClientTerminal(t, ssd, true, true, 0);
+    chk.OnTargetSessionClosed(t, ssd);
+  };
+  // Warm-up: the arenas and indexes reach the window's high-water mark.
+  TenantId t = 1;
+  for (; t <= 4 * kWindow; ++t) {
+    open_io(t);
+    if (t > kWindow) finish_and_close(t - kWindow);
+  }
+  const size_t before = HeapInUseBytes();
+  for (; t <= kSessions; ++t) {
+    open_io(t);
+    finish_and_close(t - kWindow);
+  }
+  const size_t grown = HeapInUseBytes() - before;
+  EXPECT_EQ(chk.live_ledgers().client, static_cast<size_t>(kWindow));
+  EXPECT_EQ(chk.live_ledgers().policy, static_cast<size_t>(kWindow));
+  // Zero in practice; the slack covers allocator noise, not a per-session
+  // cost (16k sessions x even 1 B would exceed it).
+  EXPECT_LE(grown, 4096u) << "checker heap grew with churned sessions";
+  for (TenantId u = t - kWindow; u < t; ++u) finish_and_close(u);
+  EXPECT_EQ(chk.live_ledgers().client, 0u);
+  EXPECT_EQ(chk.live_ledgers().policy, 0u);
+  EXPECT_TRUE(chk.CheckDrained());
 }
 
 TEST(Slo, MetricsAppearInJsonExport) {

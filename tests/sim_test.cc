@@ -517,7 +517,9 @@ TEST(EventQueue, MoveOnlyCapturesSurviveHeapReordering) {
   ASSERT_EQ(fired.size(), 500u);
   for (size_t k = 0; k < fired.size(); ++k) {
     EXPECT_EQ(fired[k].first, whens[static_cast<size_t>(fired[k].second)]);
-    if (k > 0) EXPECT_LE(fired[k - 1].first, fired[k].first);
+    if (k > 0) {
+      EXPECT_LE(fired[k - 1].first, fired[k].first);
+    }
   }
 }
 
