@@ -182,9 +182,9 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(faulted.sessions_reaped));
   std::printf("Scheduler tenant state left after drain: %zu\n",
               faulted.leftover_tenants);
-  std::printf("Healthy-SSD isolation (A/B within 10%%): %s\n",
-              isolated ? "PASS" : "FAIL");
-  std::printf("No IO lost (submitted == completed+failed, all tenants): %s\n",
-              balanced ? "PASS" : "FAIL");
-  return (isolated && balanced) ? 0 : 1;
+  const bool all = ReportChecks({
+      {"Healthy-SSD isolation (A/B within 10%)", isolated},
+      {"No IO lost (submitted == completed+failed, all tenants)", balanced},
+  });
+  return all ? 0 : 1;
 }

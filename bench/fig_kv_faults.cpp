@@ -168,7 +168,6 @@ RunResult RunScenario(bool faulted, const FaultKnobs& k) {
     if (!ini->shutdown()) ini->Shutdown();
   }
   cluster.sim().Run();
-  cluster.bed().FlushObservability();
 
   uint64_t ops = 0;
   LatencyHistogram reads;

@@ -88,8 +88,7 @@ struct ScenarioResult {
 ScenarioResult RunScenario(const std::string& name,
                            workload::FleetSpec spec) {
   TestbedConfig cfg = MicroConfig(Scheme::kGimbal, SsdCondition::kClean);
-  cfg.num_ssds = 2;  // sharded engine: churn must replay identically at any
-                     // thread count (golden .t2/.t4 variants pin this)
+  cfg.num_ssds = 2;
   Testbed bed(cfg);
   workload::OpenLoopFleet fleet(bed, spec);
   fleet.Start();

@@ -152,7 +152,6 @@ RunResult RunCell(const RunConfig& rc, const FaultKnobs& k) {
     if (!ini->shutdown()) ini->Shutdown();
   }
   cluster.sim().Run();
-  cluster.bed().FlushObservability();
 
   RunResult r;
   r.locks_idle = true;

@@ -75,7 +75,6 @@
 #include "common/time.h"
 #include "nvme/types.h"
 #include "obs/trace.h"
-#include "sim/shard.h"
 #include "sim/simulator.h"
 
 namespace gimbal::check {
@@ -382,14 +381,8 @@ class InvariantChecker {
     if (p.closed && p.balanced()) Retire(p, policies_, policy_index_);
   }
 
-  // The clock of the shard executing the current hook; falls back to the
-  // attached (client) simulator outside shard execution.
-  Tick now() const {
-    if (const sim::Simulator* s = sim::ShardedEngine::CurrentSim()) {
-      return s->now();
-    }
-    return sim_ ? sim_->now() : 0;
-  }
+  // The attached simulator's clock (0 when none is attached).
+  Tick now() const { return sim_ ? sim_->now() : 0; }
   void Violate(const char* invariant, TenantId tenant, int ssd,
                std::string detail);
   void CheckDrrSkew(const DrrState& d, int ssd);

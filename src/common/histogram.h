@@ -12,7 +12,7 @@
 // worst case is the dense 1888 buckets. Record is O(1) with one span
 // compare on its fast path; Merge, Subtract and Percentile are O(stored
 // span). Reset zeroes in place and keeps the span, so a histogram that is
-// drained and reused (e.g. a metrics series between barriers) does not
+// reused (e.g. a metrics series across measurement windows) does not
 // reallocate.
 #pragma once
 

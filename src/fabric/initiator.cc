@@ -24,7 +24,7 @@ Initiator::Initiator(sim::Simulator& sim, Network& net, Target& target,
     // sink is registered before the first completion could need it.
     ++control_inflight_;
     net_.Send(Direction::kClientToTarget, pipeline_, kCapsuleBytes, [this]() {
-      CapsuleDelivered();
+      --control_inflight_;
       target_.OnConnectCapsule(pipeline_, tenant_, this);
     });
   }
@@ -41,15 +41,11 @@ void Initiator::KeepaliveTick() {
   if (shutdown_) return;
   ++control_inflight_;
   net_.Send(Direction::kClientToTarget, pipeline_, kCapsuleBytes, [this]() {
-    CapsuleDelivered();
+    --control_inflight_;
     target_.OnKeepaliveCapsule(pipeline_, tenant_);
   });
   keepalive_timer_ =
       sim_.After(retry_.keepalive_interval, [this]() { KeepaliveTick(); });
-}
-
-void Initiator::CapsuleDelivered() {
-  net_.PostToClient([this]() { --control_inflight_; });
 }
 
 bool Initiator::CanIssue() const {
@@ -167,7 +163,7 @@ void Initiator::Shutdown() {
   // is FIFO per direction), so the target sees them first.
   ++control_inflight_;
   net_.Send(Direction::kClientToTarget, pipeline_, kCapsuleBytes, [this]() {
-    CapsuleDelivered();
+    --control_inflight_;
     target_.OnDisconnectCapsule(pipeline_, tenant_);
   });
 }
@@ -206,7 +202,7 @@ void Initiator::Trim(uint64_t offset, uint32_t length) {
   ++control_inflight_;
   net_.Send(Direction::kClientToTarget, pipeline_, kCapsuleBytes,
             [this, offset, length]() {
-              CapsuleDelivered();
+              --control_inflight_;
               target_.OnTrimCapsule(pipeline_, offset, length);
             });
 }

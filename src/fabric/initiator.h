@@ -51,11 +51,10 @@ inline Tick BackoffFor(const RetryParams& p, int n) {
 }
 
 // How the initiator registers its completion sink with the target.
-// kDirect pokes the session table immediately — fine at setup time, racy
-// for mid-run churn under the sharded engine. kCapsule sends a connect
-// capsule over the fabric so registration happens on the pipeline's shard
-// in FIFO order with the commands that follow (the open-loop fleet's
-// session churn uses this).
+// kDirect pokes the session table immediately — fine at setup time, but
+// mid-run it skips the fabric its commands cross. kCapsule sends a connect
+// capsule over the fabric so registration happens in FIFO order with the
+// commands that follow (the open-loop fleet's session churn uses this).
 enum class ConnectMode { kDirect, kCapsule };
 
 class Initiator : public CompletionSink {
@@ -106,8 +105,6 @@ class Initiator : public CompletionSink {
   // delivered. Their network callbacks capture `this`, so an initiator
   // must not be destroyed while any is pending — the open-loop fleet's
   // graveyard sweep waits for zero here as well as zero inflight/queued.
-  // A delivery on a target shard reaches this count at the next epoch
-  // barrier (Network::PostToClient), never mid-epoch.
   uint32_t control_inflight() const { return control_inflight_; }
   // Client-visible credit total (the §3.7 virtual-view load signal the KV
   // load balancer uses: more credits = less loaded SSD).
@@ -149,8 +146,6 @@ class Initiator : public CompletionSink {
   void ArmTimeout(uint64_t id, int attempt);
   void OnTimeout(uint64_t id, int attempt);
   void KeepaliveTick();
-  // Called by a control capsule's delivery callback, wherever it runs.
-  void CapsuleDelivered();
   // `was_issued` tells the checker whether the IO ever left the local
   // queue (its in-flight ledger only covers issued IOs).
   void FailLocally(Pending p, IoStatus status, bool was_issued);

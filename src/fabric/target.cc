@@ -12,32 +12,17 @@ namespace gimbal::fabric {
 Target::Target(sim::Simulator& sim, Network& net, TargetConfig config)
     : sim_(sim), net_(net), config_(config) {
   cores_.reserve(config_.cores);
-  core_sims_.reserve(config_.cores);
   for (int i = 0; i < config_.cores; ++i) {
     cores_.push_back(std::make_unique<sim::FifoResource>(sim_));
-    core_sims_.push_back(&sim_);
   }
 }
 
-void Target::ConfigureShards(const std::vector<sim::Simulator*>& core_sims) {
-  assert(pipelines_.empty() && "ConfigureShards must precede AddPipeline");
-  assert(static_cast<int>(core_sims.size()) == config_.cores);
-  cores_.clear();
-  core_sims_ = core_sims;
-  for (int i = 0; i < config_.cores; ++i) {
-    cores_.push_back(std::make_unique<sim::FifoResource>(*core_sims_[i]));
-  }
-}
-
-int Target::AddPipeline(std::unique_ptr<core::IoPolicy> policy,
-                        obs::Observability* obs) {
+int Target::AddPipeline(std::unique_ptr<core::IoPolicy> policy) {
   auto p = std::make_unique<Pipeline>();
   p->policy = std::move(policy);
   // Shared-nothing: pipelines spread round-robin over the cores (§4.1:
   // one A72 core fully drives one PCIe Gen3 SSD).
   p->core = static_cast<int>(pipelines_.size()) % config_.cores;
-  p->sim = core_sims_[p->core];
-  p->obs_override = obs;
   Pipeline* raw = p.get();
   p->policy->set_completion_fn(
       [this, raw](const IoRequest& req, const IoCompletion& cpl) {
@@ -47,7 +32,7 @@ int Target::AddPipeline(std::unique_ptr<core::IoPolicy> policy,
   // routing and the `ssd` metric label stay rack-wide unique.
   const int id = base_ + static_cast<int>(pipelines_.size());
   p->id = id;
-  p->policy->AttachObservability(ObsOf(*p), id);
+  p->policy->AttachObservability(obs_, id);
   p->policy->AttachChecker(chk_, id);
   pipelines_.push_back(std::move(p));
   return id;
@@ -57,7 +42,7 @@ void Target::AttachObservability(obs::Observability* obs) {
   obs_ = obs;
   for (size_t i = 0; i < pipelines_.size(); ++i) {
     Pipeline& p = *pipelines_[i];
-    p.policy->AttachObservability(ObsOf(p), p.id);
+    p.policy->AttachObservability(obs_, p.id);
     // Drop cached admit counter handles; they re-resolve against the new
     // registry (or run label) on the next capsule.
     for (uint32_t slot : p.sessions.live()) {
@@ -125,7 +110,7 @@ void Target::OnCommandCapsule(int pipeline, IoRequest req) {
   p.stats.bytes += req.length;
   Session& s = SessionFor(p, req.tenant);
   ++s.outstanding;
-  if (obs::Observability* o = ObsOf(p)) {
+  if (obs::Observability* o = obs_) {
     const obs::Labels l =
         obs::Labels::TenantSsd(static_cast<int32_t>(req.tenant), pipeline);
     if (!s.admit_ios) {
@@ -139,13 +124,13 @@ void Target::OnCommandCapsule(int pipeline, IoRequest req) {
     }
     s.admit_ios->Add(1);
     s.admit_bytes->Add(req.length);
-    o->tracer.Instant(p.sim->now(), obs::schema::kEvAdmit, l,
+    o->tracer.Instant(sim_.now(), obs::schema::kEvAdmit, l,
                       {{"bytes", static_cast<double>(req.length)},
                        {"write", req.type == IoType::kWrite ? 1.0 : 0.0}});
   }
   // Target-side latency is measured from capsule arrival to the completion
   // capsule being handed to the NIC (the (b)-(e) window of §2.1).
-  req.target_arrival = p.sim->now();
+  req.target_arrival = sim_.now();
   TouchSession(pipeline, req.tenant);
   // Step (b): submission processing on the pipeline's core.
   CoreOf(p).Acquire(
@@ -157,16 +142,16 @@ void Target::OnCommandCapsule(int pipeline, IoRequest req) {
                     [this, &p, req]() mutable {
                       net_.Send(Direction::kClientToTarget, p.id, req.length,
                                 [this, &p, req]() mutable {
-                                  p.sim->After(StagingDelay(req.length),
-                                               [this, &p, req]() {
-                                                 DeliverToPolicy(p, req);
-                                               });
+                                  sim_.After(StagingDelay(req.length),
+                                             [this, &p, req]() {
+                                               DeliverToPolicy(p, req);
+                                             });
                                 });
                     });
         } else if (req.type == IoType::kWrite) {
           // Inlined payload arrived with the capsule: just stage it.
-          p.sim->After(StagingDelay(req.length),
-                       [this, &p, req]() { DeliverToPolicy(p, req); });
+          sim_.After(StagingDelay(req.length),
+                     [this, &p, req]() { DeliverToPolicy(p, req); });
         } else {
           DeliverToPolicy(p, req);
         }
@@ -239,21 +224,20 @@ void Target::TouchSession(int pipeline, TenantId tenant) {
   if (config_.session_timeout <= 0) return;
   Pipeline& p = Pipe(pipeline);
   Session& s = SessionFor(p, tenant);
-  s.last_seen = p.sim->now();
+  s.last_seen = sim_.now();
   if (!s.tracked) {
     s.tracked = true;
     ++p.tracked_sessions;
   }
   if (p.reaper_timer.active()) return;
   // Scan at half the timeout so a dead session is reaped at most 1.5x the
-  // timeout after its last capsule. One timer per pipeline, on the
-  // pipeline's shard.
-  p.reaper_timer = p.sim->After(config_.session_timeout / 2,
-                                [this, &p]() { ReapStaleSessions(p); });
+  // timeout after its last capsule. One timer per pipeline.
+  p.reaper_timer = sim_.After(config_.session_timeout / 2,
+                              [this, &p]() { ReapStaleSessions(p); });
 }
 
 void Target::ReapStaleSessions(Pipeline& p) {
-  const Tick now = p.sim->now();
+  const Tick now = sim_.now();
   // Collect-then-reap, sorted: arena live order depends on churn history
   // and the reap order is client-visible (failed completions).
   std::vector<TenantId> stale;
@@ -269,7 +253,7 @@ void Target::ReapStaleSessions(Pipeline& p) {
     Untrack(p, *s);
     s->parting = true;
     ++p.sessions_reaped;
-    if (obs::Observability* o = ObsOf(p)) {
+    if (obs::Observability* o = obs_) {
       const obs::Labels l =
           obs::Labels::TenantSsd(static_cast<int32_t>(tenant), p.id);
       o->metrics
@@ -287,8 +271,8 @@ void Target::ReapStaleSessions(Pipeline& p) {
   }
   // Self-terminate once nothing is tracked so the event queue can drain.
   if (p.tracked_sessions > 0) {
-    p.reaper_timer = p.sim->After(config_.session_timeout / 2,
-                                  [this, &p]() { ReapStaleSessions(p); });
+    p.reaper_timer = sim_.After(config_.session_timeout / 2,
+                                [this, &p]() { ReapStaleSessions(p); });
   }
 }
 
@@ -329,7 +313,7 @@ void Target::FinishCompletion(Pipeline& p, const IoRequest& req,
                               IoCompletion cpl) {
   // Step (e) prologue: completion processing on the core.
   CoreOf(p).Acquire(config_.complete_cost, [this, &p, req, cpl]() mutable {
-    cpl.target_latency = p.sim->now() - req.target_arrival;
+    cpl.target_latency = sim_.now() - req.target_arrival;
     Session* s = FindSession(p, req.tenant);
     if (s != nullptr && s->outstanding > 0) --s->outstanding;
     if (s == nullptr || s->sink == nullptr) {
@@ -348,7 +332,7 @@ void Target::FinishCompletion(Pipeline& p, const IoRequest& req,
     if (req.type == IoType::kRead && cpl.ok()) {
       // Step (d): stage data out of node memory, RDMA_WRITE it, then the
       // completion capsule follows on the same direction.
-      p.sim->After(StagingDelay(req.length), [this, &p, req, cpl, sink]() {
+      sim_.After(StagingDelay(req.length), [this, &p, req, cpl, sink]() {
         net_.Send(Direction::kTargetToClient, p.id, req.length + kCapsuleBytes,
                   [cpl, sink]() { sink->OnFabricCompletion(cpl); });
       });

@@ -10,15 +10,6 @@
 //   (c) the per-SSD IoPolicy decides when the SSD executes it,
 //   (d) for reads, RDMA_WRITE of the data back to the client,
 //   (e) completion capsule (carrying Gimbal's piggybacked credit, §3.6).
-//
-// Under the sharded engine (docs/SIMULATOR.md) each core — and so each
-// pipeline — lives on its own shard: ConfigureShards() rebuilds the core
-// FifoResources on the shard simulators, and every pipeline-side path
-// (admission, staging, reaping, completion) runs on and reads the clock of
-// its pipeline's shard. All mutable per-pipeline state (stats, session
-// table, reaper timer, counter caches) is therefore single-writer; the
-// aggregate accessors (stats(), session_count(), sessions_reaped()) fold
-// by value and are meant for control context, between runs.
 #pragma once
 
 #include <cassert>
@@ -77,13 +68,6 @@ class Target {
  public:
   Target(sim::Simulator& sim, Network& net, TargetConfig config = {});
 
-  // Sharded mode: rebuild core c's FifoResource on core_sims[c] so each
-  // pipeline executes on its shard. Must be called before any AddPipeline
-  // (pipelines capture their core's simulator); size must equal
-  // config.cores. Entries for cores the testbed leaves unused may point at
-  // the client simulator.
-  void ConfigureShards(const std::vector<sim::Simulator*>& core_sims);
-
   // Rack topology (docs/SIMULATOR.md): pipeline ids handed out by
   // AddPipeline — and accepted by every capsule entry point — start at
   // `base`. A multi-node testbed gives node n's target base = first global
@@ -96,25 +80,20 @@ class Target {
   int pipeline_base() const { return base_; }
 
   // Attach an SSD pipeline driven by `policy`; returns the pipeline id.
-  // The policy must already be bound to its block device. `obs` overrides
-  // the target-wide observability for this pipeline (the sharded testbed
-  // passes the pipeline's shard-private instance); null inherits.
-  int AddPipeline(std::unique_ptr<core::IoPolicy> policy,
-                  obs::Observability* obs = nullptr);
+  // The policy must already be bound to its block device.
+  int AddPipeline(std::unique_ptr<core::IoPolicy> policy);
 
   // Register the client-side sink for a tenant's completions on a pipeline.
-  // Direct variant: mutates the session table immediately (setup-time use;
-  // under sharding it is only safe before Run()).
+  // Direct variant: mutates the session table immediately (setup-time use).
   void Connect(int pipeline, TenantId tenant, CompletionSink* sink);
 
-  // Capsule variant: runs after the connect capsule's network trip, i.e.
-  // on the pipeline's shard, so mid-run connects (session churn) are safe
-  // under the sharded engine. Charges one submit_cost of admin processing.
+  // Capsule variant: runs after the connect capsule's network trip, so the
+  // registration rides the FIFO fabric ahead of the tenant's commands
+  // (mid-run session churn). Charges one submit_cost of admin processing.
   void OnConnectCapsule(int pipeline, TenantId tenant, CompletionSink* sink);
 
   // Entry point used by initiators (called after the capsule's network
-  // trip, so under sharding it already runs on the pipeline's shard):
-  // step (b) onward.
+  // trip): step (b) onward.
   void OnCommandCapsule(int pipeline, IoRequest req);
 
   // Dataset Management (TRIM) capsule: cheap control-plane processing,
@@ -146,8 +125,8 @@ class Target {
   uint64_t completions_orphaned() const;
 
   // Attach metrics/trace sinks; propagated to every pipeline's policy
-  // (existing and future) that has no per-pipeline override, which
-  // forwards to its device-facing components. Pipeline index doubles as
+  // (existing and future), which forwards to its device-facing
+  // components. Pipeline index doubles as
   // the `ssd` label. Pass nullptr to detach.
   void AttachObservability(obs::Observability* obs);
 
@@ -195,10 +174,6 @@ class Target {
     std::unique_ptr<core::IoPolicy> policy;
     int id = 0;
     int core = 0;
-    // The shard this pipeline executes on (== the target's simulator in
-    // plain mode) and the observability it records into.
-    sim::Simulator* sim = nullptr;
-    obs::Observability* obs_override = nullptr;
     TargetStats stats;
     common::SlabArena<Session> sessions;
     common::IdIndexMap session_index;  // tenant -> arena slot
@@ -215,9 +190,6 @@ class Target {
     return *pipelines_[static_cast<size_t>(pipeline - base_)];
   }
   sim::FifoResource& CoreOf(const Pipeline& p) { return *cores_[p.core]; }
-  obs::Observability* ObsOf(const Pipeline& p) const {
-    return p.obs_override ? p.obs_override : obs_;
-  }
   // Session-table plumbing. Deferred callbacks must re-resolve by tenant
   // id (not hold a Session*): a freed slot can be recycled for another
   // tenant while the callback waits its turn on the core.
@@ -245,7 +217,6 @@ class Target {
   Network& net_;
   TargetConfig config_;
   std::vector<std::unique_ptr<sim::FifoResource>> cores_;
-  std::vector<sim::Simulator*> core_sims_;  // parallel to cores_
   std::vector<std::unique_ptr<Pipeline>> pipelines_;
   int base_ = 0;  // global id of this target's first pipeline
   obs::Observability* obs_ = nullptr;  // null = not observed

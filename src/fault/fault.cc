@@ -19,19 +19,6 @@ FaultInjector::FaultInjector(sim::Simulator& sim, int num_ssds, uint64_t seed)
       ssds_(static_cast<size_t>(num_ssds)) {
   for (int i = 0; i < num_ssds; ++i) {
     ssds_[i].rng = Rng(SsdSeed(seed_, i));
-    ssds_[i].sim = &sim_;
-  }
-}
-
-void FaultInjector::ConfigureShards(
-    const std::vector<sim::Simulator*>& ssd_sims,
-    const std::vector<obs::Observability*>& ssd_obs) {
-  assert(static_cast<int>(ssd_sims.size()) == num_ssds());
-  assert(static_cast<int>(ssd_obs.size()) == num_ssds());
-  assert(scheduled_.empty() && "ConfigureShards must precede Schedule");
-  for (int i = 0; i < num_ssds(); ++i) {
-    ssds_[i].sim = ssd_sims[i] ? ssd_sims[i] : &sim_;
-    ssds_[i].obs = ssd_obs[i];
   }
 }
 
@@ -42,15 +29,15 @@ void FaultInjector::AttachObservability(obs::Observability* obs) {
   namespace schema = obs::schema;
   for (int i = 0; i < num_ssds(); ++i) {
     SsdState& s = ssds_[i];
-    obs::Observability* o = s.obs ? s.obs : obs_;
-    s.machine.AttachObservability(o, i);
+    s.machine.AttachObservability(obs_, i);
     s.m_media_errors = nullptr;
     s.m_device_failed = nullptr;
     s.m_stalled = nullptr;
-    if (o) {
-      s.m_media_errors = &o->metrics.GetCounter(schema::kFaultMediaErrors);
-      s.m_device_failed = &o->metrics.GetCounter(schema::kFaultDeviceFailedIos);
-      s.m_stalled = &o->metrics.GetCounter(schema::kFaultStalledIos);
+    if (obs_) {
+      s.m_media_errors = &obs_->metrics.GetCounter(schema::kFaultMediaErrors);
+      s.m_device_failed =
+          &obs_->metrics.GetCounter(schema::kFaultDeviceFailedIos);
+      s.m_stalled = &obs_->metrics.GetCounter(schema::kFaultStalledIos);
     }
   }
   if (!obs_) return;
@@ -60,20 +47,10 @@ void FaultInjector::AttachObservability(obs::Observability* obs) {
 }
 
 void FaultInjector::Inject(const char* kind, int ssd, double arg) {
-  obs::Observability* o;
-  Tick now;
-  if (ssd >= 0) {
-    const SsdState& s = ssds_[ssd];
-    o = s.obs ? s.obs : obs_;
-    now = s.sim->now();
-  } else {
-    o = obs_;
-    now = sim_.now();
-  }
-  if (!o) return;
-  o->tracer.Instant(now, obs::schema::kEvFaultInject,
-                    ssd >= 0 ? obs::Labels::Ssd(ssd) : obs::Labels{},
-                    {{kind, arg}});
+  if (!obs_) return;
+  obs_->tracer.Instant(sim_.now(), obs::schema::kEvFaultInject,
+                       ssd >= 0 ? obs::Labels::Ssd(ssd) : obs::Labels{},
+                       {{kind, arg}});
 }
 
 bool FaultInjector::Degrading(int ssd, Tick now) const {
@@ -88,7 +65,7 @@ bool FaultInjector::Degrading(int ssd, Tick now) const {
 
 bool FaultInjector::SetHealth(int ssd, SsdHealth to) {
   SsdState& s = ssds_[ssd];
-  if (!s.machine.Set(to, s.sim->now())) return false;
+  if (!s.machine.Set(to, sim_.now())) return false;
   for (auto& fn : s.observers) fn(to);
   return true;
 }
@@ -98,10 +75,9 @@ void FaultInjector::Schedule(const FaultPlan& plan) {
   // Whole-node failures expand into one SsdFailure per SSD on the node,
   // all at the node's fail/recover ticks — the scheduling loop below then
   // treats them exactly like planned per-SSD failures, so every SSD on
-  // the node fails (and heals) atomically on its own shard. The rack
-  // fabric's message blackout is scheduled separately by the testbed
-  // (Network::AddNodeOutage). A node-level trace event marks each edge on
-  // the injector's (client) simulator.
+  // the node fails (and heals) atomically. The rack fabric's message
+  // blackout is scheduled separately by the testbed
+  // (Network::AddNodeOutage). A node-level trace event marks each edge.
   for (const NodeFailure& nf : plan_.node_failures) {
     for (int s = 0; s < num_ssds(); ++s) {
       if (NodeOf(s) == nf.node) {
@@ -117,19 +93,16 @@ void FaultInjector::Schedule(const FaultPlan& plan) {
       }));
     }
   }
-  // Per-SSD window edges run on the SSD's simulator: the health observers
-  // they fire (the pipeline policies) live on that shard.
   for (const StallWindow& w : plan_.stalls) {
     assert(w.ssd >= 0 && w.ssd < num_ssds());
-    sim::Simulator& ssim = *ssds_[w.ssd].sim;
-    scheduled_.push_back(ssim.At(w.start, [this, w]() {
+    scheduled_.push_back(sim_.At(w.start, [this, w]() {
       Inject("stall_ns", w.ssd, static_cast<double>(w.extra_latency));
       SetHealth(w.ssd, SsdHealth::kDegraded);
     }));
-    scheduled_.push_back(ssim.At(w.end, [this, w]() {
+    scheduled_.push_back(sim_.At(w.end, [this, w]() {
       // Only un-degrade if no other degrading window is still active and
       // the device has not failed meanwhile (Set validates transitions).
-      if (!Degrading(w.ssd, ssds_[w.ssd].sim->now()) &&
+      if (!Degrading(w.ssd, sim_.now()) &&
           (GIMBAL_MUT(kHealthSkip) ||
            health(w.ssd) == SsdHealth::kDegraded)) {
         SetHealth(w.ssd, SsdHealth::kHealthy);
@@ -138,13 +111,12 @@ void FaultInjector::Schedule(const FaultPlan& plan) {
   }
   for (const MediaErrorBurst& b : plan_.media_errors) {
     assert(b.ssd >= 0 && b.ssd < num_ssds());
-    sim::Simulator& ssim = *ssds_[b.ssd].sim;
-    scheduled_.push_back(ssim.At(b.start, [this, b]() {
+    scheduled_.push_back(sim_.At(b.start, [this, b]() {
       Inject("media_error_p", b.ssd, b.probability);
       SetHealth(b.ssd, SsdHealth::kDegraded);
     }));
-    scheduled_.push_back(ssim.At(b.end, [this, b]() {
-      if (!Degrading(b.ssd, ssds_[b.ssd].sim->now()) &&
+    scheduled_.push_back(sim_.At(b.end, [this, b]() {
+      if (!Degrading(b.ssd, sim_.now()) &&
           (GIMBAL_MUT(kHealthSkip) ||
            health(b.ssd) == SsdHealth::kDegraded)) {
         SetHealth(b.ssd, SsdHealth::kHealthy);
@@ -153,8 +125,7 @@ void FaultInjector::Schedule(const FaultPlan& plan) {
   }
   for (const SsdFailure& f : plan_.failures) {
     assert(f.ssd >= 0 && f.ssd < num_ssds());
-    sim::Simulator& ssim = *ssds_[f.ssd].sim;
-    scheduled_.push_back(ssim.At(f.fail_at, [this, f]() {
+    scheduled_.push_back(sim_.At(f.fail_at, [this, f]() {
       Inject("fail", f.ssd, 1.0);
       // A failure during probation kills the pending heal; the re-failed
       // device must wait for its own recovery, not inherit the old one's.
@@ -163,11 +134,11 @@ void FaultInjector::Schedule(const FaultPlan& plan) {
     }));
     if (f.recover_at > 0) {
       assert(f.recover_at > f.fail_at);
-      scheduled_.push_back(ssim.At(f.recover_at, [this, f]() {
+      scheduled_.push_back(sim_.At(f.recover_at, [this, f]() {
         Inject("recover", f.ssd, 1.0);
         if (!SetHealth(f.ssd, SsdHealth::kRecovering)) return;
         ssds_[f.ssd].probation =
-            ssds_[f.ssd].sim->After(plan_.recovery_probation, [this, f]() {
+            sim_.After(plan_.recovery_probation, [this, f]() {
               SetHealth(f.ssd, SsdHealth::kHealthy);
             });
       }));

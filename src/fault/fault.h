@@ -18,17 +18,8 @@
 // Determinism: device-path decisions for SSD i come from a per-SSD RNG
 // stream (SplitMix-derived from the injector seed and i), and link-path
 // decisions from a separate link stream; draws happen only inside active
-// fault windows. Per-SSD streams make the fault schedule independent of
-// how IOs from different SSDs interleave — which is what lets the sharded
-// engine (docs/SIMULATOR.md) run each SSD's pipeline on its own shard and
-// still produce the exact serial fault sequence: the link stream is only
-// ever drawn from the barrier replay, in canonical message order.
-//
-// Under sharding, ConfigureShards() pins each SSD's window-edge timers,
-// health machine and trace events to that SSD's shard (health observers —
-// the policies — live there); link-flap edges and tenant crashes stay on
-// the client shard. All per-SSD mutable state (RNG, counters, metric
-// handles) is then single-writer.
+// fault windows. Per-SSD streams make one SSD's fault sequence independent
+// of how IOs from different SSDs interleave.
 #pragma once
 
 #include <cassert>
@@ -118,14 +109,6 @@ class FaultInjector {
  public:
   FaultInjector(sim::Simulator& sim, int num_ssds, uint64_t seed = 1);
 
-  // Sharded mode: SSD i's window-edge timers, probation heals and trace
-  // events run on `ssd_sims[i]` and record into `ssd_obs[i]` (entries may
-  // be null to inherit the injector-wide observability). Call before
-  // Schedule() and before AttachObservability(). Sizes must equal
-  // num_ssds.
-  void ConfigureShards(const std::vector<sim::Simulator*>& ssd_sims,
-                       const std::vector<obs::Observability*>& ssd_obs);
-
   // Rack topology: `node_of[ssd]` maps each SSD to its node, so a
   // NodeFailure can expand into that node's per-SSD failures. Call before
   // Schedule(). Without it every SSD counts as node 0.
@@ -155,15 +138,13 @@ class FaultInjector {
 
   // (e) Abrupt tenant crash: runs `crash_fn` (typically Initiator::Crash —
   // no disconnect capsule; the target's keepalive reaper cleans up) at
-  // `at`, with a fault.inject trace event. Runs on the injector's own
-  // (client) simulator — initiators live there.
+  // `at`, with a fault.inject trace event.
   void ScheduleTenantCrash(Tick at, TenantId tenant,
                            std::function<void()> crash_fn);
 
   // --- Data-path queries -----------------------------------------------------
 
-  // Decision for one device command on `ssd`. `now` must be the clock of
-  // the simulator the device runs on (the SSD's shard under sharding).
+  // Decision for one device command on `ssd` at simulated time `now`.
   struct IoFault {
     IoStatus force_status = IoStatus::kOk;  // non-ok: do not reach the device
     Tick fault_latency = 0;   // completion latency when force_status != ok
@@ -171,9 +152,7 @@ class FaultInjector {
   };
   IoFault OnDeviceSubmit(int ssd, IoType type, Tick now);
 
-  // Decision for one fabric message. Under sharding the network calls this
-  // from the barrier replay, in canonical message order, so the link RNG
-  // stream does not depend on how shards interleave within an epoch.
+  // Decision for one fabric message sent at `now`.
   struct LinkFault {
     bool drop = false;
     Tick extra_delay = 0;
@@ -208,19 +187,15 @@ class FaultInjector {
     uint64_t link_delayed = 0;
     uint64_t crashes = 0;
   };
-  // Aggregated across the per-SSD, link and crash writer contexts. Meant
-  // for control context (between runs / at a barrier).
+  // Aggregated across the per-SSD, link and crash counters.
   FaultCounters counters() const;
 
  private:
   struct SsdState {
     SsdHealthMachine machine;
     std::vector<std::function<void(SsdHealth)>> observers;
-    // This SSD's private fault stream and single-writer state (see header
-    // comment). sim/obs default to the injector-wide ones in plain mode.
+    // This SSD's private fault stream and counters (see header comment).
     Rng rng{0};
-    sim::Simulator* sim = nullptr;
-    obs::Observability* obs = nullptr;
     uint64_t media_errors = 0;
     uint64_t device_failed_ios = 0;
     uint64_t stalled_ios = 0;
@@ -256,8 +231,7 @@ class FaultInjector {
   std::vector<SsdState> ssds_;
   std::vector<int> node_of_;  // empty: single node
   FaultPlan plan_;
-  // Writer-context-split counters: link_* are written by the network call
-  // path (the barrier replay under sharding), crashes_ by the client shard.
+  // link_* are counted per fabric message, crashes_ per tenant crash.
   uint64_t link_dropped_ = 0;
   uint64_t link_delayed_ = 0;
   uint64_t crashes_ = 0;

@@ -17,10 +17,9 @@
 //
 // Backend health is tracked client-side, from the completion statuses this
 // instance observes (kDeviceFailed marks a backend down, kOk marks it back
-// up). Under the sharded engine the injector's health machines live on the
-// SSD shards, so the client deliberately never reads them directly — the
-// observed view is driven purely by events that already cross the shard
-// boundary, which keeps every schedule independent of shard order.
+// up). The client deliberately never reads the injector's health machines
+// directly: like a real initiator, it learns of a failure only from what
+// crosses the fabric.
 //
 // Fault-free runs are event-for-event identical to the pre-fault-tolerance
 // blobstore: no timers are armed and no submit order changes unless a

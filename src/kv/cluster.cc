@@ -15,7 +15,7 @@ KvCluster::Instance& KvCluster::AddInstance() {
   }
   inst->blobs = std::make_unique<Blobstore>(bed_.sim(), inst->initiators,
                                             cfg_.load_balance_reads);
-  inst->blobs->AttachObservability(bed_.client_obs(), inst->id);
+  inst->blobs->AttachObservability(bed_.config().obs, inst->id);
   inst->blobs->AttachChecker(&bed_.checker());
   Blobstore* blobs = inst->blobs.get();
   // The local allocator's load signal is the §3.7 virtual-view credit.
@@ -33,7 +33,7 @@ KvCluster::Instance& KvCluster::AddInstance() {
   }
   inst->db = std::make_unique<KvDb>(bed_.sim(), *inst->blobs, *inst->alloc,
                                     cfg_.db);
-  inst->db->AttachObservability(bed_.client_obs(), inst->id);
+  inst->db->AttachObservability(bed_.config().obs, inst->id);
   // Re-replication rides at background priority next to flush/compaction;
   // the ledger callback wakes it on a new dirty entry or an observed
   // backend recovery. Fault-free it never runs.

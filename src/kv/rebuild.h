@@ -12,11 +12,9 @@
 // requeued, and the next attempt waits a capped exponential backoff reusing
 // the initiator's retry policy. The first attempt after the SSD recovers
 // simply succeeds — no subscription to the injector's health machine is
-// needed, which matters under the sharded engine: health machines live on
-// SSD shards, and reading them from the client shard would make the
-// client's view depend on shard order within an epoch. Completions
-// observed by the blobstore also Poke() the scanner when a down backend
-// serves an IO again.
+// needed: the client's view of a backend comes only from what crosses the
+// fabric. Completions observed by the blobstore also Poke() the scanner
+// when a down backend serves an IO again.
 //
 // Fault-free runs never record dirty replicas, so the scanner arms no
 // timers and is entirely absent from the event schedule.

@@ -100,8 +100,7 @@ void LockManager::GrantNow(LockState& s, TxnId txn, Key key, LockMode mode,
 void LockManager::InsertByTs(LockState& s, Request req) {
   // Oldest (smallest ts) first; FIFO among equals. Timestamp order keeps
   // WAIT_DIE/WOUND_WAIT wait-for edges acyclic (see header) and makes the
-  // queue's service order independent of arrival interleavings that the
-  // sharded engine could otherwise expose.
+  // queue's service order independent of arrival interleavings.
   auto it = std::find_if(s.queue.begin(), s.queue.end(),
                          [&](const Request& r) { return r.ts > req.ts; });
   s.queue.insert(it, std::move(req));

@@ -14,9 +14,9 @@
 // no committed transaction is ever lost), and retries back off with the
 // initiator's bounded-exponential policy.
 //
-// Determinism: every structure here lives on the client shard next to the
-// DB instance that owns it and is driven purely by simulated-time events,
-// so sharded runs are deterministic. Conflict decisions are keyed on
+// Determinism: every structure here lives on the client side next to the
+// DB instance that owns it and is driven purely by simulated-time events.
+// Conflict decisions are keyed on
 // transaction timestamps (a monotonic counter a restarted transaction
 // keeps), never on wall clock or iteration order of unordered containers.
 //

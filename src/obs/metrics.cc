@@ -49,96 +49,6 @@ Histogram& MetricsRegistry::GetHistogram(const MetricDef& def, Labels labels) {
   return Resolve(def, labels, Kind::kHistogram).histogram;
 }
 
-void MetricsRegistry::MergeFrom(const MetricsRegistry& other) {
-  for (const auto& [key, src] : other.index_) {
-    auto it = index_.find(key);
-    Instance* dst;
-    if (it != index_.end()) {
-      assert(it->second->kind == src->kind &&
-             "metric merged as another kind");
-      dst = it->second;
-    } else {
-      instances_.emplace_back();
-      dst = &instances_.back();
-      dst->name = src->name;
-      dst->unit = src->unit;
-      dst->help = src->help;
-      dst->site = src->site;
-      dst->run = src->run;
-      dst->labels = src->labels;
-      dst->kind = src->kind;
-      index_.emplace(key, dst);
-    }
-    switch (src->kind) {
-      case Kind::kCounter: dst->counter.Add(src->counter.value()); break;
-      case Kind::kGauge: dst->gauge.Set(src->gauge.value()); break;
-      case Kind::kHistogram: dst->histogram.Merge(src->histogram); break;
-    }
-  }
-}
-
-void MetricsRegistry::DrainDeltaInto(MetricsRegistry& session) {
-  last_drain_touched_ = 0;
-  for (Instance& src : instances_) {
-    // Dirty check first: a clean series costs one integer/double compare,
-    // independent of how many series the session has accumulated.
-    switch (src.kind) {
-      case Kind::kCounter:
-        if (src.counter.value() == 0) continue;
-        break;
-      case Kind::kGauge:
-        if (src.pushed_once && src.gauge.value() == src.pushed_gauge) {
-          continue;
-        }
-        break;
-      case Kind::kHistogram:
-        if (src.histogram.count() == 0) continue;
-        break;
-    }
-    if (src.peer == nullptr) {
-      // First push of this series: resolve (or create) the session-side
-      // instance under the run label the series was recorded with, exactly
-      // as MergeFrom keys it. The pointer stays valid — session instances
-      // live in a deque and are never erased.
-      Key key{src.name, src.run, src.labels.tenant, src.labels.ssd};
-      auto it = session.index_.find(key);
-      if (it != session.index_.end()) {
-        assert(it->second->kind == src.kind &&
-               "metric drained as another kind");
-        src.peer = it->second;
-      } else {
-        session.instances_.emplace_back();
-        Instance* dst = &session.instances_.back();
-        dst->name = src.name;
-        dst->unit = src.unit;
-        dst->help = src.help;
-        dst->site = src.site;
-        dst->run = src.run;
-        dst->labels = src.labels;
-        dst->kind = src.kind;
-        session.index_.emplace(std::move(key), dst);
-        src.peer = dst;
-      }
-    }
-    switch (src.kind) {
-      case Kind::kCounter:
-        src.peer->counter.Add(src.counter.value());
-        src.counter.Reset();
-        break;
-      case Kind::kGauge:
-        src.peer->gauge.Set(src.gauge.value());
-        src.pushed_gauge = src.gauge.value();
-        src.pushed_once = true;
-        break;
-      case Kind::kHistogram:
-        src.peer->histogram.Merge(src.histogram);
-        src.histogram.Reset();
-        break;
-    }
-    ++last_drain_touched_;
-  }
-}
-
 void MetricsRegistry::ResetRun(const std::string& run) {
   for (Instance& inst : instances_) {
     if (inst.run != run) continue;

@@ -116,31 +116,6 @@ class MetricsRegistry {
 
   size_t size() const { return instances_.size(); }
 
-  // Fold another registry's instances into this one: counters add,
-  // histograms merge bucket counts, gauges take the other registry's
-  // value. Instances keep the run label they were resolved under in
-  // `other`. Used by the sharded testbed, where each shard records into a
-  // private registry (single-writer, no locks) and the results are merged
-  // into the session registry when the testbed tears down; every
-  // (name, run, labels) key has exactly one writing shard by construction,
-  // so gauge overwrite is exact, not a race resolution.
-  void MergeFrom(const MetricsRegistry& other);
-
-  // Delta flush for repeated shard-to-session merging: push only what
-  // changed since the previous drain, then reset the pushed accumulators.
-  // Counters add their value and zero (skipped entirely at 0), histograms
-  // merge their buckets and clear (skipped when empty), gauges overwrite
-  // only when Set() changed the value since the last push (first Set always
-  // pushes). Unlike MergeFrom, the session-side instance for every series
-  // is resolved once and cached, so a steady-state drain is a linear walk
-  // of the shard's instances with no map lookups — O(dirty series), not
-  // O(all series ever created) — and a drained series can never be added
-  // twice (the double-merge hazard MergeFrom callers had to avoid with an
-  // external ResetRun).
-  void DrainDeltaInto(MetricsRegistry& session);
-  // Series the last DrainDeltaInto call actually pushed (tests).
-  size_t last_drain_touched() const { return last_drain_touched_; }
-
   // {"metrics":[{...}, ...]} — one object per instance with name, kind,
   // unit, help, site, labels and the value(s).
   std::string ToJson() const;
@@ -159,12 +134,6 @@ class MetricsRegistry {
     Counter counter;
     Gauge gauge;
     Histogram histogram;
-    // DrainDeltaInto state: the session-side instance this one drains into
-    // (resolved once; deque storage keeps it stable) and the last gauge
-    // value pushed, so clean series cost one compare per drain.
-    Instance* peer = nullptr;
-    double pushed_gauge = 0;
-    bool pushed_once = false;
   };
 
   static const char* KindName(Kind k);
@@ -177,7 +146,6 @@ class MetricsRegistry {
   std::deque<Instance> instances_;  // deque: stable element addresses
   std::string run_;
   int32_t tenant_series_limit_ = 256;
-  size_t last_drain_touched_ = 0;
 };
 
 }  // namespace gimbal::obs

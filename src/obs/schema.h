@@ -199,11 +199,6 @@ inline constexpr MetricDef kRackNodeDrops{
     "fabric messages dropped because their node was down (whole-node "
     "failure blackout; distinct from link-flap drops)",
     "workload/runner.cc:FlushObservability"};
-inline constexpr MetricDef kShardEpochs{
-    "shard.epochs", "epochs",
-    "epoch barriers the sharded engine has run (one per lookahead "
-    "horizon with a pending event)",
-    "workload/runner.cc:PublishEngineMetrics"};
 inline constexpr MetricDef kTxnCommits{
     "txn.commits", "txns",
     "transactions committed (every write durably acked through the WAL "

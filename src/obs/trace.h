@@ -74,34 +74,6 @@ class EventTracer {
     std::array<TraceArg, kMaxArgs> args{};
   };
 
-  // Re-record an event captured by another tracer, subject to this
-  // tracer's enable state and buffer limit. The sharded testbed drains
-  // per-shard tracers into the session tracer at every epoch barrier,
-  // merge-sorted into canonical (ts, shard) order (docs/SIMULATOR.md).
-  void Append(const Event& e) {
-    if (!enabled_) return;
-    if (events_.size() >= limit_) {
-      ++dropped_;
-      return;
-    }
-    events_.push_back(e);
-  }
-
-  // Fold another tracer's drop count in (per-shard drops must surface in
-  // the merged tracer, or the digest would silently cover a partial run).
-  void AddDropped(size_t n) { dropped_ += n; }
-
-  // Deferred-stitch support (workload::Testbed::MergeShardTracers): move
-  // the event buffer out so per-barrier shard batches can be spliced back
-  // at the positions they would have been appended at, then restore the
-  // rebuilt stream. Enable state and the live drop counter stay put;
-  // Restore folds in the drops the splice itself incurred against limit().
-  std::vector<Event> TakeForStitch() { return std::move(events_); }
-  void RestoreFromStitch(std::vector<Event>&& events, size_t extra_dropped) {
-    events_ = std::move(events);
-    dropped_ += extra_dropped;
-  }
-
   const std::vector<Event>& events() const { return events_; }
   size_t size() const { return events_.size(); }
   size_t dropped() const { return dropped_; }

@@ -86,8 +86,8 @@ class InlineFn {
   }
 
   // Closures that exceeded kInlineCapacity since process start (process-
-  // wide). The sharded faulted determinism test asserts it stays flat over
-  // a whole testbed run.
+  // wide). The multi-SSD faulted determinism test asserts it stays flat
+  // over a whole testbed run.
   static uint64_t heap_fallbacks() { return heap_fallbacks_; }
 
  private:

@@ -44,7 +44,7 @@ void OpenLoopFleet::Start() {
   running_ = true;
   // Stagger bring-up uniformly over the rampup span. Seat k's connect
   // time is deterministic; the RNG draws for its rate and lifetime happen
-  // inside the timer, in shard-0 event order.
+  // inside the timer, in event order.
   const uint64_t n = spec_.sessions;
   for (uint64_t k = 0; k < n; ++k) {
     const Tick at = spec_.rampup > 0

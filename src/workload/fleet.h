@@ -3,10 +3,10 @@
 // Drives a large population of short-lived open-loop sessions — up to and
 // beyond 100k concurrently — through a Testbed. Each live session is one
 // seat: a fresh tenant id, a caller-owned Initiator (capsule connect, so
-// mid-run bring-up is shard-safe), and an OpenLoopWorker whose offered
-// rate comes from a heavy-tailed RatePlan (a handful of seats carry most
-// of the load) modulated by a shared ArrivalSpec (burst storms, diurnal
-// swing).
+// mid-run registration is FIFO-ordered with the seat's commands), and an
+// OpenLoopWorker whose offered rate comes from a heavy-tailed RatePlan (a
+// handful of seats carry most of the load) modulated by a shared
+// ArrivalSpec (burst storms, diurnal swing).
 //
 // Churn: with session_lifetime_mean > 0 every session lives an
 // exponential lifetime, disconnects gracefully, and its seat immediately
@@ -22,9 +22,8 @@
 // Stop(), run the sim to idle, then ExportSlo() into a registry.
 //
 // All fleet activity — stagger timers, lifetime timers, RNG draws, the
-// sweep — executes on the testbed's client-domain simulator (shard 0) and
-// never reads target-shard state, so the schedule does not depend on the
-// order shards run within an epoch.
+// sweep — runs as events on the testbed's simulator and never reads
+// target-side state.
 #pragma once
 
 #include <cstdint>

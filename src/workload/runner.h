@@ -2,19 +2,8 @@
 // simulator, network, target node, SSDs (conditioned clean/fragmented),
 // one IoPolicy per SSD for the chosen scheme, initiators and fio workers —
 // mirroring the §5.1 methodology so each bench stays a thin declaration of
-// its workload matrix.
-//
-// Sharded execution (docs/SIMULATOR.md): a testbed with more than one SSD
-// and a positive fabric base latency is built on a ShardedEngine — shard 0
-// hosts the client domain (initiators, workers, crash timers), and each
-// used target core hosts its pipelines, SSD models and fault state on its
-// own shard. Cross-shard traffic flows only through the Network, which
-// buffers sends per shard and replays them in one canonical order at every
-// epoch barrier. The engine steps the shards one after another on the
-// calling thread, in conservative-lookahead epochs; that epoch schedule is
-// the canonical event order every trace digest and golden figure pins.
-// Single-SSD (or zero-latency) testbeds keep the exact pre-sharding
-// single-simulator path.
+// its workload matrix. Every component of a testbed runs on one
+// sim::Simulator (docs/SIMULATOR.md).
 #pragma once
 
 #include <memory>
@@ -62,8 +51,7 @@ struct TestbedConfig {
   // i / (num_ssds / nodes), each node gets its own Target (cfg.target.cores
   // are per node), fabric messages serialize on the shared uplink and the
   // node's access link, and replica placement / whole-node faults become
-  // node-aware. Shard topology generalizes to (node, core): one shard per
-  // used core per node.
+  // node-aware.
   int nodes = 1;
   // Shared ToR uplink bandwidth (bytes/sec); 0 = same as net.bandwidth_bps.
   double uplink_bps = 0;
@@ -79,9 +67,9 @@ struct TestbedConfig {
   baselines::TimesliceParams timeslice = {};
   bool use_null_device = false;  // Table 1b's NULL bdev mode
 
-  // Must be 1: the sharded engine runs on the calling thread, and the
-  // Testbed aborts on any other value. Kept only so existing configs that
-  // set it compile.
+  // Must be 1: the simulator runs on the calling thread, and the Testbed
+  // aborts on any other value. Kept only so existing configs that set it
+  // compile.
   int threads = 1;
 
   // Fault injection (docs/FAULTS.md). A non-empty plan wraps every SSD in
@@ -99,10 +87,7 @@ struct TestbedConfig {
   // testbed attaches them to the target, every policy and every SSD, and
   // labels everything it emits with `run_label` (defaults to the scheme
   // name). Run(warmup, ...) resets this run's counters at the end of
-  // warmup so metric totals cover exactly the measurement window. Under
-  // sharding each shard records into a private Observability; tracers are
-  // merged into this one in canonical (ts, shard) order at every epoch
-  // barrier, metrics at the end of every Run() and at teardown.
+  // warmup so metric totals cover exactly the measurement window.
   obs::Observability* obs = nullptr;
   std::string run_label;
 
@@ -117,13 +102,15 @@ class Testbed {
  public:
   explicit Testbed(TestbedConfig cfg);
   ~Testbed();
+  // Every component holds a reference to sim_.
+  Testbed(const Testbed&) = delete;
+  Testbed& operator=(const Testbed&) = delete;
 
-  // The client-domain simulator (shard 0 under sharding). Run()/RunUntil()
-  // on it drive the whole engine, so call sites never care which mode the
-  // testbed was built in.
-  sim::Simulator& sim() { return *sim_; }
-  // The engine behind a sharded testbed; null in single-simulator mode.
-  sim::ShardedEngine* engine() { return engine_.get(); }
+  // The simulator every component of the testbed runs on.
+  sim::Simulator& sim() { return sim_; }
+  // Always null: every testbed runs on sim(). Kept because
+  // perfbench/perfbench.cc still reads it.
+  sim::ShardedEngine* engine() { return nullptr; }
   fabric::Network& net() { return *net_; }
   // Node 0's target (the whole testbed on a single-node bed).
   fabric::Target& target() { return *targets_[0]; }
@@ -145,24 +132,12 @@ class Testbed {
   // The invariant checker attached to this testbed (config-supplied or the
   // testbed's own fail-fast instance).
   check::InvariantChecker& checker() { return *check_; }
-  // Observability for client-domain components (shard 0 under sharding,
-  // the session instance otherwise); null when the run is unobserved.
-  obs::Observability* client_obs() {
-    return shard_obs_.empty() ? cfg_.obs : shard_obs_[0].get();
-  }
   const TestbedConfig& config() const { return cfg_; }
 
-  // Publish shard-local tracer events and metric totals into the session
-  // Observability (cfg.obs). Run() does this at the end of every window;
-  // call sites that drive sim().RunUntil() directly (the KV cluster, fault
-  // benches) call it before reading session-registry series mid-run.
-  // No-op in single-simulator mode, where components already record into
-  // cfg.obs.
-  void FlushObservability() {
-    PublishRackMetrics();
-    MergeShardTracers();
-    FlushShardMetrics();
-  }
+  // Overwrite the rack.* gauges in cfg.obs from the Network's totals (rack
+  // mode + observed only; gauges, so repeated publishes are idempotent).
+  // Call before reading them mid-run; teardown publishes them too.
+  void FlushObservability();
 
   // Create a new tenant attached to SSD `ssd_index`; throttle mode follows
   // the scheme (credits for Gimbal, latency window for Parda) unless
@@ -180,8 +155,8 @@ class Testbed {
   // Construct a fully-attached initiator owned by the *caller*. The
   // open-loop fleet churns thousands of short-lived sessions and destroys
   // each after drain; parking them in the testbed's own vector would grow
-  // it without bound. kCapsule connect makes mid-run bring-up shard-safe
-  // (registration rides the fabric in FIFO order ahead of the commands).
+  // it without bound. kCapsule connect orders mid-run bring-up:
+  // registration rides the fabric in FIFO order ahead of the commands.
   std::unique_ptr<fabric::Initiator> MakeInitiator(
       int ssd_index, TenantId tenant, fabric::ConnectMode connect,
       std::optional<fabric::ThrottleMode> throttle = std::nullopt);
@@ -202,53 +177,14 @@ class Testbed {
   Tick measured() const { return measured_; }
 
  private:
-  std::unique_ptr<core::IoPolicy> MakePolicy(sim::Simulator& psim,
-                                             ssd::BlockDevice& dev);
-  // The shard pipeline/SSD i executes on: (node, core) topology — shard
-  // 1 + node * used_cores_ + (local index % used_cores_), which reduces to
-  // the historical 1 + (i % used_cores_) on a single node.
-  int ShardOf(int i) const;
-  // The simulator pipeline/SSD i executes on (sim_ in plain mode).
-  sim::Simulator& SsdSim(int i);
-  // The observability pipeline/SSD i records into (cfg.obs in plain mode).
-  obs::Observability* SsdObs(int i);
-  // Barrier work: replay buffered fabric sends (and, once, bring shard
-  // tracers up after a late session Enable). Trace stitching and metric
-  // merging are deliberately NOT here — they run per Run, not per epoch.
-  void OnEpochBarrier();
-  void PropagateTracerEnable();
-  // Append one row of trace buffer sizes (session tracer first, then each
-  // shard) delimiting this barrier's batch (skipped when no shard recorded
-  // anything since the previous row).
-  void RecordTraceMarks();
-  void MergeShardTracers();
-  // Overwrite the shard.* engine gauges (epochs, idle wakeups).
-  void PublishEngineMetrics();
-  // Fold shard metric registries into the session registry (delta since
-  // the previous flush; gauges overwrite idempotently).
-  void FlushShardMetrics();
-  // Overwrite the rack.* gauges from the Network's totals (rack mode +
-  // observed only; gauges, so repeated publishes are idempotent).
-  void PublishRackMetrics();
+  std::unique_ptr<core::IoPolicy> MakePolicy(ssd::BlockDevice& dev);
 
   TestbedConfig cfg_;
   // Destruction order matters, bottom-up at the `}`: components hold
-  // references into the shard simulators, so the engine is declared first
-  // (destroyed last), and the checker before everything it observes.
-  std::unique_ptr<sim::ShardedEngine> engine_;  // sharded mode only
-  std::unique_ptr<sim::Simulator> owned_sim_;   // plain mode only
-  sim::Simulator* sim_ = nullptr;               // client-domain simulator
-  int used_cores_ = 0;     // per-node target cores that host pipelines
+  // references into the simulator, so it is declared first (destroyed
+  // last), and the checker before everything it observes.
+  sim::Simulator sim_;
   int ssds_per_node_ = 1;  // num_ssds / nodes
-  // Per-shard observability (index = shard id), sharded + observed only.
-  std::vector<std::unique_ptr<obs::Observability>> shard_obs_;
-  std::vector<obs::EventTracer::Event> merge_buf_;
-  // Flat (rows x (1 + num_shards)) per-barrier trace buffer sizes —
-  // session tracer then each shard — the batch boundaries and splice
-  // points MergeShardTracers replays at the end of the run.
-  std::vector<size_t> trace_marks_;
-  size_t last_mark_total_ = 0;
-  bool tracers_live_ = false;  // shard tracers track the session Enable
   // Owned checker when cfg.check is null; declared before the components
   // it observes so it outlives their destructors.
   std::unique_ptr<check::InvariantChecker> owned_check_;

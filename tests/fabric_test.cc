@@ -67,6 +67,81 @@ TEST(Network, DirectionsAreIndependent) {
   EXPECT_NEAR(static_cast<double>(up), static_cast<double>(down), 1000.0);
 }
 
+TEST(Network, FlatLinkQueuesBehindTheFrontierWithOneEventPerMessage) {
+  sim::Simulator sim;
+  Network net(sim);
+  const fabric::NetworkConfig& c = net.config();
+  Tick big = -1, small = -1;
+  net.Send(Direction::kClientToTarget, /*ssd=*/0, 1 << 20,
+           [&]() { big = sim.now(); });
+  sim.At(Microseconds(1), [&]() {
+    net.Send(Direction::kClientToTarget, /*ssd=*/0, 64,
+             [&]() { small = sim.now(); });
+  });
+  sim.Run();
+  const Tick big_t = TransferTime(1 << 20, c.bandwidth_bps);
+  EXPECT_EQ(big, big_t + c.base_latency);
+  // The 64 B message starts when the link frees, not when it was sent.
+  EXPECT_EQ(small, big_t + TransferTime(64, c.bandwidth_bps) + c.base_latency);
+  // Two deliveries plus the timer that sent the second message.
+  EXPECT_EQ(sim.events_executed(), 3u);
+}
+
+// Rack tandem (docs/SIMULATOR.md): two nodes behind a ToR uplink twice as
+// fast as their access links. Node 0 has a 1 MiB message in flight when
+// node 1 sends 64 B; each stage serves messages in the order they reach
+// it, so the small message never waits for a stage the big one has not
+// reached yet.
+struct RackRig {
+  sim::Simulator sim;
+  Network net{sim};
+  Tick big = -1;
+  Tick small = -1;
+
+  RackRig() {
+    net.ConfigureRack({0, 1}, 2, 2 * net.config().bandwidth_bps);
+  }
+  Tick Link(uint64_t bytes) const {
+    return TransferTime(bytes, net.config().bandwidth_bps);
+  }
+  Tick Uplink(uint64_t bytes) const {
+    return TransferTime(bytes, net.uplink_bps());
+  }
+  // Node 0 (pipeline 0) sends 1 MiB at t=0, node 1 (pipeline 1) 64 B at
+  // t=1 us, both in `dir`.
+  void Run(Direction dir) {
+    net.Send(dir, /*ssd=*/0, 1 << 20, [this]() { big = sim.now(); });
+    sim.At(Microseconds(1), [this, dir]() {
+      net.Send(dir, /*ssd=*/1, 64, [this]() { small = sim.now(); });
+    });
+    sim.Run();
+  }
+};
+
+TEST(Network, RackUplinkServesTargetMessagesInArrivalOrder) {
+  RackRig rig;
+  rig.Run(Direction::kTargetToClient);
+  const Tick base = rig.net.config().base_latency;
+  // Node 1's message reaches the idle uplink while node 0's is still on
+  // its access link, so it crosses first.
+  EXPECT_EQ(rig.small, Microseconds(1) + rig.Link(64) + rig.Uplink(64) + base);
+  EXPECT_EQ(rig.big, rig.Link(1 << 20) + rig.Uplink(1 << 20) + base);
+  EXPECT_LT(rig.small, rig.big);
+}
+
+TEST(Network, RackAccessLinksServeClientMessagesIndependently) {
+  RackRig rig;
+  rig.Run(Direction::kClientToTarget);
+  const Tick base = rig.net.config().base_latency;
+  // The shared uplink comes first this way, so the 64 B message queues
+  // behind the 1 MiB one there, then overtakes it on node 1's idle access
+  // link while node 0's link is still serializing.
+  const Tick up_big = rig.Uplink(1 << 20);
+  EXPECT_EQ(rig.small, up_big + rig.Uplink(64) + rig.Link(64) + base);
+  EXPECT_EQ(rig.big, up_big + rig.Link(1 << 20) + base);
+  EXPECT_LT(rig.small, rig.big);
+}
+
 // ---------------------------------------------------------------------------
 // Target + Initiator round trips
 // ---------------------------------------------------------------------------

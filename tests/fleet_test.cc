@@ -1,7 +1,7 @@
 // Tests for the tenant-scale open-loop fleet (src/workload/fleet.h) and the
 // per-tenant arena plumbing underneath it:
 //
-//   * churn storm — ~100k connect/disconnect cycles on a sharded 2-SSD
+//   * churn storm — ~100k connect/disconnect cycles on a 2-SSD
 //     testbed must drain to nothing: no live target sessions, no scheduler
 //     tenants, every arena slot recycled, ledgers balanced and freed (and
 //     never more of them than live + draining sessions along the way),
@@ -42,7 +42,7 @@ TestbedConfig ChurnConfig(obs::Observability* obs) {
   TestbedConfig cfg;
   cfg.scheme = Scheme::kGimbal;
   cfg.condition = SsdCondition::kClean;
-  cfg.num_ssds = 2;  // >1 SSD + fabric latency => sharded engine
+  cfg.num_ssds = 2;
   cfg.ssd.logical_bytes = 64ull << 20;
   cfg.obs = obs;
   cfg.run_label = "fleet_churn";
@@ -135,42 +135,6 @@ TEST(FleetChurn, StormDrainsCleanAndIsDeterministic) {
   const ChurnResult b = RunChurnStorm();
   EXPECT_EQ(a.connects, b.connects);
   EXPECT_EQ(a.digest, b.digest) << "same storm, different trace";
-}
-
-// Client-side bookkeeping posted from a target shard (a delivered control
-// capsule decrementing its initiator's count) must wait for the barrier.
-// Applied in place, the client shard's graveyard sweep could see the count
-// change mid-epoch, in an order that depends on which shard ran first.
-TEST(FleetChurn, TargetShardPostRunsAtTheNextBarrier) {
-  Testbed bed(ChurnConfig(nullptr));
-  sim::ShardedEngine* engine = bed.engine();
-  ASSERT_NE(engine, nullptr);
-  std::vector<int> order;
-  int seen_on_target = -1;
-  int seen_on_client = -1;
-  // SSD 0 and SSD 1 sit on shards 1 and 2. Every event below falls in
-  // one epoch: the lookahead is the 5 us fabric base latency.
-  engine->shard(2).At(1000, [&]() {
-    bed.net().PostToClient([&]() { order.push_back(2); });
-  });
-  engine->shard(1).At(1500, [&]() {
-    bed.net().PostToClient([&]() { order.push_back(1); });
-    bed.net().PostToClient([&]() { order.push_back(11); });
-  });
-  engine->shard(1).At(2000, [&]() {
-    seen_on_target = static_cast<int>(order.size());
-  });
-  bed.sim().At(3000, [&]() {
-    seen_on_client = static_cast<int>(order.size());
-  });
-  bed.sim().Run();
-  EXPECT_EQ(seen_on_target, 0);
-  EXPECT_EQ(seen_on_client, 0);
-  // Source-shard order, then issue order, regardless of post time.
-  EXPECT_EQ(order, (std::vector<int>{1, 11, 2}));
-  // Control context is the client side: the work runs at once.
-  bed.net().PostToClient([&]() { order.push_back(0); });
-  EXPECT_EQ(order.size(), 4u);
 }
 
 TEST(DrrScheduler, DisconnectReapsWeightedTenant) {

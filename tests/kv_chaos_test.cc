@@ -140,9 +140,7 @@ ChaosOutcome RunChaos(Mix mix, uint64_t seed) {
 
   int recovered = 0;
   if (mix == Mix::kTenantCrash) {
-    // Instance 0 "process" dies mid-burst and replays its WAL. Scheduled
-    // on the client shard, where the DB lives, so it is deterministic
-    // under sharding.
+    // Instance 0 "process" dies mid-burst and replays its WAL.
     KvDb* db0 = insts[0]->db.get();
     cluster.sim().After(Milliseconds(60), [db0, &recovered] {
       db0->SimulateCrash();
@@ -163,7 +161,6 @@ ChaosOutcome RunChaos(Mix mix, uint64_t seed) {
     if (!ini->shutdown()) ini->Shutdown();
   }
   cluster.sim().Run();
-  cluster.bed().FlushObservability();
 
   std::string label = std::string(Name(mix)) + " seed=" + std::to_string(seed);
   ChaosOutcome out;
@@ -218,8 +215,8 @@ TEST(KvChaos, SweepAllMixesAndSeeds) {
   }
 }
 
-// Determinism contract under chaos: the same sharded run replayed gives
-// a bit-identical merged trace digest.
+// Determinism contract under chaos: the same multi-SSD run replayed gives
+// a bit-identical trace digest.
 TEST(KvChaos, ShardedDigestIsStable) {
   for (Mix mix : {Mix::kStallPlusMedia, Mix::kTenantCrash}) {
     ChaosOutcome a = RunChaos(mix, /*seed=*/5);

@@ -150,9 +150,7 @@ TEST(KvFault, DegradedWritesAckAndRebuildDrainsAfterRecovery) {
   EXPECT_GT(bs.rebuild_bytes, 0u);
 
   // Observability: the kv.* series carry the same story, and the
-  // must-stay-zero counter is zero. Shard-local totals publish to the
-  // session registry on flush.
-  cluster.bed().FlushObservability();
+  // must-stay-zero counter is zero.
   auto& m = obs.metrics;
   const obs::Labels l = obs::Labels::TenantSsd(inst.id, -1);
   EXPECT_GT(m.GetCounter(obs::schema::kKvDegradedWrites, l).value(), 0u);

@@ -245,93 +245,6 @@ TEST(MetricsRegistry, ResetRunResetsCountersKeepsGauges) {
   EXPECT_EQ(other.value(), 3u);    // other runs untouched
 }
 
-TEST(MetricsRegistry, DrainDeltaPushesOnlyOnceAndAccumulates) {
-  MetricsRegistry shard, session;
-  shard.set_run("r");
-  session.set_run("r");
-  Counter& c = shard.GetCounter(kTestCounter);
-  Histogram& h = shard.GetHistogram(kTestHist);
-  c.Add(5);
-  h.Record(100);
-  shard.DrainDeltaInto(session);
-  EXPECT_EQ(shard.last_drain_touched(), 2u);
-  EXPECT_EQ(session.GetCounter(kTestCounter).value(), 5u);
-  EXPECT_EQ(session.GetHistogram(kTestHist).count(), 1u);
-
-  // The regression this pins: a second flush with nothing new must not
-  // re-add the already-drained totals (the old MergeFrom path relied on an
-  // external ResetRun to avoid exactly this double merge).
-  shard.DrainDeltaInto(session);
-  EXPECT_EQ(shard.last_drain_touched(), 0u);
-  EXPECT_EQ(session.GetCounter(kTestCounter).value(), 5u);
-  EXPECT_EQ(session.GetHistogram(kTestHist).count(), 1u);
-
-  c.Add(3);
-  shard.DrainDeltaInto(session);
-  EXPECT_EQ(shard.last_drain_touched(), 1u);
-  EXPECT_EQ(session.GetCounter(kTestCounter).value(), 8u);
-}
-
-TEST(MetricsRegistry, DrainDeltaGaugeSetOnceIsPushedOnce) {
-  MetricsRegistry shard, session;
-  shard.set_run("r");
-  session.set_run("r");
-  Gauge& g = shard.GetGauge(kTestGauge);
-  g.Set(2.5);
-  shard.DrainDeltaInto(session);
-  EXPECT_EQ(shard.last_drain_touched(), 1u);
-  EXPECT_EQ(session.GetGauge(kTestGauge).value(), 2.5);
-
-  // Set once, flushed per epoch: every later flush must see it clean.
-  for (int i = 0; i < 3; ++i) {
-    shard.DrainDeltaInto(session);
-    EXPECT_EQ(shard.last_drain_touched(), 0u);
-  }
-  EXPECT_EQ(session.GetGauge(kTestGauge).value(), 2.5);
-
-  // Re-setting the same value is still clean; a new value pushes again —
-  // including a return to 0.0, which a value-only dirty check would miss
-  // if it treated zero as "never set".
-  g.Set(2.5);
-  shard.DrainDeltaInto(session);
-  EXPECT_EQ(shard.last_drain_touched(), 0u);
-  g.Set(0.0);
-  shard.DrainDeltaInto(session);
-  EXPECT_EQ(shard.last_drain_touched(), 1u);
-  EXPECT_EQ(session.GetGauge(kTestGauge).value(), 0.0);
-}
-
-TEST(MetricsRegistry, DrainDeltaMatchesMergeFromTotals) {
-  // Differential check: draining in three chunks must equal one MergeFrom
-  // of the same history, for every kind and across label dimensions.
-  MetricsRegistry shard_a, session_a;  // drained incrementally
-  MetricsRegistry shard_b, session_b;  // merged once at the end
-  shard_a.set_run("r");
-  shard_b.set_run("r");
-  session_a.set_run("r");
-  session_b.set_run("r");
-  for (int round = 0; round < 3; ++round) {
-    for (MetricsRegistry* shard : {&shard_a, &shard_b}) {
-      shard->GetCounter(kTestCounter).Add(10 + static_cast<uint64_t>(round));
-      shard->GetCounter(kTestCounter, Labels::Ssd(1)).Add(2);
-      shard->GetGauge(kTestGauge).Set(1.5 * (round + 1));
-      shard->GetHistogram(kTestHist).Record(100 * (round + 1));
-    }
-    shard_a.DrainDeltaInto(session_a);
-  }
-  session_b.MergeFrom(shard_b);
-  EXPECT_EQ(session_a.GetCounter(kTestCounter).value(),
-            session_b.GetCounter(kTestCounter).value());
-  EXPECT_EQ(session_a.GetCounter(kTestCounter, Labels::Ssd(1)).value(),
-            session_b.GetCounter(kTestCounter, Labels::Ssd(1)).value());
-  EXPECT_EQ(session_a.GetGauge(kTestGauge).value(),
-            session_b.GetGauge(kTestGauge).value());
-  EXPECT_EQ(session_a.GetHistogram(kTestHist).count(),
-            session_b.GetHistogram(kTestHist).count());
-  EXPECT_EQ(session_a.GetHistogram(kTestHist).mean(),
-            session_b.GetHistogram(kTestHist).mean());
-}
-
 TEST(MetricsRegistry, JsonSnapshotIsValidAndComplete) {
   MetricsRegistry reg;
   reg.set_run("r \"quoted\",\n");  // hostile run label must be escaped

@@ -9,7 +9,7 @@
 //   * the dirty-replica ledger balances and drains once the node heals —
 //     every blob is back to a node-disjoint replica pair,
 //   * uplink byte conservation holds (rack.uplink.conservation silent),
-//   * the merged trace digest is bit-identical run to run.
+//   * the trace digest is bit-identical run to run.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -276,8 +276,8 @@ TEST(RackChaos, TxnSweepNodeOutages) {
   }
 }
 
-// Determinism contract under whole-node chaos: the same sharded run
-// replayed gives a bit-identical merged trace digest.
+// Determinism contract under whole-node chaos: the same rack run
+// replayed gives a bit-identical trace digest.
 TEST(RackChaos, ShardedDigestIsStable) {
   ChaosOutcome a = RunYcsbChaos(Mix::kNodeAndMedia, /*seed=*/5);
   ChaosOutcome b = RunYcsbChaos(Mix::kNodeAndMedia, /*seed=*/5);

@@ -7,7 +7,7 @@
 //   * lock ledgers balance (drain.txn.locks silent, tables idle),
 //   * every submitted transaction reaches a terminal state,
 //   * the serializability oracle saw zero stamp mismatches,
-//   * the merged trace digest is bit-identical run to run.
+//   * the trace digest is bit-identical run to run.
 //
 // The mixes are deliberately non-crash: a process crash can leave a
 // durable-but-unacked WAL write whose replayed stamp the oracle never
@@ -145,7 +145,6 @@ ChaosOutcome RunChaos(Mix mix, TxnProtocol protocol, uint64_t seed) {
     if (!ini->shutdown()) ini->Shutdown();
   }
   cluster.sim().Run();
-  cluster.bed().FlushObservability();
 
   std::string label = std::string(Name(mix)) + "/" + ToString(protocol) +
                       " seed=" + std::to_string(seed);
@@ -195,8 +194,8 @@ TEST(TxnChaos, SweepAllMixesAndSeeds) {
   }
 }
 
-// Determinism contract under chaos: the same sharded run replayed gives
-// a bit-identical merged trace digest.
+// Determinism contract under chaos: the same multi-SSD run replayed gives
+// a bit-identical trace digest.
 TEST(TxnChaos, ShardedDigestIsStable) {
   ChaosOutcome a = RunChaos(Mix::kMediaBothSsds, TxnProtocol::kWaitDie, 5);
   ChaosOutcome b = RunChaos(Mix::kMediaBothSsds, TxnProtocol::kWaitDie, 5);

@@ -263,12 +263,12 @@ TEST(SchemeNames, AllDistinct) {
   }
 }
 
-// The sharded engine runs on the calling thread; a config still asking for
+// The simulator runs on the calling thread; a config still asking for
 // worker threads must fail loudly in every build type, not silently run
 // something other than what it asked for.
 TEST(TestbedDeathTest, ThreadsOtherThanOneAbort) {
   TestbedConfig cfg;
-  cfg.num_ssds = 2;  // >1 SSD + fabric latency => sharded engine
+  cfg.num_ssds = 2;
   cfg.ssd.logical_bytes = 64ull << 20;
   cfg.threads = 2;
   EXPECT_DEATH({ Testbed bed(cfg); }, "threads must be 1");
