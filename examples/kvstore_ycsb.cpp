@@ -16,8 +16,10 @@ int main() {
   cfg.testbed.scheme = workload::Scheme::kGimbal;
   cfg.testbed.num_ssds = 2;
   cfg.testbed.condition = workload::SsdCondition::kFragmented;
-  cfg.testbed.ssd.logical_bytes = 128ull << 20;
-  cfg.hba.backend_bytes = 128ull << 20;
+  // Four replicated instances of 20k x 1 KiB records plus their WAL and
+  // compaction churn need more than 2 x 128 MiB.
+  cfg.testbed.ssd.logical_bytes = 256ull << 20;
+  cfg.hba.backend_bytes = 256ull << 20;
   KvCluster cluster(cfg);
 
   const workload::YcsbWorkload mixes[] = {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 
 #include "obs/schema.h"
@@ -42,12 +44,14 @@ uint64_t KvDb::LevelLimit(int level) const {
 
 void KvDb::Put(Key key, uint32_t value_bytes, uint64_t stamp, PutDone done) {
   ++stats_.puts;
-  PutInternal(key, Value{value_bytes, stamp, false}, std::move(done));
+  PutInternal(key, Value{.stamp = stamp, .bytes = value_bytes},
+              std::move(done));
 }
 
 void KvDb::Delete(Key key, PutDone done) {
   ++stats_.deletes;
-  PutInternal(key, Value{0, 0, true}, std::move(done));
+  PutInternal(key, Value{.stamp = 0, .bytes = 0, .tombstone = true},
+              std::move(done));
 }
 
 void KvDb::PutInternal(Key key, const Value& value, PutDone done) {
@@ -212,7 +216,16 @@ void KvDb::AllocatePlacement(SsTable& table) {
   uint64_t need = table.data_bytes();
   while (need > 0) {
     auto primary = alloc_.AllocateMicro();
-    assert(primary && "blobstore out of space");
+    if (!primary) {
+      // Checked in every build type: an undersized cluster must fail
+      // loudly, not write through an empty placement.
+      std::fprintf(stderr,
+                   "KvDb: blobstore out of space: instance %d needs %llu "
+                   "more bytes for table %llu\n",
+                   instance_, static_cast<unsigned long long>(need),
+                   static_cast<unsigned long long>(table.id()));
+      std::abort();
+    }
     table.primary_blobs.push_back(*primary);
     if (config_.replicate) {
       auto shadow = alloc_.AllocateMicro(primary->backend);
@@ -385,8 +398,8 @@ std::vector<std::pair<Key, Value>> KvDb::MergeInputs(
   };
   std::vector<Tagged> all;
   for (const auto& t : inputs) {
-    for (const auto& [k, v] : t->entries()) {
-      all.push_back(Tagged{k, t->id(), v});
+    for (uint64_t i = 0; i < t->count(); ++i) {
+      all.push_back(Tagged{t->KeyAt(i), t->id(), t->ValueAt(i)});
     }
   }
   std::sort(all.begin(), all.end(), [](const Tagged& a, const Tagged& b) {
@@ -668,26 +681,20 @@ void KvDb::Scan(Key start, uint32_t count, ScanDone done) {
       merged[k] = {recency, v};
     }
   };
-  constexpr uint64_t kMemRecency = UINT64_MAX;
-  {
-    auto snap = memtable_.Sorted();
+  auto offer_memtable = [&](const Memtable& m, uint64_t recency) {
+    auto snap = m.Sorted();
     auto it = std::lower_bound(
         snap.begin(), snap.end(), start,
         [](const auto& e, Key k) { return e.first < k; });
     for (uint32_t n = 0; it != snap.end() && n < count; ++it, ++n) {
-      offer(it->first, kMemRecency, it->second);
+      offer(it->first, recency, it->second);
     }
-  }
+  };
+  constexpr uint64_t kMemRecency = UINT64_MAX;
+  offer_memtable(memtable_, kMemRecency);
   uint64_t imm_recency = kMemRecency - 1;
   for (auto imm = immutables_.rbegin(); imm != immutables_.rend(); ++imm) {
-    auto snap = imm->table->Sorted();
-    auto it = std::lower_bound(
-        snap.begin(), snap.end(), start,
-        [](const auto& e, Key k) { return e.first < k; });
-    for (uint32_t n = 0; it != snap.end() && n < count; ++it, ++n) {
-      offer(it->first, imm_recency, it->second);
-    }
-    --imm_recency;
+    offer_memtable(*imm->table, imm_recency--);
   }
 
   // Overlapping SSTables contribute entries and cost IO proportional to
@@ -697,15 +704,11 @@ void KvDb::Scan(Key start, uint32_t count, ScanDone done) {
   for (int l = 0; l < config_.levels; ++l) {
     for (const auto& t : levels_[l]) {
       if (t->max_key() < start) continue;
-      const auto& entries = t->entries();
-      auto it = std::lower_bound(
-          entries.begin(), entries.end(), start,
-          [](const auto& e, Key k) { return e.first < k; });
-      if (it == entries.end()) continue;
       uint64_t touched = 0;
-      for (uint32_t n = 0; it != entries.end() && n < count; ++it, ++n) {
-        offer(it->first, t->id(), it->second);
-        touched += it->second.bytes + Memtable::kEntryOverhead;
+      for (uint64_t i = t->RankOf(start), n = 0; i < t->count() && n < count;
+           ++i, ++n) {
+        offer(t->KeyAt(i), t->id(), t->ValueAt(i));
+        touched += t->ValueAt(i).bytes + Memtable::kEntryOverhead;
       }
       // One 256 KiB streaming read per touched chunk.
       uint64_t off = t->BlockOffsetOf(start);
@@ -880,20 +883,19 @@ void KvDb::Recover(PutDone done) {
 // ---------------------------------------------------------------------------
 
 void KvDb::BulkLoad(uint64_t keys, uint32_t value_bytes) {
-  std::vector<std::pair<Key, Value>> chunk;
-  uint64_t chunk_bytes = 0;
-  int bottom = config_.levels - 1;
-  for (uint64_t k = 0; k < keys; ++k) {
-    chunk.emplace_back(k, Value{value_bytes, 0, false});
-    chunk_bytes += value_bytes + Memtable::kEntryOverhead;
-    if (chunk_bytes >= config_.sstable_target_bytes || k + 1 == keys) {
-      auto table =
-          std::make_shared<SsTable>(next_table_id_++, std::move(chunk));
-      AllocatePlacement(*table);
-      levels_[static_cast<size_t>(bottom)].push_back(table);
-      chunk = {};
-      chunk_bytes = 0;
-    }
+  // Every key of 0..keys-1 is present with one uniform value, so each
+  // bottom-level table is a range: the same chunking as WriteTables (close
+  // a table once it reaches the target size), without an entry list.
+  const Value value{.stamp = 0, .bytes = value_bytes};
+  const uint64_t entry_bytes = value_bytes + Memtable::kEntryOverhead;
+  const uint64_t per_table = std::max<uint64_t>(
+      1, (config_.sstable_target_bytes + entry_bytes - 1) / entry_bytes);
+  auto& bottom = levels_[static_cast<size_t>(config_.levels - 1)];
+  for (uint64_t first = 0; first < keys; first += per_table) {
+    auto table = std::make_shared<SsTable>(
+        next_table_id_++, first, std::min(per_table, keys - first), value);
+    AllocatePlacement(*table);
+    bottom.push_back(std::move(table));
   }
 }
 

@@ -2,6 +2,9 @@
 // disaggregated stack (blobstore -> initiators -> target -> Gimbal -> SSD).
 #include <gtest/gtest.h>
 
+#include <map>
+
+#include "common/rng.h"
 #include "kv/cluster.h"
 
 namespace gimbal::kv {
@@ -143,6 +146,78 @@ TEST(KvDb, BulkLoadServesReadsWithIo) {
   EXPECT_TRUE(found);
   EXPECT_GT(lat, Microseconds(50));  // paid a real data-block read
   EXPECT_GT(inst.db->stats().data_block_reads, 0u);
+}
+
+// With two levels every L0 compaction merges into the bulk-loaded bottom
+// level (range-form tables) and drops tombstones there. Reads and a full
+// scan afterwards must match a std::map oracle key for key.
+TEST(KvDb, CompactionIntoBulkLoadedLevelMatchesOracle) {
+  KvClusterConfig cfg = SmallCluster();
+  cfg.db.levels = 2;
+  KvCluster cluster(cfg);
+  auto& inst = cluster.AddInstance();
+  constexpr uint64_t kLoaded = 2'000;
+  constexpr uint64_t kKeySpace = kLoaded + 200;  // some inserts past the load
+  inst.db->BulkLoad(kLoaded, 1024);
+  ASSERT_GT(inst.db->FilesAt(1), 1u);
+  std::map<Key, uint64_t> oracle;  // key -> stamp
+  for (Key k = 0; k < kLoaded; ++k) oracle[k] = 0;
+
+  Rng rng(42);
+  for (uint64_t op = 1; op <= 3'000; ++op) {
+    const Key k = rng.NextBounded(kKeySpace);
+    if (rng.NextBounded(10) < 3) {
+      inst.db->Delete(k, nullptr);
+      oracle.erase(k);
+    } else {
+      inst.db->Put(k, 1024, op, nullptr);
+      oracle[k] = op;
+    }
+    if (op % 100 == 0) {
+      cluster.sim().RunUntil(cluster.sim().now() + Milliseconds(5));
+    }
+  }
+  cluster.sim().RunUntil(cluster.sim().now() + Seconds(2));
+  ASSERT_GT(inst.db->stats().compactions, 0u);
+
+  uint64_t checked = 0;
+  for (Key k = 0; k < kKeySpace + 2; ++k) {
+    inst.db->Get(k, [&, k](IoStatus st, bool found, Value v) {
+      ++checked;
+      ASSERT_EQ(st, IoStatus::kOk) << k;
+      auto it = oracle.find(k);
+      ASSERT_EQ(found, it != oracle.end()) << k;
+      if (found) {
+        EXPECT_EQ(v.stamp, it->second) << k;
+      }
+    });
+  }
+  std::vector<std::pair<Key, Value>> scanned;
+  inst.db->Scan(0, static_cast<uint32_t>(kKeySpace),
+                [&](IoStatus, auto results) { scanned = std::move(results); });
+  cluster.sim().RunUntil(cluster.sim().now() + Seconds(1));
+  EXPECT_EQ(checked, kKeySpace + 2);
+  ASSERT_EQ(scanned.size(), oracle.size());
+  auto it = oracle.begin();
+  for (const auto& [k, v] : scanned) {
+    EXPECT_EQ(k, it->first);
+    EXPECT_EQ(v.stamp, it->second) << k;
+    ++it;
+  }
+}
+
+// Blobstore exhaustion is checked in every build type: bulk-loading more
+// than an undersized cluster holds aborts with the instance and the bytes
+// still needed instead of writing through an empty placement.
+TEST(KvDbDeathTest, BulkLoadPastCapacityAborts) {
+  KvClusterConfig cfg = SmallCluster();
+  cfg.hba.backend_bytes = 8ull << 20;  // 2 x 8 MiB for ~2 x 20 MiB of data
+  EXPECT_DEATH(
+      {
+        KvCluster cluster(cfg);
+        cluster.AddInstance().db->BulkLoad(20'000, 1024);
+      },
+      "blobstore out of space: instance 0 needs [0-9]+ more bytes");
 }
 
 TEST(KvDb, ReplicationWritesBothCopies) {

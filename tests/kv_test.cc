@@ -39,9 +39,9 @@ TEST(Bloom, EmptyFilterRejectsEverything) {
 
 TEST(Memtable, PutGetOverwrite) {
   Memtable m;
-  m.Put(5, Value{1024, 1, false});
+  m.Put(5, Value{.stamp = 1, .bytes = 1024});
   EXPECT_EQ(m.Get(5)->stamp, 1u);
-  m.Put(5, Value{1024, 2, false});
+  m.Put(5, Value{.stamp = 2, .bytes = 1024});
   EXPECT_EQ(m.Get(5)->stamp, 2u);
   EXPECT_FALSE(m.Get(6).has_value());
   EXPECT_EQ(m.count(), 1u);
@@ -49,16 +49,16 @@ TEST(Memtable, PutGetOverwrite) {
 
 TEST(Memtable, BytesAccounting) {
   Memtable m;
-  m.Put(1, Value{1024, 1, false});
-  m.Put(2, Value{1024, 1, false});
+  m.Put(1, Value{.stamp = 1, .bytes = 1024});
+  m.Put(2, Value{.stamp = 1, .bytes = 1024});
   EXPECT_EQ(m.bytes(), 2 * (1024 + Memtable::kEntryOverhead));
 }
 
 TEST(Memtable, SortedSnapshot) {
   Memtable m;
-  m.Put(30, Value{8, 1, false});
-  m.Put(10, Value{8, 2, false});
-  m.Put(20, Value{8, 3, false});
+  m.Put(30, Value{.stamp = 1, .bytes = 8});
+  m.Put(10, Value{.stamp = 2, .bytes = 8});
+  m.Put(20, Value{.stamp = 3, .bytes = 8});
   auto s = m.Sorted();
   ASSERT_EQ(s.size(), 3u);
   EXPECT_EQ(s[0].first, 10u);
@@ -69,7 +69,7 @@ std::vector<std::pair<Key, Value>> MakeEntries(uint64_t n,
                                                uint32_t bytes = 1024) {
   std::vector<std::pair<Key, Value>> e;
   for (uint64_t k = 0; k < n; ++k) {
-    e.emplace_back(k * 2, Value{bytes, k, false});
+    e.emplace_back(k * 2, Value{.stamp = k, .bytes = bytes});
   }
   return e;
 }
@@ -129,6 +129,53 @@ TEST(SsTable, ShadowPlacementMirrors) {
   EXPECT_EQ(p.backend, 0);
   EXPECT_EQ(s.backend, 1);
   EXPECT_EQ(s.offset, 4096u + 8192u);
+}
+
+// The range form (bulk load) must answer every query exactly as an
+// explicit table with the same contiguous, uniform contents does.
+void ExpectRangeMatchesExplicit(Key first, uint64_t n) {
+  SCOPED_TRACE(testing::Message() << "first=" << first << " n=" << n);
+  const Value v{.stamp = 7, .bytes = 1000};
+  std::vector<std::pair<Key, Value>> entries;
+  for (uint64_t i = 0; i < n; ++i) entries.emplace_back(first + i, v);
+  const SsTable ex(1, std::move(entries));
+  const SsTable rg(2, first, n, v);
+
+  EXPECT_EQ(rg.count(), ex.count());
+  EXPECT_EQ(rg.min_key(), ex.min_key());
+  EXPECT_EQ(rg.max_key(), ex.max_key());
+  EXPECT_EQ(rg.data_bytes(), ex.data_bytes());
+  for (uint64_t i = 0; i < ex.count(); ++i) {
+    ASSERT_EQ(rg.KeyAt(i), ex.KeyAt(i)) << i;
+    ASSERT_EQ(rg.ValueAt(i), ex.ValueAt(i)) << i;
+  }
+  const Key lo = ex.min_key() >= 2 ? ex.min_key() - 2 : 0;
+  for (Key k = lo; k <= ex.max_key() + 2; ++k) {
+    ASSERT_EQ(rg.MayContain(k), ex.MayContain(k)) << k;
+    ASSERT_EQ(rg.Lookup(k), ex.Lookup(k)) << k;
+    ASSERT_EQ(rg.BlockOffsetOf(k), ex.BlockOffsetOf(k)) << k;
+    ASSERT_EQ(rg.RankOf(k), ex.RankOf(k)) << k;
+  }
+}
+
+TEST(SsTable, RangeFormMatchesExplicitForm) {
+  ExpectRangeMatchesExplicit(0, 1);       // 1-entry table at key 0
+  ExpectRangeMatchesExplicit(500, 1);     // 1-entry table mid keyspace
+  ExpectRangeMatchesExplicit(0, 4000);    // a full ~4 MiB target-sized table
+  ExpectRangeMatchesExplicit(12345, 37);  // a short last chunk
+}
+
+TEST(SsTable, RankOfIsLowerBound) {
+  SsTable t(1, MakeEntries(10));  // keys 0, 2, ..., 18
+  EXPECT_EQ(t.RankOf(0), 0u);
+  EXPECT_EQ(t.RankOf(3), 2u);
+  EXPECT_EQ(t.RankOf(4), 2u);
+  EXPECT_EQ(t.RankOf(18), 9u);
+  EXPECT_EQ(t.RankOf(19), 10u);  // past the end: count()
+  const SsTable r(2, 100, 10, Value{.stamp = 1, .bytes = 8});
+  EXPECT_EQ(r.RankOf(0), 0u);
+  EXPECT_EQ(r.RankOf(104), 4u);
+  EXPECT_EQ(r.RankOf(1000), 10u);
 }
 
 // ---------------------------------------------------------------------------
