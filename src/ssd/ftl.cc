@@ -1,13 +1,29 @@
 #include "ssd/ftl.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 
 #include "common/rng.h"
 
 namespace gimbal::ssd {
 
 Ftl::Ftl(const SsdConfig& config) : config_(config) {
+  // BlockOf is a shift and the write loops step whole program units.
+  // Checked in every build type.
+  if (!std::has_single_bit(config_.pages_per_block) ||
+      config_.program_unit_pages == 0) {
+    std::fprintf(stderr,
+                 "Ftl: pages_per_block=%u must be a power of two and "
+                 "program_unit_pages=%u at least 1\n",
+                 config_.pages_per_block, config_.program_unit_pages);
+    std::abort();
+  }
+  block_shift_ =
+      static_cast<uint32_t>(std::countr_zero(config_.pages_per_block));
   const uint32_t blocks = config_.physical_blocks();
   const uint32_t pages = blocks * config_.pages_per_block;
   l2p_.assign(config_.logical_pages(), kInvalidPage);
@@ -82,35 +98,51 @@ Ppn Ftl::AllocateOnDie(Lpn lpn, int die) {
 }
 
 int Ftl::SelectGcVictim(int die) const {
-  int best = -1;
-  uint16_t best_valid = UINT16_MAX;
+  // Branch-free minimum of (valid << 32 | block): fewest valid pages, ties
+  // to the lowest block id. The open block and blocks that are not full
+  // are or-ed with all ones, i.e. map to UINT64_MAX.
   const uint32_t dies = static_cast<uint32_t>(config_.dies());
+  const uint32_t open = static_cast<uint32_t>(open_block_[die]);
+  uint64_t best = UINT64_MAX;
   for (uint32_t b = static_cast<uint32_t>(die); b < valid_count_.size();
        b += dies) {
-    if (static_cast<int32_t>(b) == open_block_[die]) continue;
-    if (write_ptr_[b] < config_.pages_per_block) continue;  // not full
-    if (valid_count_[b] < best_valid) {
-      best_valid = valid_count_[b];
-      best = static_cast<int>(b);
-      if (best_valid == 0) break;  // cannot do better
-    }
+    const uint64_t ineligible =
+        (write_ptr_[b] != config_.pages_per_block) | (b == open);
+    const uint64_t key = uint64_t{valid_count_[b]} << 32 | b;
+    best = std::min(best, key | -ineligible);
   }
-  return best;
+  return best == UINT64_MAX ? -1
+                            : static_cast<int>(static_cast<uint32_t>(best));
 }
 
 uint32_t Ftl::CompactValid(uint32_t block, Lpn* out) const {
   // ~3/4 of a fragmented victim's pages are live in no predictable pattern,
   // so a per-page branch mispredicts; store every slot and advance the
-  // cursor by the validity bit instead.
+  // cursor by the validity bit instead. Each half of the written slots has
+  // its own cursor, so the two store chains run side by side; the second
+  // half's survivors then move up behind the first's.
   const Lpn* pages = &p2l_[block * config_.pages_per_block];
-  uint32_t n = 0;
-  for (uint32_t i = 0; i < config_.pages_per_block; ++i) {
-    const Lpn lpn = pages[i];
-    out[n] = lpn;
-    n += lpn != kInvalidPage;
+  const uint32_t written = write_ptr_[block];
+  const uint32_t half = written / 2;
+  Lpn* upper = out + half;
+  uint32_t lo = 0;
+  uint32_t hi = 0;
+  for (uint32_t i = 0; i < half; ++i) {
+    const Lpn a = pages[i];
+    const Lpn b = pages[half + i];
+    out[lo] = a;
+    upper[hi] = b;
+    lo += a != kInvalidPage;
+    hi += b != kInvalidPage;
   }
-  assert(n == valid_count_[block]);
-  return n;
+  if (written % 2 != 0) {
+    const Lpn b = pages[written - 1];
+    upper[hi] = b;
+    hi += b != kInvalidPage;
+  }
+  std::memmove(out + lo, upper, hi * sizeof(Lpn));
+  assert(lo + hi == valid_count_[block]);
+  return lo + hi;
 }
 
 std::vector<Lpn> Ftl::CollectValid(uint32_t block) const {
@@ -123,10 +155,6 @@ void Ftl::EraseBlock(uint32_t block) {
   assert(valid_count_[block] == 0);
   assert(write_ptr_[block] == config_.pages_per_block &&
          "erasing a partially written block");
-  Ppn base = block * config_.pages_per_block;
-  for (uint32_t i = 0; i < config_.pages_per_block; ++i) {
-    p2l_[base + i] = kInvalidPage;
-  }
   write_ptr_[block] = 0;
   ++erase_count_[block];
   ++stats_.blocks_erased;
@@ -146,8 +174,9 @@ void Ftl::GcSynchronous(int die) {
     const uint32_t survivors = CompactValid(block, gc_survivors_.data());
     // Append the survivors to the open block in runs that end where it
     // fills; a new block opens only when a survivor is left to write, as
-    // it would for a page-at-a-time AllocateOnDie. The victim's stale p2l_
-    // slots are left to EraseBlock, which clears the whole block.
+    // it would for a page-at-a-time AllocateOnDie. The victim's p2l_ slots
+    // go stale with the erase below; every one is rewritten before the
+    // block is full again.
     for (uint32_t done = 0; done < survivors;) {
       const uint32_t open = WritableBlock(die);
       const uint32_t room = config_.pages_per_block - write_ptr_[open];
@@ -172,22 +201,65 @@ void Ftl::GcSynchronous(int die) {
   }
 }
 
+void Ftl::StartWriteUnit() {
+  if (++write_die_cursor_ == config_.dies()) write_die_cursor_ = 0;
+  write_die_budget_ = config_.program_unit_pages;
+}
+
 int Ftl::NextWriteDie() {
-  if (write_die_budget_ == 0) {
-    write_die_cursor_ = (write_die_cursor_ + 1) % config_.dies();
-    write_die_budget_ = config_.program_unit_pages;
-  }
+  if (write_die_budget_ == 0) StartWriteUnit();
   --write_die_budget_;
   return write_die_cursor_;
 }
 
-void Ftl::PreconditionSequential() {
-  const uint32_t pages = config_.logical_pages();
-  for (Lpn lpn = 0; lpn < pages; ++lpn) {
-    int die = NextWriteDie();
-    if (!CanAllocate(die) || NeedsGc(die)) GcSynchronous(die);
-    AllocateOnDie(lpn, die);
+template <typename NextLpn>
+void Ftl::WriteUnits(uint64_t pages, NextLpn next_lpn) {
+  const uint32_t unit = config_.program_unit_pages;
+  // fits[d]: whole units die d's open block takes before it fills, while d
+  // is above the GC watermark. Such a unit meets no GC check and no block
+  // switch, so it skips the per-page steps. Only d's own writes and GC
+  // change this, so it is refreshed after each unit written page by page.
+  std::vector<uint32_t> fits(config_.dies(), 0);
+  while (pages > 0) {
+    if (write_die_budget_ == 0) StartWriteUnit();
+    const int die = write_die_cursor_;
+    const uint32_t n =
+        static_cast<uint32_t>(std::min<uint64_t>(write_die_budget_, pages));
+    write_die_budget_ -= n;
+    pages -= n;
+    if (n == unit && fits[die] > 0) {
+      --fits[die];
+      const uint32_t block = static_cast<uint32_t>(open_block_[die]);
+      Ppn ppn = block * config_.pages_per_block + write_ptr_[block];
+      write_ptr_[block] = static_cast<uint16_t>(write_ptr_[block] + n);
+      // Counted up front, so an overwrite of a page written earlier in this
+      // unit decrements a count that already includes it.
+      valid_count_[block] = static_cast<uint16_t>(valid_count_[block] + n);
+      for (uint32_t i = 0; i < n; ++i, ++ppn) {
+        const Lpn lpn = next_lpn();
+        Invalidate(lpn);
+        l2p_[lpn] = ppn;
+        p2l_[ppn] = lpn;
+      }
+      stats_.host_pages_written += n;
+      continue;
+    }
+    // A partial unit, or one that opens a block or meets the watermark.
+    for (uint32_t i = 0; i < n; ++i) {
+      const Lpn lpn = next_lpn();
+      if (!CanAllocate(die) || NeedsGc(die)) GcSynchronous(die);
+      AllocateOnDie(lpn, die);
+    }
+    const int32_t open = open_block_[die];
+    fits[die] = open >= 0 && !NeedsGc(die)
+                    ? (config_.pages_per_block - write_ptr_[open]) / unit
+                    : 0;
   }
+}
+
+void Ftl::PreconditionSequential() {
+  Lpn next = 0;
+  WriteUnits(config_.logical_pages(), [&next] { return next++; });
   // Preconditioning is device state, not workload history.
   stats_ = Stats{};
 }
@@ -198,12 +270,9 @@ void Ftl::PreconditionRandom(double overwrite_factor, uint64_t seed) {
   const uint32_t pages = config_.logical_pages();
   const uint64_t total =
       static_cast<uint64_t>(overwrite_factor * static_cast<double>(pages));
-  for (uint64_t i = 0; i < total; ++i) {
-    Lpn lpn = static_cast<Lpn>(rng.NextBounded(pages));
-    int die = NextWriteDie();
-    if (!CanAllocate(die) || NeedsGc(die)) GcSynchronous(die);
-    AllocateOnDie(lpn, die);
-  }
+  WriteUnits(total, [&rng, pages] {
+    return static_cast<Lpn>(rng.NextBounded(pages));
+  });
   stats_ = Stats{};
 }
 

@@ -7,14 +7,19 @@
 // reports, and the preconditioning helpers drive the same state machine
 // synchronously, not as simulated events: PreconditionRandom(3.0) on the
 // default 512 MiB geometry (393K host writes, 1.2M GC relocations) costs
-// ~12 ms of host CPU, and ~6 ms at 256 MiB (best of 11 in the host's fast
+// ~6.5 ms of host CPU, and ~3 ms at 256 MiB (best of 11 in the host's fast
 // speed regime, -O2, 4-vCPU Intel Xeon VM, GCC 12).
 //
-// GcSynchronous relocates a victim's survivors as whole runs, yet leaves
-// the FTL bit-identical to a GC-tagged AllocateOnDie of each survivor in
-// block order: the same mapping, relocation order, free-list order,
-// wear-levelling picks, erase counts and stats. Ftl.PreconditionedStateIsPinned
-// and the golden figures pin it.
+// The preconditioning loops write one program unit per write-die step. A
+// unit that ends before the die's open block fills, on a die above the GC
+// watermark, meets no GC check and no block switch, so it is written with
+// neither; any other unit goes page by page through AllocateOnDie.
+// GcSynchronous relocates a victim's survivors as whole runs. Together
+// they leave the FTL bit-identical to NextWriteDie, the GC check and
+// AllocateOnDie per host page, with a GC-tagged AllocateOnDie of each
+// survivor in block order: the same mapping, relocation order, free-list
+// order, wear-levelling picks, erase counts, stats and write-die cursor.
+// Ftl.PreconditionedStateIsPinned and the golden figures pin it.
 #pragma once
 
 #include <cstdint>
@@ -42,7 +47,7 @@ class Ftl {
     return static_cast<int>(block % static_cast<uint32_t>(config_.dies()));
   }
   int DieOfPpn(Ppn ppn) const { return DieOfBlock(BlockOf(ppn)); }
-  uint32_t BlockOf(Ppn ppn) const { return ppn / config_.pages_per_block; }
+  uint32_t BlockOf(Ppn ppn) const { return ppn >> block_shift_; }
 
   // --- Writes --------------------------------------------------------------
   // Map `lpn` to the next free page of `die`'s open block, invalidating any
@@ -82,8 +87,10 @@ class Ftl {
   // All still-valid logical pages in `block`, in block order.
   std::vector<Lpn> CollectValid(uint32_t block) const;
 
-  // Erase `block`: it must have zero valid pages; returns it to the die's
-  // free list and bumps its erase count.
+  // Erase `block`: it must be full and have zero valid pages; returns it to
+  // the die's free list and bumps its erase count. Its p2l_ slots keep
+  // their stale LPNs: nothing reads a slot at or past a block's write
+  // pointer, and the block is rewritten slot by slot before it can be full.
   void EraseBlock(uint32_t block);
 
   // Synchronous GC used by preconditioning: relocate + erase until the die
@@ -130,14 +137,24 @@ class Ftl {
   // `die`'s open block, after opening a fresh one if it is missing or full.
   uint32_t WritableBlock(int die);
   void Invalidate(Lpn lpn);
-  // Branch-free survivor scan: writes `block`'s valid LPNs, in block order,
-  // to `out` (which must hold pages_per_block entries; the slots past the
-  // survivors are scratch) and returns how many.
+  // Branch-free survivor scan of `block`'s written slots: writes its valid
+  // LPNs, in block order, to `out` (which must hold pages_per_block
+  // entries; the slots past the survivors are scratch) and returns how many.
   uint32_t CompactValid(uint32_t block, Lpn* out) const;
+  // Moves the write-die cursor to the next die and gives it a fresh
+  // program unit of budget.
+  void StartWriteUnit();
+  // Host-writes `pages` LPNs drawn from `next_lpn`, on the dies and with
+  // the GC checks of `pages` NextWriteDie + AllocateOnDie steps, one
+  // program unit at a time (preconditioning only).
+  template <typename NextLpn>
+  void WriteUnits(uint64_t pages, NextLpn next_lpn);
 
   SsdConfig config_;
+  uint32_t block_shift_ = 0;              // log2(pages_per_block)
   std::vector<Ppn> l2p_;                  // lpn -> ppn
-  std::vector<Lpn> p2l_;                  // ppn -> lpn (kInvalidPage if stale)
+  std::vector<Lpn> p2l_;                  // ppn -> lpn (kInvalidPage if stale;
+                                          // unread past a write pointer)
   std::vector<uint16_t> valid_count_;     // per block
   std::vector<uint16_t> write_ptr_;       // per block: next free page offset
   std::vector<uint32_t> erase_count_;     // per block (wear levelling)

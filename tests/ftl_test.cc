@@ -358,7 +358,7 @@ uint64_t StateHash(const Ftl& ftl) {
 // The preconditioned state, and the state after further GC-driven
 // overwrites, must not drift: every golden figure and benchmark model
 // metric starts from it. The expected hashes were recorded from the
-// per-page relocation path.
+// per-page relocation and per-page host-write paths.
 TEST(Ftl, PreconditionedStateIsPinned) {
   struct Case {
     int channels;
@@ -368,6 +368,8 @@ TEST(Ftl, PreconditionedStateIsPinned) {
     double overwrite_factor;
     uint64_t preconditioned;
     uint64_t overwritten;
+    uint32_t program_unit_pages = 4;
+    bool p3600 = false;
   };
   const Case cases[] = {
       // Default geometry at the benches' capacities.
@@ -386,13 +388,23 @@ TEST(Ftl, PreconditionedStateIsPinned) {
        6911384586588380937ull, 771501335438343357ull},
       {1, 4, 128, 64, 2.0,
        18205322116397172287ull, 3973338093374026219ull},
+      // The P3600-like device (25% over-provisioning).
+      {8, 4, 128, 256, 3.0,
+       8370872436441260398ull, 3273658707949685160ull, 4, true},
+      // Wider program units; 3 pages do not divide a 128-page block.
+      {8, 4, 128, 128, 3.0,
+       15628741775128311239ull, 10663072752823164054ull, 8},
+      {8, 4, 128, 128, 3.0,
+       4527904801808629113ull, 13846383886870114599ull, 3},
   };
   for (const Case& k : cases) {
     SCOPED_TRACE(::testing::Message()
                  << k.channels << "x" << k.dies_per_channel << " ppb "
                  << k.pages_per_block << " " << k.logical_mb << " MiB x"
-                 << k.overwrite_factor);
-    SsdConfig c;
+                 << k.overwrite_factor << " unit " << k.program_unit_pages
+                 << (k.p3600 ? " P3600" : ""));
+    SsdConfig c = k.p3600 ? SsdConfig::IntelP3600Like() : SsdConfig{};
+    c.program_unit_pages = k.program_unit_pages;
     c.channels = k.channels;
     c.dies_per_channel = k.dies_per_channel;
     c.pages_per_block = k.pages_per_block;
@@ -410,6 +422,15 @@ TEST(Ftl, PreconditionedStateIsPinned) {
     }
     EXPECT_EQ(StateHash(ftl), k.overwritten);
   }
+}
+
+TEST(FtlDeathTest, RejectsNonPowerOfTwoBlocksAndEmptyUnits) {
+  SsdConfig c = TinyConfig();
+  c.pages_per_block = 96;
+  EXPECT_DEATH(Ftl{c}, "pages_per_block=96 must be a power of two");
+  c = TinyConfig();
+  c.program_unit_pages = 0;
+  EXPECT_DEATH(Ftl{c}, "program_unit_pages=0 at least 1");
 }
 
 TEST(Ftl, NextWriteDieAdvancesPerProgramUnit) {

@@ -3,8 +3,11 @@
 // phenomena the Gimbal algorithms depend on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "common/histogram.h"
 #include "common/rng.h"
@@ -311,6 +314,40 @@ TEST(Ssd, FragmentedLargeReadSlowerThanClean) {
     return lat;
   };
   EXPECT_GT(lat128k(true), lat128k(false));
+}
+
+// Differential check of the FTL's reverse map: for every block, the
+// survivors CollectValid hands to GC, and the block's valid count, must be
+// exactly the LPNs a scan of the forward map places in it, in PPN order.
+// Erases leave a block's stale p2l_ slots in place, so this catches any
+// write path that stops rewriting them.
+void ExpectReverseMapMatchesForward(const Ftl& ftl) {
+  const SsdConfig& c = ftl.config();
+  std::vector<std::vector<std::pair<Ppn, Lpn>>> mapped(c.physical_blocks());
+  for (Lpn l = 0; l < c.logical_pages(); ++l) {
+    const Ppn p = ftl.Translate(l);
+    if (p != kInvalidPage) mapped[ftl.BlockOf(p)].push_back({p, l});
+  }
+  for (uint32_t b = 0; b < c.physical_blocks(); ++b) {
+    std::sort(mapped[b].begin(), mapped[b].end());
+    std::vector<Lpn> expected;
+    for (const auto& [ppn, lpn] : mapped[b]) expected.push_back(lpn);
+    ASSERT_EQ(ftl.CollectValid(b), expected) << "block " << b;
+    ASSERT_EQ(ftl.ValidPages(b), expected.size()) << "block " << b;
+  }
+}
+
+TEST(Ssd, CollectValidMatchesTheMappingAfterGc) {
+  sim::Simulator sim;
+  Ssd dev(sim, SmallConfig());
+  dev.PreconditionFragmented();
+  ExpectReverseMapMatchesForward(dev.ftl());
+  ClosedLoop loop(sim, dev, IoType::kWrite, 4096, false, 32,
+                  dev.capacity_bytes());
+  loop.Start();
+  sim.RunUntil(Seconds(0.3));
+  ASSERT_GT(dev.ftl().stats().blocks_erased, 0u);
+  ExpectReverseMapMatchesForward(dev.ftl());
 }
 
 TEST(NullDevice, CompletesInstantly) {
