@@ -10,15 +10,47 @@
 #include "common/rng.h"
 
 namespace gimbal::ssd {
+namespace {
+
+// Maps the `n` LPNs from `lpn` to the `n` PPNs from `ppn`, both ways, four
+// pages per step as one 16-byte store into each map.
+void MapRun(Ppn* l2p, Lpn* p2l, Lpn lpn, Ppn ppn, uint32_t n) {
+  using Quad = uint32_t __attribute__((vector_size(16)));
+  constexpr Quad kStep = {4, 4, 4, 4};
+  Quad ppns = {ppn, ppn + 1, ppn + 2, ppn + 3};
+  Quad lpns = {lpn, lpn + 1, lpn + 2, lpn + 3};
+  Ppn* const to = l2p + lpn;
+  Lpn* const from = p2l + ppn;
+  uint32_t i = 0;
+  for (; i + 4 <= n; i += 4, ppns += kStep, lpns += kStep) {
+    std::memcpy(to + i, &ppns, sizeof ppns);
+    std::memcpy(from + i, &lpns, sizeof lpns);
+  }
+  for (; i < n; ++i) {
+    to[i] = ppn + i;
+    from[i] = lpn + i;
+  }
+}
+
+}  // namespace
 
 Ftl::Ftl(const SsdConfig& config) : config_(config) {
-  // BlockOf is a shift and the write loops step whole program units.
-  // Checked in every build type.
+  // BlockOf is a shift, the write loops step whole program units, a full
+  // block's page count must fit the 16-bit valid_count_ and write_ptr_, and
+  // every block lives on a die. Checked in every build type.
+  if (config_.channels < 1 || config_.dies_per_channel < 1) {
+    std::fprintf(stderr,
+                 "Ftl: channels=%d and dies_per_channel=%d must be at "
+                 "least 1\n",
+                 config_.channels, config_.dies_per_channel);
+    std::abort();
+  }
   if (!std::has_single_bit(config_.pages_per_block) ||
+      config_.pages_per_block > UINT16_MAX ||
       config_.program_unit_pages == 0) {
     std::fprintf(stderr,
-                 "Ftl: pages_per_block=%u must be a power of two and "
-                 "program_unit_pages=%u at least 1\n",
+                 "Ftl: pages_per_block=%u must be a power of two no larger "
+                 "than 32768 and program_unit_pages=%u at least 1\n",
                  config_.pages_per_block, config_.program_unit_pages);
     std::abort();
   }
@@ -26,8 +58,12 @@ Ftl::Ftl(const SsdConfig& config) : config_(config) {
       static_cast<uint32_t>(std::countr_zero(config_.pages_per_block));
   const uint32_t blocks = config_.physical_blocks();
   const uint32_t pages = blocks * config_.pages_per_block;
-  l2p_.assign(config_.logical_pages(), kInvalidPage);
-  p2l_.assign(pages, kInvalidPage);
+  // kInvalidPage is all ones in every byte, so both maps start as a memset.
+  static_assert(kInvalidPage == UINT32_MAX);
+  l2p_.resize(config_.logical_pages());
+  p2l_.resize(pages);
+  std::memset(l2p_.data(), 0xFF, l2p_.size() * sizeof(Ppn));
+  std::memset(p2l_.data(), 0xFF, p2l_.size() * sizeof(Lpn));
   valid_count_.assign(blocks, 0);
   write_ptr_.assign(blocks, 0);
   erase_count_.assign(blocks, 0);
@@ -212,13 +248,91 @@ int Ftl::NextWriteDie() {
   return write_die_cursor_;
 }
 
-template <typename NextLpn>
-void Ftl::WriteUnits(uint64_t pages, NextLpn next_lpn) {
+void Ftl::PreconditionSequential() {
+  // The layout below is the one a page-by-page fill (NextWriteDie, the GC
+  // check and AllocateOnDie per page) leaves on a fresh FTL: free lists in
+  // block order, erase counts all 0, nothing mapped. Every mapping goes
+  // through an open block, so an FTL with none has mapped nothing.
+  const int dies = config_.dies();
+  bool fresh = write_die_cursor_ == 0 && write_die_budget_ == 0;
+  for (int d = 0; d < dies; ++d) fresh = fresh && open_block_[d] < 0;
+  if (!fresh) {
+    std::fprintf(stderr,
+                 "Ftl: PreconditionSequential needs a fresh FTL (no mapped "
+                 "LPN, open block or moved write cursor)\n");
+    std::abort();
+  }
+  // Unit u holds LPNs [u * unit, (u + 1) * unit), the last one possibly
+  // partial, and lands on die (u + 1) % dies: the cursor steps before its
+  // first unit. So die d holds units first, first + dies, ... with
+  // first = (d + dies - 1) % dies, and they fill its blocks one after
+  // another, each opened by OpenNewBlock as the per-page path opens it. No
+  // LPN is written twice, so every written page stays valid and the GC
+  // check never fires (no full block has a stale page to reclaim).
+  const uint32_t lpns = config_.logical_pages();
   const uint32_t unit = config_.program_unit_pages;
-  // fits[d]: whole units die d's open block takes before it fills, while d
-  // is above the GC watermark. Such a unit meets no GC check and no block
-  // switch, so it skips the per-page steps. Only d's own writes and GC
-  // change this, so it is refreshed after each unit written page by page.
+  const uint32_t per_block = config_.pages_per_block;
+  const uint64_t units = (uint64_t{lpns} + unit - 1) / unit;
+  for (int d = 0; d < dies; ++d) {
+    const uint64_t first = static_cast<uint64_t>((d + dies - 1) % dies);
+    if (first >= units) continue;
+    const uint64_t last = first + (units - 1 - first) / dies * dies;
+    const uint64_t die_pages = (last - first) / dies * unit +
+                               std::min<uint64_t>(unit, lpns - last * unit);
+    const uint64_t die_blocks = (die_pages + per_block - 1) / per_block;
+    if (die_blocks > free_blocks_[d].size()) {
+      std::fprintf(stderr,
+                   "Ftl: die %d needs %llu blocks for its share of the "
+                   "logical space but has %zu\n",
+                   d, static_cast<unsigned long long>(die_blocks),
+                   free_blocks_[d].size());
+      std::abort();
+    }
+    Lpn lpn = static_cast<Lpn>(first * unit);
+    uint32_t unit_left = unit;
+    for (uint64_t written = 0; written < die_pages;) {
+      OpenNewBlock(d);
+      const uint32_t block = static_cast<uint32_t>(open_block_[d]);
+      const uint32_t n = static_cast<uint32_t>(
+          std::min<uint64_t>(per_block, die_pages - written));
+      for (uint32_t i = 0; i < n;) {  // a unit may straddle two blocks
+        const uint32_t run = std::min(unit_left, n - i);
+        MapRun(l2p_.data(), p2l_.data(), lpn, block * per_block + i, run);
+        i += run;
+        lpn += run;
+        unit_left -= run;
+        if (unit_left == 0) {  // on to the die's next unit
+          unit_left = unit;
+          lpn += (dies - 1) * unit;
+        }
+      }
+      write_ptr_[block] = static_cast<uint16_t>(n);
+      valid_count_[block] = static_cast<uint16_t>(n);
+      written += n;
+    }
+  }
+  // The cursor rests on the last unit's die, with what that unit, if
+  // partial, left of its budget.
+  write_die_cursor_ = static_cast<int>(units % dies);
+  write_die_budget_ = static_cast<uint32_t>(units * unit - lpns);
+  // Preconditioning is device state, not workload history.
+  stats_ = Stats{};
+}
+
+void Ftl::PreconditionRandom(double overwrite_factor, uint64_t seed) {
+  PreconditionSequential();
+  Rng rng(seed);
+  const uint32_t lpns = config_.logical_pages();
+  uint64_t pages =
+      static_cast<uint64_t>(overwrite_factor * static_cast<double>(lpns));
+  // Host-writes `pages` uniform random LPNs on the dies and with the GC
+  // checks of `pages` NextWriteDie + AllocateOnDie steps, one program unit
+  // at a time. fits[d]: whole units die d's open block takes before it
+  // fills, while d is above the GC watermark. Such a unit meets no GC
+  // check and no block switch, so it skips the per-page steps. Only d's own
+  // writes and GC change this, so it is refreshed after each unit written
+  // page by page.
+  const uint32_t unit = config_.program_unit_pages;
   std::vector<uint32_t> fits(config_.dies(), 0);
   while (pages > 0) {
     if (write_die_budget_ == 0) StartWriteUnit();
@@ -236,7 +350,7 @@ void Ftl::WriteUnits(uint64_t pages, NextLpn next_lpn) {
       // unit decrements a count that already includes it.
       valid_count_[block] = static_cast<uint16_t>(valid_count_[block] + n);
       for (uint32_t i = 0; i < n; ++i, ++ppn) {
-        const Lpn lpn = next_lpn();
+        const Lpn lpn = static_cast<Lpn>(rng.NextBounded(lpns));
         Invalidate(lpn);
         l2p_[lpn] = ppn;
         p2l_[ppn] = lpn;
@@ -246,7 +360,7 @@ void Ftl::WriteUnits(uint64_t pages, NextLpn next_lpn) {
     }
     // A partial unit, or one that opens a block or meets the watermark.
     for (uint32_t i = 0; i < n; ++i) {
-      const Lpn lpn = next_lpn();
+      const Lpn lpn = static_cast<Lpn>(rng.NextBounded(lpns));
       if (!CanAllocate(die) || NeedsGc(die)) GcSynchronous(die);
       AllocateOnDie(lpn, die);
     }
@@ -255,24 +369,6 @@ void Ftl::WriteUnits(uint64_t pages, NextLpn next_lpn) {
                     ? (config_.pages_per_block - write_ptr_[open]) / unit
                     : 0;
   }
-}
-
-void Ftl::PreconditionSequential() {
-  Lpn next = 0;
-  WriteUnits(config_.logical_pages(), [&next] { return next++; });
-  // Preconditioning is device state, not workload history.
-  stats_ = Stats{};
-}
-
-void Ftl::PreconditionRandom(double overwrite_factor, uint64_t seed) {
-  PreconditionSequential();
-  Rng rng(seed);
-  const uint32_t pages = config_.logical_pages();
-  const uint64_t total =
-      static_cast<uint64_t>(overwrite_factor * static_cast<double>(pages));
-  WriteUnits(total, [&rng, pages] {
-    return static_cast<Lpn>(rng.NextBounded(pages));
-  });
   stats_ = Stats{};
 }
 

@@ -5,21 +5,32 @@
 // The FTL is a *pure state machine* — it never touches the simulator clock.
 // The timed Ssd device charges NAND time for the operations the FTL
 // reports, and the preconditioning helpers drive the same state machine
-// synchronously, not as simulated events: PreconditionRandom(3.0) on the
-// default 512 MiB geometry (393K host writes, 1.2M GC relocations) costs
-// ~6.5 ms of host CPU, and ~3 ms at 256 MiB (best of 11 in the host's fast
-// speed regime, -O2, 4-vCPU Intel Xeon VM, GCC 12).
+// synchronously, not as simulated events. Host CPU on the default 512 MiB
+// geometry (best of 40 in-process, in the host's fast speed regime, -O2,
+// 4-vCPU Intel Xeon VM, GCC 12): the constructor ~0.08 ms,
+// PreconditionSequential ~0.10 ms, and PreconditionRandom(3.0) (393K host
+// writes, 1.2M GC relocations) ~6.1 ms, ~3 ms at 256 MiB.
 //
-// The preconditioning loops write one program unit per write-die step. A
-// unit that ends before the die's open block fills, on a die above the GC
-// watermark, meets no GC check and no block switch, so it is written with
-// neither; any other unit goes page by page through AllocateOnDie.
-// GcSynchronous relocates a victim's survivors as whole runs. Together
-// they leave the FTL bit-identical to NextWriteDie, the GC check and
-// AllocateOnDie per host page, with a GC-tagged AllocateOnDie of each
-// survivor in block order: the same mapping, relocation order, free-list
-// order, wear-levelling picks, erase counts, stats and write-die cursor.
-// Ftl.PreconditionedStateIsPinned and the golden figures pin it.
+// PreconditionSequential computes the clean layout instead of replaying
+// it: each die's share of the round-robin program units fills its blocks
+// in order, each block opened by OpenNewBlock and mapped as whole runs,
+// with no per-page Invalidate, GC check or NextWriteDie. It leaves the FTL
+// bit-identical to NextWriteDie, the GC check and AllocateOnDie per page:
+// the same mapping, free-list order, wear-levelling picks, write pointers,
+// valid counts and write-die cursor and budget. Ftl.CleanStateIsPinned
+// pins it.
+//
+// The overwrite loop of PreconditionRandom writes one program unit per
+// write-die step. A unit that ends before the die's open block fills, on a
+// die above the GC watermark, meets no GC check and no block switch, so it
+// is written with neither; any other unit goes page by page through
+// AllocateOnDie. GcSynchronous relocates a victim's survivors as whole
+// runs. Together they leave the FTL bit-identical to NextWriteDie, the GC
+// check and AllocateOnDie per host page, with a GC-tagged AllocateOnDie of
+// each survivor in block order: the same mapping, relocation order,
+// free-list order, wear-levelling picks, erase counts, stats and
+// write-die cursor. Ftl.PreconditionedStateIsPinned and the golden figures
+// pin it.
 #pragma once
 
 #include <cstdint>
@@ -104,6 +115,9 @@ class Ftl {
   // Sequential fill, then `overwrite_factor` x logical-capacity of uniform
   // random 4 KiB overwrites — the fragmented steady state.
   void PreconditionRandom(double overwrite_factor, uint64_t seed = 42);
+  // Both need a fresh FTL (nothing written, write-die cursor unmoved) whose
+  // dies can each hold their share of the clean layout, and abort with a
+  // message otherwise, in every build type.
 
   // --- Introspection --------------------------------------------------------
   uint16_t ValidPages(uint32_t block) const { return valid_count_[block]; }
@@ -144,11 +158,6 @@ class Ftl {
   // Moves the write-die cursor to the next die and gives it a fresh
   // program unit of budget.
   void StartWriteUnit();
-  // Host-writes `pages` LPNs drawn from `next_lpn`, on the dies and with
-  // the GC checks of `pages` NextWriteDie + AllocateOnDie steps, one
-  // program unit at a time (preconditioning only).
-  template <typename NextLpn>
-  void WriteUnits(uint64_t pages, NextLpn next_lpn);
 
   SsdConfig config_;
   uint32_t block_shift_ = 0;              // log2(pages_per_block)

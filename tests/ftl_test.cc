@@ -424,6 +424,73 @@ TEST(Ftl, PreconditionedStateIsPinned) {
   }
 }
 
+// The clean state PreconditionSequential leaves, and where the write-die
+// cursor goes next: StateHash does not read the cursor or its budget, so
+// the next 4 program units per die of NextWriteDie are hashed separately.
+// The expected hashes were recorded from the page-by-page sequential fill.
+TEST(Ftl, CleanStateIsPinned) {
+  struct Case {
+    int channels;
+    int dies_per_channel;
+    uint32_t pages_per_block;
+    uint64_t logical_kib;
+    uint32_t program_unit_pages;
+    bool p3600;
+    uint64_t clean;
+    uint64_t next_dies;
+  };
+  const Case cases[] = {
+      // The PreconditionedStateIsPinned geometries.
+      {8, 4, 128, 256 << 10, 4, false,
+       11807205674423346487ull, 18414506129026596389ull},
+      {8, 4, 128, 512 << 10, 4, false,
+       5395689009335490871ull, 18414506129026596389ull},
+      {2, 2, 64, 64 << 10, 4, false,
+       13762651851584232759ull, 4822714947213621637ull},
+      {4, 4, 128, 128 << 10, 4, false,
+       2487693807343851127ull, 15228886676816678309ull},
+      {8, 8, 64, 256 << 10, 4, false,
+       549718426692303543ull, 5440503355906824997ull},
+      {1, 4, 128, 64 << 10, 4, false,
+       11934917755815040231ull, 4822714947213621637ull},
+      {8, 4, 128, 256 << 10, 4, true,
+       17946428448374368567ull, 18414506129026596389ull},
+      {8, 4, 128, 128 << 10, 8, false,
+       4391699965279366039ull, 15948009219642178853ull},
+      {8, 4, 128, 128 << 10, 3, false,
+       5724095549920897347ull, 15880926439924631077ull},
+      // Three dies; 256 pages leave a 1-page last unit, and neither unit
+      // divides a 32-page block.
+      {1, 3, 32, 1 << 10, 3, false,
+       5143648211054406302ull, 15853035141001586857ull},
+      {1, 3, 32, 1 << 10, 5, false,
+       3981382602341720388ull, 988532942258748921ull},
+      // Fewer units than dies: most dies are never written.
+      {8, 4, 128, 64, 4, false,
+       4489955168867785475ull, 10055757712042641701ull},
+  };
+  for (const Case& k : cases) {
+    SCOPED_TRACE(::testing::Message()
+                 << k.channels << "x" << k.dies_per_channel << " ppb "
+                 << k.pages_per_block << " " << k.logical_kib << " KiB unit "
+                 << k.program_unit_pages << (k.p3600 ? " P3600" : ""));
+    SsdConfig c = k.p3600 ? SsdConfig::IntelP3600Like() : SsdConfig{};
+    c.program_unit_pages = k.program_unit_pages;
+    c.channels = k.channels;
+    c.dies_per_channel = k.dies_per_channel;
+    c.pages_per_block = k.pages_per_block;
+    c.logical_bytes = k.logical_kib << 10;
+    Ftl ftl(c);
+    ftl.PreconditionSequential();
+    EXPECT_EQ(StateHash(ftl), k.clean);
+    uint64_t h = 14695981039346656037ull;
+    for (uint32_t i = 0; i < 4 * c.program_unit_pages * c.dies(); ++i) {
+      h = (h ^ static_cast<uint64_t>(ftl.NextWriteDie())) * 1099511628211ull;
+    }
+    EXPECT_EQ(h, k.next_dies);
+  }
+}
+
 TEST(FtlDeathTest, RejectsNonPowerOfTwoBlocksAndEmptyUnits) {
   SsdConfig c = TinyConfig();
   c.pages_per_block = 96;
@@ -431,6 +498,62 @@ TEST(FtlDeathTest, RejectsNonPowerOfTwoBlocksAndEmptyUnits) {
   c = TinyConfig();
   c.program_unit_pages = 0;
   EXPECT_DEATH(Ftl{c}, "program_unit_pages=0 at least 1");
+}
+
+// valid_count_ and write_ptr_ are 16-bit: a 65536-page block would wrap
+// its write pointer to 0 when full, so the open block would never close.
+TEST(FtlDeathTest, RejectsBlocksPastTheSixteenBitCounters) {
+  SsdConfig c = TinyConfig();
+  c.pages_per_block = 1u << 16;
+  EXPECT_DEATH(Ftl{c}, "pages_per_block=65536 must be a power of two no "
+                       "larger than 32768");
+}
+
+// physical_blocks() divides by the die count.
+TEST(FtlDeathTest, RejectsGeometriesWithoutDies) {
+  SsdConfig c = TinyConfig();
+  c.channels = 0;
+  EXPECT_DEATH(Ftl{c}, "channels=0 and dies_per_channel=2 must be at least 1");
+  c = TinyConfig();
+  c.dies_per_channel = 0;
+  EXPECT_DEATH(Ftl{c}, "channels=2 and dies_per_channel=0 must be at least 1");
+}
+
+// A program unit wider than a die's share of the blocks piles the logical
+// space onto a few dies: here the one 128-page unit lands whole on die 1,
+// which has 13 blocks of 8 pages.
+TEST(FtlDeathTest, PreconditionRejectsALayoutThatOverflowsADie) {
+  SsdConfig c;
+  c.channels = 1;
+  c.dies_per_channel = 2;
+  c.pages_per_block = 8;
+  c.program_unit_pages = 128;
+  c.logical_bytes = 128ull << 12;  // 128 pages
+  Ftl ftl(c);
+  EXPECT_DEATH(ftl.PreconditionSequential(),
+               "die 1 needs 16 blocks for its share of the logical space "
+               "but has 13");
+}
+
+// The clean layout is computed for a fresh FTL, so preconditioning one that
+// has written a page, or whose write cursor has moved, must not go ahead.
+TEST(FtlDeathTest, PreconditionNeedsAFreshFtl) {
+  const char* const kNotFresh = "PreconditionSequential needs a fresh FTL";
+  {
+    Ftl ftl(TinyConfig());
+    ftl.AllocateOnDie(7, 1);
+    EXPECT_DEATH(ftl.PreconditionSequential(), kNotFresh);
+  }
+  {
+    Ftl ftl(TinyConfig());
+    ftl.PreconditionSequential();
+    EXPECT_DEATH(ftl.PreconditionRandom(1.0), kNotFresh);
+  }
+  {
+    Ftl ftl(TinyConfig());
+    ftl.NextWriteDie();
+    EXPECT_DEATH(ftl.PreconditionSequential(), kNotFresh);
+  }
 }
 
 TEST(Ftl, NextWriteDieAdvancesPerProgramUnit) {
