@@ -66,25 +66,55 @@ class Rng {
   uint64_t state_[4];
 };
 
+// Zeta(n, theta) = sum of 1 / i^theta for i = 1..n, the Zipfian
+// normalising constant. Each thread keeps the sum with the largest n it has
+// computed. A call for that n and theta returns it; a call for a larger n
+// and the same theta adds the missing terms to it, left to right, in the
+// order a loop from i = 1 adds them, so the result is bit-identical to a
+// fresh sum. A smaller n or another theta sums from i = 1, and only a sum
+// at least as long as the kept one replaces it: ZipfianGenerator's
+// Zeta(2, theta) never evicts its Zeta(n, theta). Thread-local, so no call
+// takes a lock and threads never share a sum.
+inline double Zeta(uint64_t n, double theta) {
+  struct Sum {
+    uint64_t n = 0;
+    double theta = 0, value = 0;
+  };
+  thread_local Sum kept;
+  const bool extend = theta == kept.theta && n >= kept.n;
+  double sum = extend ? kept.value : 0;
+  for (uint64_t i = extend ? kept.n + 1 : 1; i <= n; ++i) {
+    sum += 1.0 / std::pow(static_cast<double>(i), theta);
+  }
+  if (n >= kept.n) kept = Sum{n, theta, sum};
+  return sum;
+}
+
 // Zipfian generator over [0, n) using the Gray/Jain rejection-inversion
 // method popularized by the YCSB reference implementation. theta is the
 // skew (YCSB default 0.99).
+//
+// Cost: construction is one Zeta(n, theta) plus three pow calls. That Zeta
+// costs n pow calls when it sums from i = 1, none when the thread's kept sum
+// has the same n and theta (YCSB builds every client's generators over one
+// key count), and n - m when it extends a kept sum of m terms. A draw is
+// one Rng::NextDouble plus, for ranks above 1, one pow.
 class ZipfianGenerator {
  public:
-  ZipfianGenerator(uint64_t n, double theta = 0.99)
-      : n_(n), theta_(theta) {
-    zeta_n_ = Zeta(n_, theta_);
-    zeta2_ = Zeta(2, theta_);
-    alpha_ = 1.0 / (1.0 - theta_);
-    eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) /
-           (1.0 - zeta2_ / zeta_n_);
+  ZipfianGenerator(uint64_t n, double theta = 0.99) : n_(n) {
+    zeta_n_ = Zeta(n_, theta);
+    const double zeta2 = Zeta(2, theta);
+    alpha_ = 1.0 / (1.0 - theta);
+    eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta)) /
+           (1.0 - zeta2 / zeta_n_);
+    rank1_bound_ = 1.0 + std::pow(0.5, theta);
   }
 
   uint64_t Next(Rng& rng) const {
     double u = rng.NextDouble();
     double uz = u * zeta_n_;
     if (uz < 1.0) return 0;
-    if (uz < 1.0 + std::pow(0.5, theta_)) return 1;
+    if (uz < rank1_bound_) return 1;
     return static_cast<uint64_t>(
         static_cast<double>(n_) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
   }
@@ -92,15 +122,9 @@ class ZipfianGenerator {
   uint64_t n() const { return n_; }
 
  private:
-  static double Zeta(uint64_t n, double theta) {
-    double sum = 0;
-    for (uint64_t i = 1; i <= n; ++i) sum += 1.0 / std::pow(static_cast<double>(i), theta);
-    return sum;
-  }
-
   uint64_t n_;
-  double theta_;
-  double zeta_n_, zeta2_, alpha_, eta_;
+  double zeta_n_, alpha_, eta_;
+  double rank1_bound_;  // 1 + 0.5^theta: uz in [1, rank1_bound_) is rank 1
 };
 
 // "Scrambled" Zipfian: hashes the Zipfian rank so hot keys are spread over

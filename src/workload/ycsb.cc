@@ -23,8 +23,9 @@ YcsbGenerator::YcsbGenerator(YcsbSpec spec)
 }
 
 uint64_t YcsbGenerator::NextZipfKey() {
-  // Rebuild the generator when inserts have grown the space materially
-  // (zeta recomputation is costly, so amortize it).
+  // Rebuild the generator when inserts have grown the space by 1/8 (the
+  // step is part of the op stream). Its Zeta extends the thread's kept sum,
+  // one pow per new key, unless a longer sum is kept; then it sums from 1.
   if (record_count_ > zipf_domain_ + zipf_domain_ / 8) {
     zipf_domain_ = record_count_;
     zipf_ = std::make_unique<ScrambledZipfian>(zipf_domain_, spec_.zipf_theta);

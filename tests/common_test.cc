@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -103,6 +104,33 @@ TEST(Zipfian, StaysInRange) {
   Rng rng(19);
   ZipfianGenerator zipf(50, 0.99);
   for (int i = 0; i < 50000; ++i) EXPECT_LT(zipf.Next(rng), 50u);
+}
+
+// Zeta keeps one sum per thread and extends it; every call must equal a
+// sum from i = 1 exactly, whatever was computed before it. The calls run on
+// a new thread, so the first starts without a kept sum whatever earlier
+// tests summed, and each call's path (sum from 1, return the kept sum,
+// extend it) is the same in every run.
+TEST(Zipfian, ZetaIsOrderIndependent) {
+  auto fresh = [](uint64_t n, double theta) {
+    double sum = 0;
+    for (uint64_t i = 1; i <= n; ++i) {
+      sum += 1.0 / std::pow(static_cast<double>(i), theta);
+    }
+    return sum;
+  };
+  const std::pair<uint64_t, double> calls[] = {
+      {1000, 0.99},  {1000, 0.99},  {2, 0.99},     {20000, 0.99},
+      {22501, 0.99}, {20000, 0.99}, {1, 0.99},     {22501, 0.99},
+      {2, 0.5},      {1000, 0.5},   {30000, 0.5},  {25313, 0.99},
+      {2, 0.99},     {1, 0.5},      {0, 0.99},     {30000, 0.5},
+      {40000, 0.99}, {40001, 0.99}, {40000, 0.99}, {1, 0.99}};
+  std::thread([&] {
+    for (auto [n, theta] : calls) {
+      EXPECT_EQ(Zeta(n, theta), fresh(n, theta))
+          << "n " << n << " theta " << theta;
+    }
+  }).join();
 }
 
 TEST(ScrambledZipfian, SpreadsHotKeys) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <thread>
 
 #include "baselines/fcfs_policy.h"
 #include "ssd/null_device.h"
@@ -192,6 +193,62 @@ TEST(Ycsb, ZipfianReadsSkewed) {
   int max_count = 0;
   for (auto& [k, c] : counts) max_count = std::max(max_count, c);
   EXPECT_GT(max_count, 500);  // hottest key way above uniform (5)
+}
+
+// The first 200k ops of every workload, hashed as the generators produced
+// them when each ZipfianGenerator summed its own zeta from i = 1. Reusing
+// or extending a zeta sum must leave every stream bit-identical. E's
+// inserts grow the key space past several 1/8 rebuilds of its Zipfian
+// generator; D draws its reads from the "latest" generator, which is built
+// once, while its inserts grow the range those reads cover. Each stream
+// runs on a new thread, so it starts without a kept zeta sum (as a fresh
+// process does) whatever the tests before it summed: its second generator
+// reuses the first's sum and E's rebuilds extend it.
+TEST(Ycsb, OpStreamsArePinned) {
+  struct Pin {
+    YcsbWorkload wl;
+    uint64_t records;
+    uint64_t hash;
+  };
+  const Pin pins[] = {
+      {YcsbWorkload::kA, 1000, 12329472138553941407ull},
+      {YcsbWorkload::kA, 20000, 6661687489771679249ull},
+      {YcsbWorkload::kB, 1000, 15561835772134340347ull},
+      {YcsbWorkload::kB, 20000, 14768904533437358625ull},
+      {YcsbWorkload::kC, 1000, 4735209111216956149ull},
+      {YcsbWorkload::kC, 20000, 4641396763586870975ull},
+      {YcsbWorkload::kD, 1000, 13332977449238427742ull},
+      {YcsbWorkload::kD, 20000, 7541261449800618480ull},
+      {YcsbWorkload::kE, 1000, 6271371403319770491ull},
+      {YcsbWorkload::kE, 20000, 10965286093152016046ull},
+      {YcsbWorkload::kF, 1000, 3847271538854426731ull},
+      {YcsbWorkload::kF, 20000, 1294765807483698665ull},
+  };
+  for (const Pin& p : pins) {
+    SCOPED_TRACE(::testing::Message()
+                 << ToString(p.wl) << " records " << p.records);
+    uint64_t h = 0xCBF29CE484222325ull;
+    uint64_t records_after = 0;
+    std::thread([&] {
+      YcsbSpec spec;
+      spec.workload = p.wl;
+      spec.record_count = p.records;
+      YcsbGenerator gen(spec);
+      auto mix = [&h](uint64_t v) { h = (h ^ v) * 0x100000001B3ull; };
+      for (int i = 0; i < 200000; ++i) {
+        const YcsbGenerator::Op op = gen.Next();
+        mix(static_cast<uint64_t>(op.op));
+        mix(op.key);
+        mix(op.scan_length);
+      }
+      records_after = gen.record_count();
+    }).join();
+    EXPECT_EQ(h, p.hash);
+    if (p.wl == YcsbWorkload::kD || p.wl == YcsbWorkload::kE) {
+      // At least two 1/8 growth steps, so E's generator was rebuilt.
+      EXPECT_GT(records_after, p.records + p.records / 4);
+    }
+  }
 }
 
 TEST(Report, TableFormatsNumbers) {
