@@ -10,9 +10,7 @@
 //   aggressive probe   - beta=8 vs beta=1 recovery after pattern shifts
 #include "bench_util.h"
 
-using namespace gimbal;
-using namespace gimbal::bench;
-
+namespace gimbal::bench {
 namespace {
 
 struct MixResult {
@@ -27,21 +25,16 @@ MixResult RunMix(core::GimbalParams params, SsdCondition cond,
   TestbedConfig cfg = MicroConfig(Scheme::kGimbal, cond);
   cfg.gimbal = params;
   Testbed bed(cfg);
-  for (int i = 0; i < 8; ++i) {
-    bed.AddWorker(PaperSpec(io_bytes, false, static_cast<uint64_t>(i) + 1));
-  }
-  for (int i = 0; i < 8; ++i) {
-    bed.AddWorker(PaperSpec(io_bytes, true, static_cast<uint64_t>(i) + 101));
-  }
+  AddWorkers(bed, PaperSpec(io_bytes, false, 0), 8, 1);
+  AddWorkers(bed, PaperSpec(io_bytes, true, 0), 8, 101);
   // Quick (golden) config: shorter windows, full variant matrix.
   if (Quick()) {
     bed.Run(Milliseconds(100), Milliseconds(250));
   } else {
     bed.Run(Milliseconds(400), Seconds(1));
   }
-  uint64_t rd = 0, wr = 0;
-  for (size_t i = 0; i < 8; ++i) rd += bed.workers()[i]->stats().total_bytes();
-  for (size_t i = 8; i < 16; ++i) wr += bed.workers()[i]->stats().total_bytes();
+  const uint64_t rd = WorkerBytes(bed, 0, 8);
+  const uint64_t wr = WorkerBytes(bed, 8, 8);
   LatencyHistogram rl = MergedLatency(bed, IoType::kRead, 0, 8);
   LatencyHistogram wl = MergedLatency(bed, IoType::kWrite, 8, 8);
   return {BytesToMiB(rd) / ToSec(bed.measured()),
@@ -55,10 +48,7 @@ void Report(Table& t, const char* label, const MixResult& r) {
          Table::Num(r.rd_p99_us), Table::Num(r.wr_p99_us)});
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
+int Run() {
   workload::PrintHeader(
       "Ablation - contribution of Gimbal's design choices",
       "Gimbal (SIGCOMM'21) §3.2-3.4 design arguments (extension)",
@@ -111,3 +101,8 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+const RegisterFigure kFigure(__FILE__, Run);
+
+}  // namespace
+}  // namespace gimbal::bench

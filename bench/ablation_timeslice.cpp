@@ -8,9 +8,7 @@
 // lower bandwidth.
 #include "bench_util.h"
 
-using namespace gimbal;
-using namespace gimbal::bench;
-
+namespace gimbal::bench {
 namespace {
 
 struct Row {
@@ -19,27 +17,21 @@ struct Row {
   double p99_us;
 };
 
-Row Run(Scheme scheme, Tick quantum) {
+Row RunScheme(Scheme scheme, Tick quantum) {
   TestbedConfig cfg = MicroConfig(scheme, SsdCondition::kClean);
   cfg.timeslice.quantum = quantum;
   Testbed bed(cfg);
-  for (int i = 0; i < 8; ++i) {
-    FioSpec spec;
-    spec.io_bytes = 4096;
-    spec.queue_depth = 16;
-    spec.seed = static_cast<uint64_t>(i) + 1 + g_seed;
-    bed.AddWorker(spec);
-  }
+  FioSpec spec;
+  spec.io_bytes = 4096;
+  spec.queue_depth = 16;
+  AddWorkers(bed, spec, 8, 1);
   bed.Run(Milliseconds(300), Milliseconds(600));
   LatencyHistogram all = MergedLatency(bed, IoType::kRead);
   return {AggregateMBps(bed), static_cast<double>(all.p50()) / 1000.0,
           static_cast<double>(all.p99()) / 1000.0};
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
+int Run() {
   workload::PrintHeader(
       "Ablation - timeslice scheduling vs Gimbal (8 x 4KB readers)",
       "Gimbal (SIGCOMM'21) §2.3 discussion (extension)",
@@ -50,17 +42,22 @@ int main(int argc, char** argv) {
   t.Columns({"scheme", "agg_MBps", "p50_us", "p99_us"});
   for (Tick q : {Milliseconds(1), Milliseconds(2), Milliseconds(4),
                  Milliseconds(8)}) {
-    Row r = Run(Scheme::kTimeslice, q);
+    Row r = RunScheme(Scheme::kTimeslice, q);
     t.Row({"timeslice q=" + Table::Num(ToMs(q), 0) + "ms",
            Table::Num(r.agg_mbps), Table::Num(r.p50_us),
            Table::Num(r.p99_us)});
   }
-  Row g = Run(Scheme::kGimbal, Milliseconds(2));
+  Row g = RunScheme(Scheme::kGimbal, Milliseconds(2));
   t.Row({"gimbal", Table::Num(g.agg_mbps), Table::Num(g.p50_us),
          Table::Num(g.p99_us)});
-  Row v = Run(Scheme::kVanilla, Milliseconds(2));
+  Row v = RunScheme(Scheme::kVanilla, Milliseconds(2));
   t.Row({"vanilla", Table::Num(v.agg_mbps), Table::Num(v.p50_us),
          Table::Num(v.p99_us)});
   t.Print();
   return 0;
 }
+
+const RegisterFigure kFigure(__FILE__, Run);
+
+}  // namespace
+}  // namespace gimbal::bench

@@ -1,4 +1,4 @@
-// Shared helpers for the reproduction bench binaries.
+// Shared helpers of gimbal_figs and its figures.
 #pragma once
 
 #include <cerrno>
@@ -6,15 +6,20 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/histogram.h"
 #include "common/time.h"
+#include "kv/cluster.h"
 #include "obs/json.h"
 #include "obs/obs.h"
+#include "obs/schema.h"
 #include "workload/fio.h"
 #include "workload/report.h"
 #include "workload/runner.h"
@@ -29,15 +34,15 @@ using workload::Table;
 using workload::Testbed;
 using workload::TestbedConfig;
 
-// Observability sinks shared by every testbed the binary builds, or nullptr
+// Observability sinks shared by every testbed the figure builds, or nullptr
 // when the user asked for no machine-readable output (the default — the
 // tracer's and registry's hot paths then cost one branch each).
 inline obs::Observability* g_obs = nullptr;
 
 inline obs::Observability* CurrentObs() { return g_obs; }
 
-// --quick: shrink the run matrix/windows so the binary finishes in seconds
-// (the golden-figure regression configs — docs/TESTING.md). Each bench
+// --quick: shrink the run matrix/windows so the figure finishes in seconds
+// (the golden-figure regression configs — docs/TESTING.md). Each figure
 // decides what "quick" means for its own matrix; trends must survive, exact
 // paper numbers need the full run.
 inline bool g_quick = false;
@@ -47,10 +52,10 @@ inline bool Quick() { return g_quick; }
 // replayed under fresh randomness (golden runs pin the default).
 inline uint64_t g_seed = 0;
 
-// Fault-plan knobs of the fault benches (docs/FAULTS.md). A bench passes
-// its defaults to ObsSession, which parses --fault-media-p=P and
-// --fault-seed=N, plus --fault-stall-ms=N and --fault-link-drop=P where the
-// bench gives those knobs a default.
+// Fault-plan knobs of the fault figures (docs/FAULTS.md). A figure
+// registers its defaults (RegisterFigure), and ObsSession parses
+// --fault-media-p=P and --fault-seed=N, plus --fault-stall-ms=N and
+// --fault-link-drop=P where the figure gives those knobs a default.
 struct FaultKnobs {
   double media_p = 0.2;  // media-error probability per IO in the burst
   uint64_t seed = 1;     // fault RNG seed
@@ -58,7 +63,44 @@ struct FaultKnobs {
   std::optional<double> link_drop;  // message drop probability in a flap
 };
 
-// A self-check a bench certifies its run with (printed PASS or FAIL).
+// One figure of gimbal_figs. Each figure source registers one, named by its
+// file stem, at namespace scope:
+//
+//   int Run() { ...print the figure...; return 0; }
+//   const RegisterFigure kFigure(__FILE__, Run);
+//
+// `run` returns the exit code: non-zero when a self-check failed. A figure
+// with --fault-* knobs registers `int Run(const FaultKnobs&)` and its
+// defaults instead.
+struct Figure {
+  std::string name;
+  std::optional<FaultKnobs> knobs;  // --fault-* defaults, if it takes any
+  std::function<int(const FaultKnobs&)> run;
+};
+
+inline std::vector<Figure>& Figures() {
+  static std::vector<Figure> figures;
+  return figures;
+}
+
+struct RegisterFigure {
+  RegisterFigure(const char* file, int (*run)()) {
+    Figures().push_back(
+        {Stem(file), std::nullopt, [run](const FaultKnobs&) { return run(); }});
+  }
+  RegisterFigure(const char* file, int (*run)(const FaultKnobs&),
+                 const FaultKnobs& defaults) {
+    Figures().push_back({Stem(file), defaults, run});
+  }
+
+  // "path/to/fig04_interference.cpp" -> "fig04_interference".
+  static std::string Stem(const std::string& path) {
+    const size_t begin = path.find_last_of('/') + 1;
+    return path.substr(begin, path.find_last_of('.') - begin);
+  }
+};
+
+// A self-check a figure certifies its run with (printed PASS or FAIL).
 struct Check {
   std::string name;
   bool pass;
@@ -102,12 +144,12 @@ inline bool ParseDouble(const std::string& s, double lo, double hi,
   return true;
 }
 
-// Per-binary session: the one argv parser and the one machine-readable
-// result writer of every bench. Construct first thing in main():
+// Per-run session: the one argv parser and the one machine-readable result
+// writer of every figure. gimbal_figs constructs it from the flags it does
+// not consume itself, then runs the figure:
 //
-//   int main(int argc, char** argv) {
-//     gimbal::bench::ObsSession obs(argc, argv);
-//     ...
+//   ObsSession session(figure.name, args, &knobs);
+//   return figure.run(knobs);
 //
 // Flags (see docs/OBSERVABILITY.md):
 //   --metrics-out=PATH   write the final metrics snapshot (.csv => CSV,
@@ -117,26 +159,26 @@ inline bool ParseDouble(const std::string& s, double lo, double hi,
 //                        chrome://tracing JSON)
 //   --trace-limit=N      cap the trace at N events (default 1M); events
 //                        past the cap are counted, not stored
-//   --bench-json=PATH    write every table the bench printed and every
+//   --bench-json=PATH    write every table the figure printed and every
 //                        self-check it reported as JSON; attaches no
 //                        observability
 //
 // Regression-harness flags (docs/TESTING.md):
-//   --quick              shrink the bench to its golden-figure quick config
+//   --quick              shrink the figure to its golden-figure quick config
 //   --seed=N             shift workload RNG seeds by N (default 0)
 //   --digest-out=PATH    enable the tracer and write its FNV digest as
 //                        16 hex chars; bit-identical across runs for the
 //                        same config
 //
-// Given `faults`, the session also parses that bench's --fault-* knobs. A
+// Given `faults`, the session also parses that figure's --fault-* knobs. A
 // malformed value is rejected with a warning and the default kept. Files
-// are written when the session goes out of scope at the end of main.
+// are written when the session goes out of scope, after the figure ran.
 class ObsSession {
  public:
-  ObsSession(int argc, char** argv, FaultKnobs* faults = nullptr)
-      : bench_(BaseName(argv[0])) {
-    for (int i = 1; i < argc; ++i) {
-      const std::string a = argv[i];
+  ObsSession(std::string bench, const std::vector<std::string>& args,
+             FaultKnobs* faults = nullptr)
+      : bench_(std::move(bench)) {
+    for (const std::string& a : args) {
       std::string v;
       if (TakeValue(a, "--metrics-out=", &metrics_path_)) continue;
       if (TakeValue(a, "--trace-out=", &trace_path_)) continue;
@@ -224,11 +266,6 @@ class ObsSession {
     if (arg.compare(0, n, prefix) != 0) return false;
     *out = arg.substr(n);
     return true;
-  }
-
-  static std::string BaseName(const char* path) {
-    const std::string p = path;
-    return p.substr(p.find_last_of('/') + 1);
   }
 
   static void Reject(const char* flag, const std::string& value,
@@ -329,6 +366,24 @@ inline double AggregateMBps(Testbed& bed) {
   return BytesToMiB(bytes) / ToSec(bed.measured());
 }
 
+// Adds `n` workers running `spec`; worker i draws from seed
+// first_seed + i + --seed.
+inline void AddWorkers(Testbed& bed, FioSpec spec, int n, uint64_t first_seed) {
+  for (int i = 0; i < n; ++i) {
+    spec.seed = first_seed + static_cast<uint64_t>(i) + g_seed;
+    bed.AddWorker(spec);
+  }
+}
+
+// Bytes moved by the workers [first, first + count) in the measured window.
+inline uint64_t WorkerBytes(Testbed& bed, size_t first, size_t count) {
+  uint64_t bytes = 0;
+  for (size_t i = first; i < first + count; ++i) {
+    bytes += bed.workers()[i]->stats().total_bytes();
+  }
+  return bytes;
+}
+
 // Merge latency histograms of a worker subset by IO type.
 inline LatencyHistogram MergedLatency(Testbed& bed, IoType type,
                                       size_t first = 0,
@@ -365,5 +420,138 @@ inline FioSpec PaperSpec(uint32_t io_bytes, bool is_write, uint64_t seed) {
   s.seed = seed + g_seed;
   return s;
 }
+
+// The KV cluster every KV figure builds: `ssds` 256 MiB SSDs in
+// `condition`, one target core per SSD, and per instance a 256 MiB blob
+// backend and a 1 MiB memtable. `label` names the run in the metrics.
+inline kv::KvClusterConfig KvConfig(Scheme scheme, int ssds,
+                                    SsdCondition condition,
+                                    std::string label) {
+  kv::KvClusterConfig cfg;
+  cfg.testbed.scheme = scheme;
+  cfg.testbed.num_ssds = ssds;
+  cfg.testbed.target.cores = ssds;
+  cfg.testbed.condition = condition;
+  cfg.testbed.ssd.logical_bytes = 256ull << 20;
+  cfg.testbed.obs = CurrentObs();
+  cfg.testbed.run_label = std::move(label);
+  cfg.hba.backend_bytes = 256ull << 20;
+  cfg.db.memtable_bytes = 1ull << 20;
+  return cfg;
+}
+
+// Replication totals over a KV cell's instances, read after its drain.
+struct ReplicaTotals {
+  uint64_t failover_reads = 0;
+  uint64_t degraded_writes = 0;
+  uint64_t dirty_recorded = 0;
+  uint64_t dirty_repaired = 0;
+  uint64_t dirty_dropped = 0;
+  uint64_t rebuild_bytes = 0;
+  uint64_t lost_writes = 0;  // kv.lost_writes (observability attached only)
+  size_t dirty_pending = 0;  // dirty-ledger entries left
+};
+
+// A KV-YCSB cell: a KvCluster of `instances` instances, each bulk-loaded
+// with `records` 1 KiB records and driven by one YCSB client with
+// `concurrency` ops in flight. Client i draws from seed i + 1 + --seed.
+class KvYcsbCell {
+ public:
+  KvYcsbCell(const kv::KvClusterConfig& cfg, workload::YcsbWorkload wl,
+             int instances, uint64_t records, int concurrency)
+      : cluster_(cfg), label_(cfg.testbed.run_label) {
+    for (int i = 0; i < instances; ++i) {
+      auto& inst = cluster_.AddInstance();
+      inst.db->BulkLoad(records, 1024);
+      workload::YcsbSpec spec;
+      spec.workload = wl;
+      spec.record_count = records;
+      spec.seed = static_cast<uint64_t>(i) + 1 + g_seed;
+      clients_.push_back(std::make_unique<kv::YcsbClient>(
+          cluster_.sim(), *inst.db, spec, concurrency));
+    }
+  }
+
+  // Starts the clients and runs to `end`, then restarts the client stats
+  // and the run's metrics, so that only what follows is measured.
+  void Warmup(Tick end) {
+    for (auto& c : clients_) c->Start();
+    sim().RunUntil(end);
+    for (auto& c : clients_) c->stats().Reset();
+    if (auto* obs = CurrentObs()) obs->metrics.ResetRun(label_);
+  }
+
+  // Runs `window` past now.
+  void RunFor(Tick window) { sim().RunUntil(sim().now() + window); }
+
+  uint64_t Ops() const {
+    uint64_t ops = 0;
+    for (const auto& c : clients_) ops += c->stats().ops;
+    return ops;
+  }
+
+  LatencyHistogram Reads() const {
+    LatencyHistogram reads;
+    for (const auto& c : clients_) reads.Merge(c->stats().read_latency);
+    return reads;
+  }
+
+  // Dirty-ledger entries (replicas awaiting re-replication), all instances.
+  size_t DirtyPending() {
+    size_t pending = 0;
+    for (auto& inst : cluster_.instances()) {
+      pending += inst->blobs->dirty_count();
+    }
+    return pending;
+  }
+
+  ReplicaTotals Replicas() {
+    ReplicaTotals t;
+    for (size_t i = 0; i < cluster_.instances().size(); ++i) {
+      const auto& bs = cluster_.instances()[i]->blobs->stats();
+      t.failover_reads += bs.failover_reads;
+      t.degraded_writes += bs.degraded_writes;
+      t.dirty_recorded += bs.dirty_recorded;
+      t.dirty_repaired += bs.dirty_repaired;
+      t.dirty_dropped += bs.dirty_dropped;
+      t.rebuild_bytes += bs.rebuild_bytes;
+      if (auto* obs = CurrentObs()) {
+        const obs::Labels l = obs::Labels::TenantSsd(static_cast<int>(i), -1);
+        t.lost_writes +=
+            obs->metrics.GetCounter(obs::schema::kKvLostWrites, l).value();
+      }
+    }
+    t.dirty_pending = DirtyPending();
+    return t;
+  }
+
+  // Stops the clients and runs `span` more in `step`s, calling `each_step`
+  // after each, then shuts every initiator down and runs the simulation
+  // until no event is left.
+  void Drain(Tick span, Tick step, const std::function<void()>& each_step) {
+    for (auto& c : clients_) c->Stop();
+    const Tick end = sim().now() + span;
+    while (sim().now() < end) {
+      RunFor(step);
+      each_step();
+    }
+    for (auto& ini : cluster_.bed().initiators()) {
+      if (!ini->shutdown()) ini->Shutdown();
+    }
+    sim().Run();
+  }
+
+  kv::KvCluster& cluster() { return cluster_; }
+  sim::Simulator& sim() { return cluster_.sim(); }
+  kv::KvCluster::Instance& instance(int i) {
+    return *cluster_.instances()[static_cast<size_t>(i)];
+  }
+  kv::YcsbClient& client(int i) { return *clients_[static_cast<size_t>(i)]; }
+
+ private:
+  kv::KvCluster cluster_;
+  std::string label_;
+  std::vector<std::unique_ptr<kv::YcsbClient>> clients_;
+};
 
 }  // namespace gimbal::bench

@@ -6,9 +6,7 @@
 // only a few microseconds everywhere.
 #include "bench_util.h"
 
-using namespace gimbal;
-using namespace gimbal::bench;
-
+namespace gimbal::bench {
 namespace {
 
 double UnloadedLatencyUs(fabric::TargetConfig target, uint32_t io_kb,
@@ -27,10 +25,7 @@ double UnloadedLatencyUs(fabric::TargetConfig target, uint32_t io_kb,
   return h.mean() / 1000.0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
+int Run() {
   workload::PrintHeader(
       "Fig 2 - Unloaded latency vs IO size (QD1)",
       "Gimbal (SIGCOMM'21) Figure 2",
@@ -57,3 +52,8 @@ int main(int argc, char** argv) {
   t.Print();
   return 0;
 }
+
+const RegisterFigure kFigure(__FILE__, Run);
+
+}  // namespace
+}  // namespace gimbal::bench

@@ -6,9 +6,7 @@
 // large IOs on both.
 #include "bench_util.h"
 
-using namespace gimbal;
-using namespace gimbal::bench;
-
+namespace gimbal::bench {
 namespace {
 
 double Kiops(fabric::TargetConfig target, int cores, bool is_write) {
@@ -36,10 +34,7 @@ double Kiops(fabric::TargetConfig target, int cores, bool is_write) {
   return static_cast<double>(ios) / ToSec(bed.measured()) / 1000.0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
+int Run() {
   workload::PrintHeader(
       "Fig 3 - Throughput vs target core count (4 SSDs, 4KB IOs)",
       "Gimbal (SIGCOMM'21) Figure 3",
@@ -61,3 +56,8 @@ int main(int argc, char** argv) {
   t.Print();
   return 0;
 }
+
+const RegisterFigure kFigure(__FILE__, Run);
+
+}  // namespace
+}  // namespace gimbal::bench

@@ -7,9 +7,7 @@
 // same-shape read neighbour).
 #include "bench_util.h"
 
-using namespace gimbal;
-using namespace gimbal::bench;
-
+namespace gimbal::bench {
 namespace {
 
 struct Neighbor {
@@ -19,10 +17,7 @@ struct Neighbor {
   bool write;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
+int Run() {
   workload::PrintHeader(
       "Fig 4 - Multi-tenant interference (vanilla target, clean SSD)",
       "Gimbal (SIGCOMM'21) Figure 4",
@@ -65,3 +60,8 @@ int main(int argc, char** argv) {
   t.Print();
   return 0;
 }
+
+const RegisterFigure kFigure(__FILE__, Run);
+
+}  // namespace
+}  // namespace gimbal::bench

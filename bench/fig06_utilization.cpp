@@ -7,9 +7,7 @@
 // read; Gimbal's average latency far below FlashFQ's (no flow control).
 #include "bench_util.h"
 
-using namespace gimbal;
-using namespace gimbal::bench;
-
+namespace gimbal::bench {
 namespace {
 
 struct Case {
@@ -19,10 +17,7 @@ struct Case {
   uint32_t io_bytes;
 };
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
+int Run() {
   workload::PrintHeader(
       "Fig 6 - Utilization with 16 workers (bandwidth & avg latency)",
       "Gimbal (SIGCOMM'21) Figure 6",
@@ -48,11 +43,7 @@ int main(int argc, char** argv) {
       TestbedConfig cfg = MicroConfig(s, c.cond);
       Testbed bed(cfg);
       const int workers = Quick() ? 8 : 16;
-      for (int i = 0; i < workers; ++i) {
-        FioSpec spec = PaperSpec(c.io_bytes, c.write,
-                                 static_cast<uint64_t>(i) + 1);
-        bed.AddWorker(spec);
-      }
+      AddWorkers(bed, PaperSpec(c.io_bytes, c.write, 0), workers, 1);
       if (Quick()) {
         bed.Run(Milliseconds(100), Milliseconds(200));
       } else {
@@ -70,3 +61,8 @@ int main(int argc, char** argv) {
   lat.Print();
   return 0;
 }
+
+const RegisterFigure kFigure(__FILE__, Run);
+
+}  // namespace
+}  // namespace gimbal::bench

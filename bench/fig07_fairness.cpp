@@ -9,9 +9,7 @@
 // fragmented read/write.
 #include "bench_util.h"
 
-using namespace gimbal;
-using namespace gimbal::bench;
-
+namespace gimbal::bench {
 namespace {
 
 struct Group {
@@ -39,16 +37,8 @@ void RunMix(const char* title, const char* key, SsdCondition cond, Group a,
     double sa = workload::StandaloneBandwidth(cfg, a.spec, sa_warm, sa_meas);
     double sb = workload::StandaloneBandwidth(cfg, b.spec, sa_warm, sa_meas);
     Testbed bed(cfg);
-    for (int i = 0; i < a.workers; ++i) {
-      FioSpec spec = a.spec;
-      spec.seed = static_cast<uint64_t>(i) + 1 + g_seed;
-      bed.AddWorker(spec);
-    }
-    for (int i = 0; i < b.workers; ++i) {
-      FioSpec spec = b.spec;
-      spec.seed = static_cast<uint64_t>(i) + 101 + g_seed;
-      bed.AddWorker(spec);
-    }
+    AddWorkers(bed, a.spec, a.workers, 1);
+    AddWorkers(bed, b.spec, b.workers, 101);
     if (Quick()) {
       bed.Run(Milliseconds(100), Milliseconds(250));
     } else {
@@ -77,10 +67,7 @@ void RunMix(const char* title, const char* key, SsdCondition cond, Group a,
   bw.Print();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
+int Run() {
   workload::PrintHeader(
       "Fig 7 - Fairness (f-Util) in mixed workloads",
       "Gimbal (SIGCOMM'21) Figure 7",
@@ -111,3 +98,8 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+const RegisterFigure kFigure(__FILE__, Run);
+
+}  // namespace
+}  // namespace gimbal::bench

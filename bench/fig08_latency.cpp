@@ -6,9 +6,7 @@
 // at the tail.
 #include "bench_util.h"
 
-using namespace gimbal;
-using namespace gimbal::bench;
-
+namespace gimbal::bench {
 namespace {
 
 void RunCase(const char* title, SsdCondition cond, uint32_t io_bytes) {
@@ -19,14 +17,10 @@ void RunCase(const char* title, SsdCondition cond, uint32_t io_bytes) {
   for (Scheme s : workload::kAllSchemes) {
     TestbedConfig cfg = MicroConfig(s, cond);
     Testbed bed(cfg);
-    for (int i = 0; i < 16; ++i) {
-      FioSpec rd = PaperSpec(io_bytes, false, static_cast<uint64_t>(i) + 1);
-      rd.sequential = (cond == SsdCondition::kClean);
-      bed.AddWorker(rd);
-    }
-    for (int i = 0; i < 16; ++i) {
-      bed.AddWorker(PaperSpec(io_bytes, true, static_cast<uint64_t>(i) + 101));
-    }
+    FioSpec reader = PaperSpec(io_bytes, false, 0);
+    reader.sequential = (cond == SsdCondition::kClean);
+    AddWorkers(bed, reader, 16, 1);
+    AddWorkers(bed, PaperSpec(io_bytes, true, 0), 16, 101);
     bed.Run(Milliseconds(400), Seconds(1));
     LatencyHistogram rd = MergedLatency(bed, IoType::kRead, 0, 16);
     LatencyHistogram wr = MergedLatency(bed, IoType::kWrite, 16, 16);
@@ -39,10 +33,7 @@ void RunCase(const char* title, SsdCondition cond, uint32_t io_bytes) {
   t.Print();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
+int Run() {
   workload::PrintHeader(
       "Fig 8 - Read/write latency, 16+16 workers",
       "Gimbal (SIGCOMM'21) Figure 8",
@@ -52,3 +43,8 @@ int main(int argc, char** argv) {
   RunCase("(b) Fragmented SSD, 4KB IOs", SsdCondition::kFragmented, 4096);
   return 0;
 }
+
+const RegisterFigure kFigure(__FILE__, Run);
+
+}  // namespace
+}  // namespace gimbal::bench

@@ -11,11 +11,10 @@
 
 #include "core/gimbal_switch.h"
 
-using namespace gimbal;
-using namespace gimbal::bench;
+namespace gimbal::bench {
+namespace {
 
-int main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
+int Run() {
   workload::PrintHeader(
       "Fig 9 - Dynamic workload timeline (Gimbal, fragmented SSD)",
       "Gimbal (SIGCOMM'21) Figure 9 / §5.5",
@@ -104,3 +103,8 @@ int main(int argc, char** argv) {
   t.Print();
   return 0;
 }
+
+const RegisterFigure kFigure(__FILE__, Run);
+
+}  // namespace
+}  // namespace gimbal::bench

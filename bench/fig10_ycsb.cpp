@@ -9,14 +9,7 @@
 // least.
 #include "bench_util.h"
 
-#include "kv/cluster.h"
-
-using namespace gimbal;
-using namespace gimbal::bench;
-using kv::KvCluster;
-using kv::KvClusterConfig;
-using kv::YcsbClient;
-
+namespace gimbal::bench {
 namespace {
 
 constexpr int kInstances = 24;
@@ -30,53 +23,19 @@ struct RunResult {
 };
 
 RunResult RunOne(Scheme scheme, workload::YcsbWorkload wl) {
-  KvClusterConfig cfg;
-  cfg.testbed.scheme = scheme;
-  cfg.testbed.num_ssds = kSsds;
-  cfg.testbed.target.cores = kSsds;
-  cfg.testbed.condition = SsdCondition::kFragmented;
-  cfg.testbed.ssd.logical_bytes = 256ull << 20;
-  cfg.testbed.obs = CurrentObs();
-  cfg.testbed.run_label =
-      std::string(ToString(scheme)) + ":" + workload::ToString(wl);
-  cfg.hba.backend_bytes = 256ull << 20;
-  cfg.db.memtable_bytes = 1ull << 20;
-  KvCluster cluster(cfg);
-
-  std::vector<std::unique_ptr<YcsbClient>> clients;
-  for (int i = 0; i < kInstances; ++i) {
-    auto& inst = cluster.AddInstance();
-    inst.db->BulkLoad(kRecords, 1024);
-    workload::YcsbSpec spec;
-    spec.workload = wl;
-    spec.record_count = kRecords;
-    spec.seed = static_cast<uint64_t>(i) + 1 + g_seed;
-    clients.push_back(std::make_unique<YcsbClient>(cluster.sim(), *inst.db,
-                                                   spec, 24));
-  }
-  for (auto& c : clients) c->Start();
-  cluster.sim().RunUntil(Milliseconds(300));  // warmup
-  for (auto& c : clients) c->stats().Reset();
-  if (auto* obs = CurrentObs()) {
-    obs->metrics.ResetRun(cfg.testbed.run_label);
-  }
+  KvYcsbCell cell(
+      KvConfig(scheme, kSsds, SsdCondition::kFragmented,
+               std::string(ToString(scheme)) + ":" + workload::ToString(wl)),
+      wl, kInstances, kRecords, 24);
+  cell.Warmup(Milliseconds(300));
   const Tick measure = Milliseconds(700);
-  cluster.sim().RunUntil(cluster.sim().now() + measure);
-
-  uint64_t ops = 0;
-  LatencyHistogram reads;
-  for (auto& c : clients) {
-    ops += c->stats().ops;
-    reads.Merge(c->stats().read_latency);
-  }
-  return {static_cast<double>(ops) / ToSec(measure) / 1000.0,
+  cell.RunFor(measure);
+  const LatencyHistogram reads = cell.Reads();
+  return {static_cast<double>(cell.Ops()) / ToSec(measure) / 1000.0,
           reads.mean() / 1000.0, static_cast<double>(reads.p999()) / 1000.0};
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
+int Run() {
   workload::PrintHeader(
       "Fig 10 - YCSB over 24 KV instances, 12 fragmented SSDs",
       "Gimbal (SIGCOMM'21) Figure 10",
@@ -115,3 +74,8 @@ int main(int argc, char** argv) {
   tail.Print();
   return 0;
 }
+
+const RegisterFigure kFigure(__FILE__, Run);
+
+}  // namespace
+}  // namespace gimbal::bench

@@ -6,14 +6,7 @@
 // read-only C keeps scaling with nearly flat read latency.
 #include "bench_util.h"
 
-#include "kv/cluster.h"
-
-using namespace gimbal;
-using namespace gimbal::bench;
-using kv::KvCluster;
-using kv::KvClusterConfig;
-using kv::YcsbClient;
-
+namespace gimbal::bench {
 namespace {
 
 constexpr int kSsds = 6;
@@ -26,51 +19,18 @@ struct Point {
 };
 
 Point RunOne(workload::YcsbWorkload wl, int instances) {
-  KvClusterConfig cfg;
-  cfg.testbed.scheme = Scheme::kGimbal;
-  cfg.testbed.num_ssds = kSsds;
-  cfg.testbed.target.cores = kSsds;
-  cfg.testbed.condition = SsdCondition::kFragmented;
-  cfg.testbed.ssd.logical_bytes = 256ull << 20;
-  cfg.testbed.obs = CurrentObs();
-  cfg.testbed.run_label =
-      std::string(workload::ToString(wl)) + ":" + std::to_string(instances);
-  cfg.hba.backend_bytes = 256ull << 20;
-  cfg.db.memtable_bytes = 1ull << 20;
-  KvCluster cluster(cfg);
-  std::vector<std::unique_ptr<YcsbClient>> clients;
-  for (int i = 0; i < instances; ++i) {
-    auto& inst = cluster.AddInstance();
-    inst.db->BulkLoad(Records(), 1024);
-    workload::YcsbSpec spec;
-    spec.workload = wl;
-    spec.record_count = Records();
-    spec.seed = static_cast<uint64_t>(i) + 1 + g_seed;
-    clients.push_back(
-        std::make_unique<YcsbClient>(cluster.sim(), *inst.db, spec, 24));
-  }
-  for (auto& c : clients) c->Start();
-  cluster.sim().RunUntil(Quick() ? Milliseconds(100) : Milliseconds(250));
-  for (auto& c : clients) c->stats().Reset();
-  if (auto* obs = CurrentObs()) {
-    obs->metrics.ResetRun(cfg.testbed.run_label);
-  }
+  KvYcsbCell cell(KvConfig(Scheme::kGimbal, kSsds, SsdCondition::kFragmented,
+                           std::string(workload::ToString(wl)) + ":" +
+                               std::to_string(instances)),
+                  wl, instances, Records(), 24);
+  cell.Warmup(Quick() ? Milliseconds(100) : Milliseconds(250));
   const Tick measure = Quick() ? Milliseconds(250) : Milliseconds(500);
-  cluster.sim().RunUntil(cluster.sim().now() + measure);
-  uint64_t ops = 0;
-  LatencyHistogram reads;
-  for (auto& c : clients) {
-    ops += c->stats().ops;
-    reads.Merge(c->stats().read_latency);
-  }
-  return {static_cast<double>(ops) / ToSec(measure) / 1000.0,
-          reads.mean() / 1000.0};
+  cell.RunFor(measure);
+  return {static_cast<double>(cell.Ops()) / ToSec(measure) / 1000.0,
+          cell.Reads().mean() / 1000.0};
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
+int Run() {
   workload::PrintHeader(
       "Fig 11/12 - Scalability with KV instance count (Gimbal)",
       "Gimbal (SIGCOMM'21) Figures 11-12",
@@ -110,3 +70,8 @@ int main(int argc, char** argv) {
   lat.Print();
   return 0;
 }
+
+const RegisterFigure kFigure(__FILE__, Run);
+
+}  // namespace
+}  // namespace gimbal::bench

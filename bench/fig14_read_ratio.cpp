@@ -6,11 +6,10 @@
 // adding 5% writes to a fragmented read stream drops total IOPS ~40%+.
 #include "bench_util.h"
 
-using namespace gimbal;
-using namespace gimbal::bench;
+namespace gimbal::bench {
+namespace {
 
-int main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
+int Run() {
   workload::PrintHeader(
       "Fig 14 - 4KB bandwidth vs read ratio, clean vs fragmented",
       "Gimbal (SIGCOMM'21) Figure 14 / Appendix A",
@@ -25,14 +24,11 @@ int main(int argc, char** argv) {
          {SsdCondition::kClean, SsdCondition::kFragmented}) {
       TestbedConfig cfg = MicroConfig(Scheme::kVanilla, cond);
       Testbed bed(cfg);
-      for (int i = 0; i < 4; ++i) {
-        FioSpec spec;
-        spec.io_bytes = 4096;
-        spec.queue_depth = 32;
-        spec.read_ratio = pct / 100.0;
-        spec.seed = static_cast<uint64_t>(i) + 1 + g_seed;
-        bed.AddWorker(spec);
-      }
+      FioSpec spec;
+      spec.io_bytes = 4096;
+      spec.queue_depth = 32;
+      spec.read_ratio = pct / 100.0;
+      AddWorkers(bed, spec, 4, 1);
       // The clean condition is inherently transient under random writes
       // (it is *being* fragmented); our device is ~1000x smaller than the
       // paper's 960 GB drive, so the transient is proportionally shorter.
@@ -55,3 +51,8 @@ int main(int argc, char** argv) {
   t.Print();
   return 0;
 }
+
+const RegisterFigure kFigure(__FILE__, Run);
+
+}  // namespace
+}  // namespace gimbal::bench

@@ -6,9 +6,7 @@
 // (+81%) all raise read latency, larger IOs degrading the most.
 #include "bench_util.h"
 
-using namespace gimbal;
-using namespace gimbal::bench;
-
+namespace gimbal::bench {
 namespace {
 
 double ReadLatencyUs(SsdCondition cond, uint32_t io_bytes, double read_ratio,
@@ -24,10 +22,7 @@ double ReadLatencyUs(SsdCondition cond, uint32_t io_bytes, double read_ratio,
   return w.stats().read_latency.mean() / 1000.0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
+int Run() {
   workload::PrintHeader(
       "Fig 15 - Random read latency vs IO size under four scenarios",
       "Gimbal (SIGCOMM'21) Figure 15 / Appendix A",
@@ -47,3 +42,8 @@ int main(int argc, char** argv) {
   t.Print();
   return 0;
 }
+
+const RegisterFigure kFigure(__FILE__, Run);
+
+}  // namespace
+}  // namespace gimbal::bench

@@ -6,9 +6,7 @@
 // bandwidth falls off roughly as 1/cost.
 #include "bench_util.h"
 
-using namespace gimbal;
-using namespace gimbal::bench;
-
+namespace gimbal::bench {
 namespace {
 
 double GBps(uint32_t io_bytes, bool is_write, Tick added) {
@@ -30,10 +28,7 @@ double GBps(uint32_t io_bytes, bool is_write, Tick added) {
   return AggregateMBps(bed) / 1024.0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
+int Run() {
   workload::PrintHeader(
       "Fig 16 - Bandwidth vs added per-IO processing cost (4 SSDs, 8 cores)",
       "Gimbal (SIGCOMM'21) Figure 16 / §2.4",
@@ -53,3 +48,8 @@ int main(int argc, char** argv) {
   t.Print();
   return 0;
 }
+
+const RegisterFigure kFigure(__FILE__, Run);
+
+}  // namespace
+}  // namespace gimbal::bench

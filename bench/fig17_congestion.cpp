@@ -7,9 +7,7 @@
 // stable band while bandwidth stays near the device maximum.
 #include "bench_util.h"
 
-using namespace gimbal;
-using namespace gimbal::bench;
-
+namespace gimbal::bench {
 namespace {
 
 void Timeline(Scheme scheme) {
@@ -87,10 +85,7 @@ void Timeline(Scheme scheme) {
   t.Print();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
+int Run() {
   workload::PrintHeader(
       "Fig 17 - Latency under growing 4KB+128KB read load",
       "Gimbal (SIGCOMM'21) Figure 17 / Appendix B",
@@ -100,3 +95,8 @@ int main(int argc, char** argv) {
   Timeline(Scheme::kGimbal);
   return 0;
 }
+
+const RegisterFigure kFigure(__FILE__, Run);
+
+}  // namespace
+}  // namespace gimbal::bench

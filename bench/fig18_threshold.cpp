@@ -9,11 +9,10 @@
 
 #include "core/gimbal_switch.h"
 
-using namespace gimbal;
-using namespace gimbal::bench;
+namespace gimbal::bench {
+namespace {
 
-int main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
+int Run() {
   workload::PrintHeader(
       "Fig 18 - Dynamic latency threshold vs EWMA (128KB random read)",
       "Gimbal (SIGCOMM'21) Figure 18 / Appendix B",
@@ -23,11 +22,9 @@ int main(int argc, char** argv) {
   TestbedConfig cfg = MicroConfig(Scheme::kGimbal, SsdCondition::kClean);
   Testbed bed(cfg);
   const int kWorkers = 8;
-  for (int i = 0; i < kWorkers; ++i) {
-    FioSpec spec = PaperSpec(131072, false, static_cast<uint64_t>(i) + 1);
-    spec.queue_depth = 4;
-    bed.AddWorker(spec);
-  }
+  FioSpec spec = PaperSpec(131072, false, 0);
+  spec.queue_depth = 4;
+  AddWorkers(bed, spec, kWorkers, 1);
   auto& sim = bed.sim();
   // Staggered starts raise outstanding IO over time.
   for (int i = 0; i < kWorkers; ++i) {
@@ -56,3 +53,8 @@ int main(int argc, char** argv) {
   t.Print();
   return 0;
 }
+
+const RegisterFigure kFigure(__FILE__, Run);
+
+}  // namespace
+}  // namespace gimbal::bench

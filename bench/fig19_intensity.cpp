@@ -5,11 +5,10 @@
 // reads and ~1.8x for sequential writes, across sizes.
 #include "bench_util.h"
 
-using namespace gimbal;
-using namespace gimbal::bench;
+namespace gimbal::bench {
+namespace {
 
-int main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
+int Run() {
   workload::PrintHeader(
       "Fig 19 - IO intensity interference (stream1 QD = 2 x stream2 QD)",
       "Gimbal (SIGCOMM'21) Figure 19 / Appendix D",
@@ -50,3 +49,8 @@ int main(int argc, char** argv) {
   t.Print();
   return 0;
 }
+
+const RegisterFigure kFigure(__FILE__, Run);
+
+}  // namespace
+}  // namespace gimbal::bench

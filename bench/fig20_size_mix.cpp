@@ -6,11 +6,10 @@
 // ~91 MB/s against a 64K competitor).
 #include "bench_util.h"
 
-using namespace gimbal;
-using namespace gimbal::bench;
+namespace gimbal::bench {
+namespace {
 
-int main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
+int Run() {
   workload::PrintHeader(
       "Fig 20 - 4KB stream1 bandwidth vs competitor IO size",
       "Gimbal (SIGCOMM'21) Figure 20 / Appendix D",
@@ -45,3 +44,8 @@ int main(int argc, char** argv) {
   t.Print();
   return 0;
 }
+
+const RegisterFigure kFigure(__FILE__, Run);
+
+}  // namespace
+}  // namespace gimbal::bench

@@ -5,9 +5,7 @@
 // bandwidth across sizes.
 #include "bench_util.h"
 
-using namespace gimbal;
-using namespace gimbal::bench;
-
+namespace gimbal::bench {
 namespace {
 
 double ReadMBps(uint32_t io_bytes, bool sequential, bool with_writer) {
@@ -29,10 +27,7 @@ double ReadMBps(uint32_t io_bytes, bool sequential, bool with_writer) {
   return WorkerMBps(w, bed.measured());
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
+int Run() {
   workload::PrintHeader(
       "Fig 21 - Read bandwidth standalone vs mixed with writes",
       "Gimbal (SIGCOMM'21) Figure 21 / Appendix D",
@@ -52,3 +47,8 @@ int main(int argc, char** argv) {
   t.Print();
   return 0;
 }
+
+const RegisterFigure kFigure(__FILE__, Run);
+
+}  // namespace
+}  // namespace gimbal::bench

@@ -10,9 +10,7 @@
 // the write-bg curves flatten once the writer saturates.
 #include "bench_util.h"
 
-using namespace gimbal;
-using namespace gimbal::bench;
-
+namespace gimbal::bench {
 namespace {
 
 struct Result {
@@ -62,10 +60,7 @@ void RunFigure(const char* title, bool victim_write) {
   t.Print();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
+int Run() {
   workload::PrintHeader(
       "Fig 22/23 - Victim latency vs background traffic size",
       "Gimbal (SIGCOMM'21) Figures 22-23 / Appendix D",
@@ -76,3 +71,8 @@ int main(int argc, char** argv) {
             true);
   return 0;
 }
+
+const RegisterFigure kFigure(__FILE__, Run);
+
+}  // namespace
+}  // namespace gimbal::bench

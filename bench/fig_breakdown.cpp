@@ -10,9 +10,7 @@
 
 #include "fabric/initiator.h"
 
-using namespace gimbal;
-using namespace gimbal::bench;
-
+namespace gimbal::bench {
 namespace {
 
 double DeviceShare(fabric::TargetConfig target, uint32_t io_bytes,
@@ -41,10 +39,7 @@ double DeviceShare(fabric::TargetConfig target, uint32_t io_bytes,
   return n > 0 && target_ns > 0 ? 100.0 * device_ns / target_ns : 0.0;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
+int Run() {
   workload::PrintHeader(
       "§2.2 - NVMe command execution share of target-side latency",
       "Gimbal (SIGCOMM'21) §2.2 breakdown discussion",
@@ -68,3 +63,8 @@ int main(int argc, char** argv) {
   t.Print();
   return 0;
 }
+
+const RegisterFigure kFigure(__FILE__, Run);
+
+}  // namespace
+}  // namespace gimbal::bench

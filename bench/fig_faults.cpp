@@ -22,9 +22,7 @@
 #include "fault/fault.h"
 #include "obs/schema.h"
 
-using namespace gimbal;
-using namespace gimbal::bench;
-
+namespace gimbal::bench {
 namespace {
 
 // Quick (golden) config halves the measurement window and every fault
@@ -129,12 +127,7 @@ RunResult RunScenario(obs::Observability& obs, bool faulted,
   return r;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  FaultKnobs knobs{/*media_p=*/0.05, /*seed=*/1, /*stall_ms=*/2.0,
-                   /*link_drop=*/0.01};
-  ObsSession obs_session(argc, argv, &knobs);
+int Run(const FaultKnobs& knobs) {
   workload::PrintHeader(
       "fig_faults - SLO isolation under SSD/fabric faults (Gimbal, 2 SSDs)",
       "fault-injection extension (docs/FAULTS.md); not a paper figure",
@@ -188,3 +181,11 @@ int main(int argc, char** argv) {
   });
   return all ? 0 : 1;
 }
+
+const RegisterFigure kFigure(__FILE__, Run,
+                             FaultKnobs{/*media_p=*/0.05, /*seed=*/1,
+                                        /*stall_ms=*/2.0,
+                                        /*link_drop=*/0.01});
+
+}  // namespace
+}  // namespace gimbal::bench

@@ -6,9 +6,7 @@
 // clean read/write ~0.63/0.72, fragmented read/write ~0.58/0.90.
 #include "bench_util.h"
 
-using namespace gimbal;
-using namespace gimbal::bench;
-
+namespace gimbal::bench {
 namespace {
 
 void RunCondition(const char* label, SsdCondition cond, uint32_t io_bytes) {
@@ -25,26 +23,11 @@ void RunCondition(const char* label, SsdCondition cond, uint32_t io_bytes) {
   double sb = workload::StandaloneBandwidth(cfg, wr);
 
   Testbed bed(cfg);
-  for (int i = 0; i < 16; ++i) {
-    FioSpec s = rd;
-    s.seed = static_cast<uint64_t>(i) + 1 + g_seed;
-    bed.AddWorker(s);
-  }
-  for (int i = 0; i < 16; ++i) {
-    FioSpec s = wr;
-    s.seed = static_cast<uint64_t>(i) + 101 + g_seed;
-    bed.AddWorker(s);
-  }
+  AddWorkers(bed, rd, 16, 1);
+  AddWorkers(bed, wr, 16, 101);
   bed.Run(Milliseconds(400), Seconds(1));
-  uint64_t rd_bytes = 0, wr_bytes = 0;
-  for (size_t i = 0; i < 16; ++i) {
-    rd_bytes += bed.workers()[i]->stats().total_bytes();
-  }
-  for (size_t i = 16; i < 32; ++i) {
-    wr_bytes += bed.workers()[i]->stats().total_bytes();
-  }
-  double rd_per = RateBps(rd_bytes, bed.measured()) / 16;
-  double wr_per = RateBps(wr_bytes, bed.measured()) / 16;
+  double rd_per = RateBps(WorkerBytes(bed, 0, 16), bed.measured()) / 16;
+  double wr_per = RateBps(WorkerBytes(bed, 16, 16), bed.measured()) / 16;
   Table t(label);
   t.Columns({"class", "agg_MBps", "f_util"});
   t.Row({"read", Table::MBps(rd_per * 16),
@@ -54,10 +37,7 @@ void RunCondition(const char* label, SsdCondition cond, uint32_t io_bytes) {
   t.Print();
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
+int Run() {
   workload::PrintHeader(
       "Generalization - Gimbal on an Intel P3600-like MLC SSD",
       "Gimbal (SIGCOMM'21) §5.8",
@@ -69,3 +49,8 @@ int main(int argc, char** argv) {
                SsdCondition::kFragmented, 4096);
   return 0;
 }
+
+const RegisterFigure kFigure(__FILE__, Run);
+
+}  // namespace
+}  // namespace gimbal::bench

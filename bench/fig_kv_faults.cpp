@@ -16,20 +16,10 @@
 // Fault knobs (defaults in parentheses; see docs/EXPERIMENTS.md):
 //   --fault-media-p=P   media-error probability per IO in the burst (0.2)
 //   --fault-seed=N      fault RNG seed (1)
-#include <memory>
-#include <vector>
-
 #include "bench_util.h"
 #include "check/invariants.h"
-#include "kv/cluster.h"
-#include "obs/schema.h"
 
-using namespace gimbal;
-using namespace gimbal::bench;
-using kv::KvCluster;
-using kv::KvClusterConfig;
-using kv::YcsbClient;
-
+namespace gimbal::bench {
 namespace {
 
 constexpr int kInstances = 4;
@@ -43,7 +33,7 @@ inline Tick Warmup() { return Scaled(Milliseconds(60)); }
 inline Tick Measure() { return Scaled(Milliseconds(400)); }
 inline uint64_t Records() { return Quick() ? 8'000 : 20'000; }
 
-struct RunResult {
+struct RunResult : ReplicaTotals {
   double kiops = 0;
   double avg_read_us = 0;
   double inst_kiops[kInstances] = {};
@@ -51,15 +41,7 @@ struct RunResult {
   uint64_t failed_ops = 0;
   uint64_t aborted_ops = 0;
   // Fault-handling totals across instances.
-  uint64_t failover_reads = 0;
-  uint64_t degraded_writes = 0;
-  uint64_t dirty_recorded = 0;
-  uint64_t dirty_repaired = 0;
-  uint64_t dirty_dropped = 0;
-  uint64_t rebuild_bytes = 0;
   uint64_t wal_retries = 0;
-  uint64_t lost_writes = 0;   // must stay 0
-  size_t dirty_pending = 0;   // ledger entries left after the drain
   uint64_t crashes = 0;
   uint64_t recoveries = 0;
   uint64_t replayed_records = 0;
@@ -72,18 +54,11 @@ struct RunResult {
 
 RunResult RunScenario(bool faulted, const FaultKnobs& k) {
   check::InvariantChecker chk(/*fail_fast=*/false);
-  KvClusterConfig cfg;
-  cfg.testbed.scheme = Scheme::kGimbal;
-  cfg.testbed.num_ssds = kSsds;
-  cfg.testbed.target.cores = kSsds;
-  cfg.testbed.condition = SsdCondition::kClean;
-  cfg.testbed.ssd.logical_bytes = 256ull << 20;
-  cfg.testbed.obs = CurrentObs();
+  kv::KvClusterConfig cfg = KvConfig(Scheme::kGimbal, kSsds,
+                                     SsdCondition::kClean,
+                                     faulted ? "faulted" : "control");
   cfg.testbed.check = &chk;
   cfg.testbed.fault_seed = k.seed;
-  cfg.testbed.run_label = faulted ? "faulted" : "control";
-  cfg.hba.backend_bytes = 256ull << 20;
-  cfg.db.memtable_bytes = 1ull << 20;
   const Tick t0 = Warmup();  // fault phases are relative to measure start
   if (faulted) {
     cfg.testbed.faults.media_errors.push_back(
@@ -92,30 +67,18 @@ RunResult RunScenario(bool faulted, const FaultKnobs& k) {
     cfg.testbed.faults.failures.push_back(
         {1, t0 + Scaled(Milliseconds(125)), t0 + Scaled(Milliseconds(200))});
   }
-  KvCluster cluster(cfg);
-
-  std::vector<KvCluster::Instance*> insts;
-  std::vector<std::unique_ptr<YcsbClient>> clients;
-  for (int i = 0; i < kInstances; ++i) {
-    auto& inst = cluster.AddInstance();
-    insts.push_back(&inst);
-    inst.db->BulkLoad(Records(), 1024);
-    workload::YcsbSpec spec;
-    spec.workload = workload::YcsbWorkload::kA;
-    spec.record_count = Records();
-    spec.seed = static_cast<uint64_t>(i) + 1 + g_seed;
-    clients.push_back(std::make_unique<YcsbClient>(cluster.sim(), *inst.db,
-                                                   spec, /*concurrency=*/8));
-  }
+  KvYcsbCell cell(cfg, workload::YcsbWorkload::kA, kInstances, Records(),
+                  /*concurrency=*/8);
+  sim::Simulator& sim = cell.sim();
 
   RunResult r;
   if (faulted) {
     // Instance 0's process dies after the SSD faults have healed and
     // replays its replicated WAL; its client rides through the kAborted
     // completions and keeps issuing.
-    kv::KvDb* db0 = insts[0]->db.get();
+    kv::KvDb* db0 = cell.instance(0).db.get();
     int* acks = &r.recover_acks;
-    cluster.sim().After(t0 + Scaled(Milliseconds(250)), [db0, acks] {
+    sim.After(t0 + Scaled(Milliseconds(250)), [db0, acks] {
       db0->SimulateCrash();
       db0->Recover([acks](IoStatus st) {
         if (st == IoStatus::kOk) ++*acks;
@@ -123,10 +86,7 @@ RunResult RunScenario(bool faulted, const FaultKnobs& k) {
     });
   }
 
-  for (auto& c : clients) c->Start();
-  cluster.sim().RunUntil(Warmup());
-  for (auto& c : clients) c->stats().Reset();
-  if (auto* obs = CurrentObs()) obs->metrics.ResetRun(cfg.testbed.run_label);
+  cell.Warmup(Warmup());
 
   // Measurement: step window by window so the timeline captures the
   // degraded plateau and the post-recovery ramp. `rebuild_done_ms` records
@@ -135,83 +95,52 @@ RunResult RunScenario(bool faulted, const FaultKnobs& k) {
   uint64_t last_ops = 0;
   bool was_dirty = false;
   auto sample_ledger = [&] {
-    size_t pending = 0;
-    for (auto* inst : insts) pending += inst->blobs->dirty_count();
-    if (pending > 0) {
+    if (cell.DirtyPending() > 0) {
       was_dirty = true;
     } else if (was_dirty) {
       was_dirty = false;
-      r.rebuild_done_ms = ToSec(cluster.sim().now() - Warmup()) * 1000.0;
+      r.rebuild_done_ms = ToSec(sim.now() - Warmup()) * 1000.0;
     }
   };
   const Tick win = Measure() / kWindows;
   for (int w = 0; w < kWindows; ++w) {
-    cluster.sim().RunUntil(cluster.sim().now() + win);
-    uint64_t ops = 0;
-    for (auto& c : clients) ops += c->stats().ops;
+    cell.RunFor(win);
+    const uint64_t ops = cell.Ops();
     r.window_kiops[w] =
         static_cast<double>(ops - last_ops) / ToSec(win) / 1000.0;
     last_ops = ops;
     sample_ledger();
   }
 
-  // Drain: stop the clients, let WAL retries and the rebuild scanners
-  // converge, then quiesce the fabric completely. Stepping in small
-  // increments pins down when the last dirty replica was re-replicated.
-  for (auto& c : clients) c->Stop();
-  const Tick drain_end = cluster.sim().now() + Scaled(Milliseconds(300));
-  while (cluster.sim().now() < drain_end) {
-    cluster.sim().RunUntil(cluster.sim().now() + Scaled(Milliseconds(5)));
-    sample_ledger();
-  }
-  for (auto& ini : cluster.bed().initiators()) {
-    if (!ini->shutdown()) ini->Shutdown();
-  }
-  cluster.sim().Run();
+  // Drain: let WAL retries and the rebuild scanners converge. Stepping in
+  // small increments pins down when the last dirty replica was
+  // re-replicated.
+  cell.Drain(Scaled(Milliseconds(300)), Scaled(Milliseconds(5)),
+             sample_ledger);
 
-  uint64_t ops = 0;
-  LatencyHistogram reads;
   for (int i = 0; i < kInstances; ++i) {
-    const auto& cs = clients[static_cast<size_t>(i)]->stats();
-    ops += cs.ops;
-    reads.Merge(cs.read_latency);
+    const auto& cs = cell.client(i).stats();
     r.inst_kiops[i] =
         static_cast<double>(cs.ops) / ToSec(Measure()) / 1000.0;
     r.failed_ops += cs.failed;
     r.aborted_ops += cs.aborted;
-    const auto& bs = insts[static_cast<size_t>(i)]->blobs->stats();
-    r.failover_reads += bs.failover_reads;
-    r.degraded_writes += bs.degraded_writes;
-    r.dirty_recorded += bs.dirty_recorded;
-    r.dirty_repaired += bs.dirty_repaired;
-    r.dirty_dropped += bs.dirty_dropped;
-    r.rebuild_bytes += bs.rebuild_bytes;
-    r.dirty_pending += insts[static_cast<size_t>(i)]->blobs->dirty_count();
-    const auto& ds = insts[static_cast<size_t>(i)]->db->stats();
+    const auto& ds = cell.instance(i).db->stats();
     r.wal_retries += ds.wal_retries;
     r.crashes += ds.crashes;
     r.recoveries += ds.recoveries;
     r.replayed_records += ds.replayed_records;
-    if (auto* obs = CurrentObs()) {
-      const obs::Labels l = obs::Labels::TenantSsd(i, -1);
-      r.lost_writes +=
-          obs->metrics.GetCounter(obs::schema::kKvLostWrites, l).value();
-    }
   }
-  r.kiops = static_cast<double>(ops) / ToSec(Measure()) / 1000.0;
-  r.avg_read_us = reads.mean() / 1000.0;
-  r.faults = cluster.bed().faults().counters();
+  static_cast<ReplicaTotals&>(r) = cell.Replicas();
+  r.kiops = static_cast<double>(cell.Ops()) / ToSec(Measure()) / 1000.0;
+  r.avg_read_us = cell.Reads().mean() / 1000.0;
+  r.faults = cell.cluster().bed().faults().counters();
   chk.CheckDrained();
   r.checker_ok = chk.ok();
   r.checker_violations = chk.violations().size();
   return r;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  FaultKnobs knobs;
-  ObsSession obs_session(argc, argv, &knobs);
+int Run(const FaultKnobs& knobs) {
   workload::PrintHeader(
       "fig_kv_faults - KV durability under faults (4 instances, 3 SSDs)",
       "fault-tolerance extension (docs/FAULTS.md); not a paper figure",
@@ -298,3 +227,8 @@ int main(int argc, char** argv) {
   });
   return all ? 0 : 1;
 }
+
+const RegisterFigure kFigure(__FILE__, Run, FaultKnobs{});
+
+}  // namespace
+}  // namespace gimbal::bench

@@ -36,9 +36,7 @@
 #include "workload/fleet.h"
 #include "workload/openloop.h"
 
-using namespace gimbal;
-using namespace gimbal::bench;
-
+namespace gimbal::bench {
 namespace {
 
 // --- Part 1: latency vs offered load ---------------------------------------
@@ -200,11 +198,7 @@ DispatchPoint MeasureDispatch(uint64_t total_tenants, int active) {
   return {total_tenants, active, ns};
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
-
+int Run() {
   workload::PrintHeader(
       "Extension - open-loop suite: latency vs load, tenant-scale scenarios",
       "companion to Gimbal (SIGCOMM'21) Fig 17 / Appendix B",
@@ -285,3 +279,8 @@ int main(int argc, char** argv) {
   }
   return 0;
 }
+
+const RegisterFigure kFigure(__FILE__, Run);
+
+}  // namespace
+}  // namespace gimbal::bench

@@ -22,21 +22,12 @@
 // --bench-json=PATH writes the tables and self-checks as JSON
 // (BENCH_rack.json in CI: uplink utilization, failover tail latency,
 // rebuild completion).
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "bench_util.h"
 #include "check/invariants.h"
-#include "kv/cluster.h"
-#include "obs/schema.h"
 
-using namespace gimbal;
-using namespace gimbal::bench;
-using kv::KvCluster;
-using kv::KvClusterConfig;
-using kv::YcsbClient;
-
+namespace gimbal::bench {
 namespace {
 
 constexpr int kNodes = 3;
@@ -53,7 +44,7 @@ inline uint64_t Records() { return Quick() ? 8'000 : 20'000; }
 inline Tick FailAt() { return Warmup() + Scaled(Milliseconds(80)); }
 inline Tick RecoverAt() { return Warmup() + Scaled(Milliseconds(200)); }
 
-struct RunResult {
+struct RunResult : ReplicaTotals {
   double kiops = 0;
   double inst_kiops[kInstances] = {};
   double window_kiops[kWindows] = {};
@@ -61,14 +52,6 @@ struct RunResult {
   double outage_read_p99_us = 0;  // windows overlapping the node outage
   uint64_t failed_ops = 0;
   uint64_t aborted_ops = 0;
-  uint64_t failover_reads = 0;
-  uint64_t degraded_writes = 0;
-  uint64_t dirty_recorded = 0;
-  uint64_t dirty_repaired = 0;
-  uint64_t dirty_dropped = 0;
-  uint64_t rebuild_bytes = 0;
-  uint64_t lost_writes = 0;  // must stay 0
-  size_t dirty_pending = 0;  // ledger entries left after the drain
   double rebuild_done_ms = 0;
   // Rack fabric accounting.
   uint64_t uplink_bytes = 0;
@@ -81,56 +64,33 @@ struct RunResult {
 
 RunResult RunScenario(bool faulted) {
   check::InvariantChecker chk(/*fail_fast=*/false);
-  KvClusterConfig cfg;
-  cfg.testbed.scheme = Scheme::kGimbal;
-  cfg.testbed.num_ssds = kSsds;
+  kv::KvClusterConfig cfg = KvConfig(Scheme::kGimbal, kSsds,
+                                     SsdCondition::kClean,
+                                     faulted ? "faulted" : "control");
   cfg.testbed.nodes = kNodes;
   cfg.testbed.target.cores = kSsdsPerNode;  // per node
-  cfg.testbed.condition = SsdCondition::kClean;
-  cfg.testbed.ssd.logical_bytes = 256ull << 20;
-  cfg.testbed.obs = CurrentObs();
   cfg.testbed.check = &chk;
-  cfg.testbed.run_label = faulted ? "faulted" : "control";
   // Capsules to a dark node vanish at the fabric; the initiators' per-IO
   // timeout is the only recovery path, so it must be armed.
   cfg.testbed.retry.io_timeout = Milliseconds(2);
-  cfg.hba.backend_bytes = 256ull << 20;
-  cfg.db.memtable_bytes = 1ull << 20;
   if (faulted) {
     cfg.testbed.faults.node_failures.push_back({1, FailAt(), RecoverAt()});
   }
-  KvCluster cluster(cfg);
-
-  std::vector<KvCluster::Instance*> insts;
-  std::vector<std::unique_ptr<YcsbClient>> clients;
-  for (int i = 0; i < kInstances; ++i) {
-    auto& inst = cluster.AddInstance();
-    insts.push_back(&inst);
-    inst.db->BulkLoad(Records(), 1024);
-    workload::YcsbSpec spec;
-    spec.workload = workload::YcsbWorkload::kA;
-    spec.record_count = Records();
-    spec.seed = static_cast<uint64_t>(i) + 1 + g_seed;
-    clients.push_back(std::make_unique<YcsbClient>(cluster.sim(), *inst.db,
-                                                   spec, /*concurrency=*/8));
-  }
+  KvYcsbCell cell(cfg, workload::YcsbWorkload::kA, kInstances, Records(),
+                  /*concurrency=*/8);
+  sim::Simulator& sim = cell.sim();
 
   RunResult r;
-  for (auto& c : clients) c->Start();
-  cluster.sim().RunUntil(Warmup());
-  for (auto& c : clients) c->stats().Reset();
-  if (auto* obs = CurrentObs()) obs->metrics.ResetRun(cfg.testbed.run_label);
+  cell.Warmup(Warmup());
 
   uint64_t last_ops = 0;
   bool was_dirty = false;
   auto sample_ledger = [&] {
-    size_t pending = 0;
-    for (auto* inst : insts) pending += inst->blobs->dirty_count();
-    if (pending > 0) {
+    if (cell.DirtyPending() > 0) {
       was_dirty = true;
     } else if (was_dirty) {
       was_dirty = false;
-      r.rebuild_done_ms = ToSec(cluster.sim().now() - Warmup()) * 1000.0;
+      r.rebuild_done_ms = ToSec(sim.now() - Warmup()) * 1000.0;
     }
   };
   // Snapshot the read tail inside the outage by diffing merged histograms
@@ -139,76 +99,50 @@ RunResult RunScenario(bool faulted) {
   bool outage_open = false;
   const Tick win = Measure() / kWindows;
   for (int w = 0; w < kWindows; ++w) {
-    const Tick start = cluster.sim().now();
+    const Tick start = sim.now();
     const bool in_outage =
         faulted && start + win > FailAt() && start < RecoverAt();
     if (in_outage && !outage_open) {
       outage_open = true;
-      for (auto& c : clients) outage_reads.Merge(c->stats().read_latency);
+      outage_reads = cell.Reads();
     }
-    cluster.sim().RunUntil(start + win);
-    if (outage_open && !(faulted && cluster.sim().now() < RecoverAt())) {
+    sim.RunUntil(start + win);
+    if (outage_open && !(faulted && sim.now() < RecoverAt())) {
       // Outage windows closed: subtract the opening snapshot.
-      LatencyHistogram at_end;
-      for (auto& c : clients) at_end.Merge(c->stats().read_latency);
-      outage_reads = at_end.Subtract(outage_reads);
+      outage_reads = cell.Reads().Subtract(outage_reads);
       r.outage_read_p99_us = outage_reads.Percentile(0.99) / 1000.0;
       outage_open = false;
     }
-    uint64_t ops = 0;
-    for (auto& c : clients) ops += c->stats().ops;
+    const uint64_t ops = cell.Ops();
     r.window_kiops[w] =
         static_cast<double>(ops - last_ops) / ToSec(win) / 1000.0;
     last_ops = ops;
     sample_ledger();
   }
 
-  for (auto& c : clients) c->Stop();
-  const Tick drain_end = cluster.sim().now() + Scaled(Milliseconds(300));
-  while (cluster.sim().now() < drain_end) {
-    cluster.sim().RunUntil(cluster.sim().now() + Scaled(Milliseconds(5)));
-    sample_ledger();
-  }
-  for (auto& ini : cluster.bed().initiators()) {
-    if (!ini->shutdown()) ini->Shutdown();
-  }
-  cluster.sim().Run();
-  cluster.bed().FlushObservability();
+  cell.Drain(Scaled(Milliseconds(300)), Scaled(Milliseconds(5)),
+             sample_ledger);
+  workload::Testbed& bed = cell.cluster().bed();
+  bed.FlushObservability();
 
-  uint64_t ops = 0;
-  LatencyHistogram reads;
   for (int i = 0; i < kInstances; ++i) {
-    const auto& cs = clients[static_cast<size_t>(i)]->stats();
-    ops += cs.ops;
-    reads.Merge(cs.read_latency);
+    const auto& cs = cell.client(i).stats();
     r.inst_kiops[i] = static_cast<double>(cs.ops) / ToSec(Measure()) / 1000.0;
     r.failed_ops += cs.failed;
     r.aborted_ops += cs.aborted;
-    const auto& bs = insts[static_cast<size_t>(i)]->blobs->stats();
-    r.failover_reads += bs.failover_reads;
-    r.degraded_writes += bs.degraded_writes;
-    r.dirty_recorded += bs.dirty_recorded;
-    r.dirty_repaired += bs.dirty_repaired;
-    r.dirty_dropped += bs.dirty_dropped;
-    r.rebuild_bytes += bs.rebuild_bytes;
-    r.dirty_pending += insts[static_cast<size_t>(i)]->blobs->dirty_count();
-    if (auto* obs = CurrentObs()) {
-      const obs::Labels l = obs::Labels::TenantSsd(i, -1);
-      r.lost_writes +=
-          obs->metrics.GetCounter(obs::schema::kKvLostWrites, l).value();
-    }
   }
-  r.kiops = static_cast<double>(ops) / ToSec(Measure()) / 1000.0;
-  r.read_p99_us = reads.Percentile(0.99) / 1000.0;
+  static_cast<ReplicaTotals&>(r) = cell.Replicas();
+  r.kiops = static_cast<double>(cell.Ops()) / ToSec(Measure()) / 1000.0;
+  r.read_p99_us = cell.Reads().Percentile(0.99) / 1000.0;
 
-  fabric::Network& net = cluster.bed().net();
+  fabric::Network& net = bed.net();
   r.uplink_bytes = net.uplink_bytes();
   for (int n = 0; n < kNodes; ++n) r.node_bytes[n] = net.node_uplink_bytes(n);
   r.node_drops = net.node_drops();
   // Full-duplex uplink: the busy accumulator covers both directions, so
   // 2x the elapsed time is the saturation denominator.
   r.uplink_util =
-      ToSec(net.uplink_busy_time()) / (2.0 * ToSec(cluster.sim().now()));
+      ToSec(net.uplink_busy_time()) / (2.0 * ToSec(sim.now()));
 
   chk.CheckDrained();
   r.checker_ok = chk.ok();
@@ -216,10 +150,7 @@ RunResult RunScenario(bool faulted) {
   return r;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  ObsSession obs_session(argc, argv);
+int Run() {
   workload::PrintHeader(
       "fig_rack - rack-scale disaggregation (3 nodes x 2 SSDs, shared ToR)",
       "rack-topology extension (docs/SIMULATOR.md); not a paper figure",
@@ -317,3 +248,8 @@ int main(int argc, char** argv) {
   });
   return all ? 0 : 1;
 }
+
+const RegisterFigure kFigure(__FILE__, Run);
+
+}  // namespace
+}  // namespace gimbal::bench

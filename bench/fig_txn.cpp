@@ -30,19 +30,15 @@
 
 #include "bench_util.h"
 #include "check/invariants.h"
-#include "kv/cluster.h"
 #include "kv/txn.h"
 #include "obs/schema.h"
 
-using namespace gimbal;
-using namespace gimbal::bench;
-using kv::KvCluster;
-using kv::KvClusterConfig;
+namespace gimbal::bench {
+namespace {
+
 using kv::TxnClient;
 using kv::TxnCoordinator;
 using kv::TxnProtocol;
-
-namespace {
 
 constexpr int kInstances = 2;
 constexpr int kSsds = 3;
@@ -95,17 +91,10 @@ struct RunResult {
 
 RunResult RunCell(const RunConfig& rc, const FaultKnobs& k) {
   check::InvariantChecker chk(/*fail_fast=*/false);
-  KvClusterConfig cfg;
-  cfg.testbed.scheme = Scheme::kGimbal;
-  cfg.testbed.num_ssds = kSsds;
-  cfg.testbed.target.cores = kSsds;
-  cfg.testbed.condition = SsdCondition::kClean;
-  cfg.testbed.ssd.logical_bytes = 256ull << 20;
-  cfg.testbed.obs = CurrentObs();
+  kv::KvClusterConfig cfg =
+      KvConfig(Scheme::kGimbal, kSsds, SsdCondition::kClean, rc.label);
   cfg.testbed.check = &chk;
   cfg.testbed.fault_seed = k.seed;
-  cfg.testbed.run_label = rc.label;
-  cfg.hba.backend_bytes = 256ull << 20;
   // Small memtable: commit batches flush to SSTables during the run, so
   // locked reads pay device IO and the fault window reaches the read path.
   cfg.db.memtable_bytes = 64ull << 10;
@@ -117,7 +106,7 @@ RunResult RunCell(const RunConfig& rc, const FaultKnobs& k) {
     cfg.testbed.faults.failures.push_back(
         {1, t0 + Scaled(Milliseconds(100)), t0 + Scaled(Milliseconds(160))});
   }
-  KvCluster cluster(cfg);
+  kv::KvCluster cluster(cfg);
 
   std::vector<std::unique_ptr<TxnCoordinator>> coords;
   std::vector<std::unique_ptr<TxnClient>> clients;
@@ -197,11 +186,7 @@ RunResult RunCell(const RunConfig& rc, const FaultKnobs& k) {
   return r;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  FaultKnobs knobs;
-  ObsSession obs_session(argc, argv, &knobs);
+int Run(const FaultKnobs& knobs) {
   workload::PrintHeader(
       "fig_txn - TPC-C-lite transactions under 2PL (2 instances, 3 SSDs)",
       "transactional extension (docs/WORKLOADS.md); not a paper figure",
@@ -321,3 +306,8 @@ int main(int argc, char** argv) {
   });
   return all ? 0 : 1;
 }
+
+const RegisterFigure kFigure(__FILE__, Run, FaultKnobs{});
+
+}  // namespace
+}  // namespace gimbal::bench

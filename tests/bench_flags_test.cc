@@ -1,6 +1,7 @@
-// Tests for the bench binaries' shared flag parser (bench/bench_util.h):
-// malformed --fault-* values are rejected and the bench's default kept,
-// and a bench only accepts the fault knobs it gives a default.
+// Tests for the flag parser of gimbal_figs, the figure runner
+// (bench::ObsSession in bench/bench_util.h): malformed --fault-* values are
+// rejected and the figure's default kept, and a figure only accepts the
+// fault knobs it gives a default.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -12,12 +13,8 @@ namespace gimbal::bench {
 namespace {
 
 // Runs a session over `flags` and returns the knobs it parsed.
-FaultKnobs Parse(std::vector<std::string> flags, FaultKnobs k = {}) {
-  std::vector<char*> argv;
-  std::string name = "fig_kv_faults";
-  argv.push_back(name.data());
-  for (std::string& f : flags) argv.push_back(f.data());
-  ObsSession session(static_cast<int>(argv.size()), argv.data(), &k);
+FaultKnobs Parse(const std::vector<std::string>& flags, FaultKnobs k = {}) {
+  ObsSession session("fig_kv_faults", flags, &k);
   return k;
 }
 

@@ -1,25 +1,26 @@
-# --bench-json check: runs one bench in its --quick config with
-# --bench-json and checks the file against the bench's own stdout.
+# --bench-json check: runs one figure in its --quick config with
+# --bench-json and checks the file against the figure's own stdout.
 #
-#   cmake -DBIN=<bench binary> -DOUT_DIR=<dir> -P check_bench_json.cmake
+#   cmake -DBIN=<gimbal_figs> -DFIG=<figure> -DOUT_DIR=<dir>
+#         -P check_bench_json.cmake
 #
-# The JSON must parse, list exactly the tables the bench printed (same
+# The JSON must parse, list exactly the tables the figure printed (same
 # titles, same order), record one check per PASS/FAIL line, and every
 # check must pass.
 cmake_minimum_required(VERSION 3.19)  # string(JSON)
 
-foreach(v BIN OUT_DIR)
+foreach(v BIN FIG OUT_DIR)
   if(NOT DEFINED ${v})
     message(FATAL_ERROR "check_bench_json.cmake: -D${v}= is required")
   endif()
 endforeach()
 
-get_filename_component(name "${BIN}" NAME)
+set(name "${FIG}")
 file(MAKE_DIRECTORY "${OUT_DIR}")
 set(json_file "${OUT_DIR}/${name}.json")
 file(REMOVE "${json_file}")
 execute_process(
-  COMMAND "${BIN}" --quick "--bench-json=${json_file}"
+  COMMAND "${BIN}" "--fig=${FIG}" --quick "--bench-json=${json_file}"
   OUTPUT_VARIABLE out
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)

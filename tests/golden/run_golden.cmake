@@ -1,16 +1,17 @@
 # Golden-figure regression step (docs/TESTING.md).
 #
-# Runs one bench binary in its --quick config with the trace digest enabled
-# and compares stdout + digest byte-for-byte against the checked-in goldens.
+# Runs one figure in its --quick config with the trace digest enabled and
+# compares stdout + digest byte-for-byte against the checked-in goldens.
 # Invoked by ctest (registered in tests/CMakeLists.txt) as:
 #
-#   cmake -DBIN=<bench binary> -DNAME=<output name> [-DGOLDEN_NAME=<name>]
+#   cmake -DBIN=<gimbal_figs> -DNAME=<output name> [-DGOLDEN_NAME=<figure>]
 #         [-DEXTRA_ARGS="<flags>"] -DGOLDEN_DIR=<repo>/tests/golden
 #         -DOUT_DIR=<build>/golden_out [-DREGEN=1] -P run_golden.cmake
 #
-# GOLDEN_NAME defaults to NAME; a variant that must reproduce a figure's
-# goldens under extra flags (golden.fig_kv_faults.bad_fault_flags) sets its
-# own NAME but compares against that figure's goldens. REGEN=1 rewrites the
+# GOLDEN_NAME is the figure (`--fig=`) and the goldens' file stem; it
+# defaults to NAME. A variant that must reproduce a figure's goldens under
+# extra flags (golden.fig_kv_faults.bad_fault_flags) sets its own NAME but
+# runs and compares against that figure. REGEN=1 rewrites the
 # goldens from this run instead of comparing (the `regen-goldens` build
 # target drives this).
 cmake_minimum_required(VERSION 3.16)
@@ -28,7 +29,7 @@ file(MAKE_DIRECTORY "${OUT_DIR}")
 set(stdout_file "${OUT_DIR}/${NAME}.stdout")
 set(digest_file "${OUT_DIR}/${NAME}.digest")
 
-set(args --quick "--digest-out=${digest_file}")
+set(args "--fig=${GOLDEN_NAME}" --quick "--digest-out=${digest_file}")
 if(DEFINED EXTRA_ARGS AND NOT EXTRA_ARGS STREQUAL "")
   separate_arguments(extra UNIX_COMMAND "${EXTRA_ARGS}")
   list(APPEND args ${extra})
@@ -39,7 +40,8 @@ execute_process(
   OUTPUT_FILE "${stdout_file}"
   RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "golden.${NAME}: '${BIN} --quick' exited with ${rc} "
+  message(FATAL_ERROR "golden.${NAME}: '--fig=${GOLDEN_NAME} --quick' "
+                      "exited with ${rc} "
                       "(a fail-fast invariant violation also lands here)")
 endif()
 
