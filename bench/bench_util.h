@@ -448,7 +448,9 @@ struct ReplicaTotals {
   uint64_t dirty_repaired = 0;
   uint64_t dirty_dropped = 0;
   uint64_t rebuild_bytes = 0;
-  uint64_t lost_writes = 0;  // kv.lost_writes (observability attached only)
+  // Writes acked with no durable copy: the `kv.ack.lost` violations the
+  // cell's checker recorded (a fail-fast checker aborts on the first).
+  uint64_t lost_writes = 0;
   size_t dirty_pending = 0;  // dirty-ledger entries left
 };
 
@@ -507,19 +509,17 @@ class KvYcsbCell {
 
   ReplicaTotals Replicas() {
     ReplicaTotals t;
-    for (size_t i = 0; i < cluster_.instances().size(); ++i) {
-      const auto& bs = cluster_.instances()[i]->blobs->stats();
+    for (const auto& inst : cluster_.instances()) {
+      const auto& bs = inst->blobs->stats();
       t.failover_reads += bs.failover_reads;
       t.degraded_writes += bs.degraded_writes;
       t.dirty_recorded += bs.dirty_recorded;
       t.dirty_repaired += bs.dirty_repaired;
       t.dirty_dropped += bs.dirty_dropped;
       t.rebuild_bytes += bs.rebuild_bytes;
-      if (auto* obs = CurrentObs()) {
-        const obs::Labels l = obs::Labels::TenantSsd(static_cast<int>(i), -1);
-        t.lost_writes +=
-            obs->metrics.GetCounter(obs::schema::kKvLostWrites, l).value();
-      }
+    }
+    for (const auto& v : cluster_.bed().checker().violations()) {
+      if (v.invariant == "kv.ack.lost") ++t.lost_writes;
     }
     t.dirty_pending = DirtyPending();
     return t;

@@ -7,7 +7,8 @@
 // windowed throughput timeline shows the degraded plateau and the
 // recovery; the self-checks certify the durability contract:
 //
-//   * kv.lost_writes == 0 — no acked write was ever lost,
+//   * no acked write was ever lost: the checker recorded no kv.ack.lost
+//     (the line keeps its historical "kv.lost_writes == 0" label),
 //   * every dirty replica was re-replicated (ledger drained + balanced),
 //   * the crashed instance recovered and replayed its WAL,
 //   * the invariant checker (collect-everything mode) stayed silent,

@@ -11,7 +11,9 @@
 // The tables show rack-level per-tenant fairness and the read tail during
 // the outage; the self-checks certify the rack contract:
 //
-//   * kv.lost_writes == 0 — no acked write lost across the node failure,
+//   * no acked write lost across the node failure: the checker recorded
+//     no kv.ack.lost (the line keeps its historical "kv.lost_writes == 0"
+//     label),
 //   * the dirty ledger drained: every blob regained a node-disjoint
 //     replica set before the end of the drain,
 //   * the outage exercised cross-node failover and rebuild traffic,

@@ -149,6 +149,7 @@ class LatencyHistogram {
   int64_t p999() const { return Percentile(0.999); }
 
   uint64_t count() const { return total_; }
+  int64_t sum() const { return sum_; }
   int64_t min() const { return total_ ? min_ : 0; }
   int64_t max() const { return max_; }
   double mean() const {

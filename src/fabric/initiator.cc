@@ -4,7 +4,6 @@
 #include <cassert>
 #include <memory>
 #include <utility>
-#include <vector>
 
 #include "core/params.h"
 #include "obs/schema.h"
@@ -16,7 +15,10 @@ Initiator::Initiator(sim::Simulator& sim, Network& net, Target& target,
                      baselines::PardaParams parda, RetryParams retry,
                      ConnectMode connect)
     : sim_(sim), net_(net), target_(target), pipeline_(pipeline),
-      tenant_(tenant), mode_(mode), parda_(parda), retry_(retry) {
+      tenant_(tenant), mode_(mode), retry_(retry) {
+  if (mode_ == ThrottleMode::kParda) {
+    parda_ = std::make_unique<baselines::PardaWindow>(parda);
+  }
   if (connect == ConnectMode::kDirect) {
     target_.Connect(pipeline_, tenant_, this);
   } else {
@@ -56,7 +58,7 @@ bool Initiator::CanIssue() const {
       // Algorithm 3: submit while credit_tot > inflight.
       return credit_total_ + (GIMBAL_MUT(kCreditLeak) ? 1u : 0u) > inflight_;
     case ThrottleMode::kParda:
-      return parda_.CanIssue(inflight_);
+      return parda_->CanIssue(inflight_);
   }
   return true;
 }
@@ -106,7 +108,8 @@ void Initiator::Submit(IoType type, uint64_t offset, uint32_t length,
     }
     return;
   }
-  Pending p;
+  if (next_id_ - oldest_id_ == window_.size()) GrowWindow();
+  Pending& p = Slot(next_id_);
   p.req.id = next_id_++;
   p.req.tenant = tenant_;
   p.req.type = type;
@@ -116,13 +119,35 @@ void Initiator::Submit(IoType type, uint64_t offset, uint32_t length,
   p.done = std::move(done);
   // Admitted: from here the IO must reach exactly one terminal status
   // (ok/failed), which is the no-IO-lost invariant the fault tests sweep.
-  if (m_submitted_) m_submitted_->Add(1);
-  pending_.push_back(std::move(p));
-  if (chk_) chk_->OnClientAdmit(tenant_, pipeline_, pending_.size());
+  if (obs_) obs_->submitted->Add(1);
+  if (chk_) chk_->OnClientAdmit(tenant_, pipeline_, queued());
   IssueLoop();
 }
 
-void Initiator::FailLocally(Pending p, IoStatus status, bool was_issued) {
+void Initiator::GrowWindow() {
+  std::vector<Pending> grown(window_.empty() ? 1 : 2 * window_.size());
+  for (uint64_t id = oldest_id_; id < next_id_; ++id) {
+    grown[id & (grown.size() - 1)] = std::move(Slot(id));
+  }
+  window_ = std::move(grown);
+}
+
+Initiator::Pending* Initiator::Issued(uint64_t id) {
+  if (id < oldest_id_ || id >= issue_cursor_) return nullptr;
+  Pending& p = Slot(id);
+  return p.attempts > 0 ? &p : nullptr;
+}
+
+void Initiator::Release(Pending& p) {
+  // Resetting releases whatever the callback captured now, not when the
+  // slot is next reused.
+  p = Pending{};
+  while (oldest_id_ < issue_cursor_ && Slot(oldest_id_).attempts == 0) {
+    ++oldest_id_;
+  }
+}
+
+void Initiator::FailLocally(Pending& p, IoStatus status, bool was_issued) {
   IoCompletion cpl;
   cpl.id = p.req.id;
   cpl.tenant = tenant_;
@@ -131,7 +156,7 @@ void Initiator::FailLocally(Pending p, IoStatus status, bool was_issued) {
   cpl.status = status;
   const Tick e2e =
       p.req.client_submit > 0 ? sim_.now() - p.req.client_submit : 0;
-  if (m_failed_) m_failed_->Add(1);
+  if (obs_) obs_->failed->Add(1);
   if (chk_) {
     chk_->OnClientTerminal(tenant_, pipeline_, /*ok=*/false, was_issued,
                            inflight_);
@@ -139,14 +164,16 @@ void Initiator::FailLocally(Pending p, IoStatus status, bool was_issued) {
   if (p.done) {
     sim_.After(0, [done = std::move(p.done), cpl, e2e]() { done(cpl, e2e); });
   }
+  Release(p);
 }
 
 void Initiator::FailQueued() {
-  common::Fifo<Pending> pending = std::move(pending_);
-  for (; !pending.empty(); pending.pop_front()) {
-    FailLocally(std::move(pending.front()), IoStatus::kAborted,
-                /*was_issued=*/false);
+  // In submission order. Nothing is admitted after Shutdown()/Crash(), so
+  // the failed ids are simply dropped from the window's tail.
+  for (uint64_t id = issue_cursor_; id < next_id_; ++id) {
+    FailLocally(Slot(id), IoStatus::kAborted, /*was_issued=*/false);
   }
+  next_id_ = issue_cursor_;
 }
 
 void Initiator::Shutdown() {
@@ -174,7 +201,7 @@ void Initiator::Crash() {
   crashed_ = true;
   keepalive_timer_.Cancel();
   if (obs_) {
-    obs_->tracer.Instant(
+    obs_->obs->tracer.Instant(
         sim_.now(), obs::schema::kEvTenantCrash,
         obs::Labels::TenantSsd(static_cast<int32_t>(tenant_), pipeline_));
   }
@@ -183,17 +210,13 @@ void Initiator::Crash() {
   // stops. The target learns of the death from its session timeout;
   // completions still in flight arrive for unknown ids and count as late.
   FailQueued();
-  std::vector<uint64_t> ids;
-  ids.reserve(issued_.size());
-  for (const auto& [id, p] : issued_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());  // deterministic fail order
-  for (uint64_t id : ids) {
-    auto it = issued_.find(id);
-    Pending p = std::move(it->second);
-    issued_.erase(it);
+  // Then the issued IOs, by ascending id.
+  for (uint64_t id = oldest_id_; id < issue_cursor_; ++id) {
+    Pending* p = Issued(id);
+    if (p == nullptr) continue;
     --inflight_;
-    p.timer.Cancel();
-    FailLocally(std::move(p), IoStatus::kAborted, /*was_issued=*/true);
+    p->timer.Cancel();
+    FailLocally(*p, IoStatus::kAborted, /*was_issued=*/true);
   }
   if (chk_) chk_->OnClientClose(tenant_, pipeline_);
 }
@@ -221,16 +244,14 @@ void Initiator::SendCommand(const IoRequest& req) {
 }
 
 void Initiator::IssueLoop() {
-  while (!pending_.empty() && CanIssue()) {
-    Pending p = std::move(pending_.front());
-    pending_.pop_front();
+  while (issue_cursor_ < next_id_ && CanIssue()) {
+    Pending& p = Slot(issue_cursor_++);
     p.req.client_submit = sim_.now();
     p.attempts = 1;
     ++inflight_;
-    IoRequest req = p.req;
-    issued_.emplace(req.id, std::move(p));
+    const IoRequest req = p.req;
     if (chk_) {
-      chk_->OnClientIssue(tenant_, pipeline_, pending_.size(), inflight_,
+      chk_->OnClientIssue(tenant_, pipeline_, queued(), inflight_,
                           credit_total_, mode_ == ThrottleMode::kCredit);
     }
     SendCommand(req);
@@ -240,19 +261,19 @@ void Initiator::IssueLoop() {
 
 void Initiator::ArmTimeout(uint64_t id, int attempt) {
   if (retry_.io_timeout <= 0) return;
-  auto it = issued_.find(id);
-  assert(it != issued_.end());
-  it->second.timer.Cancel();  // no-op unless a stale timer is still armed
-  it->second.timer = sim_.After(
+  Pending* p = Issued(id);
+  assert(p != nullptr);
+  p->timer.Cancel();  // no-op unless a stale timer is still armed
+  p->timer = sim_.After(
       retry_.io_timeout, [this, id, attempt]() { OnTimeout(id, attempt); });
 }
 
 void Initiator::OnTimeout(uint64_t id, int attempt) {
-  auto it = issued_.find(id);
+  Pending* slot = Issued(id);
   // Completed meanwhile, superseded by a newer attempt's timer, or swept
   // up by Crash(): this timer is stale.
-  if (it == issued_.end() || it->second.attempts != attempt) return;
-  Pending& p = it->second;
+  if (slot == nullptr || slot->attempts != attempt) return;
+  Pending& p = *slot;
   if (shutdown_ || p.attempts > retry_.max_retries) {
     // Terminal: retry budget exhausted (status=timeout), or the connection
     // shut down while the completion was missing — no retransmission will
@@ -262,18 +283,16 @@ void Initiator::OnTimeout(uint64_t id, int attempt) {
         shutdown_ ? IoStatus::kAborted : IoStatus::kTimeout;
     if (!shutdown_) {
       ++timeouts_;
-      if (m_timeouts_) m_timeouts_->Add(1);
       if (obs_) {
-        obs_->tracer.Instant(
+        obs_->timeouts->Add(1);
+        obs_->obs->tracer.Instant(
             sim_.now(), obs::schema::kEvTimeout,
             obs::Labels::TenantSsd(static_cast<int32_t>(tenant_), pipeline_),
             {{"attempts", static_cast<double>(p.attempts)}});
       }
     }
-    Pending out = std::move(it->second);
-    issued_.erase(it);
     --inflight_;
-    FailLocally(std::move(out), status, /*was_issued=*/true);
+    FailLocally(p, status, /*was_issued=*/true);
     IssueLoop();
     return;
   }
@@ -281,55 +300,55 @@ void Initiator::OnTimeout(uint64_t id, int attempt) {
   // exponential backoff, so a late completion of any attempt still
   // completes the IO; the target may execute a command twice, which is why
   // fault-time accounting balances at the client, not the target
-  // (docs/FAULTS.md). The entry stays issued_ during the backoff.
+  // (docs/FAULTS.md). The IO stays issued during the backoff.
   const int retry_n = p.attempts;
   const Tick backoff = BackoffFor(retry_, retry_n);
   ++retries_;
-  if (m_retries_) m_retries_->Add(1);
   if (obs_) {
-    obs_->tracer.Instant(
+    obs_->retries->Add(1);
+    obs_->obs->tracer.Instant(
         sim_.now(), obs::schema::kEvRetry,
         obs::Labels::TenantSsd(static_cast<int32_t>(tenant_), pipeline_),
         {{"retry", static_cast<double>(retry_n)},
          {"backoff_ns", static_cast<double>(backoff)}});
   }
   p.timer = sim_.After(backoff, [this, id, attempt]() {
-    auto it2 = issued_.find(id);
-    if (it2 == issued_.end() || it2->second.attempts != attempt) return;
+    Pending* q = Issued(id);
+    if (q == nullptr || q->attempts != attempt) return;
     if (shutdown_) {
       // Shut down mid-backoff: no retransmission will follow, so the IO
       // terminates here instead of dangling without a timer.
-      Pending out = std::move(it2->second);
-      issued_.erase(it2);
       --inflight_;
-      FailLocally(std::move(out), IoStatus::kAborted, /*was_issued=*/true);
+      FailLocally(*q, IoStatus::kAborted, /*was_issued=*/true);
       return;
     }
-    ++it2->second.attempts;
-    SendCommand(it2->second.req);
-    ArmTimeout(id, it2->second.attempts);
+    const int next = ++q->attempts;
+    SendCommand(q->req);
+    ArmTimeout(id, next);
   });
 }
 
 void Initiator::OnFabricCompletion(const IoCompletion& cpl) {
-  auto it = issued_.find(cpl.id);
-  if (it == issued_.end()) {
+  Pending* slot = Issued(cpl.id);
+  if (slot == nullptr) {
     // Late completion of an attempt that already timed out (or of an IO
     // failed by Crash), or the duplicate produced by a retry the target
     // executed twice. The IO already reached its terminal status; this
     // straggler is counted and dropped.
     ++late_completions_;
-    if (m_late_) m_late_->Add(1);
+    if (obs_) obs_->late->Add(1);
     return;
   }
-  Pending p = std::move(it->second);
-  issued_.erase(it);
   --inflight_;
   // Completion beats the timeout: tear the timer down instead of leaving a
   // dead event to churn the queue until it fires.
-  p.timer.Cancel();
+  slot->timer.Cancel();
+  const Tick e2e = sim_.now() - slot->req.client_submit;
+  // Out of the window before `done` runs: it may Submit (growing the
+  // window) or tear the session down.
+  const DoneFn done = std::move(slot->done);
+  Release(*slot);
 
-  const Tick e2e = sim_.now() - p.req.client_submit;
   if (chk_) {
     if (cpl.credit > 0) {
       chk_->OnClientCreditUpdate(tenant_, pipeline_, cpl.credit);
@@ -341,31 +360,24 @@ void Initiator::OnFabricCompletion(const IoCompletion& cpl) {
   // Faulted completions carry no queueing-delay signal: keep them out of
   // the PARDA latency window, as the target keeps them out of its EWMAs.
   if (mode_ == ThrottleMode::kParda && cpl.ok()) {
-    parda_.OnCompletion(e2e, sim_.now());
+    parda_->OnCompletion(e2e, sim_.now());
   }
 
-  if (cpl.ok()) {
-    if (m_completed_) {
-      m_completed_->Add(1);
-      m_completed_bytes_->Add(cpl.length);
+  if (obs_) {
+    if (cpl.ok()) {
+      obs_->completed->Add(1);
+      obs_->completed_bytes->Add(cpl.length);
+    } else {
+      obs_->failed->Add(1);
     }
-  } else if (m_failed_) {
-    m_failed_->Add(1);
   }
-  if (p.done) p.done(cpl, e2e);
+  if (done) done(cpl, e2e);
   IssueLoop();
 }
 
 void Initiator::AttachObservability(obs::Observability* obs) {
-  obs_ = obs;
   if (!obs) {
-    m_submitted_ = nullptr;
-    m_completed_ = nullptr;
-    m_completed_bytes_ = nullptr;
-    m_failed_ = nullptr;
-    m_retries_ = nullptr;
-    m_timeouts_ = nullptr;
-    m_late_ = nullptr;
+    obs_.reset();
     return;
   }
   namespace schema = obs::schema;
@@ -374,13 +386,14 @@ void Initiator::AttachObservability(obs::Observability* obs) {
   const obs::Labels l = obs->metrics.FoldTenant(
       obs::Labels::TenantSsd(static_cast<int32_t>(tenant_), pipeline_));
   obs::MetricsRegistry& reg = obs->metrics;
-  m_submitted_ = &reg.GetCounter(schema::kInitiatorSubmitted, l);
-  m_completed_ = &reg.GetCounter(schema::kClientCompleted, l);
-  m_completed_bytes_ = &reg.GetCounter(schema::kClientCompletedBytes, l);
-  m_failed_ = &reg.GetCounter(schema::kClientFailed, l);
-  m_retries_ = &reg.GetCounter(schema::kInitiatorRetries, l);
-  m_timeouts_ = &reg.GetCounter(schema::kInitiatorTimeouts, l);
-  m_late_ = &reg.GetCounter(schema::kInitiatorLateCompletions, l);
+  obs_ = std::make_unique<Observed>(Observed{
+      obs, &reg.GetCounter(schema::kInitiatorSubmitted, l),
+      &reg.GetCounter(schema::kClientCompleted, l),
+      &reg.GetCounter(schema::kClientCompletedBytes, l),
+      &reg.GetCounter(schema::kClientFailed, l),
+      &reg.GetCounter(schema::kInitiatorRetries, l),
+      &reg.GetCounter(schema::kInitiatorTimeouts, l),
+      &reg.GetCounter(schema::kInitiatorLateCompletions, l)});
 }
 
 }  // namespace gimbal::fabric

@@ -8,15 +8,26 @@
 //   kParda  : outstanding < the PARDA latency-driven window.
 // The queue-then-issue behaviour is exactly the "IO rate limiter" the
 // RocksDB case study gets for free (§4.3).
+//
+// Every IO from Submit to its terminal status lives in one in-flight
+// window: a power-of-two ring of slots indexed by command id. Ids are
+// assigned in Submit and issued in FIFO order, so the queued IOs are
+// always the id suffix [issue cursor, next id) and the issued ones the
+// span below it, with holes where completions came back out of order. A
+// completion or a timer finds its IO by index, finished slots pop off the
+// front, and teardown walks the ring in id order. The ring allocates
+// nothing until the first Submit, then doubles as the id span grows, so
+// an idle open-loop seat costs sizeof(Initiator) and a busy one its span
+// rounded up to a power of two, times sizeof(Pending) (docs/WORKLOADS.md).
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <memory>
+#include <vector>
 
 #include "baselines/parda_policy.h"
 #include "check/invariants.h"
-#include "common/fifo.h"
 #include "fabric/network.h"
 #include "fabric/target.h"
 #include "nvme/types.h"
@@ -100,7 +111,12 @@ class Initiator : public CompletionSink {
   bool DeviceBusy() const { return !CanIssue(); }
 
   uint32_t inflight() const { return inflight_; }
-  uint32_t queued() const { return static_cast<uint32_t>(pending_.size()); }
+  uint32_t queued() const {
+    return static_cast<uint32_t>(next_id_ - issue_cursor_);
+  }
+  // Slots in the in-flight window: 0 until the first Submit, then the
+  // largest id span seen so far, rounded up to a power of two.
+  size_t window_capacity() const { return window_.size(); }
   // Control capsules (connect/keepalive/disconnect/trim) sent but not yet
   // delivered. Their network callbacks capture `this`, so an initiator
   // must not be destroyed while any is pending — the open-loop fleet's
@@ -109,7 +125,8 @@ class Initiator : public CompletionSink {
   // Client-visible credit total (the §3.7 virtual-view load signal the KV
   // load balancer uses: more credits = less loaded SSD).
   uint32_t credits() const { return credit_total_; }
-  double parda_window() const { return parda_.window(); }
+  // The PARDA window; 0 unless the throttle is ThrottleMode::kParda.
+  double parda_window() const { return parda_ ? parda_->window() : 0.0; }
   TenantId tenant() const { return tenant_; }
   int pipeline() const { return pipeline_; }
 
@@ -126,12 +143,15 @@ class Initiator : public CompletionSink {
   void AttachChecker(check::InvariantChecker* chk) { chk_ = chk; }
 
  private:
+  // One admitted IO. A slot whose id is below the issue cursor and whose
+  // `attempts` is 0 is a hole: that IO already reached its terminal status.
   struct Pending {
     IoRequest req;
     DoneFn done;
-    // Transmissions so far (1 = original). Timeout/backoff timers carry
-    // the attempt they were armed for and no-op on mismatch (the handle
-    // below makes stale firings rare, not impossible — the guard stays).
+    // Transmissions so far (1 = original); 0 while queued and once
+    // finished. Timeout/backoff timers carry the attempt they were armed
+    // for and no-op on mismatch (the handle below makes stale firings
+    // rare, not impossible — the guard stays).
     int attempts = 0;
     // The IO's one armed timer: the timeout while a transmission is
     // outstanding, the backoff while a retry waits. Cancelled when the IO
@@ -140,15 +160,36 @@ class Initiator : public CompletionSink {
     sim::TimerHandle timer;
   };
 
+  // Observability sinks, allocated by AttachObservability (null = not
+  // observed), so an unobserved initiator carries one pointer for them.
+  struct Observed {
+    obs::Observability* obs;
+    obs::Counter* submitted;
+    obs::Counter* completed;
+    obs::Counter* completed_bytes;
+    obs::Counter* failed;
+    obs::Counter* retries;
+    obs::Counter* timeouts;
+    obs::Counter* late;
+  };
+
+  Pending& Slot(uint64_t id) { return window_[id & (window_.size() - 1)]; }
+  // The issued IO `id` if it has not finished yet, else null.
+  Pending* Issued(uint64_t id);
+  // Double the window, keeping every live id in its slot for the new mask.
+  void GrowWindow();
+  // Clear a finished IO's slot, then advance the oldest id past holes.
+  void Release(Pending& p);
   bool CanIssue() const;
   void IssueLoop();
   void SendCommand(const IoRequest& req);
   void ArmTimeout(uint64_t id, int attempt);
   void OnTimeout(uint64_t id, int attempt);
   void KeepaliveTick();
-  // `was_issued` tells the checker whether the IO ever left the local
-  // queue (its in-flight ledger only covers issued IOs).
-  void FailLocally(Pending p, IoStatus status, bool was_issued);
+  // Fails `p` and releases its slot. `was_issued` tells the checker
+  // whether the IO ever left the local queue (its in-flight ledger only
+  // covers issued IOs).
+  void FailLocally(Pending& p, IoStatus status, bool was_issued);
   // Fail every locally-queued IO (status=aborted) on Shutdown()/Crash().
   void FailQueued();
 
@@ -158,15 +199,19 @@ class Initiator : public CompletionSink {
   int pipeline_;
   TenantId tenant_;
   ThrottleMode mode_;
-  baselines::PardaWindow parda_;
+  std::unique_ptr<baselines::PardaWindow> parda_;  // kParda only
   RetryParams retry_;
 
-  common::Fifo<Pending> pending_;
-  std::unordered_map<uint64_t, Pending> issued_;
+  // The in-flight window: id `i` sits in slot i & (size - 1). Issued ids
+  // are [oldest_id_, issue_cursor_), queued ids [issue_cursor_, next_id_);
+  // next_id_ - oldest_id_ never exceeds the size.
+  std::vector<Pending> window_;
+  uint64_t oldest_id_ = 1;
+  uint64_t issue_cursor_ = 1;
+  uint64_t next_id_ = 1;
   // The armed heartbeat; cancelled by Shutdown()/Crash() so a dead client
   // stops ticking immediately instead of leaving a timer to fire inert.
   sim::TimerHandle keepalive_timer_;
-  uint64_t next_id_ = 1;
   uint32_t inflight_ = 0;
   uint32_t control_inflight_ = 0;
   uint32_t credit_total_ = 8;  // optimistic initial grant, refined by cpl
@@ -176,15 +221,7 @@ class Initiator : public CompletionSink {
   uint64_t timeouts_ = 0;
   uint64_t late_completions_ = 0;
 
-  // Observability (null = not observed).
-  obs::Counter* m_submitted_ = nullptr;
-  obs::Counter* m_completed_ = nullptr;
-  obs::Counter* m_completed_bytes_ = nullptr;
-  obs::Counter* m_failed_ = nullptr;
-  obs::Counter* m_retries_ = nullptr;
-  obs::Counter* m_timeouts_ = nullptr;
-  obs::Counter* m_late_ = nullptr;
-  obs::Observability* obs_ = nullptr;
+  std::unique_ptr<Observed> obs_;
   check::InvariantChecker* chk_ = nullptr;
 };
 

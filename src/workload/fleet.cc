@@ -19,6 +19,11 @@ OpenLoopFleet::OpenLoopFleet(Testbed& bed, FleetSpec spec)
       slo_(spec.slo),
       seats_(spec.sessions) {
   assert(spec_.sessions > 0);
+  sink_.sample = [this](TenantId t, const IoCompletion& cpl, Tick e2e) {
+    if (cpl.ok()) {
+      slo_.Record(t, cpl.type == IoType::kWrite, e2e, bed_.sim().now());
+    }
+  };
 }
 
 OpenLoopFleet::~OpenLoopFleet() {
@@ -82,13 +87,8 @@ void OpenLoopFleet::StartSession(uint32_t seat) {
   ws.region_bytes = bed_.device(ssd).capacity_bytes();
   ws.seed = spec_.seed ^ (static_cast<uint64_t>(tenant) * 0x9e3779b97f4a7c15ULL);
   ws.arrival = spec_.arrival;
-  s->worker = std::make_unique<OpenLoopWorker>(bed_.sim(), *s->init, ws);
-  s->worker->set_sample_fn(
-      [this](TenantId t, const IoCompletion& cpl, Tick e2e) {
-        if (cpl.ok()) {
-          slo_.Record(t, cpl.type == IoType::kWrite, e2e, bed_.sim().now());
-        }
-      });
+  s->worker =
+      std::make_unique<OpenLoopWorker>(bed_.sim(), *s->init, ws, &sink_);
   s->worker->Start();
 
   if (spec_.session_lifetime_mean > 0) {
@@ -119,14 +119,13 @@ void OpenLoopFleet::Retire(std::unique_ptr<Session> s) {
   s->worker->Stop();
   slo_.OnDisconnect(s->init->tenant());
   // Shutdown empties the local queue at once, but Initiator::FailLocally
-  // defers each aborted IO's callback with After(0), so the stats folded
-  // below include neither those aborts nor the issued in-flight tail the
-  // graveyard waits for: both land in the retired worker's own stats,
-  // which TotalStats() never reads. A tail completion also re-creates the
-  // tenant's SLO slot after OnDisconnect, and nothing frees it.
+  // defers each aborted IO's callback with After(0), so neither those
+  // aborts nor the issued in-flight tail the graveyard waits for reach
+  // the fleet's stats: the worker's stats are detached here. The tail
+  // still feeds the SLO tracker, and re-creates the tenant's SLO slot
+  // after OnDisconnect, which nothing frees.
   s->init->Shutdown();
-  retired_stats_.Merge(s->worker->stats());
-  retired_dropped_ += s->worker->dropped();
+  s->worker->DetachStats();
   graveyard_.push_back(std::move(s));
   ArmSweep();
 }
@@ -171,15 +170,7 @@ void OpenLoopFleet::ExportSlo(obs::MetricsRegistry& reg) {
 }
 
 OpenLoopFleet::Totals OpenLoopFleet::TotalStats() const {
-  Totals t;
-  t.stats = retired_stats_;
-  t.dropped = retired_dropped_;
-  for (const auto& s : seats_) {
-    if (s == nullptr) continue;
-    t.stats.Merge(s->worker->stats());
-    t.dropped += s->worker->dropped();
-  }
-  return t;
+  return {sink_.stats, sink_.dropped};
 }
 
 }  // namespace gimbal::workload

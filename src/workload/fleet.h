@@ -21,6 +21,12 @@
 // Every session's completions feed the SloTracker (obs/slo.h); call
 // Stop(), run the sim to idle, then ExportSlo() into a registry.
 //
+// Memory: a seat is its Session, Initiator and OpenLoopWorker, plus the
+// initiator's in-flight window once it has IO. Every worker records into
+// one fleet-wide OpenLoopSink, which also holds the SLO sample hook, so a
+// seat carries no stats of its own and TotalStats() is a read of the sink
+// rather than a merge over seats (docs/WORKLOADS.md has the byte counts).
+//
 // All fleet activity — stagger timers, lifetime timers, RNG draws, the
 // sweep — runs as events on the testbed's simulator and never reads
 // target-side state.
@@ -77,8 +83,9 @@ class OpenLoopFleet {
   size_t active_sessions() const { return active_; }
   size_t draining_sessions() const { return graveyard_.size(); }
 
-  // Cumulative stats over every session, live and dead. Shed arrivals
-  // (worker hit max_outstanding) are in `dropped`.
+  // Cumulative stats over every session, live and retired (a retired
+  // session's in-flight tail is not counted). Shed arrivals (worker hit
+  // max_outstanding) are in `dropped`.
   struct Totals {
     WorkerStats stats;
     uint64_t dropped = 0;
@@ -109,9 +116,8 @@ class OpenLoopFleet {
   std::vector<std::unique_ptr<Session>> seats_;
   std::vector<std::unique_ptr<Session>> graveyard_;
   sim::TimerHandle sweep_timer_;
-  // Stats folded out of retired sessions (live ones are summed on demand).
-  WorkerStats retired_stats_;
-  uint64_t retired_dropped_ = 0;
+  // Every seat's worker records here until its session retires.
+  OpenLoopSink sink_;
   uint64_t connects_ = 0;
   uint64_t disconnects_ = 0;
   size_t active_ = 0;

@@ -6,17 +6,26 @@ namespace gimbal::workload {
 
 OpenLoopWorker::OpenLoopWorker(sim::Simulator& sim,
                                fabric::Initiator& initiator,
-                               OpenLoopSpec spec)
+                               const OpenLoopSpec& spec, OpenLoopSink* sink)
     : sim_(sim),
       initiator_(initiator),
-      spec_(spec),
+      sink_(sink),
+      offered_iops_(spec.offered_iops),
+      read_ratio_(spec.read_ratio),
+      region_offset_(spec.region_offset),
+      slots_(spec.region_bytes / spec.io_bytes),
+      io_bytes_(spec.io_bytes),
+      max_outstanding_(spec.max_outstanding),
+      priority_(spec.priority),
+      sequential_(spec.sequential),
       rng_(spec.seed),
       // The MMPP dwell machine draws from its own stream so burst phase is
       // a property of the seed, not of how many IOs happened to arrive.
       arrival_(spec.arrival, spec.seed ^ 0x6275727374ULL) {
-  assert(spec_.region_bytes >= spec_.io_bytes && "region not set");
-  assert(spec_.offered_iops > 0);
-  seq_cursor_ = rng_.NextBounded(spec_.region_bytes / spec_.io_bytes);
+  assert(sink_ != nullptr);
+  assert(spec.region_bytes >= spec.io_bytes && "region not set");
+  assert(spec.offered_iops > 0);
+  seq_cursor_ = rng_.NextBounded(slots_);
 }
 
 void OpenLoopWorker::Start() {
@@ -26,7 +35,7 @@ void OpenLoopWorker::Start() {
 }
 
 void OpenLoopWorker::ScheduleArrival() {
-  const Tick gap = arrival_.NextGap(spec_.offered_iops, sim_.now(), rng_);
+  const Tick gap = arrival_.NextGap(offered_iops_, sim_.now(), rng_);
   arrival_timer_ = sim_.After(gap, [this]() {
     if (!running_) return;
     Arrive();
@@ -35,35 +44,36 @@ void OpenLoopWorker::ScheduleArrival() {
 }
 
 void OpenLoopWorker::Arrive() {
-  if (outstanding_ >= spec_.max_outstanding) {
+  if (outstanding_ >= max_outstanding_) {
     // The system is hopelessly behind the offered load; shedding arrivals
     // keeps memory bounded (the latency histogram already shows the
     // explosion by this point).
-    ++dropped_;
+    if (counted_) ++sink_->dropped;
     return;
   }
-  IoType type =
-      rng_.NextBool(spec_.read_ratio) ? IoType::kRead : IoType::kWrite;
-  const uint64_t slots = spec_.region_bytes / spec_.io_bytes;
-  uint64_t slot =
-      spec_.sequential ? (seq_cursor_++ % slots) : rng_.NextBounded(slots);
+  IoType type = rng_.NextBool(read_ratio_) ? IoType::kRead : IoType::kWrite;
+  uint64_t slot = sequential_ ? (seq_cursor_++ % slots_)
+                              : rng_.NextBounded(slots_);
   ++outstanding_;
   initiator_.Submit(
-      type, spec_.region_offset + slot * spec_.io_bytes, spec_.io_bytes,
-      spec_.priority, [this](const IoCompletion& cpl, Tick e2e) {
+      type, region_offset_ + slot * io_bytes_, io_bytes_, priority_,
+      [this](const IoCompletion& cpl, Tick e2e) {
         --outstanding_;
-        if (!cpl.ok()) {
-          ++stats_.failed_ios;
-        } else if (cpl.type == IoType::kRead) {
-          stats_.read_bytes += cpl.length;
-          ++stats_.read_ios;
-          stats_.read_latency.Record(e2e);
-        } else {
-          stats_.write_bytes += cpl.length;
-          ++stats_.write_ios;
-          stats_.write_latency.Record(e2e);
+        if (counted_) {
+          WorkerStats& stats = sink_->stats;
+          if (!cpl.ok()) {
+            ++stats.failed_ios;
+          } else if (cpl.type == IoType::kRead) {
+            stats.read_bytes += cpl.length;
+            ++stats.read_ios;
+            stats.read_latency.Record(e2e);
+          } else {
+            stats.write_bytes += cpl.length;
+            ++stats.write_ios;
+            stats.write_latency.Record(e2e);
+          }
         }
-        if (sample_) sample_(cpl.tenant, cpl, e2e);
+        if (sink_->sample) sink_->sample(cpl.tenant, cpl, e2e);
       });
 }
 

@@ -9,6 +9,11 @@
 // (workload/arrivals.h). Large populations of workers with heavy-tailed
 // per-session rates are orchestrated by the OpenLoopFleet
 // (workload/fleet.h), which owns one OpenLoopWorker per live session.
+//
+// A worker records into a caller-owned OpenLoopSink through one pointer
+// rather than owning its stats, so many workers can share one sink: the
+// fleet gives all its seats a single fleet-wide sink (and sample hook),
+// which keeps a seat's worker at the generator state alone.
 #pragma once
 
 #include <cstdint>
@@ -36,16 +41,25 @@ struct OpenLoopSpec {
   ArrivalSpec arrival;
 };
 
-class OpenLoopWorker {
- public:
+// Where open-loop workers record. Owned by the caller and shared by
+// every worker given a pointer to it.
+struct OpenLoopSink {
   // Per-completion hook (fleet SLO tracking): tenant, completion,
   // client-observed e2e latency. Fires for every completion, ok or not,
-  // after the worker's own stats update.
+  // after the stats update — also for a worker whose stats were detached.
   using SampleFn =
       std::function<void(TenantId, const IoCompletion&, Tick e2e)>;
 
+  WorkerStats stats;
+  uint64_t dropped = 0;  // arrivals shed at max_outstanding
+  SampleFn sample;       // optional
+};
+
+class OpenLoopWorker {
+ public:
+  // `sink` must outlive every completion of this worker's IOs.
   OpenLoopWorker(sim::Simulator& sim, fabric::Initiator& initiator,
-                 OpenLoopSpec spec);
+                 const OpenLoopSpec& spec, OpenLoopSink* sink);
 
   void Start();
   // Stops the arrival process and cancels the pending arrival timer, so a
@@ -57,12 +71,11 @@ class OpenLoopWorker {
   }
   bool running() const { return running_; }
 
-  void set_sample_fn(SampleFn fn) { sample_ = std::move(fn); }
+  // From here on this worker's completions and shed arrivals no longer
+  // count in the sink's stats; the sample hook still fires for them.
+  void DetachStats() { counted_ = false; }
 
-  WorkerStats& stats() { return stats_; }
-  uint64_t dropped() const { return dropped_; }
   uint32_t outstanding() const { return outstanding_; }
-  const OpenLoopSpec& spec() const { return spec_; }
 
  private:
   void ScheduleArrival();
@@ -70,16 +83,24 @@ class OpenLoopWorker {
 
   sim::Simulator& sim_;
   fabric::Initiator& initiator_;
-  OpenLoopSpec spec_;
+  OpenLoopSink* sink_;
+  // What the arrivals need of the OpenLoopSpec; its ArrivalSpec lives in
+  // arrival_ alone.
+  double offered_iops_;
+  double read_ratio_;
+  uint64_t region_offset_;
+  uint64_t slots_;  // io_bytes-sized slots in the region
+  uint32_t io_bytes_;
+  uint32_t max_outstanding_;
+  IoPriority priority_;
+  bool sequential_;
+  bool running_ = false;
+  bool counted_ = true;
+  uint32_t outstanding_ = 0;
+  uint64_t seq_cursor_ = 0;
   Rng rng_;
   ArrivalProcess arrival_;
   sim::TimerHandle arrival_timer_;
-  WorkerStats stats_;
-  SampleFn sample_;
-  bool running_ = false;
-  uint32_t outstanding_ = 0;
-  uint64_t dropped_ = 0;
-  uint64_t seq_cursor_ = 0;
 };
 
 }  // namespace gimbal::workload

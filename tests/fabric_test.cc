@@ -1,11 +1,18 @@
 // Tests for the NVMe-oF fabric: network serialization, the five-step
-// request flow through the target, initiator flow-control modes, and the
-// baseline policies in isolation (NULL device).
+// request flow through the target, initiator flow-control modes, the
+// initiator's in-flight window (completions in any order, retries, crash
+// and shutdown), and the baseline policies in isolation (NULL device).
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "baselines/flashfq_policy.h"
 #include "baselines/parda_policy.h"
 #include "baselines/reflex_policy.h"
+#include "core/io_policy.h"
 #include "fabric/initiator.h"
 #include "fabric/network.h"
 #include "fabric/target.h"
@@ -276,6 +283,220 @@ TEST(Initiator, PardaWindowGrowsUnderLowLatency) {
   }
   rig.sim.Run();
   EXPECT_GT(init.parda_window(), 8.0);
+}
+
+// ---------------------------------------------------------------------------
+// Initiator in-flight window: completions in any order, retries, teardown
+// ---------------------------------------------------------------------------
+
+// Holds every command the target hands it until the test completes it, so
+// a test picks the order completions come back in. A retransmitted command
+// is held once per copy.
+class HoldPolicy : public core::IoPolicy {
+ public:
+  void OnRequest(const IoRequest& req) override { held_.push_back(req); }
+  std::string name() const override { return "hold"; }
+
+  // Completes the oldest held copy of command `id` (ok, no credit).
+  void Complete(uint64_t id) {
+    for (auto it = held_.begin(); it != held_.end(); ++it) {
+      if (it->id != id) continue;
+      const IoRequest req = *it;
+      held_.erase(it);
+      IoCompletion cpl;
+      cpl.id = req.id;
+      cpl.tenant = req.tenant;
+      cpl.type = req.type;
+      cpl.length = req.length;
+      complete_(req, cpl);
+      return;
+    }
+    ADD_FAILURE() << "command " << id << " is not held";
+  }
+  size_t held() const { return held_.size(); }
+
+ private:
+  std::vector<IoRequest> held_;
+};
+
+struct HoldRig {
+  sim::Simulator sim;
+  Network net{sim};
+  fabric::Target target{sim, net};
+  HoldPolicy* policy = nullptr;
+
+  HoldRig() {
+    auto p = std::make_unique<HoldPolicy>();
+    policy = p.get();
+    target.AddPipeline(std::move(p));
+  }
+};
+
+// Submits a 4 KiB read whose completion appends (id, status) to `log`.
+void SubmitLogged(fabric::Initiator& init,
+                  std::vector<std::pair<uint64_t, IoStatus>>& log) {
+  init.Submit(IoType::kRead, 0, 4096, IoPriority::kNormal,
+              [&log](const IoCompletion& c, Tick) {
+                log.emplace_back(c.id, c.status);
+              });
+}
+
+std::vector<uint64_t> Ids(
+    const std::vector<std::pair<uint64_t, IoStatus>>& log) {
+  std::vector<uint64_t> ids;
+  for (const auto& [id, status] : log) ids.push_back(id);
+  return ids;
+}
+
+TEST(Initiator, OutOfOrderCompletionsFinishEachIoOnce) {
+  HoldRig rig;
+  // Credit mode: the hold policy grants no credit, so the initial 8 caps
+  // the issued IOs and the rest queue.
+  fabric::Initiator init(rig.sim, rig.net, rig.target, 0, 1,
+                         fabric::ThrottleMode::kCredit);
+  std::vector<std::pair<uint64_t, IoStatus>> log;
+  for (int i = 0; i < 10; ++i) SubmitLogged(init, log);
+  rig.sim.Run();
+  EXPECT_EQ(init.inflight(), 8u);
+  EXPECT_EQ(init.queued(), 2u);
+  EXPECT_EQ(rig.policy->held(), 8u);
+
+  // Each completion frees one credit, which issues the next queued IO.
+  for (uint64_t id : {5, 2, 8}) {
+    rig.policy->Complete(id);
+    rig.sim.Run();
+  }
+  EXPECT_EQ(Ids(log), (std::vector<uint64_t>{5, 2, 8}));
+  EXPECT_EQ(init.inflight(), 7u);
+  EXPECT_EQ(init.queued(), 0u);
+  EXPECT_EQ(rig.policy->held(), 7u);
+
+  // The oldest IO last: the window drains through its holes.
+  for (uint64_t id : {9, 3, 10, 4, 6, 7, 1}) {
+    rig.policy->Complete(id);
+    rig.sim.Run();
+  }
+  EXPECT_EQ(Ids(log),
+            (std::vector<uint64_t>{5, 2, 8, 9, 3, 10, 4, 6, 7, 1}));
+  for (const auto& [id, status] : log) EXPECT_EQ(status, IoStatus::kOk);
+  EXPECT_EQ(init.inflight(), 0u);
+  EXPECT_EQ(init.queued(), 0u);
+  EXPECT_EQ(init.late_completions(), 0u);
+}
+
+TEST(Initiator, TimeoutRetriesTheSameIdAndCountsTheLateDuplicate) {
+  HoldRig rig;
+  fabric::RetryParams retry;
+  retry.io_timeout = Microseconds(100);
+  retry.backoff_base = Microseconds(50);
+  fabric::Initiator init(rig.sim, rig.net, rig.target, 0, 1,
+                         fabric::ThrottleMode::kNone, {}, retry);
+  std::vector<std::pair<uint64_t, IoStatus>> log;
+  SubmitLogged(init, log);
+  // Times out at 100 us and retransmits after a 50 us backoff.
+  rig.sim.RunUntil(Microseconds(200));
+  EXPECT_EQ(init.timeouts(), 0u);
+  EXPECT_EQ(init.retries(), 1u);
+  EXPECT_EQ(init.inflight(), 1u);
+  EXPECT_EQ(rig.policy->held(), 2u);  // both transmissions of id 1
+
+  rig.policy->Complete(1);  // either copy completes the IO
+  rig.sim.Run();            // and cancels the retry's timeout
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0], std::make_pair(uint64_t{1}, IoStatus::kOk));
+  EXPECT_EQ(init.inflight(), 0u);
+  EXPECT_EQ(init.late_completions(), 0u);
+
+  rig.policy->Complete(1);  // the duplicate is counted and dropped
+  rig.sim.Run();
+  EXPECT_EQ(log.size(), 1u);
+  EXPECT_EQ(init.late_completions(), 1u);
+  EXPECT_EQ(init.timeouts(), 0u);
+}
+
+TEST(Initiator, CrashFailsQueuedInFifoOrderThenIssuedByAscendingId) {
+  HoldRig rig;
+  fabric::Initiator init(rig.sim, rig.net, rig.target, 0, 1,
+                         fabric::ThrottleMode::kCredit);
+  std::vector<std::pair<uint64_t, IoStatus>> log;
+  for (int i = 0; i < 12; ++i) SubmitLogged(init, log);
+  rig.sim.Run();
+  // Ids 1-8 issued; 2 and 5 complete, which issues 9 and 10.
+  rig.policy->Complete(2);
+  rig.sim.Run();
+  rig.policy->Complete(5);
+  rig.sim.Run();
+  EXPECT_EQ(init.inflight(), 8u);
+  EXPECT_EQ(init.queued(), 2u);
+
+  init.Crash();
+  EXPECT_EQ(init.inflight(), 0u);
+  EXPECT_EQ(init.queued(), 0u);
+  rig.sim.Run();
+  EXPECT_EQ(Ids(log), (std::vector<uint64_t>{2, 5,               // ok
+                                             11, 12,             // queued
+                                             1, 3, 4, 6, 7, 8,   // issued
+                                             9, 10}));
+  for (size_t i = 2; i < log.size(); ++i) {
+    EXPECT_EQ(log[i].second, IoStatus::kAborted) << "id " << log[i].first;
+  }
+  // A completion still arriving for a crashed session's IO is late.
+  rig.policy->Complete(3);
+  rig.sim.Run();
+  EXPECT_EQ(log.size(), 12u);
+  EXPECT_EQ(init.late_completions(), 1u);
+}
+
+TEST(Initiator, ShutdownDuringBackoffAbortsTheIo) {
+  HoldRig rig;
+  fabric::RetryParams retry;
+  retry.io_timeout = Microseconds(100);
+  retry.backoff_base = Microseconds(50);
+  fabric::Initiator init(rig.sim, rig.net, rig.target, 0, 1,
+                         fabric::ThrottleMode::kNone, {}, retry);
+  std::vector<std::pair<uint64_t, IoStatus>> log;
+  SubmitLogged(init, log);
+  rig.sim.RunUntil(Microseconds(120));  // timed out; backoff until 150 us
+  EXPECT_EQ(init.retries(), 1u);
+  EXPECT_EQ(init.inflight(), 1u);
+  init.Shutdown();
+  EXPECT_EQ(init.inflight(), 1u);  // the backoff still owns it
+  rig.sim.Run();
+  ASSERT_EQ(log.size(), 1u);
+  EXPECT_EQ(log[0], std::make_pair(uint64_t{1}, IoStatus::kAborted));
+  EXPECT_EQ(init.inflight(), 0u);
+  EXPECT_EQ(rig.policy->held(), 1u);  // never retransmitted
+  EXPECT_EQ(rig.sim.pending_events(), 0u);
+}
+
+TEST(Initiator, StragglerGrowsTheWindowOnceAndItIsReused) {
+  HoldRig rig;
+  fabric::Initiator init(rig.sim, rig.net, rig.target, 0, 1);
+  EXPECT_EQ(init.window_capacity(), 0u);  // nothing until the first IO
+  uint64_t done = 0;
+  auto count = [&done](const IoCompletion&, Tick) { ++done; };
+  uint64_t next = 1;
+  for (int round = 0; round < 2; ++round) {
+    // One straggler, then 100 IOs that all complete while it holds the
+    // front: the window spans 101 ids.
+    const uint64_t straggler = next;
+    for (int i = 0; i <= 100; ++i) {
+      init.Submit(IoType::kRead, 0, 4096, IoPriority::kNormal, count);
+    }
+    next += 101;
+    rig.sim.Run();
+    for (uint64_t id = straggler + 1; id < next; ++id) {
+      rig.policy->Complete(id);
+    }
+    rig.sim.Run();
+    EXPECT_EQ(init.inflight(), 1u);
+    EXPECT_EQ(init.window_capacity(), 128u) << "round " << round;
+    rig.policy->Complete(straggler);
+    rig.sim.Run();
+    EXPECT_EQ(init.inflight(), 0u);
+  }
+  EXPECT_EQ(done, 202u);
+  EXPECT_EQ(init.window_capacity(), 128u);
 }
 
 // ---------------------------------------------------------------------------

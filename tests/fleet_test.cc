@@ -11,10 +11,13 @@
 //     disconnect path forgot to clear);
 //   * SLO export — the tracker's p99/p99.9 gauges and violation counters
 //     appear in the metrics JSON under their documented names;
+//   * pinned totals — a small churning fleet's TotalStats(), SLO window
+//     counts, connects and trace digest are pinned to recorded values;
 //   * idle-tenant heap — a registered tenant or connected initiator that
 //     never queues an IO costs its own struct plus index bookkeeping, not
-//     a preallocated queue buffer, and a closed session leaves nothing in
-//     the invariant checker.
+//     a preallocated queue buffer; an active fleet seat costs its
+//     initiator and worker plus one window slot, not per-seat stats; and
+//     a closed session leaves nothing in the invariant checker.
 #include <gtest/gtest.h>
 #include <malloc.h>
 
@@ -33,6 +36,7 @@
 #include "obs/obs.h"
 #include "obs/schema.h"
 #include "workload/fleet.h"
+#include "workload/openloop.h"
 #include "workload/runner.h"
 
 namespace gimbal::workload {
@@ -137,6 +141,114 @@ TEST(FleetChurn, StormDrainsCleanAndIsDeterministic) {
   EXPECT_EQ(a.digest, b.digest) << "same storm, different trace";
 }
 
+// A small churning fleet of reads and writes whose heavy Pareto seats
+// shed arrivals now and then (max_outstanding 2) and whose SLO windows
+// are tracked.
+FleetSpec PinnedSpec() {
+  FleetSpec fs;
+  fs.sessions = 400;
+  fs.rates.dist = RateDist::kPareto;
+  fs.rates.mean_iops = 500.0;
+  fs.rates.max_multiple = 10.0;
+  fs.read_ratio = 0.7;
+  fs.max_outstanding = 2;
+  fs.session_lifetime_mean = Milliseconds(4);
+  fs.rampup = Milliseconds(1);
+  fs.seed = 7;
+  fs.slo.read_p99 = Microseconds(200);
+  fs.slo.write_p99 = Microseconds(200);
+  fs.slo.window = Milliseconds(1);
+  return fs;
+}
+
+// FNV-1a over everything TotalStats() reports.
+uint64_t TotalsHash(const OpenLoopFleet::Totals& t) {
+  uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](uint64_t v) { h = (h ^ v) * 1099511628211ull; };
+  const WorkerStats& s = t.stats;
+  mix(s.read_ios);
+  mix(s.write_ios);
+  mix(s.read_bytes);
+  mix(s.write_bytes);
+  mix(s.failed_ios);
+  mix(t.dropped);
+  for (const LatencyHistogram* hist : {&s.read_latency, &s.write_latency}) {
+    mix(hist->count());
+    mix(static_cast<uint64_t>(hist->sum()));
+    mix(static_cast<uint64_t>(hist->min()));
+    mix(static_cast<uint64_t>(hist->max()));
+    mix(static_cast<uint64_t>(hist->p50()));
+    mix(static_cast<uint64_t>(hist->p99()));
+    mix(static_cast<uint64_t>(hist->p999()));
+  }
+  return h;
+}
+
+struct PinnedRun {
+  uint64_t mid_totals = 0;  // TotalStats() with every seat live
+  uint64_t end_totals = 0;  // after Stop() and the drain
+  uint64_t slo_windows = 0;
+  uint64_t slo_violated = 0;
+  uint64_t connects = 0;
+  uint64_t digest = 0;
+  OpenLoopFleet::Totals end;
+};
+
+PinnedRun RunPinnedFleet(bool observed) {
+  obs::Observability obs;
+  obs.tracer.Enable(1u << 20);
+  TestbedConfig cfg = ChurnConfig(observed ? &obs : nullptr);
+  // Every issued IO arms a timeout that its completion cancels.
+  cfg.retry.io_timeout = Milliseconds(2);
+  Testbed bed(cfg);
+  OpenLoopFleet fleet(bed, PinnedSpec());
+  fleet.Start();
+  bed.sim().RunUntil(Milliseconds(20));
+  PinnedRun r;
+  r.mid_totals = TotalsHash(fleet.TotalStats());
+  fleet.Stop();
+  bed.sim().Run();
+  EXPECT_EQ(fleet.SweepGraveyard(), 0u);
+  EXPECT_TRUE(bed.checker().CheckDrained());
+  r.end = fleet.TotalStats();
+  r.end_totals = TotalsHash(r.end);
+  fleet.slo().FinalizeWindows();
+  r.slo_windows = fleet.slo().windows();
+  r.slo_violated = fleet.slo().windows_violated();
+  r.connects = fleet.connects();
+  r.digest = obs.tracer.Digest();
+  EXPECT_EQ(obs.tracer.dropped(), 0u);
+  return r;
+}
+
+// The fleet's client-side accounting must not drift when the initiator's
+// in-flight bookkeeping or the workers' stats plumbing is reorganised: the
+// expected values were recorded from the per-IO hash map initiator with
+// per-worker stats merged on demand.
+TEST(FleetTotals, ArePinned) {
+  const PinnedRun r = RunPinnedFleet(/*observed=*/true);
+  // Not vacuous: reads, writes and shed arrivals all happened.
+  EXPECT_GT(r.end.stats.read_ios, 0u);
+  EXPECT_GT(r.end.stats.write_ios, 0u);
+  EXPECT_GT(r.end.dropped, 0u);
+  EXPECT_GT(r.slo_violated, 0u);
+  EXPECT_EQ(r.mid_totals, 9145494755795520813ull);
+  // Stop() retires every seat at once and a retired session's tail is not
+  // counted (ROADMAP item 11), so the drain adds nothing.
+  EXPECT_EQ(r.end_totals, 9145494755795520813ull);
+  EXPECT_EQ(r.slo_windows, 2529u);
+  EXPECT_EQ(r.slo_violated, 801u);
+  EXPECT_EQ(r.connects, 2314u);
+  EXPECT_EQ(r.digest, 5334092767439847897ull);
+  // Observability changes nothing the fleet counts.
+  const PinnedRun bare = RunPinnedFleet(/*observed=*/false);
+  EXPECT_EQ(bare.mid_totals, r.mid_totals);
+  EXPECT_EQ(bare.end_totals, r.end_totals);
+  EXPECT_EQ(bare.slo_windows, r.slo_windows);
+  EXPECT_EQ(bare.slo_violated, r.slo_violated);
+  EXPECT_EQ(bare.connects, r.connects);
+}
+
 TEST(DrrScheduler, DisconnectReapsWeightedTenant) {
   // Regression: the service weight used to live in a side map that
   // Disconnect never erased, so a weighted tenant leaked an entry per
@@ -207,6 +319,66 @@ TEST(IdleTenantHeap, IdleInitiatorCostsItsStateOnly) {
   EXPECT_LE(per_init, sizeof(fabric::Initiator) + kSessionSlack)
       << "sizeof(Initiator) = " << sizeof(fabric::Initiator);
   EXPECT_EQ(inits.back()->queued(), 0u);
+}
+
+TEST(IdleTenantHeap, ActiveSeatCostsItsStructsOnly) {
+  // A fleet seat that has completed IOs and has one in flight: its
+  // initiator's window holds one slot and its worker records into the
+  // shared sink. Regression: each seat once kept its own WorkerStats (a
+  // histogram row per latency band it saw) and its initiator a hash map
+  // node and bucket array per in-flight IO next to the queue's buffer.
+  TestbedConfig cfg;
+  cfg.scheme = Scheme::kVanilla;
+  cfg.use_null_device = true;
+  Testbed bed(cfg);
+  OpenLoopSink sink;
+  OpenLoopSpec spec;
+  spec.offered_iops = 1e8;  // arrivals every ~10 ns...
+  spec.max_outstanding = 1;  // ...all shed but one
+  spec.region_bytes = bed.device(0).capacity_bytes();
+  struct Seat {
+    std::unique_ptr<fabric::Initiator> init;
+    std::unique_ptr<OpenLoopWorker> worker;
+  };
+  std::vector<Seat> seats;
+  seats.reserve(kIdleTenants);
+  // Starts every worker, lets each issue its one IO, and stops them.
+  auto one_io_each = [&]() {
+    for (Seat& s : seats) s.worker->Start();
+    bed.sim().RunUntil(bed.sim().now() + Nanoseconds(200));
+    for (Seat& s : seats) s.worker->Stop();
+  };
+  const size_t before = HeapInUseBytes();
+  for (int i = 0; i < kIdleTenants; ++i) {
+    Seat s;
+    s.init = bed.MakeInitiator(0, static_cast<TenantId>(1000 + i),
+                               fabric::ConnectMode::kDirect);
+    spec.seed = static_cast<uint64_t>(i) + 1;
+    s.worker =
+        std::make_unique<OpenLoopWorker>(bed.sim(), *s.init, spec, &sink);
+    seats.push_back(std::move(s));
+  }
+  one_io_each();
+  bed.sim().Run();  // every seat completes its IO
+  one_io_each();
+  const size_t per_seat = (HeapInUseBytes() - before) / kIdleTenants;
+  for (const Seat& s : seats) ASSERT_EQ(s.init->inflight(), 1u);
+  EXPECT_EQ(sink.stats.read_ios, static_cast<uint64_t>(kIdleTenants));
+  EXPECT_GT(sink.dropped, 0u);
+  // Slack, measured at ~790 B: two allocation headers; the target's
+  // session slot and the invariant checker's client and policy ledgers
+  // (~0.2 KiB); one window slot (an IoRequest, a callback and a timer
+  // handle: 104 B plus its header); and the event queue nodes (~0.15 KiB
+  // each) that held the seat's arrival timer and command capsule at the
+  // peak, with the node pool's doubling (~0.4 KiB). A per-seat histogram
+  // row alone is 0.25 KiB, a hash map node and bucket array per in-flight
+  // IO ~0.25 KiB.
+  constexpr size_t kActiveSlack = 896;
+  EXPECT_LE(per_seat, sizeof(fabric::Initiator) + sizeof(OpenLoopWorker) +
+                          kActiveSlack)
+      << "sizeof(Initiator) = " << sizeof(fabric::Initiator)
+      << ", sizeof(OpenLoopWorker) = " << sizeof(OpenLoopWorker);
+  bed.sim().Run();
 }
 
 TEST(IdleTenantHeap, ClosedSessionsLeaveNoCheckerLedgers) {

@@ -23,13 +23,14 @@ TEST(OpenLoop, OfferedRateApproximatelyDelivered) {
   OpenLoopSpec spec;
   spec.offered_iops = 20'000;
   spec.region_bytes = 1 << 30;
-  OpenLoopWorker w(bed.sim(), init, spec);
+  OpenLoopSink sink;
+  OpenLoopWorker w(bed.sim(), init, spec, &sink);
   w.Start();
   bed.sim().RunUntil(Seconds(1));
   w.Stop();
   // Null device absorbs everything: completions ~ arrivals ~ offered rate.
-  EXPECT_NEAR(static_cast<double>(w.stats().total_ios()), 20'000, 1'000);
-  EXPECT_EQ(w.dropped(), 0u);
+  EXPECT_NEAR(static_cast<double>(sink.stats.total_ios()), 20'000, 1'000);
+  EXPECT_EQ(sink.dropped, 0u);
 }
 
 TEST(OpenLoop, ArrivalsIndependentOfCompletions) {
@@ -44,11 +45,12 @@ TEST(OpenLoop, ArrivalsIndependentOfCompletions) {
   spec.offered_iops = 2'000'000;  // 5x the device's 4K read capacity
   spec.region_bytes = bed.device(0).capacity_bytes();
   spec.max_outstanding = 512;
-  OpenLoopWorker w(bed.sim(), init, spec);
+  OpenLoopSink sink;
+  OpenLoopWorker w(bed.sim(), init, spec, &sink);
   w.Start();
   bed.sim().RunUntil(Milliseconds(100));
   w.Stop();
-  EXPECT_GT(w.dropped(), 0u);
+  EXPECT_GT(sink.dropped, 0u);
   EXPECT_LE(w.outstanding(), 512u);
 }
 
@@ -62,10 +64,11 @@ TEST(OpenLoop, LatencyExplodesPastKnee) {
     OpenLoopSpec spec;
     spec.offered_iops = iops;
     spec.region_bytes = bed.device(0).capacity_bytes();
-    OpenLoopWorker w(bed.sim(), init, spec);
+    OpenLoopSink sink;
+    OpenLoopWorker w(bed.sim(), init, spec, &sink);
     w.Start();
     bed.sim().RunUntil(Milliseconds(400));
-    return w.stats().read_latency.p99();
+    return sink.stats.read_latency.p99();
   };
   // Device 4K read capacity ~400K IOPS: 200K is comfortable, 500K is past
   // the knee — open-loop latency must blow up by an order of magnitude.
