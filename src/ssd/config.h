@@ -80,6 +80,10 @@ struct SsdConfig {
   uint32_t read_unit_bytes() const { return read_unit_pages * page_bytes; }
   uint32_t program_unit_bytes() const { return program_unit_pages * page_bytes; }
 
+  // Field by field, so a memo keyed on the config (Ssd's fragmented
+  // images) cannot miss a field added later.
+  bool operator==(const SsdConfig&) const = default;
+
   static SsdConfig SamsungDct983Like() { return SsdConfig{}; }
 
   static SsdConfig IntelP3600Like() {

@@ -248,20 +248,26 @@ int Ftl::NextWriteDie() {
   return write_die_cursor_;
 }
 
+void Ftl::RequireFresh(const char* caller) const {
+  // Every mapping goes through an open block, so an FTL with none has
+  // mapped nothing.
+  bool fresh = write_die_cursor_ == 0 && write_die_budget_ == 0;
+  for (const int32_t open : open_block_) fresh = fresh && open < 0;
+  if (!fresh) {
+    std::fprintf(stderr,
+                 "Ftl: %s needs a fresh FTL (no mapped LPN, open block or "
+                 "moved write cursor)\n",
+                 caller);
+    std::abort();
+  }
+}
+
 void Ftl::PreconditionSequential() {
   // The layout below is the one a page-by-page fill (NextWriteDie, the GC
   // check and AllocateOnDie per page) leaves on a fresh FTL: free lists in
-  // block order, erase counts all 0, nothing mapped. Every mapping goes
-  // through an open block, so an FTL with none has mapped nothing.
+  // block order, erase counts all 0, nothing mapped.
+  RequireFresh("PreconditionSequential");
   const int dies = config_.dies();
-  bool fresh = write_die_cursor_ == 0 && write_die_budget_ == 0;
-  for (int d = 0; d < dies; ++d) fresh = fresh && open_block_[d] < 0;
-  if (!fresh) {
-    std::fprintf(stderr,
-                 "Ftl: PreconditionSequential needs a fresh FTL (no mapped "
-                 "LPN, open block or moved write cursor)\n");
-    std::abort();
-  }
   // Unit u holds LPNs [u * unit, (u + 1) * unit), the last one possibly
   // partial, and lands on die (u + 1) % dies: the cursor steps before its
   // first unit. So die d holds units first, first + dies, ... with
@@ -370,6 +376,57 @@ void Ftl::PreconditionRandom(double overwrite_factor, uint64_t seed) {
                     : 0;
   }
   stats_ = Stats{};
+}
+
+Ftl::Image Ftl::Snapshot() const {
+  Image image;
+  image.pages_per_block = config_.pages_per_block;
+  image.l2p = l2p_;
+  image.write_ptr = write_ptr_;
+  image.erase_count = erase_count_;
+  image.free_blocks = free_blocks_;
+  image.open_block = open_block_;
+  image.stats = stats_;
+  image.write_die_cursor = write_die_cursor_;
+  image.write_die_budget = write_die_budget_;
+  return image;
+}
+
+void Ftl::Restore(const Image& image) {
+  RequireFresh("Restore");
+  if (image.pages_per_block != config_.pages_per_block ||
+      image.l2p.size() != l2p_.size() ||
+      image.write_ptr.size() != write_ptr_.size() ||
+      image.open_block.size() != open_block_.size()) {
+    std::fprintf(stderr,
+                 "Ftl: image of %zu LPNs and %zu blocks of %u pages on %zu "
+                 "dies does not match this FTL's %zu LPNs and %zu blocks of "
+                 "%u pages on %zu dies\n",
+                 image.l2p.size(), image.write_ptr.size(),
+                 image.pages_per_block, image.open_block.size(), l2p_.size(),
+                 write_ptr_.size(), config_.pages_per_block,
+                 open_block_.size());
+    std::abort();
+  }
+  l2p_ = image.l2p;
+  write_ptr_ = image.write_ptr;
+  erase_count_ = image.erase_count;
+  free_blocks_ = image.free_blocks;
+  open_block_ = image.open_block;
+  stats_ = image.stats;
+  write_die_cursor_ = image.write_die_cursor;
+  write_die_budget_ = image.write_die_budget;
+  // A fresh FTL's reverse map is all kInvalidPage and its valid counts 0;
+  // every mapped LPN claims its physical page back.
+  for (Lpn lpn = 0; lpn < l2p_.size(); ++lpn) {
+    const Ppn ppn = l2p_[lpn];
+    if (ppn == kInvalidPage) continue;
+    assert(BlockOf(ppn) < write_ptr_.size() &&
+           (ppn & (config_.pages_per_block - 1)) < write_ptr_[BlockOf(ppn)] &&
+           p2l_[ppn] == kInvalidPage);
+    p2l_[ppn] = lpn;
+    ++valid_count_[BlockOf(ppn)];
+  }
 }
 
 }  // namespace gimbal::ssd

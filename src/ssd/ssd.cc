@@ -1,10 +1,68 @@
 #include "ssd/ssd.h"
 
 #include <cassert>
+#include <mutex>
 
 #include "obs/schema.h"
 
 namespace gimbal::ssd {
+namespace {
+
+// One fragmented preconditioning result per key, built on first use and
+// never evicted. Entries are heap-allocated so a found image stays put
+// while other threads append.
+struct FragmentedImage {
+  SsdConfig config;
+  double overwrite_factor = 0;
+  uint64_t seed = 0;
+  Ftl::Image image;
+};
+
+struct FragmentedMemo {
+  std::mutex mu;
+  std::vector<std::unique_ptr<const FragmentedImage>> images;  // under mu
+
+  const FragmentedImage* Find(const SsdConfig& config,
+                              double overwrite_factor, uint64_t seed) const {
+    for (const auto& entry : images) {
+      if (entry->config == config &&
+          entry->overwrite_factor == overwrite_factor && entry->seed == seed) {
+        return entry.get();
+      }
+    }
+    return nullptr;
+  }
+};
+
+FragmentedMemo& Memo() {
+  static FragmentedMemo memo;
+  return memo;
+}
+
+}  // namespace
+
+void Ssd::PreconditionFragmented(double overwrite_factor, uint64_t seed) {
+  FragmentedMemo& memo = Memo();
+  const FragmentedImage* found = nullptr;
+  {
+    std::lock_guard lock(memo.mu);
+    found = memo.Find(config_, overwrite_factor, seed);
+  }
+  if (found) {
+    ftl_.Restore(found->image);
+    return;
+  }
+  // Built outside the lock, so devices of different keys fragment in
+  // parallel. Two threads that race on one key build the same state, and
+  // the first to finish keeps its image.
+  ftl_.PreconditionRandom(overwrite_factor, seed);
+  auto entry = std::make_unique<const FragmentedImage>(FragmentedImage{
+      config_, overwrite_factor, seed, ftl_.Snapshot()});
+  std::lock_guard lock(memo.mu);
+  if (!memo.Find(config_, overwrite_factor, seed)) {
+    memo.images.push_back(std::move(entry));
+  }
+}
 
 void Ssd::AttachObservability(obs::Observability* obs, int ssd_index) {
   obs_ = obs;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "ftl_state_hash.h"
 #include "ssd/ftl.h"
 
 namespace gimbal::ssd {
@@ -325,101 +326,106 @@ TEST(Ftl, StatsAccounting) {
   EXPECT_NEAR(ftl.stats().WriteAmplification(), 2.0, 1e-9);
 }
 
-// FNV-1a over everything a preconditioned FTL exposes: the full mapping,
-// per-block valid and erase counts, per-die free-block counts, the stats,
-// and the PPNs the next 8 allocations on every die receive (taken on a copy,
-// so they pin the free-list order and the wear-levelling pick without
-// disturbing `ftl`).
-uint64_t StateHash(const Ftl& ftl) {
-  const SsdConfig& c = ftl.config();
-  uint64_t h = 14695981039346656037ull;
-  auto mix = [&h](uint64_t v) { h = (h ^ v) * 1099511628211ull; };
-  for (Lpn l = 0; l < c.logical_pages(); ++l) mix(ftl.Translate(l));
-  for (uint32_t b = 0; b < c.physical_blocks(); ++b) {
-    mix(ftl.ValidPages(b));
-    mix(ftl.EraseCount(b));
-  }
-  for (int d = 0; d < c.dies(); ++d) {
-    mix(static_cast<uint64_t>(ftl.FreeBlocks(d)));
-  }
-  mix(ftl.stats().host_pages_written);
-  mix(ftl.stats().gc_pages_relocated);
-  mix(ftl.stats().blocks_erased);
-  Ftl probe = ftl;
-  for (int d = 0; d < c.dies(); ++d) {
-    for (Lpn i = 0; i < 8; ++i) {
-      Lpn lpn = (static_cast<Lpn>(d) * 8 + i) % c.logical_pages();
-      mix(probe.AllocateOnDie(lpn, d));
-    }
-  }
-  return h;
-}
-
 // The preconditioned state, and the state after further GC-driven
 // overwrites, must not drift: every golden figure and benchmark model
 // metric starts from it. The expected hashes were recorded from the
 // per-page relocation and per-page host-write paths.
+struct PinnedCase {
+  int channels;
+  int dies_per_channel;
+  uint32_t pages_per_block;
+  uint64_t logical_mb;
+  double overwrite_factor;
+  uint64_t preconditioned;
+  uint64_t overwritten;
+  uint32_t program_unit_pages = 4;
+  bool p3600 = false;
+};
+const PinnedCase kPinnedCases[] = {
+    // Default geometry at the benches' capacities.
+    {8, 4, 128, 256, 3.0,
+     5822728655678711177ull, 11782001301097393080ull},
+    {8, 4, 128, 512, 3.0,
+     6643617824194146886ull, 2836755773419283562ull},
+    // The GeometrySweep geometries (property_sweep_test.cc).
+    {2, 2, 64, 64, 2.0,
+     3566351673454484078ull, 1443142606985271476ull},
+    {4, 4, 128, 128, 2.0,
+     7221530404202578170ull, 9784381469766902372ull},
+    {8, 4, 128, 256, 2.0,
+     5943034321959177375ull, 6059682061455256512ull},
+    {8, 8, 64, 256, 2.0,
+     6911384586588380937ull, 771501335438343357ull},
+    {1, 4, 128, 64, 2.0,
+     18205322116397172287ull, 3973338093374026219ull},
+    // The P3600-like device (25% over-provisioning).
+    {8, 4, 128, 256, 3.0,
+     8370872436441260398ull, 3273658707949685160ull, 4, true},
+    // Wider program units; 3 pages do not divide a 128-page block.
+    {8, 4, 128, 128, 3.0,
+     15628741775128311239ull, 10663072752823164054ull, 8},
+    {8, 4, 128, 128, 3.0,
+     4527904801808629113ull, 13846383886870114599ull, 3},
+};
+
+SsdConfig ConfigOf(const PinnedCase& k) {
+  SsdConfig c = k.p3600 ? SsdConfig::IntelP3600Like() : SsdConfig{};
+  c.program_unit_pages = k.program_unit_pages;
+  c.channels = k.channels;
+  c.dies_per_channel = k.dies_per_channel;
+  c.pages_per_block = k.pages_per_block;
+  c.logical_bytes = k.logical_mb << 20;
+  return c;
+}
+
+::testing::Message Describe(const PinnedCase& k) {
+  return ::testing::Message()
+         << k.channels << "x" << k.dies_per_channel << " ppb "
+         << k.pages_per_block << " " << k.logical_mb << " MiB x"
+         << k.overwrite_factor << " unit " << k.program_unit_pages
+         << (k.p3600 ? " P3600" : "");
+}
+
+// 100k uniform random host writes with the GC checks a device makes.
+void OverwriteRandomly(Ftl& ftl) {
+  Rng rng(7);
+  const uint32_t pages = ftl.config().logical_pages();
+  for (int i = 0; i < 100000; ++i) {
+    Lpn lpn = static_cast<Lpn>(rng.NextBounded(pages));
+    int die = ftl.NextWriteDie();
+    if (!ftl.CanAllocate(die) || ftl.NeedsGc(die)) ftl.GcSynchronous(die);
+    ftl.AllocateOnDie(lpn, die);
+  }
+}
+
 TEST(Ftl, PreconditionedStateIsPinned) {
-  struct Case {
-    int channels;
-    int dies_per_channel;
-    uint32_t pages_per_block;
-    uint64_t logical_mb;
-    double overwrite_factor;
-    uint64_t preconditioned;
-    uint64_t overwritten;
-    uint32_t program_unit_pages = 4;
-    bool p3600 = false;
-  };
-  const Case cases[] = {
-      // Default geometry at the benches' capacities.
-      {8, 4, 128, 256, 3.0,
-       5822728655678711177ull, 11782001301097393080ull},
-      {8, 4, 128, 512, 3.0,
-       6643617824194146886ull, 2836755773419283562ull},
-      // The GeometrySweep geometries (property_sweep_test.cc).
-      {2, 2, 64, 64, 2.0,
-       3566351673454484078ull, 1443142606985271476ull},
-      {4, 4, 128, 128, 2.0,
-       7221530404202578170ull, 9784381469766902372ull},
-      {8, 4, 128, 256, 2.0,
-       5943034321959177375ull, 6059682061455256512ull},
-      {8, 8, 64, 256, 2.0,
-       6911384586588380937ull, 771501335438343357ull},
-      {1, 4, 128, 64, 2.0,
-       18205322116397172287ull, 3973338093374026219ull},
-      // The P3600-like device (25% over-provisioning).
-      {8, 4, 128, 256, 3.0,
-       8370872436441260398ull, 3273658707949685160ull, 4, true},
-      // Wider program units; 3 pages do not divide a 128-page block.
-      {8, 4, 128, 128, 3.0,
-       15628741775128311239ull, 10663072752823164054ull, 8},
-      {8, 4, 128, 128, 3.0,
-       4527904801808629113ull, 13846383886870114599ull, 3},
-  };
-  for (const Case& k : cases) {
-    SCOPED_TRACE(::testing::Message()
-                 << k.channels << "x" << k.dies_per_channel << " ppb "
-                 << k.pages_per_block << " " << k.logical_mb << " MiB x"
-                 << k.overwrite_factor << " unit " << k.program_unit_pages
-                 << (k.p3600 ? " P3600" : ""));
-    SsdConfig c = k.p3600 ? SsdConfig::IntelP3600Like() : SsdConfig{};
-    c.program_unit_pages = k.program_unit_pages;
-    c.channels = k.channels;
-    c.dies_per_channel = k.dies_per_channel;
-    c.pages_per_block = k.pages_per_block;
-    c.logical_bytes = k.logical_mb << 20;
-    Ftl ftl(c);
+  for (const PinnedCase& k : kPinnedCases) {
+    SCOPED_TRACE(Describe(k));
+    Ftl ftl(ConfigOf(k));
     ftl.PreconditionRandom(k.overwrite_factor, 42);
     EXPECT_EQ(StateHash(ftl), k.preconditioned);
-    Rng rng(7);
-    const uint32_t pages = c.logical_pages();
-    for (int i = 0; i < 100000; ++i) {
-      Lpn lpn = static_cast<Lpn>(rng.NextBounded(pages));
-      int die = ftl.NextWriteDie();
-      if (!ftl.CanAllocate(die) || ftl.NeedsGc(die)) ftl.GcSynchronous(die);
-      ftl.AllocateOnDie(lpn, die);
+    OverwriteRandomly(ftl);
+    EXPECT_EQ(StateHash(ftl), k.overwritten);
+  }
+}
+
+// A snapshot restored into a fresh FTL must be the preconditioned state
+// itself: the same pins, and the same state after the same overwrites, so
+// every GC of those overwrites reads the rebuilt reverse map and valid
+// counts.
+TEST(Ftl, ImageRoundTripIsPinned) {
+  for (const PinnedCase& k : kPinnedCases) {
+    SCOPED_TRACE(Describe(k));
+    Ftl::Image image;
+    {
+      Ftl source(ConfigOf(k));
+      source.PreconditionRandom(k.overwrite_factor, 42);
+      image = source.Snapshot();
     }
+    Ftl ftl(ConfigOf(k));
+    ftl.Restore(image);
+    EXPECT_EQ(StateHash(ftl), k.preconditioned);
+    OverwriteRandomly(ftl);
     EXPECT_EQ(StateHash(ftl), k.overwritten);
   }
 }
@@ -554,6 +560,49 @@ TEST(FtlDeathTest, PreconditionNeedsAFreshFtl) {
     ftl.NextWriteDie();
     EXPECT_DEATH(ftl.PreconditionSequential(), kNotFresh);
   }
+}
+
+// Restore keeps PreconditionRandom's contract: it rebuilds a whole state,
+// so it must not land on top of one.
+TEST(FtlDeathTest, RestoreNeedsAFreshFtl) {
+  Ftl source(TinyConfig());
+  source.PreconditionRandom(1.0);
+  const Ftl::Image image = source.Snapshot();
+  const char* const kNotFresh = "Restore needs a fresh FTL";
+  {
+    Ftl ftl(TinyConfig());
+    ftl.AllocateOnDie(7, 1);
+    EXPECT_DEATH(ftl.Restore(image), kNotFresh);
+  }
+  {
+    Ftl ftl(TinyConfig());
+    ftl.Restore(image);
+    EXPECT_DEATH(ftl.Restore(image), kNotFresh);
+  }
+  {
+    Ftl ftl(TinyConfig());
+    ftl.NextWriteDie();
+    EXPECT_DEATH(ftl.Restore(image), kNotFresh);
+  }
+}
+
+// An image maps pages of its own geometry only.
+TEST(FtlDeathTest, RestoreRejectsAnImageOfAnotherGeometry) {
+  Ftl source(TinyConfig());
+  source.PreconditionRandom(1.0);
+  const Ftl::Image image = source.Snapshot();
+  SsdConfig bigger = TinyConfig();
+  bigger.logical_bytes *= 2;
+  Ftl ftl(bigger);
+  EXPECT_DEATH(ftl.Restore(image),
+               "image of 512 LPNs and 56 blocks of 16 pages on 4 dies does "
+               "not match this FTL's 1024 LPNs and 96 blocks of 16 pages on "
+               "4 dies");
+  SsdConfig wider = TinyConfig();
+  wider.pages_per_block = 32;
+  wider.logical_bytes *= 2;  // the same block count, of twice the pages
+  Ftl other(wider);
+  EXPECT_DEATH(other.Restore(image), "does not match this FTL's");
 }
 
 TEST(Ftl, NextWriteDieAdvancesPerProgramUnit) {

@@ -6,11 +6,13 @@
 #include <algorithm>
 #include <functional>
 #include <memory>
+#include <thread>
 #include <utility>
 #include <vector>
 
 #include "common/histogram.h"
 #include "common/rng.h"
+#include "ftl_state_hash.h"
 #include "sim/simulator.h"
 #include "ssd/null_device.h"
 #include "ssd/ssd.h"
@@ -348,6 +350,93 @@ TEST(Ssd, CollectValidMatchesTheMappingAfterGc) {
   sim.RunUntil(Seconds(0.3));
   ASSERT_GT(dev.ftl().stats().blocks_erased, 0u);
   ExpectReverseMapMatchesForward(dev.ftl());
+}
+
+// The fragmented state a key's first PreconditionFragmented builds, and
+// every later one restores, must be the state a fresh FTL reaches by
+// PreconditionRandom. The seeds are used by no other test, so the first
+// call of each key is a cold build even with every suite in one process.
+SsdConfig MemoConfig() {
+  SsdConfig c;
+  c.channels = 2;
+  c.dies_per_channel = 2;
+  c.pages_per_block = 64;
+  c.logical_bytes = 16ull << 20;
+  return c;
+}
+
+uint64_t ColdHash(const SsdConfig& c, double overwrite_factor,
+                  uint64_t seed) {
+  Ftl ftl(c);
+  ftl.PreconditionRandom(overwrite_factor, seed);
+  return StateHash(ftl);
+}
+
+uint64_t DeviceHash(const SsdConfig& c, double overwrite_factor,
+                    uint64_t seed) {
+  sim::Simulator sim;
+  Ssd dev(sim, c);
+  dev.PreconditionFragmented(overwrite_factor, seed);
+  return StateHash(dev.ftl());
+}
+
+TEST(Ssd, PreconditionFragmentedRestoresOnlyItsOwnKey) {
+  const SsdConfig base = MemoConfig();
+  const uint64_t kSeed = 0x5eed0001;
+  const uint64_t cold = ColdHash(base, 2.0, kSeed);
+  EXPECT_EQ(DeviceHash(base, 2.0, kSeed), cold);  // builds the image
+  EXPECT_EQ(DeviceHash(base, 2.0, kSeed), cold);  // restores it
+  // Keys that differ in one part each; the base key's image is warm.
+  std::vector<std::pair<const char*, SsdConfig>> configs;
+  auto vary = [&](const char* what, auto change) {
+    SsdConfig c = base;
+    change(c);
+    configs.push_back({what, c});
+  };
+  vary("over_provisioning", [](SsdConfig& c) { c.over_provisioning = 0.2; });
+  vary("program_unit_pages", [](SsdConfig& c) { c.program_unit_pages = 8; });
+  vary("gc_high_watermark", [](SsdConfig& c) { c.gc_high_watermark = 5; });
+  vary("gc_low_watermark", [](SsdConfig& c) { c.gc_low_watermark = 2; });
+  for (const auto& [what, c] : configs) {
+    SCOPED_TRACE(what);
+    const uint64_t own = ColdHash(c, 2.0, kSeed);
+    EXPECT_NE(own, cold);
+    EXPECT_EQ(DeviceHash(c, 2.0, kSeed), own);
+    EXPECT_EQ(DeviceHash(c, 2.0, kSeed), own);
+  }
+  const uint64_t other_seed = ColdHash(base, 2.0, kSeed + 1);
+  EXPECT_NE(other_seed, cold);
+  EXPECT_EQ(DeviceHash(base, 2.0, kSeed + 1), other_seed);
+  const uint64_t other_factor = ColdHash(base, 1.5, kSeed);
+  EXPECT_NE(other_factor, cold);
+  EXPECT_EQ(DeviceHash(base, 1.5, kSeed), other_factor);
+  EXPECT_EQ(DeviceHash(base, 2.0, kSeed), cold);
+}
+
+// Two threads per key race on its cold build and then restore it; every
+// device must reach the cold state whichever thread's image was kept.
+TEST(Ssd, ConcurrentPreconditioningMatchesTheColdBuild) {
+  const SsdConfig c = MemoConfig();
+  const uint64_t kSeeds[] = {0x5eed0101, 0x5eed0102};
+  const uint64_t cold[] = {ColdHash(c, 2.0, kSeeds[0]),
+                           ColdHash(c, 2.0, kSeeds[1])};
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 3;
+  uint64_t hashes[kThreads][kRounds] = {};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        hashes[t][r] = DeviceHash(c, 2.0, kSeeds[t % 2]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) {
+    for (int r = 0; r < kRounds; ++r) {
+      EXPECT_EQ(hashes[t][r], cold[t % 2]) << "thread " << t << " round " << r;
+    }
+  }
 }
 
 TEST(NullDevice, CompletesInstantly) {
