@@ -16,6 +16,16 @@ void FlashFqPolicy::OnRequest(const IoRequest& req) {
   Pump();
 }
 
+void FlashFqPolicy::OnTenantDisconnect(TenantId tenant) {
+  auto it = flows_.find(tenant);
+  if (it == flows_.end()) return;
+  common::Fifo<Tagged> queued = std::move(it->second.queue);
+  flows_.erase(it);
+  for (; !queued.empty(); queued.pop_front()) {
+    FailRequest(queued.front().req, IoStatus::kAborted);
+  }
+}
+
 void FlashFqPolicy::Pump() {
   while (outstanding_ < params_.depth) {
     // Pick the backlogged flow with the smallest head start tag.
@@ -64,8 +74,10 @@ void FlashFqPolicy::OnDeviceCompletion(const IoRequest& req,
                                        const ssd::DeviceCompletion& dc,
                                        uint64_t /*tag*/) {
   --outstanding_;
-  Flow& f = flows_[req.tenant];
-  f.last_completion = sim_.now();
+  // A disconnected tenant's flow is gone; its late completions must not
+  // re-create it.
+  auto it = flows_.find(req.tenant);
+  if (it != flows_.end()) it->second.last_completion = sim_.now();
   Deliver(req, dc);
   Pump();
 }

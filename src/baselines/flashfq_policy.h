@@ -2,8 +2,9 @@
 //
 // Start-time fair queueing with throttled dispatch — SFQ(D):
 //   * every request gets a start tag max(virtual_time, flow.last_finish)
-//     and a finish tag start + cost/weight, with a *linear* size-based
-//     cost model (writes cost a fixed multiple of reads);
+//     and a finish tag start + cost (all flows weigh the same), with a
+//     *linear* size-based cost model (writes cost a fixed multiple of
+//     reads);
 //   * at most D requests are outstanding at the device; dispatch picks the
 //     smallest start tag;
 //   * virtual time advances to the start tag of the last dispatched IO;
@@ -28,7 +29,6 @@ namespace gimbal::baselines {
 struct FlashFqParams {
   uint32_t depth = 32;              // D: outstanding IOs at the device
   double write_cost = 2.5;          // linear model: write multiplier
-  double weight = 1.0;              // all tenants equal
   Tick anticipation = Microseconds(150);  // idle-wait window
 };
 
@@ -39,9 +39,10 @@ class FlashFqPolicy : public core::PolicyBase {
       : PolicyBase(sim, device), params_(params) {}
 
   void OnRequest(const IoRequest& req) override;
+  // Fails the tenant's queued IOs (kAborted) and forgets its flow; its
+  // device-inflight IOs complete normally.
+  void OnTenantDisconnect(TenantId tenant) override;
   std::string name() const override { return "flashfq"; }
-
-  double virtual_time() const { return vtime_; }
 
  private:
   struct Tagged {
@@ -57,8 +58,7 @@ class FlashFqPolicy : public core::PolicyBase {
 
   double Cost(const IoRequest& req) const {
     double pages = static_cast<double>((req.length + 4095) / 4096);
-    return (req.type == IoType::kWrite ? params_.write_cost : 1.0) * pages /
-           params_.weight;
+    return (req.type == IoType::kWrite ? params_.write_cost : 1.0) * pages;
   }
 
   void OnDeviceCompletion(const IoRequest& req,

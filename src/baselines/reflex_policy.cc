@@ -14,6 +14,18 @@ void ReflexPolicy::OnRequest(const IoRequest& req) {
   Pump();
 }
 
+void ReflexPolicy::OnTenantDisconnect(TenantId tenant) {
+  auto it = flows_.find(tenant);
+  if (it == flows_.end()) return;
+  common::Fifo<IoRequest> queued = std::move(it->second.queue);
+  flows_.erase(it);
+  round_.erase(std::remove(round_.begin(), round_.end(), tenant),
+               round_.end());
+  for (; !queued.empty(); queued.pop_front()) {
+    FailRequest(queued.front(), IoStatus::kAborted);
+  }
+}
+
 void ReflexPolicy::RefillTokens() {
   Tick now = sim_.now();
   if (!refill_started_) {

@@ -38,6 +38,8 @@ class ReflexPolicy : public core::PolicyBase {
       : PolicyBase(sim, device), params_(params) {}
 
   void OnRequest(const IoRequest& req) override;
+  // Fails the tenant's queued IOs (kAborted) and forgets its flow.
+  void OnTenantDisconnect(TenantId tenant) override;
   std::string name() const override { return "reflex"; }
 
   double TokenCost(const IoRequest& req) const {

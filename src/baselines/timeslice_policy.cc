@@ -1,5 +1,7 @@
 #include "baselines/timeslice_policy.h"
 
+#include <algorithm>
+
 namespace gimbal::baselines {
 
 void TimeslicePolicy::OnRequest(const IoRequest& req) {
@@ -13,6 +15,23 @@ void TimeslicePolicy::OnRequest(const IoRequest& req) {
     StartSlice();
   } else {
     Pump();
+  }
+}
+
+void TimeslicePolicy::OnTenantDisconnect(TenantId tenant) {
+  auto it = flows_.find(tenant);
+  if (it == flows_.end()) return;
+  common::Fifo<IoRequest> queued = std::move(it->second.queue);
+  flows_.erase(it);
+  rotation_.erase(std::remove(rotation_.begin(), rotation_.end(), tenant),
+                  rotation_.end());
+  for (; !queued.empty(); queued.pop_front()) {
+    FailRequest(queued.front(), IoStatus::kAborted);
+  }
+  if (slice_active_ && current_ == tenant) {
+    slice_active_ = false;
+    current_ = 0;
+    StartSlice();
   }
 }
 

@@ -34,9 +34,10 @@ class TimeslicePolicy : public core::PolicyBase {
       : PolicyBase(sim, device), params_(params) {}
 
   void OnRequest(const IoRequest& req) override;
+  // Fails the tenant's queued IOs (kAborted), forgets its flow and, if it
+  // holds the slice, hands the slice on.
+  void OnTenantDisconnect(TenantId tenant) override;
   std::string name() const override { return "timeslice"; }
-
-  TenantId current_tenant() const { return current_; }
 
  private:
   struct Flow {

@@ -289,35 +289,18 @@ void InvariantChecker::OnCreditGrant(TenantId tenant, int ssd,
 
 void InvariantChecker::OnDrrQuantum(TenantId tenant, int ssd,
                                     uint64_t deficit_before,
-                                    uint64_t deficit_after, double weight,
-                                    uint64_t rounds, double frac_before,
-                                    double frac_after) {
+                                    uint64_t deficit_after, uint64_t rounds) {
   ++checks_run_;
   DrrState& d = drr_[ssd];
-  // §3.5 Algorithm 2 with fractional carry: `rounds` rounds grant
-  // floor(rounds x weight x quantum + carry) whole bytes and the remainder
-  // stays in the carry. Same double arithmetic as the scheduler
-  // (GrantRounds), so equality is exact. The carry itself must stay in
-  // [0, 1) — a drifting carry would mint or destroy service.
-  if (frac_before < 0.0 || frac_before >= 1.0) {
-    Violate("drr.quantum.carry", tenant, ssd,
-            Format("carry %.9f outside [0,1) before grant", frac_before));
-  }
-  const double step = weight * static_cast<double>(d.quantum);
-  const double total = static_cast<double>(rounds) * step + frac_before;
-  const uint64_t expected = static_cast<uint64_t>(total);
-  const double expected_frac = total - static_cast<double>(expected);
+  // §3.5 Algorithm 2: each round grants one quantum.
+  const uint64_t expected = rounds * d.quantum;
   if (deficit_after < deficit_before ||
       deficit_after - deficit_before != expected) {
     Violate("drr.quantum.grant", tenant, ssd,
-            Format("grant=%" PRIu64 " but rounds=%" PRIu64
-                   " x weight=%.3f x quantum=%" PRIu64 " + carry = %" PRIu64,
-                   deficit_after - deficit_before, rounds, weight, d.quantum,
+            Format("grant=%" PRIu64 " but rounds=%" PRIu64 " x quantum=%" PRIu64
+                   " = %" PRIu64,
+                   deficit_after - deficit_before, rounds, d.quantum,
                    expected));
-  } else if (frac_after != expected_frac) {
-    Violate("drr.quantum.carry", tenant, ssd,
-            Format("carry after grant %.9f, expected %.9f", frac_after,
-                   expected_frac));
   }
   // A deficit only accumulates while it cannot cover the head-of-line IO,
   // so right after a grant it is bounded by one grant plus the costliest
@@ -389,10 +372,9 @@ void InvariantChecker::CheckDrrSkew(const DrrState& d, int ssd) {
 }
 
 void InvariantChecker::OnDrrServe(TenantId tenant, int ssd,
-                                  uint64_t weighted_bytes, double weight) {
+                                  uint64_t weighted_bytes) {
   ++checks_run_;
   DrrState& d = drr_[ssd];
-  if (weight <= 0.0) weight = 1.0;
   const uint32_t pos = d.index.Find(tenant);
   // A serve for a tenant outside the backlogged set has no comparison
   // peers; the old lifetime-service ledger ignored it for skew purposes
@@ -403,7 +385,7 @@ void InvariantChecker::OnDrrServe(TenantId tenant, int ssd,
     m.base = m.service;
     m.epoch = d.epoch;
   }
-  m.service += static_cast<double>(weighted_bytes) / weight;
+  m.service += static_cast<double>(weighted_bytes);
   if (d.members.size() < 2) return;
   // Amortize the O(members) min/max scan: run it once every |members|
   // serves. Detection lags by at most one scan period, which a linearly

@@ -13,7 +13,7 @@
 //     flight than its credit total, and never believes a credit the
 //     switch did not grant,
 //   * DRR fairness (§3.5, Algorithm 2): quantum grants are exactly
-//     weight x quantum, deficits stay bounded, and the cost-normalized
+//     rounds x quantum, deficits stay bounded, and the cost-normalized
 //     service skew between continuously backlogged tenants is bounded,
 //   * virtual-slot occupancy never exceeds the allotment (§3.5),
 //   * dual-token-bucket compliance (§3.3, Appendix C.1, Algorithm 4):
@@ -149,21 +149,17 @@ class InvariantChecker {
   // existing client ledger only: the client admit always precedes a grant,
   // and a grant for a timed-out IO of a freed ledger is moot.
   void OnCreditGrant(TenantId tenant, int ssd, uint32_t credit);
-  // A DRR grant of `rounds` quanta: deficit and fractional carry
-  // before/after. The grant must equal floor(rounds x weight x quantum +
-  // carry) with the remainder carried — verified with the scheduler's own
-  // arithmetic, so equality is exact.
+  // A DRR grant of `rounds` quanta: the deficit before and after must
+  // differ by exactly rounds x quantum.
   void OnDrrQuantum(TenantId tenant, int ssd, uint64_t deficit_before,
-                    uint64_t deficit_after, double weight, uint64_t rounds,
-                    double frac_before, double frac_after);
+                    uint64_t deficit_after, uint64_t rounds);
   // Dequeue exhausted its pass budget with schedulable work remaining —
   // always a violation (the scheduler must make progress in bounded
   // rounds).
   void OnDrrPassExhausted(int ssd, uint64_t passes, uint64_t active,
                           uint64_t queued);
   // A request was served (popped) by the DRR.
-  void OnDrrServe(TenantId tenant, int ssd, uint64_t weighted_bytes,
-                  double weight);
+  void OnDrrServe(TenantId tenant, int ssd, uint64_t weighted_bytes);
   // The tenant's switch-side backlog state after a queue mutation
   // (idempotent; membership changes reset the skew baseline).
   void OnDrrBacklog(TenantId tenant, int ssd, bool backlogged);

@@ -65,47 +65,27 @@ void DrrScheduler::AttachObservability(obs::Observability* obs,
 
 void DrrScheduler::GrantRounds(TenantState& t, uint64_t rounds) {
   const uint64_t deficit_before = t.deficit;
-  const double frac_before = t.deficit_frac;
-  double step = t.weight * static_cast<double>(params_.drr_quantum);
-  if (GIMBAL_MUT(kDrrSkew) && t.id() % 2 == 0) step *= 4.0;
-  // Carry the sub-byte remainder across rounds: truncating each grant
-  // independently starves any tenant with weight x quantum < 1 (its grant
-  // rounds to zero forever). The checker replays the same arithmetic, so
-  // deficits and carries must match it bit-for-bit.
-  const double total = static_cast<double>(rounds) * step + t.deficit_frac;
-  const uint64_t whole = static_cast<uint64_t>(total);
-  t.deficit_frac = total - static_cast<double>(whole);
-  t.deficit += whole;
+  uint64_t quantum = params_.drr_quantum;
+  if (GIMBAL_MUT(kDrrSkew) && t.id() % 2 == 0) quantum *= 4;
+  t.deficit += rounds * quantum;
   if (chk_) {
-    chk_->OnDrrQuantum(t.id(), ssd_index_, deficit_before, t.deficit,
-                       t.weight, rounds, frac_before, t.deficit_frac);
+    chk_->OnDrrQuantum(t.id(), ssd_index_, deficit_before, t.deficit, rounds);
   }
 }
 
 void DrrScheduler::BoostStarvedRound() {
+  const uint64_t quantum = params_.drr_quantum;
   uint64_t best = 0;
-  bool found = false;
   for (TenantState* t : active_) {
     const IoRequest& head = t->Peek();
     const uint64_t weighted =
         cost_.WeightedBytes(head.type == IoType::kWrite, head.length);
     if (t->deficit >= weighted) return;  // someone can serve already
-    const double step =
-        t->weight * static_cast<double>(params_.drr_quantum);
-    if (step <= 0) continue;
-    const double shortfall =
-        static_cast<double>(weighted - t->deficit) - t->deficit_frac;
-    // +2: ceil, plus one spare round so carry rounding cannot leave the
-    // winner one byte short and trigger another full rotation.
-    const double rounds_d = shortfall <= 0 ? 1.0 : shortfall / step + 2.0;
-    if (rounds_d > 1e15) continue;  // degenerate weight; let kMaxPasses report
-    const uint64_t rounds = static_cast<uint64_t>(rounds_d);
-    if (!found || rounds < best) {
-      best = rounds;
-      found = true;
-    }
+    // Whole rounds past the shortfall: floor + 2, i.e. the ceiling plus a
+    // spare round. Every Gimbal figure's grants depend on this exact count.
+    const uint64_t rounds = (weighted - t->deficit) / quantum + 2;
+    if (best == 0 || rounds < best) best = rounds;
   }
-  if (!found || best <= 1) return;  // the single-round path covers it
   for (TenantState* t : active_) {
     GrantRounds(*t, best);
     t->new_round = false;
@@ -136,7 +116,6 @@ std::optional<DrrScheduler::Scheduled> DrrScheduler::Dequeue() {
     if (!t->HasQueued()) {
       // Idle tenant leaves the round and forfeits its deficit.
       t->deficit = 0;
-      t->deficit_frac = 0;
       t->in_active = false;
       t->DropEmptyOpenSlot();
       active_.pop_front();
@@ -149,7 +128,6 @@ std::optional<DrrScheduler::Scheduled> DrrScheduler::Dequeue() {
       // Out of virtual slots: move to deferred, zero the deficit
       // (Algorithm 2 / §3.5).
       t->deficit = 0;
-      t->deficit_frac = 0;
       t->in_active = false;
       t->in_deferred = true;
       active_.pop_front();
@@ -184,14 +162,13 @@ std::optional<DrrScheduler::Scheduled> DrrScheduler::Dequeue() {
     --queued_total_;
     t->deficit -= weighted;
     if (chk_) {
-      chk_->OnDrrServe(t->id(), ssd_index_, weighted, t->weight);
+      chk_->OnDrrServe(t->id(), ssd_index_, weighted);
     }
     out.slot_id = t->ChargeSlot(weighted, params_.slot_bytes);
     // If the slot filled and no further slot can open, the tenant defers
     // immediately so it cannot monopolize the next dequeue.
     if (!t->HasOpenSlot() && !OpenSlot(*t)) {
       t->deficit = 0;
-      t->deficit_frac = 0;
       t->in_active = false;
       t->in_deferred = true;
       active_.pop_front();
@@ -203,7 +180,7 @@ std::optional<DrrScheduler::Scheduled> DrrScheduler::Dequeue() {
   if (!active_.empty()) {
     // Schedulable work remains but kMaxPasses rounds could not serve it —
     // a scheduler bug by construction (BoostStarvedRound bounds the rounds
-    // any finite weight needs). Report loudly instead of stalling silently.
+    // any head IO needs). Report loudly instead of stalling silently.
     ++pass_exhausted_;
     if (m_pass_exhausted_) m_pass_exhausted_->Add(1);
     if (chk_) {
@@ -224,16 +201,14 @@ std::vector<IoRequest> DrrScheduler::Disconnect(TenantId tenant) {
   t.in_active = false;
   t.in_deferred = false;
   t.deficit = 0;
-  t.deficit_frac = 0;
   std::vector<IoRequest> dropped = t.DrainQueues();
   queued_total_ -= static_cast<uint32_t>(dropped.size());
   t.DropEmptyOpenSlot();
   t.disconnected = true;
   UpdateBusy(t);
   NotifyBacklog(t);
-  // Everything — including the service weight, which once lived in a side
-  // map this path forgot to clear — rides in the arena slot and is reaped
-  // with it, so churn cannot grow memory unboundedly.
+  // Everything rides in the arena slot and is reaped with it, so churn
+  // cannot grow memory unboundedly.
   if (!IsBusy(t)) Reap(tenant);
   return dropped;
 }
@@ -247,7 +222,6 @@ std::vector<IoRequest> DrrScheduler::DrainAll() {
     dropped.insert(dropped.end(), d.begin(), d.end());
     t.DropEmptyOpenSlot();
     t.deficit = 0;
-    t.deficit_frac = 0;
     t.in_active = false;
     t.in_deferred = false;
     UpdateBusy(t);
@@ -299,16 +273,6 @@ void DrrScheduler::OnCompletion(TenantId tenant, uint64_t slot_id) {
   }
   UpdateBusy(t);
   NotifyBacklog(t);
-}
-
-void DrrScheduler::SetTenantWeight(TenantId id, double weight) {
-  assert(weight > 0);
-  GetTenant(id).weight = weight;
-}
-
-double DrrScheduler::TenantWeight(TenantId id) const {
-  const TenantState* t = FindTenant(id);
-  return t == nullptr ? 1.0 : t->weight;
 }
 
 uint32_t DrrScheduler::CreditFor(TenantId tenant) const {

@@ -87,18 +87,6 @@ class DrrScheduler {
   const TenantState* FindTenant(TenantId id) const;
   uint32_t queued_total() const { return queued_total_; }
 
-  // Extension beyond the paper (its future-work "flexible scheduling
-  // policies"): per-tenant service weights. A tenant with weight w earns
-  // w x the DRR quantum per round, i.e. a w-proportional share of the
-  // cost-normalized service. Weight must be > 0; default 1.
-  //
-  // The weight lives inside TenantState (SetTenantWeight materializes the
-  // tenant if needed), so Disconnect reaps it with everything else. The old
-  // side `weights_` map leaked: Disconnect() returned early for a tenant
-  // that had a weight but never did IO, leaving the entry behind forever.
-  void SetTenantWeight(TenantId id, double weight);
-  double TenantWeight(TenantId id) const;
-
   // Robustness counters (also exported as drr.* metrics when observed):
   // Dequeue giving up after kMaxPasses with schedulable work remaining, and
   // completions dropped because their tenant was already reaped.
@@ -124,14 +112,13 @@ class DrrScheduler {
   void UpdateBusy(TenantState& t);
   // Return a no-longer-needed tenant's slot to the arena.
   void Reap(TenantId id);
-  // Grant `rounds` DRR quanta to `t` at once (weight x quantum each),
-  // carrying the fractional remainder, and report to the checker.
+  // Grant `rounds` DRR quanta to `t` at once and report to the checker.
   void GrantRounds(TenantState& t, uint64_t rounds);
   // Called when a full rotation of the active list produced no service:
   // advance every active tenant by the minimum number of whole rounds that
   // lets at least one of them cover its head-of-line IO. Preserves exact
   // DRR proportions (everyone advances the same round count) while keeping
-  // Dequeue O(active) even for weights with weight x quantum << 1.
+  // Dequeue O(active) however many quanta a head IO weighs.
   void BoostStarvedRound();
   // TryOpenSlot under the current allotment, reporting the new occupancy
   // to the checker.

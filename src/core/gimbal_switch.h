@@ -55,11 +55,6 @@ class GimbalSwitch : public PolicyBase {
   // Per-SSD virtual view for `tenant` (§3.7).
   VirtualView View(TenantId tenant) const;
 
-  // Extension: proportional service weights (see DrrScheduler).
-  void SetTenantWeight(TenantId tenant, double weight) {
-    scheduler_.SetTenantWeight(tenant, weight);
-  }
-
   // Introspection for tests and the Fig 9/17/18 timelines.
   const RateController& rate_controller() const { return rate_; }
   const WriteCostEstimator& write_cost() const { return write_cost_; }

@@ -38,12 +38,10 @@ class TenantState {
   // tenant without surrendering heap buffers.
   void Reset(TenantId id) {
     deficit = 0;
-    deficit_frac = 0.0;
     in_active = false;
     in_deferred = false;
     new_round = true;
     disconnected = false;
-    weight = 1.0;
     busy = false;
     ios_completed = 0;
     bytes_completed = 0;
@@ -131,19 +129,11 @@ class TenantState {
 
   // --- DRR state -------------------------------------------------------------
   uint64_t deficit = 0;
-  // Sub-byte remainder of the quantum grant, carried across rounds so a
-  // weight small enough that weight x quantum < 1 byte still accumulates
-  // service instead of truncating to a zero grant forever.
-  double deficit_frac = 0.0;
   bool in_active = false;
   bool in_deferred = false;
   bool new_round = true;  // quantum refresh pending at head of round
   bool disconnected = false;  // reaped once the last inflight IO completes
 
-  // Service weight (scheduler extension): a tenant earns weight x quantum
-  // per DRR round. Folded into TenantState (rather than a side map) so the
-  // dispatch hot path touches exactly one cache line per tenant.
-  double weight = 1.0;
   // Whether the tenant currently counts toward the busy-tenant divisor of
   // AllottedSlots() (§3.5). Maintained by DrrScheduler::UpdateBusy.
   bool busy = false;

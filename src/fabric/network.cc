@@ -7,13 +7,10 @@
 
 namespace gimbal::fabric {
 
-void Network::ConfigureRack(std::vector<int> node_of, int num_nodes,
-                            double uplink_bps) {
+void Network::ConfigureRack(std::vector<int> node_of, int num_nodes) {
   assert(num_nodes > 0);
-  assert(uplink_bps > 0);
   node_of_ = std::move(node_of);
   num_nodes_ = num_nodes;
-  uplink_bps_ = uplink_bps;
   for (int d = 0; d < 2; ++d) {
     uplink_res_[d] = std::make_unique<sim::FifoResource>(sim_);
     node_res_[d].clear();
@@ -41,7 +38,7 @@ bool Network::NodeDown(int node, Tick when) const {
 
 void Network::AccountUplink(int node, uint64_t bytes) {
   uplink_bytes_total_ += bytes;
-  uplink_busy_accum_ += TransferTime(bytes, uplink_bps_);
+  uplink_busy_accum_ += TransferTime(bytes, config_.bandwidth_bps);
   if (!(GIMBAL_MUT(kUplinkLeak) && node == 0)) {
     node_uplink_bytes_[static_cast<size_t>(node)] += bytes;
   }
@@ -60,7 +57,7 @@ void Network::SendRack(Direction dir, int node, uint64_t bytes, Tick extra,
   }
   bytes_sent_ += bytes;
   AccountUplink(node, bytes);
-  const Tick uplink_t = TransferTime(bytes, uplink_bps_);
+  const Tick uplink_t = TransferTime(bytes, config_.bandwidth_bps);
   const Tick link_t = TransferTime(bytes, config_.bandwidth_bps);
   const int d = dir == Direction::kClientToTarget ? 0 : 1;
   sim::FifoResource& uplink = *uplink_res_[d];

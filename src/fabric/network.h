@@ -84,9 +84,9 @@ class Network {
   // uplink: `node_of[ssd]` is the node pipeline `ssd` lives on. A message
   // serializes on the shared uplink and then on the destination node's
   // access link (access link first, uplink second target-to-client), then
-  // the base latency elapses. Call before any Send.
-  void ConfigureRack(std::vector<int> node_of, int num_nodes,
-                     double uplink_bps);
+  // the base latency elapses. The uplink and every access link run at
+  // config().bandwidth_bps. Call before any Send.
+  void ConfigureRack(std::vector<int> node_of, int num_nodes);
   bool rack() const { return num_nodes_ > 0; }
   int nodes() const { return num_nodes_; }
   int node_of(int ssd) const {
@@ -105,7 +105,6 @@ class Network {
   const NetworkConfig& config() const { return config_; }
   uint64_t bytes_sent() const { return bytes_sent_; }
   uint64_t messages_dropped() const { return messages_dropped_; }
-  double uplink_bps() const { return uplink_bps_; }
   uint64_t uplink_bytes() const { return uplink_bytes_total_; }
   uint64_t node_uplink_bytes(int node) const {
     return node_uplink_bytes_[static_cast<size_t>(node)];
@@ -135,7 +134,6 @@ class Network {
   // [direction][...] with 0 = client-to-target, 1 = target-to-client.
   std::vector<int> node_of_;  // pipeline -> node
   int num_nodes_ = 0;
-  double uplink_bps_ = 0;
   struct Outage {
     int node;
     Tick fail_at;

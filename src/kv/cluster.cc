@@ -37,8 +37,7 @@ KvCluster::Instance& KvCluster::AddInstance() {
   // Re-replication rides at background priority next to flush/compaction;
   // the ledger callback wakes it on a new dirty entry or an observed
   // backend recovery. Fault-free it never runs.
-  inst->rebuild = std::make_unique<RebuildScanner>(
-      bed_.sim(), *inst->blobs, cfg_.db.background_priority);
+  inst->rebuild = std::make_unique<RebuildScanner>(bed_.sim(), *inst->blobs);
   RebuildScanner* rebuild = inst->rebuild.get();
   inst->blobs->SetDirtyCallback([rebuild]() { rebuild->Poke(); });
   instances_.push_back(std::move(inst));
@@ -98,15 +97,6 @@ void YcsbClient::IssueOne() {
         Note(st);
         Finish(start, false);
       });
-      break;
-    case workload::YcsbOp::kScan:
-      ++stats_.scans;
-      db_.Scan(op.key, op.scan_length,
-               [this, start](IoStatus st, auto results) {
-                 Note(st);
-                 stats_.scanned_records += results.size();
-                 Finish(start, true);
-               });
       break;
     case workload::YcsbOp::kReadModifyWrite:
       ++stats_.rmws;

@@ -70,8 +70,9 @@ class YcsbClient {
     uint64_t updates = 0;
     uint64_t inserts = 0;
     uint64_t rmws = 0;
+    // Always 0: no workload scans. Kept because perfbench/perfbench.cc
+    // still adds it in its books check.
     uint64_t scans = 0;
-    uint64_t scanned_records = 0;
     uint64_t not_found = 0;
     uint64_t failed = 0;   // ops resolved with a fault status
     uint64_t aborted = 0;  // ops killed by a crash / teardown (kAborted)

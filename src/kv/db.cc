@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
-#include <map>
 
 #include "obs/schema.h"
 
@@ -34,7 +33,7 @@ uint64_t KvDb::BytesAt(int level) const {
 uint64_t KvDb::LevelLimit(int level) const {
   assert(level >= 1);
   double limit = static_cast<double>(config_.level1_bytes);
-  for (int l = 1; l < level; ++l) limit *= config_.level_multiplier;
+  for (int l = 1; l < level; ++l) limit *= kLevelMultiplier;
   return static_cast<uint64_t>(limit);
 }
 
@@ -62,14 +61,8 @@ void KvDb::PutInternal(Key key, const Value& value, PutDone done) {
     return;
   }
   memtable_.Put(key, value);
-  if (config_.wal) {
-    AppendWal(key, value, value.bytes + Memtable::kEntryOverhead,
-              std::move(done));
-  } else if (done) {
-    // No WAL: "durable" as soon as it is in memory. Weaker contract by
-    // configuration, not a fault path.
-    sim_.After(0, [done = std::move(done)]() { done(IoStatus::kOk); });
-  }
+  AppendWal(key, value, value.bytes + Memtable::kEntryOverhead,
+            std::move(done));
   if (memtable_.bytes() >= config_.memtable_bytes) RotateMemtable();
 }
 
@@ -92,11 +85,9 @@ bool KvDb::EnsureWalSpace(uint32_t bytes) {
   wal_blob_ = *blob;
   wal_used_ = 0;
   wal_blobs_.push_back(*blob);
-  if (config_.replicate) {
-    auto shadow = alloc_.AllocateMicro(/*exclude_backend=*/blob->backend);
-    wal_shadow_ = shadow.value_or(BlobAddr{});
-    if (shadow) wal_shadow_blobs_.push_back(*shadow);
-  }
+  auto shadow = alloc_.AllocateMicro(/*exclude_backend=*/blob->backend);
+  wal_shadow_ = shadow.value_or(BlobAddr{});
+  if (shadow) wal_shadow_blobs_.push_back(*shadow);
   return true;
 }
 
@@ -136,7 +127,7 @@ void KvDb::MaybeFlushWal() {
   wal_used_ += batch;
 
   blobs_.WriteReplicated(
-      dst, sdst, config_.wal_priority,
+      dst, sdst, kWalPriority,
       [this, waiters, records, dst, batch_bytes, epoch](IoStatus st) {
         if (epoch != epoch_) return;  // crash already failed the waiters
         wal_inflight_ = false;
@@ -227,10 +218,8 @@ void KvDb::AllocatePlacement(SsTable& table) {
       std::abort();
     }
     table.primary_blobs.push_back(*primary);
-    if (config_.replicate) {
-      auto shadow = alloc_.AllocateMicro(primary->backend);
-      if (shadow) table.shadow_blobs.push_back(*shadow);
-    }
+    auto shadow = alloc_.AllocateMicro(primary->backend);
+    if (shadow) table.shadow_blobs.push_back(*shadow);
     need = need > micro ? need - micro : 0;
   }
 }
@@ -308,7 +297,7 @@ void KvDb::WriteTables(
     auto pump_s = wpump.lock();
     auto submit_s = wsubmit.lock();
     blobs_.WriteReplicated(
-        j.primary, j.shadow, config_.background_priority,
+        j.primary, j.shadow, kBackgroundPriority,
         [this, j, attempts, jobs, next, inflight, outputs, install, pump_s,
          submit_s, epoch](IoStatus st) {
           if (epoch != epoch_) return;  // the job died with the process
@@ -339,7 +328,7 @@ void KvDb::WriteTables(
            wsubmit =
                std::weak_ptr<std::function<void(WriteJob, int)>>(submit)]() {
     auto submit_s = wsubmit.lock();
-    while (*next < jobs->size() && *inflight < config_.compaction_io_depth) {
+    while (*next < jobs->size() && *inflight < kCompactionIoDepth) {
       WriteJob j = (*jobs)[(*next)++];
       ++*inflight;
       (*submit_s)(j, 0);
@@ -418,8 +407,7 @@ std::vector<std::pair<Key, Value>> KvDb::MergeInputs(
 
 void KvDb::MaybeCompact() {
   if (compaction_active_) return;
-  if (levels_[0].size() >=
-      static_cast<size_t>(config_.l0_compaction_trigger)) {
+  if (levels_[0].size() >= static_cast<size_t>(kL0CompactionTrigger)) {
     CompactIntoNext(0);
     return;
   }
@@ -538,11 +526,11 @@ void KvDb::CompactIntoNext(int level) {
   *pump = [this, addrs, next, inflight, worst, finish_reads,
            wpump = std::weak_ptr<std::function<void()>>(pump), epoch]() {
     auto pump_s = wpump.lock();
-    while (*next < addrs->size() && *inflight < config_.compaction_io_depth) {
+    while (*next < addrs->size() && *inflight < kCompactionIoDepth) {
       auto [p, s] = (*addrs)[(*next)++];
       ++*inflight;
       blobs_.ReadBalanced(
-          p, s, config_.background_priority,
+          p, s, kBackgroundPriority,
           [this, addrs, next, inflight, worst, finish_reads, pump_s,
            epoch](IoStatus st) {
             if (epoch != epoch_) return;  // crashed: compaction abandoned
@@ -648,7 +636,7 @@ void KvDb::Get(Key key, GetDone done) {
     auto [p, s] = t->BlobForOffset(off, 4096);
     ++stats_.data_block_reads;
     auto probe_s = wprobe.lock();
-    blobs_.ReadBalanced(p, s, config_.read_priority,
+    blobs_.ReadBalanced(p, s, kReadPriority,
                         [t, key, probe_s, i, respond](IoStatus st) {
                           if (st != IoStatus::kOk) {
                             // Failover budget exhausted (or teardown):
@@ -667,97 +655,6 @@ void KvDb::Get(Key key, GetDone done) {
                         });
   };
   (*probe)(0);
-}
-
-void KvDb::Scan(Key start, uint32_t count, ScanDone done) {
-  ++stats_.scans;
-  const uint64_t epoch = epoch_;
-  // Merge the live view of [start, ...): newest source wins per key.
-  // Memtable recency > immutables (newest-first) > tables by id.
-  std::map<Key, std::pair<uint64_t, Value>> merged;  // key -> (recency, v)
-  auto offer = [&](Key k, uint64_t recency, const Value& v) {
-    auto it = merged.find(k);
-    if (it == merged.end() || it->second.first < recency) {
-      merged[k] = {recency, v};
-    }
-  };
-  auto offer_memtable = [&](const Memtable& m, uint64_t recency) {
-    auto snap = m.Sorted();
-    auto it = std::lower_bound(
-        snap.begin(), snap.end(), start,
-        [](const auto& e, Key k) { return e.first < k; });
-    for (uint32_t n = 0; it != snap.end() && n < count; ++it, ++n) {
-      offer(it->first, recency, it->second);
-    }
-  };
-  constexpr uint64_t kMemRecency = UINT64_MAX;
-  offer_memtable(memtable_, kMemRecency);
-  uint64_t imm_recency = kMemRecency - 1;
-  for (auto imm = immutables_.rbegin(); imm != immutables_.rend(); ++imm) {
-    offer_memtable(*imm->table, imm_recency--);
-  }
-
-  // Overlapping SSTables contribute entries and cost IO proportional to
-  // the bytes scanned in each.
-  uint32_t block_reads = 0;
-  std::vector<std::pair<BlobAddr, BlobAddr>> ios;
-  for (int l = 0; l < config_.levels; ++l) {
-    for (const auto& t : levels_[l]) {
-      if (t->max_key() < start) continue;
-      uint64_t touched = 0;
-      for (uint64_t i = t->RankOf(start), n = 0; i < t->count() && n < count;
-           ++i, ++n) {
-        offer(t->KeyAt(i), t->id(), t->ValueAt(i));
-        touched += t->ValueAt(i).bytes + Memtable::kEntryOverhead;
-      }
-      // One 256 KiB streaming read per touched chunk.
-      uint64_t off = t->BlockOffsetOf(start);
-      for (uint64_t done_bytes = 0; done_bytes < touched;
-           done_bytes += 256 * 1024) {
-        auto [p, s] = t->BlobForOffset(
-            std::min<uint64_t>(off + done_bytes,
-                               t->data_bytes() > 0 ? t->data_bytes() - 1 : 0),
-            static_cast<uint32_t>(
-                std::min<uint64_t>(256 * 1024, touched - done_bytes)));
-        ios.emplace_back(p, s);
-        ++block_reads;
-      }
-    }
-  }
-  stats_.scan_block_reads += block_reads;
-
-  // Assemble results: first `count` live keys.
-  auto results = std::make_shared<std::vector<std::pair<Key, Value>>>();
-  for (const auto& [k, rv] : merged) {
-    if (rv.second.tombstone) continue;
-    results->push_back({k, rv.second});
-    if (results->size() >= count) break;
-  }
-
-  auto shared_done = std::make_shared<ScanDone>(std::move(done));
-  if (ios.empty()) {
-    sim_.After(0, [results, shared_done]() {
-      if (*shared_done) (*shared_done)(IoStatus::kOk, std::move(*results));
-    });
-    return;
-  }
-  auto remaining = std::make_shared<size_t>(ios.size());
-  auto worst = std::make_shared<IoStatus>(IoStatus::kOk);
-  for (auto& [p, s] : ios) {
-    blobs_.ReadBalanced(
-        p, s, config_.read_priority,
-        [this, remaining, worst, results, shared_done, epoch](IoStatus st) {
-          if (st != IoStatus::kOk && *worst == IoStatus::kOk) *worst = st;
-          if (--*remaining > 0) return;
-          IoStatus final_st = *worst;
-          if (epoch != epoch_) {  // crashed mid-scan
-            ++stats_.aborted_ops;
-            final_st = IoStatus::kAborted;
-            results->clear();
-          }
-          if (*shared_done) (*shared_done)(final_st, std::move(*results));
-        });
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -867,7 +764,7 @@ void KvDb::Recover(PutDone done) {
     const BlobAddr p = rblobs[i];
     const BlobAddr s = i < rshadows.size() ? rshadows[i] : BlobAddr{};
     blobs_.ReadBalanced(
-        p, s, config_.read_priority,
+        p, s, kReadPriority,
         [remaining, worst, shared_done, epoch, this](IoStatus st) {
           if (st != IoStatus::kOk && *worst == IoStatus::kOk) *worst = st;
           if (--*remaining > 0) return;

@@ -37,32 +37,31 @@
 
 namespace gimbal::kv {
 
+// IO priorities (§3.5) and the compaction shape, the same for every
+// instance. Background IO is flush, compaction and re-replication.
+constexpr IoPriority kReadPriority = IoPriority::kHigh;
+constexpr IoPriority kWalPriority = IoPriority::kNormal;
+constexpr IoPriority kBackgroundPriority = IoPriority::kLow;
+constexpr int kL0CompactionTrigger = 4;
+constexpr double kLevelMultiplier = 10.0;
+constexpr int kCompactionIoDepth = 4;  // parallel 256K IOs per compaction
+
 struct KvDbConfig {
   uint64_t memtable_bytes = 4ull << 20;
   uint64_t sstable_target_bytes = 4ull << 20;
-  int l0_compaction_trigger = 4;
   uint64_t level1_bytes = 32ull << 20;
-  double level_multiplier = 10.0;
-  int levels = 4;               // L0..L3
-  int max_immutables = 2;       // write-stall threshold
-  int compaction_io_depth = 4;  // parallel 256K IOs per compaction
-  bool wal = true;
-  bool replicate = true;
-  IoPriority read_priority = IoPriority::kHigh;
-  IoPriority wal_priority = IoPriority::kNormal;
-  IoPriority background_priority = IoPriority::kLow;
+  int levels = 4;          // L0..L3
+  int max_immutables = 2;  // write-stall threshold
 };
 
 class KvDb {
  public:
   // Status propagation contract (docs/FAULTS.md): kOk means the op is
-  // durable (Put: WAL committed with >= 1 replica) or resolved (Get/Scan);
+  // durable (Put: WAL committed with >= 1 replica) or resolved (Get);
   // kAborted means the op died with the process (crash/teardown) and was
   // never acked; any other status is a fault the caller may retry.
   using PutDone = std::function<void(IoStatus)>;
   using GetDone = std::function<void(IoStatus, bool found, Value value)>;
-  using ScanDone = std::function<void(
-      IoStatus, std::vector<std::pair<Key, Value>> results)>;
 
   KvDb(sim::Simulator& sim, Blobstore& blobs, LocalBlobAllocator& alloc,
        KvDbConfig config = {});
@@ -73,11 +72,6 @@ class KvDb {
   void Delete(Key key, PutDone done);
   void Get(Key key, GetDone done);
 
-  // Range scan: up to `count` live records with key >= start, in key
-  // order (YCSB-E style). Pays one data-block read per 256 KiB of data
-  // touched in every overlapping SSTable.
-  void Scan(Key start, uint32_t count, ScanDone done);
-
   // Synchronously install `keys` records (0..keys-1) into the bottom
   // level with blob placement but no simulated IO — the YCSB load phase,
   // analogous to device preconditioning.
@@ -85,8 +79,8 @@ class KvDb {
 
   // --- Crash / recovery (docs/FAULTS.md) -----------------------------------
   // Abrupt process death: memtable and immutables (volatile memory) are
-  // dropped, un-acked Put waiters and in-flight Get/Scan callbacks fail
-  // with kAborted, and every in-flight background job is abandoned (its
+  // dropped, un-acked Put waiters and in-flight Get callbacks fail with
+  // kAborted, and every in-flight background job is abandoned (its
   // completions no-op via an epoch guard). The durable state — SSTable
   // manifest and the replicated WAL blobs with their committed records —
   // survives for Recover(). The blobstore (connections, dirty ledger) is
@@ -96,10 +90,6 @@ class KvDb {
   // visible to the very next operation; `done(kOk)` fires once the replay
   // reads (one per WAL blob, read priority) have been paid for.
   void Recover(PutDone done);
-  // Sorted live view of the memtable — convergence checks in tests.
-  std::vector<std::pair<Key, Value>> MemtableSnapshot() const {
-    return memtable_.Sorted();
-  }
 
   // kv.wal_retries / kv.recoveries counters and their trace events;
   // `instance` labels the series (docs/OBSERVABILITY.md).
@@ -110,8 +100,6 @@ class KvDb {
     uint64_t deletes = 0;
     uint64_t gets = 0;
     uint64_t gets_found = 0;
-    uint64_t scans = 0;
-    uint64_t scan_block_reads = 0;
     uint64_t data_block_reads = 0;  // SSTable probes that cost IO
     uint64_t memory_hits = 0;       // served from memtable/immutables
     uint64_t wal_writes = 0;

@@ -1,5 +1,7 @@
 #include "kv/rebuild.h"
 
+#include "kv/db.h"
+
 namespace gimbal::kv {
 
 void RebuildScanner::Pump() {
@@ -11,12 +13,12 @@ void RebuildScanner::Pump() {
   // is no failover target (its copy is the one missing), so the source is
   // read directly; if the source's backend degrades mid-rebuild the
   // attempt fails and requeues like any other.
-  blobs_.Read(d.source, prio_, [this, d](IoStatus read_st) {
+  blobs_.Read(d.source, kBackgroundPriority, [this, d](IoStatus read_st) {
     if (read_st != IoStatus::kOk) {
       FinishAttempt(d, read_st);
       return;
     }
-    blobs_.Write(d.dirty, prio_, [this, d](IoStatus write_st) {
+    blobs_.Write(d.dirty, kBackgroundPriority, [this, d](IoStatus write_st) {
       FinishAttempt(d, write_st);
     });
   });

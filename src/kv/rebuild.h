@@ -27,9 +27,8 @@ namespace gimbal::kv {
 
 class RebuildScanner {
  public:
-  RebuildScanner(sim::Simulator& sim, Blobstore& blobs,
-                 IoPriority prio = IoPriority::kLow)
-      : sim_(sim), blobs_(blobs), prio_(prio) {}
+  RebuildScanner(sim::Simulator& sim, Blobstore& blobs)
+      : sim_(sim), blobs_(blobs) {}
 
   // Wake the scanner: a dirty replica was recorded, or a down backend was
   // observed up again. Wired as the blobstore's dirty callback.
@@ -49,7 +48,6 @@ class RebuildScanner {
 
   sim::Simulator& sim_;
   Blobstore& blobs_;
-  IoPriority prio_;
   bool active_ = false;        // one repair in flight at a time
   int consecutive_fails_ = 0;  // drives the probe backoff
   Stats stats_;

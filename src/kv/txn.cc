@@ -566,22 +566,6 @@ void TxnCoordinator::OnLockGranted(const std::shared_ptr<Txn>& t,
 
 void TxnCoordinator::IssueRead(const std::shared_ptr<Txn>& t, TxnId attempt,
                                const TxnOp& op) {
-  if (op.scan_len > 0) {
-    ++stats_.scans;
-    db_.Scan(op.key, op.scan_len,
-             [this, t, attempt](IoStatus st,
-                                std::vector<std::pair<Key, Value>>) {
-               if (Stale(t, attempt)) return;
-               if (st != IoStatus::kOk || t->wounded) {
-                 AbortAttempt(t, st == IoStatus::kOk ? IoStatus::kAborted
-                                                     : st);
-                 return;
-               }
-               ++t->next_op;
-               ExecuteNext(t);
-             });
-    return;
-  }
   ++stats_.reads;
   db_.Get(op.key, [this, t, attempt, key = op.key](IoStatus st, bool found,
                                                    Value value) {

@@ -187,13 +187,10 @@ class LockManager {
 // One operation of a transaction, executed in order. Reads take S locks
 // and pay the `KvDb::Get` path; writes take X locks (upgrading a held S)
 // and are staged until commit, where they pay the WAL group-commit path.
-// `scan_len > 0` turns a read into a range scan anchored at `key` (the
-// anchor is locked; this layer does not claim phantom protection).
 struct TxnOp {
   Key key = 0;
   bool write = false;
-  uint32_t bytes = 0;     // write payload size
-  uint32_t scan_len = 0;  // reads only
+  uint32_t bytes = 0;  // write payload size
 };
 
 struct TxnRequest {
@@ -251,7 +248,6 @@ class TxnCoordinator {
     uint64_t retries = 0;         // re-executions after an aborted attempt
     uint64_t failed = 0;          // transactions terminal without commit
     uint64_t reads = 0;           // locked reads issued
-    uint64_t scans = 0;
     uint64_t writes = 0;            // committed write ops
     uint64_t stamp_mismatches = 0;  // serializability oracle violations
   };

@@ -137,43 +137,25 @@ class ArrivalProcess {
 // machinery earns its keep (OSMOSIS's observation; PAPERS.md).
 enum class RateDist {
   kUniform,  // every session offers the mean
-  kZipf,     // rank-based: session k offers ~ 1/(k+1)^theta, scaled to mean
   kPareto,   // sampled: Pareto(alpha) with the requested mean, clamped
 };
 
 struct RatePlan {
   RateDist dist = RateDist::kPareto;
   double mean_iops = 20.0;
-  double zipf_theta = 0.99;
   double pareto_alpha = 1.5;  // tail index; must be > 1 for a finite mean
   // Clamp on any single session's rate, as a multiple of the mean; keeps a
   // lucky Pareto draw from dominating the aggregate offered load.
   double max_multiple = 1000.0;
 };
 
-// Rate for the session with population rank `rank` out of `population`.
-// Deterministic given (plan, rank, u) where `u` is a uniform draw the
-// caller supplies (used by the sampled distributions only).
-inline double SessionRate(const RatePlan& plan, uint64_t rank,
-                          uint64_t population, double u) {
+// One session's rate. Deterministic given (plan, u), where `u` is a
+// uniform draw the caller supplies (used by kPareto only).
+inline double SessionRate(const RatePlan& plan, double u) {
   double rate = plan.mean_iops;
   switch (plan.dist) {
     case RateDist::kUniform:
       break;
-    case RateDist::kZipf: {
-      // Normalize so the population sums to population x mean. The
-      // harmonic normalizer is approximated by the integral form, which
-      // is exact enough for rate shaping (not a statistics estimator).
-      const double theta = plan.zipf_theta;
-      const double n = static_cast<double>(population < 1 ? 1 : population);
-      const double norm =
-          theta == 1.0
-              ? std::log(n) + 0.5772156649
-              : (std::pow(n, 1.0 - theta) - 1.0) / (1.0 - theta) + 0.5772;
-      rate = plan.mean_iops * n /
-             (norm * std::pow(static_cast<double>(rank + 1), theta));
-      break;
-    }
     case RateDist::kPareto: {
       // Pareto with mean m: scale x_m = m (alpha-1)/alpha, then
       // x = x_m (1-u)^(-1/alpha).

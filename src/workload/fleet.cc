@@ -76,11 +76,9 @@ void OpenLoopFleet::StartSession(uint32_t seat) {
       bed_.MakeInitiator(ssd, tenant, fabric::ConnectMode::kCapsule);
 
   OpenLoopSpec ws;
-  // Rank = seat: the heavy hitters of a Zipf/Pareto plan live in the low
-  // seats, and a replacement session inherits its seat's rank so the
-  // offered-load mix is stationary under churn.
-  ws.offered_iops =
-      SessionRate(spec_.rates, seat, spec_.sessions, rng_.NextDouble());
+  // Every session, a replacement too, draws its own rate from the plan,
+  // so the offered-load mix is stationary under churn.
+  ws.offered_iops = SessionRate(spec_.rates, rng_.NextDouble());
   ws.read_ratio = spec_.read_ratio;
   ws.io_bytes = spec_.io_bytes;
   ws.max_outstanding = spec_.max_outstanding;

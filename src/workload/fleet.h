@@ -46,7 +46,7 @@ namespace gimbal::workload {
 
 struct FleetSpec {
   uint64_t sessions = 1000;     // concurrent seats
-  RatePlan rates;               // per-seat offered rate (rank = seat)
+  RatePlan rates;               // per-session offered rate
   ArrivalSpec arrival;          // shared modulation (burst/diurnal)
   double read_ratio = 1.0;
   uint32_t io_bytes = 4096;

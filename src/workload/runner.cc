@@ -62,9 +62,7 @@ Testbed::Testbed(TestbedConfig cfg) : cfg_(cfg) {
     // fabric and fail its SSDs atomically via the injector's node map.
     std::vector<int> node_map(static_cast<size_t>(cfg_.num_ssds));
     for (int i = 0; i < cfg_.num_ssds; ++i) node_map[i] = node_of(i);
-    net_->ConfigureRack(node_map, cfg_.nodes,
-                        cfg_.uplink_bps > 0 ? cfg_.uplink_bps
-                                            : cfg_.net.bandwidth_bps);
+    net_->ConfigureRack(node_map, cfg_.nodes);
     net_->AttachChecker(check_);
     faults_->ConfigureNodes(std::move(node_map));
     for (const fault::NodeFailure& nf : cfg_.faults.node_failures) {

@@ -51,10 +51,8 @@ struct TestbedConfig {
   // i / (num_ssds / nodes), each node gets its own Target (cfg.target.cores
   // are per node), fabric messages serialize on the shared uplink and the
   // node's access link, and replica placement / whole-node faults become
-  // node-aware.
+  // node-aware. The shared uplink runs at net.bandwidth_bps.
   int nodes = 1;
-  // Shared ToR uplink bandwidth (bytes/sec); 0 = same as net.bandwidth_bps.
-  double uplink_bps = 0;
   ssd::SsdConfig ssd = {};
   SsdCondition condition = SsdCondition::kClean;
   fabric::TargetConfig target = fabric::TargetConfig::SmartNicLike();

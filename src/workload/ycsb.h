@@ -4,17 +4,14 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "common/rng.h"
 
 namespace gimbal::workload {
 
-enum class YcsbOp { kRead, kUpdate, kInsert, kReadModifyWrite, kScan };
+enum class YcsbOp { kRead, kUpdate, kInsert, kReadModifyWrite };
 
-// A-D and F are the paper's §5.6 set; E (95% short scans / 5% inserts) is
-// included as an extension now that the KV store supports range scans.
-enum class YcsbWorkload { kA, kB, kC, kD, kE, kF };
+enum class YcsbWorkload { kA, kB, kC, kD, kF };
 
 const char* ToString(YcsbWorkload w);
 
@@ -27,8 +24,9 @@ struct YcsbSpec {
 };
 
 // Stateful per-client generator. Thread-free (the simulator is single
-// threaded); inserts grow the keyspace, and workload D's reads follow the
-// "latest" distribution over it.
+// threaded); D's inserts grow the keyspace, and its reads follow the
+// "latest" distribution over it. The other workloads draw Zipfian keys
+// over the loaded records.
 class YcsbGenerator {
  public:
   explicit YcsbGenerator(YcsbSpec spec);
@@ -36,7 +34,6 @@ class YcsbGenerator {
   struct Op {
     YcsbOp op;
     uint64_t key;
-    uint32_t scan_length = 0;  // kScan only: uniform in [1, 100]
   };
   Op Next();
 
@@ -50,9 +47,8 @@ class YcsbGenerator {
   YcsbSpec spec_;
   Rng rng_;
   uint64_t record_count_;
-  std::unique_ptr<ScrambledZipfian> zipf_;
-  std::unique_ptr<ZipfianGenerator> latest_skew_;
-  uint64_t zipf_domain_ = 0;  // domain the zipf generator was built for
+  ScrambledZipfian zipf_;
+  ZipfianGenerator latest_skew_;
 };
 
 }  // namespace gimbal::workload

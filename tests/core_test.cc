@@ -4,6 +4,10 @@
 // (Algorithm 2).
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "check/invariants.h"
+#include "common/rng.h"
 #include "core/drr_scheduler.h"
 #include "core/latency_monitor.h"
 #include "core/params.h"
@@ -557,6 +561,96 @@ TEST(DrrScheduler, CreditFollowsSlotIoCount) {
 TEST(DrrScheduler, UnknownTenantGetsDefaultCredit) {
   SchedulerHarness h;
   EXPECT_GT(h.sched.CreditFor(42), 0u);
+}
+
+// A seeded mix of 8 tenants issuing 4K-128K reads and writes through
+// Enqueue/Dequeue/OnCompletion, hashed over every served (tenant, slot id)
+// and the served tenant's deficit after the serve. The grants shape every
+// Gimbal figure, so a rewrite of the DRR arithmetic must keep this hash.
+TEST(DrrScheduler, GrantSequenceIsPinned) {
+  SchedulerHarness h;
+  const uint64_t quantum = h.params.drr_quantum;
+  uint64_t hash = 0xCBF29CE484222325ull;
+  auto mix = [&hash](uint64_t v) { hash = (hash ^ v) * 0x100000001B3ull; };
+  std::vector<DrrScheduler::Scheduled> inflight;
+  auto serve = [&](const DrrScheduler::Scheduled& s) {
+    const TenantState* t = h.sched.FindTenant(s.req.tenant);
+    mix(s.req.tenant);
+    mix(s.slot_id);
+    mix(t->deficit);
+    inflight.push_back(s);
+  };
+
+  // Two tenants' heads are 128K writes (9 quanta at the worst-case write
+  // cost): after one unserved rotation BoostStarvedRound grants both
+  // 8 + 2 rounds at once, so the first serve leaves 11 - 9 = 2 quanta. One
+  // quantum per rotation would leave 0.
+  for (TenantId t = 1; t <= 2; ++t) {
+    h.sched.Enqueue(MakeReq(t, IoType::kWrite, 128 * 1024));
+  }
+  auto first = h.sched.Dequeue();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(h.sched.FindTenant(first->req.tenant)->deficit, 2 * quantum);
+  serve(*first);
+
+  Rng rng(29);
+  uint64_t served = 1;
+  for (int step = 0; step < 200000; ++step) {
+    const uint64_t r = rng.NextBounded(10);
+    if (r < 4) {
+      const auto tenant = static_cast<TenantId>(1 + rng.NextBounded(8));
+      const IoType type = rng.NextBounded(5) < 2 ? IoType::kWrite
+                                                 : IoType::kRead;
+      const uint32_t len = 4096u << rng.NextBounded(6);  // 4K..128K
+      const auto prio = static_cast<IoPriority>(rng.NextBounded(3));
+      h.sched.Enqueue(MakeReq(tenant, type, len, prio));
+    } else if (r < 7) {
+      if (auto s = h.sched.Dequeue()) {
+        serve(*s);
+        ++served;
+      }
+    } else if (!inflight.empty()) {
+      const size_t i = rng.NextBounded(inflight.size());
+      h.sched.OnCompletion(inflight[i].req.tenant, inflight[i].slot_id);
+      inflight[i] = inflight.back();
+      inflight.pop_back();
+    }
+  }
+  EXPECT_EQ(h.sched.pass_exhausted(), 0u);
+  EXPECT_GT(served, 50000u);
+  EXPECT_EQ(hash, 11719516647489612200ull);
+}
+
+// BoostStarvedRound grants every active tenant the same whole-round count:
+// the smallest floor(shortfall / quantum) + 2 among their head IOs. A 64K
+// write weighs 4.5 quanta at the worst-case write cost and a 128K write 9.
+// After one unserved rotation (1 quantum each) the shortfalls are 3.5 and
+// 8 quanta, so both tenants get 3 + 2 = 5 rounds, and the checker (which
+// sees every grant) stays silent.
+TEST(DrrScheduler, StarvedRoundBoostGrantsTheSmallestWholeRoundCount) {
+  SchedulerHarness h;
+  check::InvariantChecker chk(/*fail_fast=*/false);
+  h.sched.AttachChecker(&chk, 0);
+  const uint64_t q = h.params.drr_quantum;
+  h.sched.Enqueue(MakeReq(1, IoType::kWrite, 128 * 1024));
+  h.sched.Enqueue(MakeReq(2, IoType::kWrite, 64 * 1024));
+
+  auto first = h.sched.Dequeue();
+  ASSERT_TRUE(first.has_value());
+  EXPECT_EQ(first->req.tenant, 2u);
+  EXPECT_EQ(h.sched.FindTenant(1)->deficit, 6 * q);
+  EXPECT_EQ(h.sched.FindTenant(2)->deficit, 6 * q - 9 * q / 2);
+
+  // Tenant 2 goes idle; tenant 1 earns its pending round (7 quanta), then
+  // a shortfall of exactly 2 quanta boosts it by 2 + 2 rounds to 11.
+  auto second = h.sched.Dequeue();
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(second->req.tenant, 1u);
+  EXPECT_EQ(h.sched.FindTenant(1)->deficit, 11 * q - 9 * q);
+  EXPECT_FALSE(h.sched.Dequeue().has_value());
+  EXPECT_EQ(h.sched.pass_exhausted(), 0u);
+  EXPECT_TRUE(chk.ok());
+  EXPECT_GT(chk.checks_run(), 0u);
 }
 
 }  // namespace

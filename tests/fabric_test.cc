@@ -94,8 +94,8 @@ TEST(Network, FlatLinkQueuesBehindTheFrontierWithOneEventPerMessage) {
   EXPECT_EQ(sim.events_executed(), 3u);
 }
 
-// Rack tandem (docs/SIMULATOR.md): two nodes behind a ToR uplink twice as
-// fast as their access links. Node 0 has a 1 MiB message in flight when
+// Rack tandem (docs/SIMULATOR.md): two nodes behind a ToR uplink that
+// runs at the access-link rate. Node 0 has a 1 MiB message in flight when
 // node 1 sends 64 B; each stage serves messages in the order they reach
 // it, so the small message never waits for a stage the big one has not
 // reached yet.
@@ -105,14 +105,10 @@ struct RackRig {
   Tick big = -1;
   Tick small = -1;
 
-  RackRig() {
-    net.ConfigureRack({0, 1}, 2, 2 * net.config().bandwidth_bps);
-  }
-  Tick Link(uint64_t bytes) const {
+  RackRig() { net.ConfigureRack({0, 1}, 2); }
+  // Serialization time of one stage: the uplink and each access link.
+  Tick Stage(uint64_t bytes) const {
     return TransferTime(bytes, net.config().bandwidth_bps);
-  }
-  Tick Uplink(uint64_t bytes) const {
-    return TransferTime(bytes, net.uplink_bps());
   }
   // Node 0 (pipeline 0) sends 1 MiB at t=0, node 1 (pipeline 1) 64 B at
   // t=1 us, both in `dir`.
@@ -130,9 +126,9 @@ TEST(Network, RackUplinkServesTargetMessagesInArrivalOrder) {
   rig.Run(Direction::kTargetToClient);
   const Tick base = rig.net.config().base_latency;
   // Node 1's message reaches the idle uplink while node 0's is still on
-  // its access link, so it crosses first.
-  EXPECT_EQ(rig.small, Microseconds(1) + rig.Link(64) + rig.Uplink(64) + base);
-  EXPECT_EQ(rig.big, rig.Link(1 << 20) + rig.Uplink(1 << 20) + base);
+  // its access link, so it crosses first: access link, then uplink.
+  EXPECT_EQ(rig.small, Microseconds(1) + 2 * rig.Stage(64) + base);
+  EXPECT_EQ(rig.big, 2 * rig.Stage(1 << 20) + base);
   EXPECT_LT(rig.small, rig.big);
 }
 
@@ -143,9 +139,9 @@ TEST(Network, RackAccessLinksServeClientMessagesIndependently) {
   // The shared uplink comes first this way, so the 64 B message queues
   // behind the 1 MiB one there, then overtakes it on node 1's idle access
   // link while node 0's link is still serializing.
-  const Tick up_big = rig.Uplink(1 << 20);
-  EXPECT_EQ(rig.small, up_big + rig.Uplink(64) + rig.Link(64) + base);
-  EXPECT_EQ(rig.big, up_big + rig.Link(1 << 20) + base);
+  const Tick up_big = rig.Stage(1 << 20);
+  EXPECT_EQ(rig.small, up_big + 2 * rig.Stage(64) + base);
+  EXPECT_EQ(rig.big, up_big + rig.Stage(1 << 20) + base);
   EXPECT_LT(rig.small, rig.big);
 }
 

@@ -6,9 +6,8 @@
 //     tenants, every arena slot recycled, ledgers balanced and freed (and
 //     never more of them than live + draining sessions along the way),
 //     and the trace digest bit-identical run to run;
-//   * weight-leak regression — SetTenantWeight + Disconnect must reap the
-//     whole tenant slot (the weight once lived in a side map the
-//     disconnect path forgot to clear);
+//   * reap regression — Disconnect must reap a registered tenant that
+//     never did IO (a side map once kept an entry for each such tenant);
 //   * SLO export — the tracker's p99/p99.9 gauges and violation counters
 //     appear in the metrics JSON under their documented names;
 //   * pinned totals — a small churning fleet's TotalStats(), SLO window
@@ -249,24 +248,23 @@ TEST(FleetTotals, ArePinned) {
   EXPECT_EQ(bare.connects, r.connects);
 }
 
-TEST(DrrScheduler, DisconnectReapsWeightedTenant) {
-  // Regression: the service weight used to live in a side map that
-  // Disconnect never erased, so a weighted tenant leaked an entry per
-  // churn cycle. Weights now ride in the arena slot and are reaped with
-  // it.
+TEST(DrrScheduler, DisconnectReapsTenantRegisteredWithoutIo) {
+  // Regression: per-tenant state once lived partly in a side map that
+  // Disconnect never erased, so a tenant registered without IO leaked an
+  // entry per churn cycle. All of it rides in the arena slot and is
+  // reaped with it.
   core::GimbalParams params;
   core::WriteCostEstimator cost(params);
   core::DrrScheduler drr(params, cost);
   for (TenantId t = 1; t <= 1000; ++t) {
-    drr.SetTenantWeight(t, 4.0);
-    EXPECT_EQ(drr.TenantWeight(t), 4.0);
+    drr.GetTenant(t);
+    EXPECT_NE(drr.FindTenant(t), nullptr);
     drr.Disconnect(t);
+    EXPECT_EQ(drr.FindTenant(t), nullptr);
   }
   EXPECT_EQ(drr.tenant_count(), 0u);
   EXPECT_EQ(drr.tenant_arena().size(), 0u);
   EXPECT_EQ(drr.tenant_arena().capacity(), drr.tenant_arena().free_count());
-  // A reaped tenant's weight reverts to the default.
-  EXPECT_EQ(drr.TenantWeight(1), 1.0);
 }
 
 // Heap bytes in use (glibc), mmapped chunks included.
@@ -285,7 +283,7 @@ TEST(IdleTenantHeap, DrrTenantCostsItsStateOnly) {
   core::WriteCostEstimator cost(params);
   core::DrrScheduler drr(params, cost);
   const size_t before = HeapInUseBytes();
-  for (TenantId t = 1; t <= kIdleTenants; ++t) drr.SetTenantWeight(t, 1.0);
+  for (TenantId t = 1; t <= kIdleTenants; ++t) drr.GetTenant(t);
   const size_t per_tenant = (HeapInUseBytes() - before) / kIdleTenants;
   // Slack: the arena's deque rounds slots into 512 B nodes, its live and
   // position lists hold 8 B per slot, and the index's 16 B cells sit at

@@ -8,6 +8,8 @@
 //   * a (tenant, ssd) reused after its ledger was freed starts from a
 //     zeroed ledger, checked at least as strictly as the old one;
 //   * a credit grant never creates a client ledger;
+//   * a DRR grant must be exactly rounds x quantum, and the deficit right
+//     after it at most that grant plus the costliest IO;
 //   * differential: a checker that gets the close hooks and one that never
 //     does report identical violation lists on the same random hook
 //     streams, seeded faults included.
@@ -244,6 +246,61 @@ TEST(CheckerLedgers, DrainReportIsInTenantSsdOrder) {
   const std::vector<std::pair<int32_t, int>> want = {
       {1, 0}, {3, 0}, {4, 0}, {5, 1}, {6, 0}, {7, 0}, {9, 0}};
   EXPECT_EQ(order, want);
+}
+
+// --- DRR grants ------------------------------------------------------------
+//
+// OnDrrQuantum checks that a grant of `rounds` raises the deficit by
+// exactly rounds x quantum, and that right after a grant the deficit is at
+// most that grant plus the costliest single IO (slot_bytes x worst write
+// cost).
+
+constexpr uint64_t kQuantum = 128 * 1024;
+constexpr uint64_t kSlotBytes = 128 * 1024;
+constexpr double kCostWorst = 9.0;
+
+std::vector<std::string> InvariantNames(const InvariantChecker& chk) {
+  std::vector<std::string> names;
+  for (const auto& v : chk.violations()) names.push_back(v.invariant);
+  return names;
+}
+
+TEST(CheckerDrr, WholeRoundGrantsAreSilent) {
+  InvariantChecker chk(/*fail_fast=*/false);
+  chk.ConfigureDrr(kSsd, kQuantum, kSlotBytes, kCostWorst);
+  chk.OnDrrQuantum(kTenant, kSsd, 0, kQuantum, 1);
+  chk.OnDrrQuantum(kTenant, kSsd, kQuantum, 11 * kQuantum, 10);
+  // Leftover deficit below the costliest IO plus a 5-round grant.
+  chk.OnDrrQuantum(kTenant, kSsd, 8 * kQuantum, 13 * kQuantum, 5);
+  EXPECT_TRUE(chk.ok());
+  EXPECT_EQ(chk.checks_run(), 3u);
+}
+
+TEST(CheckerDrr, GrantOtherThanRoundsTimesQuantumIsFlagged) {
+  InvariantChecker chk(/*fail_fast=*/false);
+  chk.ConfigureDrr(kSsd, kQuantum, kSlotBytes, kCostWorst);
+  chk.OnDrrQuantum(kTenant, kSsd, 0, kQuantum + 1, 1);           // a byte over
+  chk.OnDrrQuantum(kTenant, kSsd, 0, 3 * kQuantum - 1, 3);       // a byte short
+  chk.OnDrrQuantum(kTenant, kSsd, 2 * kQuantum, kQuantum, 1);    // shrank
+  chk.OnDrrQuantum(kTenant + 1, kSsd, 0, 4 * kQuantum, 1);       // 4x skew
+  const std::vector<std::string> want(4, "drr.quantum.grant");
+  EXPECT_EQ(InvariantNames(chk), want);
+  EXPECT_EQ(chk.violations()[3].tenant, static_cast<int32_t>(kTenant + 1));
+  EXPECT_EQ(chk.violations()[3].ssd, kSsd);
+}
+
+TEST(CheckerDrr, DeficitBeyondGrantPlusCostliestIoIsFlagged) {
+  InvariantChecker chk(/*fail_fast=*/false);
+  chk.ConfigureDrr(kSsd, kQuantum, kSlotBytes, kCostWorst);
+  const uint64_t costliest = 9 * kSlotBytes;
+  // At the bound: silent. One byte past it: flagged, though the grant
+  // itself is exact.
+  chk.OnDrrQuantum(kTenant, kSsd, costliest, costliest + 2 * kQuantum, 2);
+  EXPECT_TRUE(chk.ok());
+  chk.OnDrrQuantum(kTenant, kSsd, costliest + 1, costliest + 1 + 2 * kQuantum,
+                   2);
+  EXPECT_EQ(InvariantNames(chk),
+            std::vector<std::string>{"drr.deficit.bound"});
 }
 
 // --- Differential: freeing ledgers changes no verdict ----------------------

@@ -235,7 +235,7 @@ TEST(TxnCoordinator, SingleTxnCommitsDurably) {
   TxnCoordinator coord(cluster.sim(), *inst.db);
   TxnResult res;
   bool done = false;
-  coord.Submit(MakeReq({{101, true, 512, 0}, {102, true, 512, 0}}),
+  coord.Submit(MakeReq({{101, true, 512}, {102, true, 512}}),
                [&](TxnResult r) {
                  res = r;
                  done = true;
@@ -263,7 +263,7 @@ TEST(TxnCoordinator, ReadOnlyTxnCommitsWithoutWrites) {
   auto& inst = cluster.AddInstance();
   TxnCoordinator coord(cluster.sim(), *inst.db);
   bool done = false, committed = false;
-  coord.Submit(MakeReq({{55, false, 0, 0}}), [&](TxnResult r) {
+  coord.Submit(MakeReq({{55, false, 0}}), [&](TxnResult r) {
     done = true;
     committed = r.committed;
   });
@@ -283,13 +283,13 @@ TEST(TxnCoordinator, NoWaitConflictFailsAtMaxAttempts) {
   TxnCoordinator coord(cluster.sim(), *inst.db, cfg);
   TxnResult r1, r2;
   bool d1 = false, d2 = false;
-  coord.Submit(MakeReq({{7, true, 512, 0}}), [&](TxnResult r) {
+  coord.Submit(MakeReq({{7, true, 512}}), [&](TxnResult r) {
     r1 = r;
     d1 = true;
   });
   // T1 holds X(7) through its WAL commit; T2 conflicts immediately and
   // NO_WAIT aborts it — max_attempts=1 makes that terminal.
-  coord.Submit(MakeReq({{7, true, 512, 0}}), [&](TxnResult r) {
+  coord.Submit(MakeReq({{7, true, 512}}), [&](TxnResult r) {
     r2 = r;
     d2 = true;
   });
@@ -316,7 +316,7 @@ TEST(TxnCoordinator, ConflictingRmwsRetryAndSerialize) {
   TxnCoordinator coord(cluster.sim(), *inst.db, cfg);
   std::vector<TxnResult> results;
   for (int i = 0; i < 10; ++i) {
-    coord.Submit(MakeReq({{900, false, 0, 0}, {900, true, 512, 0}}),
+    coord.Submit(MakeReq({{900, false, 0}, {900, true, 512}}),
                  [&](TxnResult r) { results.push_back(r); });
   }
   cluster.sim().RunUntil(Milliseconds(200));
@@ -339,7 +339,7 @@ TEST(TxnCoordinator, GiveUpMakesRetriesTerminal) {
   TxnCoordinator coord(cluster.sim(), *inst.db, cfg);
   int done = 0;
   for (int i = 0; i < 4; ++i) {
-    coord.Submit(MakeReq({{33, true, 512, 0}}),
+    coord.Submit(MakeReq({{33, true, 512}}),
                  [&](TxnResult) { ++done; });
   }
   cluster.sim().RunUntil(Microseconds(50));

@@ -183,6 +183,29 @@ TEST(Ycsb, LatestDistributionFavoursRecentKeys) {
   EXPECT_GT(static_cast<double>(recent) / static_cast<double>(reads), 0.5);
 }
 
+// Only D inserts. The Zipf-keyed workloads (A, B, C, F) must never grow
+// the keyspace, so their Zipfian key domain stays the loaded record count
+// and every key they draw is a loaded one.
+TEST(Ycsb, ZipfKeyedWorkloadsKeepTheLoadedKeyspace) {
+  for (YcsbWorkload wl : {YcsbWorkload::kA, YcsbWorkload::kB,
+                          YcsbWorkload::kC, YcsbWorkload::kF}) {
+    SCOPED_TRACE(ToString(wl));
+    YcsbSpec spec;
+    spec.workload = wl;
+    spec.record_count = 1000;
+    YcsbGenerator gen(spec);
+    uint64_t inserts = 0, out_of_range = 0;
+    for (int i = 0; i < 20000; ++i) {
+      const YcsbGenerator::Op op = gen.Next();
+      inserts += op.op == YcsbOp::kInsert;
+      out_of_range += op.key >= spec.record_count;
+    }
+    EXPECT_EQ(inserts, 0u);
+    EXPECT_EQ(out_of_range, 0u);
+    EXPECT_EQ(gen.record_count(), spec.record_count);
+  }
+}
+
 TEST(Ycsb, ZipfianReadsSkewed) {
   YcsbSpec spec;
   spec.workload = YcsbWorkload::kC;
@@ -197,13 +220,13 @@ TEST(Ycsb, ZipfianReadsSkewed) {
 
 // The first 200k ops of every workload, hashed as the generators produced
 // them when each ZipfianGenerator summed its own zeta from i = 1. Reusing
-// or extending a zeta sum must leave every stream bit-identical. E's
-// inserts grow the key space past several 1/8 rebuilds of its Zipfian
-// generator; D draws its reads from the "latest" generator, which is built
-// once, while its inserts grow the range those reads cover. Each stream
-// runs on a new thread, so it starts without a kept zeta sum (as a fresh
-// process does) whatever the tests before it summed: its second generator
-// reuses the first's sum and E's rebuilds extend it.
+// or extending a zeta sum must leave every stream bit-identical. D draws
+// its reads from the "latest" generator, which is built once, while its
+// inserts grow the range those reads cover. Each stream runs on a new
+// thread, so it starts without a kept zeta sum (as a fresh process does)
+// whatever the tests before it summed: its second generator reuses the
+// first's sum. The hashed third field, 0 for every op, once held a scan
+// length; it keeps the recorded hashes.
 TEST(Ycsb, OpStreamsArePinned) {
   struct Pin {
     YcsbWorkload wl;
@@ -219,8 +242,6 @@ TEST(Ycsb, OpStreamsArePinned) {
       {YcsbWorkload::kC, 20000, 4641396763586870975ull},
       {YcsbWorkload::kD, 1000, 13332977449238427742ull},
       {YcsbWorkload::kD, 20000, 7541261449800618480ull},
-      {YcsbWorkload::kE, 1000, 6271371403319770491ull},
-      {YcsbWorkload::kE, 20000, 10965286093152016046ull},
       {YcsbWorkload::kF, 1000, 3847271538854426731ull},
       {YcsbWorkload::kF, 20000, 1294765807483698665ull},
   };
@@ -239,13 +260,13 @@ TEST(Ycsb, OpStreamsArePinned) {
         const YcsbGenerator::Op op = gen.Next();
         mix(static_cast<uint64_t>(op.op));
         mix(op.key);
-        mix(op.scan_length);
+        mix(0);
       }
       records_after = gen.record_count();
     }).join();
     EXPECT_EQ(h, p.hash);
-    if (p.wl == YcsbWorkload::kD || p.wl == YcsbWorkload::kE) {
-      // At least two 1/8 growth steps, so E's generator was rebuilt.
+    if (p.wl == YcsbWorkload::kD) {
+      // D's inserts grew the range its "latest" reads cover.
       EXPECT_GT(records_after, p.records + p.records / 4);
     }
   }
