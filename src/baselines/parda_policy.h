@@ -66,7 +66,6 @@ class PardaWindow {
   }
 
   double window() const { return window_; }
-  double average_latency() const { return lat_avg_.value(); }
 
  private:
   PardaParams params_;

@@ -127,8 +127,8 @@ class LatencyHistogram {
 
   // Value at quantile q, clamped into [0,1]. Returns an upper bound of the
   // bucket that contains the q-th sample (standard HDR semantics). An empty
-  // histogram has every quantile defined as 0, matching the zero-count
-  // conventions of StreamingStats (mean/min/max of nothing are 0, not NaN).
+  // histogram has every quantile defined as 0, as are the mean, min and max
+  // of nothing (never NaN).
   int64_t Percentile(double q) const {
     if (total_ == 0) return 0;
     if (!(q > 0.0)) q = 0.0;  // also catches NaN
@@ -144,7 +144,6 @@ class LatencyHistogram {
   }
 
   int64_t p50() const { return Percentile(0.50); }
-  int64_t p90() const { return Percentile(0.90); }
   int64_t p99() const { return Percentile(0.99); }
   int64_t p999() const { return Percentile(0.999); }
 

@@ -1,41 +1,10 @@
-// Streaming statistics: mean/min/max accumulators and an exponentially
-// weighted moving average (the EWMA that drives Gimbal's latency monitor).
+// Streaming statistics: an exponentially weighted moving average (the EWMA
+// that drives Gimbal's latency monitor) and a windowed rate meter.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <limits>
 
 namespace gimbal {
-
-// Simple streaming accumulator (count / sum / min / max / mean).
-//
-// Zero-count convention (shared with LatencyHistogram and obs::Histogram):
-// after construction or Reset(), mean/min/max all report 0 — never the
-// +/-infinity sentinels used internally, and never NaN.
-class StreamingStats {
- public:
-  void Add(double v) {
-    ++count_;
-    sum_ += v;
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
-  }
-
-  void Reset() { *this = StreamingStats{}; }
-
-  uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double mean() const { return count_ == 0 ? 0.0 : sum_ / static_cast<double>(count_); }
-  double min() const { return count_ == 0 ? 0.0 : min_; }
-  double max() const { return count_ == 0 ? 0.0 : max_; }
-
- private:
-  uint64_t count_ = 0;
-  double sum_ = 0;
-  double min_ = std::numeric_limits<double>::infinity();
-  double max_ = -std::numeric_limits<double>::infinity();
-};
 
 // Exponentially weighted moving average with weight `alpha` on the newest
 // sample: ewma = (1-alpha)*ewma + alpha*sample. The first sample initializes

@@ -61,7 +61,6 @@ class GimbalSwitch : public PolicyBase {
   const DrrScheduler& scheduler() const { return scheduler_; }
   const GimbalParams& params() const { return params_; }
   uint32_t io_outstanding() const { return io_outstanding_; }
-  fault::SsdHealth ssd_health() const { return health_; }
 
   struct SwitchStats {
     uint64_t requests = 0;

@@ -228,7 +228,7 @@ class PolicyBase : public IoPolicy {
   };
   TenantMetrics& MetricsFor(TenantId tenant) {
     // Cache and series are keyed by the folded tenant label, so both stay
-    // bounded by the registry's tenant_series_limit under session churn.
+    // bounded by the registry's kTenantSeriesLimit under session churn.
     const obs::Labels l = obs_->metrics.FoldTenant(
         obs::Labels::TenantSsd(static_cast<int32_t>(tenant), ssd_index_));
     auto it = tenant_metrics_.find(l.tenant);

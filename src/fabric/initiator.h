@@ -107,9 +107,6 @@ class Initiator : public CompletionSink {
   uint64_t late_completions() const { return late_completions_; }
   const RetryParams& retry_params() const { return retry_; }
 
-  // Algorithm 3's device-busy signal, observable by applications.
-  bool DeviceBusy() const { return !CanIssue(); }
-
   uint32_t inflight() const { return inflight_; }
   uint32_t queued() const {
     return static_cast<uint32_t>(next_id_ - issue_cursor_);

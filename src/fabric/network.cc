@@ -57,27 +57,25 @@ void Network::SendRack(Direction dir, int node, uint64_t bytes, Tick extra,
   }
   bytes_sent_ += bytes;
   AccountUplink(node, bytes);
-  const Tick uplink_t = TransferTime(bytes, config_.bandwidth_bps);
-  const Tick link_t = TransferTime(bytes, config_.bandwidth_bps);
+  // The uplink and the access link run at the same rate.
+  const Tick t = TransferTime(bytes, config_.bandwidth_bps);
   const int d = dir == Direction::kClientToTarget ? 0 : 1;
   sim::FifoResource& uplink = *uplink_res_[d];
   sim::FifoResource& link = *node_res_[d][static_cast<size_t>(node)];
   // Client-to-target crosses the ToR uplink first, then the node's access
   // link; target-to-client the reverse. The second stage runs inside the
   // first stage's completion, so the tandem keeps FIFO order per stage.
-  auto chain = [](sim::FifoResource& first, Tick first_t,
-                  sim::FifoResource* second, Tick second_t, Tick extra_t,
-                  sim::EventFn done) {
+  auto chain = [t, extra](sim::FifoResource& first,
+                          sim::FifoResource* second, sim::EventFn done) {
     first.AcquireDeferred(
-        first_t, 0,
-        [second, second_t, extra_t, done = std::move(done)]() mutable {
-          second->AcquireDeferred(second_t, extra_t, std::move(done));
+        t, 0, [second, t, extra, done = std::move(done)]() mutable {
+          second->AcquireDeferred(t, extra, std::move(done));
         });
   };
   if (dir == Direction::kClientToTarget) {
-    chain(uplink, uplink_t, &link, link_t, extra, std::move(deliver));
+    chain(uplink, &link, std::move(deliver));
   } else {
-    chain(link, link_t, &uplink, uplink_t, extra, std::move(deliver));
+    chain(link, &uplink, std::move(deliver));
   }
 }
 

@@ -56,10 +56,7 @@ class Network {
     if (faults_) {
       const fault::FaultInjector::LinkFault lf =
           faults_->OnLinkMessage(sim_.now());
-      if (lf.drop) {
-        ++messages_dropped_;
-        return;
-      }
+      if (lf.drop) return;
       fault_delay = lf.extra_delay;
     }
     if (rack()) {
@@ -104,7 +101,6 @@ class Network {
 
   const NetworkConfig& config() const { return config_; }
   uint64_t bytes_sent() const { return bytes_sent_; }
-  uint64_t messages_dropped() const { return messages_dropped_; }
   uint64_t uplink_bytes() const { return uplink_bytes_total_; }
   uint64_t node_uplink_bytes(int node) const {
     return node_uplink_bytes_[static_cast<size_t>(node)];
@@ -127,7 +123,6 @@ class Network {
   // accepted (0 = client-to-target, 1 = target-to-client).
   Tick busy_until_[2] = {0, 0};
   uint64_t bytes_sent_ = 0;
-  uint64_t messages_dropped_ = 0;
   fault::FaultInjector* faults_ = nullptr;  // null = fault-free link
 
   // Rack mode state (num_nodes_ == 0 = flat single-node fabric). Indexed

@@ -77,7 +77,6 @@ class Target {
     assert(pipelines_.empty() && "SetPipelineBase must precede AddPipeline");
     base_ = base;
   }
-  int pipeline_base() const { return base_; }
 
   // Attach an SSD pipeline driven by `policy`; returns the pipeline id.
   // The policy must already be bound to its block device.

@@ -131,9 +131,10 @@ void Blobstore::MarkRepaired(const DirtyReplica& d) {
   UpdateDirtyGauge();
 }
 
-void Blobstore::WriteReplicated(const BlobAddr& primary,
-                                const BlobAddr& shadow, IoPriority prio,
+void Blobstore::WriteReplicated(const ReplicaPair& blob, IoPriority prio,
                                 DoneFn done) {
+  const BlobAddr& primary = blob.primary;
+  const BlobAddr& shadow = blob.shadow;
   if (!shadow.valid()) {
     Write(primary, prio, std::move(done));
     return;
@@ -222,7 +223,7 @@ void Blobstore::WriteReplicated(const BlobAddr& primary,
 
 void Blobstore::StartRead(const std::shared_ptr<ReadCtx>& ctx,
                           bool use_shadow) {
-  const BlobAddr& addr = use_shadow ? ctx->shadow : ctx->primary;
+  const BlobAddr& addr = use_shadow ? ctx->blob.shadow : ctx->blob.primary;
   ++ctx->attempts;
   if (use_shadow) ++stats_.balanced_to_shadow;
   Read(addr, ctx->prio, [this, ctx, use_shadow](IoStatus st) {
@@ -233,9 +234,8 @@ void Blobstore::StartRead(const std::shared_ptr<ReadCtx>& ctx,
     }
     // Failover: retry the other replica (or the same one when this blob is
     // unreplicated) after the initiator-policy backoff for this attempt.
-    const bool next_shadow = ctx->shadow.valid() ? !use_shadow : false;
-    const BlobAddr& next =
-        next_shadow ? ctx->shadow : ctx->primary;
+    const bool next_shadow = ctx->blob.shadow.valid() && !use_shadow;
+    const BlobAddr& next = next_shadow ? ctx->blob.shadow : ctx->blob.primary;
     ++stats_.failover_reads;
     if (m_failover_) m_failover_->Add();
     if (obs_) {
@@ -255,43 +255,36 @@ void Blobstore::StartRead(const std::shared_ptr<ReadCtx>& ctx,
   });
 }
 
-void Blobstore::ReadBalanced(const BlobAddr& primary, const BlobAddr& shadow,
-                             IoPriority prio, DoneFn done) {
-  if (!shadow.valid()) {
-    // Unreplicated: no failover target, but still budget-retry the single
-    // copy on transient errors (media-error windows end).
-    auto ctx = std::make_shared<ReadCtx>();
-    ctx->primary = primary;
-    ctx->shadow = shadow;
-    ctx->prio = prio;
-    ctx->done = std::move(done);
-    ctx->budget = ReadBudget(primary.backend);
-    StartRead(ctx, /*use_shadow=*/false);
-    return;
-  }
-  // §4.3: the replica whose remote SSD holds more credits absorbs the
-  // read. Credits are only refreshed by completions on that backend, so a
-  // small fraction of reads deliberately probes the *less*-credited
-  // replica to keep its estimate fresh (else a cold backend's stale low
-  // credit would pin all traffic to one copy forever).
+void Blobstore::ReadBalanced(const ReplicaPair& blob, IoPriority prio,
+                             DoneFn done) {
+  const BlobAddr& primary = blob.primary;
+  const BlobAddr& shadow = blob.shadow;
+  // An unreplicated blob has no failover target, but its single copy is
+  // still budget-retried on transient errors (media-error windows end).
   bool shadow_wins = false;
-  if (load_balance_reads_) {
-    shadow_wins = credits(shadow.backend) > credits(primary.backend);
-    if (++lb_rr_ % 16 == 0) shadow_wins = !shadow_wins;
-  }
-  // Never knowingly read a down backend while the other copy is up — this
-  // also keeps the forced probe off a failed replica (it re-learns health
-  // through the failover path's completions instead).
-  if (shadow_wins && backend_down(shadow.backend) &&
-      !backend_down(primary.backend)) {
-    shadow_wins = false;
-  } else if (!shadow_wins && backend_down(primary.backend) &&
-             !backend_down(shadow.backend)) {
-    shadow_wins = true;
+  if (shadow.valid()) {
+    // §4.3: the replica whose remote SSD holds more credits absorbs the
+    // read. Credits are only refreshed by completions on that backend, so
+    // a small fraction of reads deliberately probes the *less*-credited
+    // replica to keep its estimate fresh (else a cold backend's stale low
+    // credit would pin all traffic to one copy forever).
+    if (load_balance_reads_) {
+      shadow_wins = credits(shadow.backend) > credits(primary.backend);
+      if (++lb_rr_ % 16 == 0) shadow_wins = !shadow_wins;
+    }
+    // Never knowingly read a down backend while the other copy is up —
+    // this also keeps the forced probe off a failed replica (it re-learns
+    // health through the failover path's completions instead).
+    if (shadow_wins && backend_down(shadow.backend) &&
+        !backend_down(primary.backend)) {
+      shadow_wins = false;
+    } else if (!shadow_wins && backend_down(primary.backend) &&
+               !backend_down(shadow.backend)) {
+      shadow_wins = true;
+    }
   }
   auto ctx = std::make_shared<ReadCtx>();
-  ctx->primary = primary;
-  ctx->shadow = shadow;
+  ctx->blob = blob;
   ctx->prio = prio;
   ctx->done = std::move(done);
   ctx->budget = ReadBudget(primary.backend);

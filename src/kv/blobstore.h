@@ -67,16 +67,15 @@ class Blobstore {
   // done(kOk) degraded + dirty-replica ledger entry (never on kAborted —
   // teardown is not a fault). Both failed -> done(non-ok); the caller must
   // not treat the data as durable.
-  void WriteReplicated(const BlobAddr& primary, const BlobAddr& shadow,
-                       IoPriority prio, DoneFn done);
+  void WriteReplicated(const ReplicaPair& blob, IoPriority prio,
+                       DoneFn done);
 
   // Read whichever replica's backend has more credits (falls back to the
   // primary when balancing is disabled or the shadow is missing), never
   // knowingly targeting a down backend while the other copy is up. On a
   // non-ok completion the other replica is retried with capped backoff
   // until the per-blob budget (1 + the initiator's max_retries) runs out.
-  void ReadBalanced(const BlobAddr& primary, const BlobAddr& shadow,
-                    IoPriority prio, DoneFn done);
+  void ReadBalanced(const ReplicaPair& blob, IoPriority prio, DoneFn done);
 
   // Deallocate a blob on its backend (NVMe TRIM): tells the SSD the data
   // is dead so garbage collection stops relocating it. Dirty-ledger
@@ -111,7 +110,6 @@ class Blobstore {
   uint32_t credits(int backend) const {
     return backends_[static_cast<size_t>(backend)]->credits();
   }
-  int backend_count() const { return static_cast<int>(backends_.size()); }
   bool load_balance_reads() const { return load_balance_reads_; }
   // Bounded-exponential backoff before attempt `n` (1-based), reusing the
   // backend initiator's client retry policy.
@@ -149,7 +147,7 @@ class Blobstore {
 
  private:
   struct ReadCtx {
-    BlobAddr primary, shadow;
+    ReplicaPair blob;
     IoPriority prio;
     DoneFn done;
     int attempts = 0;  // transmissions so far

@@ -18,7 +18,6 @@ class BloomFilter {
   bool MayContain(uint64_t key) const;
 
   uint64_t bit_count() const { return bits_.size() * 64; }
-  uint64_t memory_bytes() const { return bits_.size() * 8; }
 
  private:
   static uint64_t Hash(uint64_t key, uint64_t seed);

@@ -45,7 +45,6 @@ class KvCluster {
 
   workload::Testbed& bed() { return bed_; }
   sim::Simulator& sim() { return bed_.sim(); }
-  GlobalBlobAllocator& global_allocator() { return global_; }
   std::vector<std::unique_ptr<Instance>>& instances() { return instances_; }
 
  private:

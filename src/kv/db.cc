@@ -75,19 +75,18 @@ void KvDb::AppendWal(Key key, const Value& value, uint32_t bytes,
 }
 
 bool KvDb::EnsureWalSpace(uint32_t bytes) {
-  if (wal_blob_.valid() && wal_used_ + bytes <= wal_blob_.bytes) return true;
+  const BlobAddr& seg = wal_blob_.primary;
+  if (seg.valid() && wal_used_ + bytes <= seg.bytes) return true;
   // After a failed commit the next segment avoids the failed backend; if
   // the exclusion is unsatisfiable (single-backend cluster) fall back to
   // unconstrained placement and let the retry loop ride out the fault.
   auto blob = alloc_.AllocateMicro(wal_avoid_backend_);
   if (!blob && wal_avoid_backend_ >= 0) blob = alloc_.AllocateMicro();
   if (!blob) return false;
-  wal_blob_ = *blob;
-  wal_used_ = 0;
-  wal_blobs_.push_back(*blob);
   auto shadow = alloc_.AllocateMicro(/*exclude_backend=*/blob->backend);
-  wal_shadow_ = shadow.value_or(BlobAddr{});
-  if (shadow) wal_shadow_blobs_.push_back(*shadow);
+  wal_blob_ = ReplicaPair{*blob, shadow.value_or(BlobAddr{})};
+  wal_used_ = 0;
+  wal_blobs_.push_back(wal_blob_);
   return true;
 }
 
@@ -116,19 +115,13 @@ void KvDb::MaybeFlushWal() {
   wal_batch_bytes_ = 0;
   wal_inflight_waiters_ = waiters;  // a crash aborts these (SimulateCrash)
 
-  BlobAddr dst = wal_blob_;
-  dst.offset += wal_used_;
-  dst.bytes = batch;
-  BlobAddr sdst = wal_shadow_;
-  if (sdst.valid()) {
-    sdst.offset += wal_used_;
-    sdst.bytes = batch;
-  }
+  const ReplicaPair dst = wal_blob_.Slice(wal_used_, batch);
   wal_used_ += batch;
 
   blobs_.WriteReplicated(
-      dst, sdst, kWalPriority,
-      [this, waiters, records, dst, batch_bytes, epoch](IoStatus st) {
+      dst, kWalPriority,
+      [this, waiters, records, backend = dst.primary.backend, batch_bytes,
+       epoch](IoStatus st) {
         if (epoch != epoch_) return;  // crash already failed the waiters
         wal_inflight_ = false;
         wal_inflight_waiters_.reset();
@@ -163,7 +156,7 @@ void KvDb::MaybeFlushWal() {
         if (obs_) {
           obs_->tracer.Instant(
               sim_.now(), obs::schema::kEvKvWalRetry,
-              obs::Labels::TenantSsd(instance_, dst.backend),
+              obs::Labels::TenantSsd(instance_, backend),
               {{"attempt", static_cast<double>(wal_retry_attempts_ + 1)},
                {"status", static_cast<double>(st)}});
         }
@@ -173,12 +166,11 @@ void KvDb::MaybeFlushWal() {
         wal_batch_records_.insert(wal_batch_records_.begin(), records->begin(),
                                   records->end());
         wal_batch_bytes_ += batch_bytes;
-        wal_avoid_backend_ = dst.backend;
-        wal_blob_ = BlobAddr{};
-        wal_shadow_ = BlobAddr{};
+        wal_avoid_backend_ = backend;
+        wal_blob_ = ReplicaPair{};
         wal_used_ = 0;
         const Tick backoff =
-            blobs_.RetryBackoff(dst.backend, ++wal_retry_attempts_);
+            blobs_.RetryBackoff(backend, ++wal_retry_attempts_);
         sim_.After(backoff > 0 ? backoff : 1, [this, epoch]() {
           if (epoch == epoch_) MaybeFlushWal();
         });
@@ -189,14 +181,11 @@ void KvDb::RotateMemtable() {
   Immutable imm;
   imm.table = std::make_shared<Memtable>(std::move(memtable_));
   imm.wal_blobs = std::move(wal_blobs_);
-  imm.wal_shadow_blobs = std::move(wal_shadow_blobs_);
   imm.wal_records = std::move(wal_records_);
   memtable_ = Memtable{};
   wal_blobs_.clear();
-  wal_shadow_blobs_.clear();
   wal_records_.clear();
-  wal_blob_ = BlobAddr{};
-  wal_shadow_ = BlobAddr{};
+  wal_blob_ = ReplicaPair{};
   wal_used_ = 0;
   immutables_.push_back(std::move(imm));
   MaybeStartFlush();
@@ -217,31 +206,42 @@ void KvDb::AllocatePlacement(SsTable& table) {
                    static_cast<unsigned long long>(table.id()));
       std::abort();
     }
-    table.primary_blobs.push_back(*primary);
     auto shadow = alloc_.AllocateMicro(primary->backend);
-    if (shadow) table.shadow_blobs.push_back(*shadow);
+    table.placement.push_back({*primary, shadow.value_or(BlobAddr{})});
     need = need > micro ? need - micro : 0;
   }
 }
 
-void KvDb::FreePlacement(const SsTable& table) {
+void KvDb::FreeBlobs(const std::vector<ReplicaPair>& blobs) {
   // TRIM before returning the blobs to the allocator: the SSD's GC stops
-  // relocating the dead table data, which keeps write amplification down
-  // under compaction churn.
-  for (const auto& b : table.primary_blobs) {
-    blobs_.Trim(b);
-    alloc_.FreeMicro(b);
+  // relocating the dead data, which keeps write amplification down under
+  // compaction churn.
+  for (const ReplicaPair& r : blobs) {
+    blobs_.Trim(r.primary);
+    alloc_.FreeMicro(r.primary);
   }
-  for (const auto& b : table.shadow_blobs) {
-    blobs_.Trim(b);
-    alloc_.FreeMicro(b);
+  for (const ReplicaPair& r : blobs) {
+    if (!r.shadow.valid()) continue;
+    blobs_.Trim(r.shadow);
+    alloc_.FreeMicro(r.shadow);
   }
 }
+
+struct KvDb::WriteJob {
+  uint64_t epoch;
+  std::vector<SsTableRef> outputs;
+  std::vector<ReplicaPair> writes;  // every output blob, in table order
+  std::function<void(std::vector<SsTableRef>)> install;
+  size_t next = 0;  // first write not yet issued
+  int inflight = 0;
+};
 
 void KvDb::WriteTables(
     std::vector<std::pair<Key, Value>> entries,
     std::function<void(std::vector<SsTableRef>)> install) {
-  auto outputs = std::make_shared<std::vector<SsTableRef>>();
+  auto job = std::make_shared<WriteJob>();
+  job->epoch = epoch_;
+  job->install = std::move(install);
   // Chunk sorted entries into target-sized tables.
   std::vector<std::pair<Key, Value>> chunk;
   uint64_t chunk_bytes = 0;
@@ -249,7 +249,7 @@ void KvDb::WriteTables(
     if (chunk.empty()) return;
     auto table = std::make_shared<SsTable>(next_table_id_++, std::move(chunk));
     AllocatePlacement(*table);
-    outputs->push_back(std::move(table));
+    job->outputs.push_back(std::move(table));
     chunk = {};
     chunk_bytes = 0;
   };
@@ -260,81 +260,55 @@ void KvDb::WriteTables(
   }
   flush_chunk();
 
-  // Gather all blob writes and issue them with bounded parallelism.
-  struct WriteJob {
-    BlobAddr primary, shadow;
-  };
-  auto jobs = std::make_shared<std::vector<WriteJob>>();
-  for (const auto& t : *outputs) {
-    for (size_t i = 0; i < t->primary_blobs.size(); ++i) {
-      WriteJob j;
-      j.primary = t->primary_blobs[i];
-      j.shadow = i < t->shadow_blobs.size() ? t->shadow_blobs[i] : BlobAddr{};
-      stats_.compaction_write_bytes += j.primary.bytes;
-      jobs->push_back(j);
+  for (const auto& t : job->outputs) {
+    for (const ReplicaPair& r : t->placement) {
+      stats_.compaction_write_bytes += r.primary.bytes;
+      job->writes.push_back(r);
     }
   }
-  const uint64_t epoch = epoch_;
-  if (jobs->empty()) {
-    sim_.After(0, [outputs, install = std::move(install)]() {
-      install(*outputs);
-    });
+  if (job->writes.empty()) {
+    sim_.After(0, [job]() { job->install(std::move(job->outputs)); });
     return;
   }
-  auto next = std::make_shared<size_t>(0);
-  auto inflight = std::make_shared<int>(0);
-  // The stored pipeline functions capture only weak self-references —
-  // strong references ride in the in-flight completions — so the pipeline
-  // state frees itself once the last IO completes instead of living in a
-  // shared_ptr cycle.
-  auto pump = std::make_shared<std::function<void()>>();
-  auto submit = std::make_shared<std::function<void(WriteJob, int)>>();
-  *submit = [this, jobs, next, inflight, outputs, install,
-             wpump = std::weak_ptr<std::function<void()>>(pump),
-             wsubmit = std::weak_ptr<std::function<void(WriteJob, int)>>(
-                 submit),
-             epoch](WriteJob j, int attempts) {
-    auto pump_s = wpump.lock();
-    auto submit_s = wsubmit.lock();
-    blobs_.WriteReplicated(
-        j.primary, j.shadow, kBackgroundPriority,
-        [this, j, attempts, jobs, next, inflight, outputs, install, pump_s,
-         submit_s, epoch](IoStatus st) {
-          if (epoch != epoch_) return;  // the job died with the process
-          if (st != IoStatus::kOk && st != IoStatus::kAborted) {
-            // Both replicas failed. Rewrite the same pair after backoff:
-            // the shadow is placed off the primary's backend, so one
-            // recovered SSD is enough to land it (degraded + ledger).
-            ++stats_.write_job_retries;
-            const Tick backoff =
-                blobs_.RetryBackoff(j.primary.backend, attempts + 1);
-            sim_.After(backoff > 0 ? backoff : 1,
-                       [this, submit_s, pump_s, j, attempts, epoch]() {
-                         if (epoch != epoch_) return;
-                         (*submit_s)(j, attempts + 1);
-                       });
-            return;
-          }
-          // kOk, or kAborted at teardown — either way the pipeline drains.
-          --*inflight;
-          if (*next >= jobs->size() && *inflight == 0) {
-            install(*outputs);
-            return;
-          }
-          (*pump_s)();
-        });
-  };
-  *pump = [this, jobs, next, inflight,
-           wsubmit =
-               std::weak_ptr<std::function<void(WriteJob, int)>>(submit)]() {
-    auto submit_s = wsubmit.lock();
-    while (*next < jobs->size() && *inflight < kCompactionIoDepth) {
-      WriteJob j = (*jobs)[(*next)++];
-      ++*inflight;
-      (*submit_s)(j, 0);
-    }
-  };
-  (*pump)();
+  PumpWrites(job);
+}
+
+// Issue writes with bounded parallelism.
+void KvDb::PumpWrites(const std::shared_ptr<WriteJob>& job) {
+  while (job->next < job->writes.size() &&
+         job->inflight < kCompactionIoDepth) {
+    ++job->inflight;
+    SubmitWrite(job, job->next++, 0);
+  }
+}
+
+void KvDb::SubmitWrite(const std::shared_ptr<WriteJob>& job, size_t i,
+                       int attempts) {
+  blobs_.WriteReplicated(
+      job->writes[i], kBackgroundPriority,
+      [this, job, i, attempts](IoStatus st) {
+        if (job->epoch != epoch_) return;  // the job died with the process
+        if (st != IoStatus::kOk && st != IoStatus::kAborted) {
+          // Both replicas failed. Rewrite the same pair after backoff: the
+          // shadow is placed off the primary's backend, so one recovered
+          // SSD is enough to land it (degraded + ledger).
+          ++stats_.write_job_retries;
+          const Tick backoff = blobs_.RetryBackoff(
+              job->writes[i].primary.backend, attempts + 1);
+          sim_.After(backoff > 0 ? backoff : 1, [this, job, i, attempts]() {
+            if (job->epoch != epoch_) return;
+            SubmitWrite(job, i, attempts + 1);
+          });
+          return;
+        }
+        // kOk, or kAborted at teardown — either way the pipeline drains.
+        --job->inflight;
+        if (job->next >= job->writes.size() && job->inflight == 0) {
+          job->install(std::move(job->outputs));
+          return;
+        }
+        PumpWrites(job);
+      });
 }
 
 void KvDb::MaybeStartFlush() {
@@ -348,14 +322,7 @@ void KvDb::MaybeStartFlush() {
     if (epoch != epoch_) return;  // crashed mid-flush: L0 never installed
     for (auto& t : tables) levels_[0].push_back(t);
     // WAL of the flushed memtable is obsolete: trim + free.
-    for (const auto& b : immutables_.front().wal_blobs) {
-      blobs_.Trim(b);
-      alloc_.FreeMicro(b);
-    }
-    for (const auto& b : immutables_.front().wal_shadow_blobs) {
-      blobs_.Trim(b);
-      alloc_.FreeMicro(b);
-    }
+    FreeBlobs(immutables_.front().wal_blobs);
     immutables_.pop_front();
     flush_active_ = false;
     DrainStalled();
@@ -419,190 +386,164 @@ void KvDb::MaybeCompact() {
   }
 }
 
+struct KvDb::ScanJob {
+  uint64_t epoch;
+  int level;  // inputs come from `level` and `level + 1`
+  std::vector<SsTableRef> inputs;  // upper level's first
+  std::vector<ReplicaPair> reads;  // every input blob, in input order
+  size_t next = 0;  // first read not yet issued
+  int inflight = 0;
+  IoStatus worst = IoStatus::kOk;
+};
+
 void KvDb::CompactIntoNext(int level) {
   compaction_active_ = true;
   ++stats_.compactions;
-  const int next_level = level + 1;
-  const uint64_t epoch = epoch_;
+  auto job = std::make_shared<ScanJob>();
+  job->epoch = epoch_;
+  job->level = level;
 
   // Choose inputs: all of L0 (ranges overlap), or one file from Ln picked
-  // round-robin.
-  std::vector<SsTableRef> upper;
+  // round-robin; then every overlapping file of the next level.
+  std::vector<SsTableRef>& inputs = job->inputs;
   if (level == 0) {
-    upper = levels_[0];
+    inputs = levels_[0];
   } else {
-    auto& files = levels_[level];
-    upper.push_back(files[static_cast<size_t>(compact_cursor_) % files.size()]);
-    ++compact_cursor_;
+    const auto& files = levels_[level];
+    inputs.push_back(files[static_cast<size_t>(compact_cursor_++) %
+                           files.size()]);
   }
-  Key lo = upper.front()->min_key(), hi = upper.front()->max_key();
-  for (const auto& t : upper) {
+  Key lo = inputs.front()->min_key(), hi = inputs.front()->max_key();
+  for (const auto& t : inputs) {
     lo = std::min(lo, t->min_key());
     hi = std::max(hi, t->max_key());
   }
-  std::vector<SsTableRef> lower;
-  for (const auto& t : levels_[next_level]) {
-    if (t->max_key() >= lo && t->min_key() <= hi) lower.push_back(t);
+  for (const auto& t : levels_[level + 1]) {
+    if (t->max_key() >= lo && t->min_key() <= hi) inputs.push_back(t);
   }
-
-  std::vector<SsTableRef> inputs = upper;
-  inputs.insert(inputs.end(), lower.begin(), lower.end());
 
   // Read every input blob (the merge scan), bounded parallelism, then
   // write the merged outputs and swap the manifest.
-  auto addrs = std::make_shared<std::vector<std::pair<BlobAddr, BlobAddr>>>();
   for (const auto& t : inputs) {
-    for (size_t i = 0; i < t->primary_blobs.size(); ++i) {
-      BlobAddr s =
-          i < t->shadow_blobs.size() ? t->shadow_blobs[i] : BlobAddr{};
-      addrs->emplace_back(t->primary_blobs[i], s);
-      stats_.compaction_read_bytes += t->primary_blobs[i].bytes;
+    for (const ReplicaPair& r : t->placement) {
+      job->reads.push_back(r);
+      stats_.compaction_read_bytes += r.primary.bytes;
     }
   }
-  bool to_bottom = next_level == config_.levels - 1;
-  auto finish_reads = [this, inputs, upper, lower, level, next_level,
-                       to_bottom, epoch]() {
-    if (epoch != epoch_) return;  // crashed: compaction abandoned
-    std::vector<std::pair<Key, Value>> merged = MergeInputs(inputs, to_bottom);
-    if (merged.empty()) {
-      // Everything was tombstones: just drop the inputs.
-      for (const auto& t : upper) FreePlacement(*t);
-      for (const auto& t : lower) FreePlacement(*t);
-      auto gone = [&](const SsTableRef& t) {
-        for (const auto& u : upper) {
-          if (u == t) return true;
-        }
-        for (const auto& d : lower) {
-          if (d == t) return true;
-        }
-        return false;
-      };
-      auto& up = levels_[level];
-      up.erase(std::remove_if(up.begin(), up.end(), gone), up.end());
-      auto& down = levels_[next_level];
-      down.erase(std::remove_if(down.begin(), down.end(), gone), down.end());
-      compaction_active_ = false;
-      MaybeCompact();
-      return;
-    }
-    WriteTables(std::move(merged), [this, upper, lower, level, next_level,
-                                    epoch](std::vector<SsTableRef> outputs) {
-      if (epoch != epoch_) return;  // crashed: outputs never installed
-      auto gone = [&](const SsTableRef& t) {
-        for (const auto& u : upper) {
-          if (u == t) return true;
-        }
-        for (const auto& d : lower) {
-          if (d == t) return true;
-        }
-        return false;
-      };
-      auto& up = levels_[level];
-      up.erase(std::remove_if(up.begin(), up.end(), gone), up.end());
-      auto& down = levels_[next_level];
-      down.erase(std::remove_if(down.begin(), down.end(), gone), down.end());
-      for (auto& t : outputs) down.push_back(t);
-      std::sort(down.begin(), down.end(),
-                [](const SsTableRef& a, const SsTableRef& b) {
-                  return a->min_key() < b->min_key();
-                });
-      for (const auto& t : upper) FreePlacement(*t);
-      for (const auto& t : lower) FreePlacement(*t);
-      compaction_active_ = false;
-      MaybeCompact();
-    });
-  };
-
-  if (addrs->empty()) {
-    sim_.After(0, finish_reads);
+  if (job->reads.empty()) {
+    sim_.After(0, [this, job]() { FinishScan(job); });
     return;
   }
-  auto next = std::make_shared<size_t>(0);
-  auto inflight = std::make_shared<int>(0);
-  auto worst = std::make_shared<IoStatus>(IoStatus::kOk);
-  // Weak self-reference in the stored function; strong refs live in the
-  // in-flight read completions (see WriteTables for the pattern).
-  auto pump = std::make_shared<std::function<void()>>();
-  *pump = [this, addrs, next, inflight, worst, finish_reads,
-           wpump = std::weak_ptr<std::function<void()>>(pump), epoch]() {
-    auto pump_s = wpump.lock();
-    while (*next < addrs->size() && *inflight < kCompactionIoDepth) {
-      auto [p, s] = (*addrs)[(*next)++];
-      ++*inflight;
-      blobs_.ReadBalanced(
-          p, s, kBackgroundPriority,
-          [this, addrs, next, inflight, worst, finish_reads, pump_s,
-           epoch](IoStatus st) {
-            if (epoch != epoch_) return;  // crashed: compaction abandoned
-            // kAborted is teardown, not a data fault — let the scan drain.
-            if (st != IoStatus::kOk && st != IoStatus::kAborted &&
-                *worst == IoStatus::kOk) {
-              *worst = st;
-            }
-            --*inflight;
-            if (*next >= addrs->size() && *inflight == 0) {
-              if (*worst != IoStatus::kOk) {
-                // A merge-scan read exhausted its failover budget: abort
-                // this compaction cleanly and re-attempt after backoff.
-                // Inputs stay installed, so reads are unaffected.
-                ++stats_.compaction_read_retries;
-                compaction_active_ = false;
-                const Tick backoff = blobs_.RetryBackoff(
-                    addrs->front().first.backend, ++compaction_retry_attempts_);
-                sim_.After(backoff > 0 ? backoff : 1, [this, epoch]() {
-                  if (epoch == epoch_) MaybeCompact();
-                });
-                return;
-              }
-              compaction_retry_attempts_ = 0;
-              finish_reads();
-              return;
-            }
-            (*pump_s)();
-          });
-    }
+  PumpScan(job);
+}
+
+void KvDb::PumpScan(const std::shared_ptr<ScanJob>& job) {
+  while (job->next < job->reads.size() &&
+         job->inflight < kCompactionIoDepth) {
+    ++job->inflight;
+    blobs_.ReadBalanced(
+        job->reads[job->next++], kBackgroundPriority,
+        [this, job](IoStatus st) {
+          if (job->epoch != epoch_) return;  // crashed: compaction abandoned
+          // kAborted is teardown, not a data fault — let the scan drain.
+          if (st != IoStatus::kOk && st != IoStatus::kAborted &&
+              job->worst == IoStatus::kOk) {
+            job->worst = st;
+          }
+          --job->inflight;
+          if (job->next < job->reads.size() || job->inflight > 0) {
+            PumpScan(job);
+            return;
+          }
+          if (job->worst != IoStatus::kOk) {
+            // A merge-scan read exhausted its failover budget: abort this
+            // compaction cleanly and re-attempt after backoff. Inputs stay
+            // installed, so reads are unaffected.
+            ++stats_.compaction_read_retries;
+            compaction_active_ = false;
+            const Tick backoff =
+                blobs_.RetryBackoff(job->reads.front().primary.backend,
+                                    ++compaction_retry_attempts_);
+            sim_.After(backoff > 0 ? backoff : 1, [this, epoch = job->epoch]() {
+              if (epoch == epoch_) MaybeCompact();
+            });
+            return;
+          }
+          compaction_retry_attempts_ = 0;
+          FinishScan(job);
+        });
+  }
+}
+
+void KvDb::FinishScan(const std::shared_ptr<ScanJob>& job) {
+  if (job->epoch != epoch_) return;  // crashed: compaction abandoned
+  const bool to_bottom = job->level + 1 == config_.levels - 1;
+  std::vector<std::pair<Key, Value>> merged =
+      MergeInputs(job->inputs, to_bottom);
+  if (merged.empty()) {
+    // Everything was tombstones: just drop the inputs.
+    RetireInputs(*job, {});
+    return;
+  }
+  WriteTables(std::move(merged), [this, job](std::vector<SsTableRef> outputs) {
+    if (job->epoch != epoch_) return;  // crashed: outputs never installed
+    RetireInputs(*job, std::move(outputs));
+  });
+}
+
+void KvDb::RetireInputs(const ScanJob& job, std::vector<SsTableRef> outputs) {
+  auto gone = [&](const SsTableRef& t) {
+    return std::find(job.inputs.begin(), job.inputs.end(), t) !=
+           job.inputs.end();
   };
-  (*pump)();
+  auto& up = levels_[job.level];
+  up.erase(std::remove_if(up.begin(), up.end(), gone), up.end());
+  auto& down = levels_[job.level + 1];
+  down.erase(std::remove_if(down.begin(), down.end(), gone), down.end());
+  for (auto& t : outputs) down.push_back(std::move(t));
+  std::sort(down.begin(), down.end(),
+            [](const SsTableRef& a, const SsTableRef& b) {
+              return a->min_key() < b->min_key();
+            });
+  for (const auto& t : job.inputs) FreeBlobs(t->placement);
+  compaction_active_ = false;
+  MaybeCompact();
 }
 
 // ---------------------------------------------------------------------------
 // Read path
 // ---------------------------------------------------------------------------
 
+struct KvDb::ProbeJob {
+  Key key;
+  uint64_t epoch;
+  GetDone done;
+  std::vector<SsTableRef> candidates;  // in recency order
+};
+
 void KvDb::Get(Key key, GetDone done) {
   ++stats_.gets;
-  const uint64_t epoch = epoch_;
-  auto shared_done = std::make_shared<GetDone>(std::move(done));
-  auto respond = [this, shared_done, epoch](IoStatus st, bool found, Value v) {
-    if (epoch != epoch_) {  // the process died while the op was in flight
-      ++stats_.aborted_ops;
-      st = IoStatus::kAborted;
-      found = false;
-      v = Value{};
-    }
-    if (found) ++stats_.gets_found;
-    sim_.After(0, [st, found, v, shared_done]() {
-      if (*shared_done) (*shared_done)(st, found, v);
-    });
-  };
+  auto job = std::make_shared<ProbeJob>();
+  job->key = key;
+  job->epoch = epoch_;
+  job->done = std::move(done);
   // Memory hits: memtable, then immutables newest-first.
   if (auto v = memtable_.Get(key)) {
     ++stats_.memory_hits;
-    respond(IoStatus::kOk, !v->tombstone, *v);
+    Respond(job, IoStatus::kOk, !v->tombstone, *v);
     return;
   }
   for (auto it = immutables_.rbegin(); it != immutables_.rend(); ++it) {
     if (auto v = it->table->Get(key)) {
       ++stats_.memory_hits;
-      respond(IoStatus::kOk, !v->tombstone, *v);
+      Respond(job, IoStatus::kOk, !v->tombstone, *v);
       return;
     }
   }
 
   // Candidate SSTables: L0 newest-first, then one file per deeper level.
-  auto candidates = std::make_shared<std::vector<SsTableRef>>();
   for (auto it = levels_[0].rbegin(); it != levels_[0].rend(); ++it) {
-    if ((*it)->MayContain(key)) candidates->push_back(*it);
+    if ((*it)->MayContain(key)) job->candidates.push_back(*it);
   }
   for (int l = 1; l < config_.levels; ++l) {
     const auto& files = levels_[l];
@@ -611,50 +552,51 @@ void KvDb::Get(Key key, GetDone done) {
                                  return t->max_key() < k;
                                });
     if (it != files.end() && (*it)->MayContain(key)) {
-      candidates->push_back(*it);
+      job->candidates.push_back(*it);
     }
   }
-  if (candidates->empty()) {
-    respond(IoStatus::kOk, false, Value{});
+  Probe(job, 0);
+}
+
+// Probe candidate `i`, in recency order; each probe costs one data-block IO.
+void KvDb::Probe(const std::shared_ptr<ProbeJob>& job, size_t i) {
+  if (i >= job->candidates.size()) {
+    Respond(job, IoStatus::kOk, false, Value{});
     return;
   }
+  const SsTable& t = *job->candidates[i];
+  ++stats_.data_block_reads;
+  blobs_.ReadBalanced(
+      t.BlobForOffset(t.BlockOffsetOf(job->key), 4096), kReadPriority,
+      [this, job, i](IoStatus st) {
+        if (st != IoStatus::kOk) {
+          // Failover budget exhausted (or teardown): surface the fault
+          // instead of inventing a not-found.
+          Respond(job, st, false, Value{});
+          return;
+        }
+        auto v = job->candidates[i]->Lookup(job->key);
+        if (v) {
+          Respond(job, IoStatus::kOk, !v->tombstone,
+                  v->tombstone ? Value{} : *v);
+          return;
+        }
+        Probe(job, i + 1);  // bloom false positive
+      });
+}
 
-  // Probe candidates in recency order; each probe costs one data-block IO.
-  // The stored function holds only a weak self-reference; the in-flight
-  // read completion carries the strong one, so the probe chain frees
-  // itself when the last hop resolves.
-  auto probe = std::make_shared<std::function<void(size_t)>>();
-  *probe = [this, candidates,
-            wprobe = std::weak_ptr<std::function<void(size_t)>>(probe),
-            respond, key](size_t i) {
-    if (i >= candidates->size()) {
-      respond(IoStatus::kOk, false, Value{});
-      return;
-    }
-    SsTableRef t = (*candidates)[i];
-    uint64_t off = t->BlockOffsetOf(key);
-    auto [p, s] = t->BlobForOffset(off, 4096);
-    ++stats_.data_block_reads;
-    auto probe_s = wprobe.lock();
-    blobs_.ReadBalanced(p, s, kReadPriority,
-                        [t, key, probe_s, i, respond](IoStatus st) {
-                          if (st != IoStatus::kOk) {
-                            // Failover budget exhausted (or teardown):
-                            // surface the fault instead of inventing a
-                            // not-found.
-                            respond(st, false, Value{});
-                            return;
-                          }
-                          auto v = t->Lookup(key);
-                          if (v) {
-                            respond(IoStatus::kOk, !v->tombstone,
-                                    v->tombstone ? Value{} : *v);
-                            return;
-                          }
-                          (*probe_s)(i + 1);  // bloom false positive
-                        });
-  };
-  (*probe)(0);
+void KvDb::Respond(const std::shared_ptr<ProbeJob>& job, IoStatus st,
+                   bool found, Value v) {
+  if (job->epoch != epoch_) {  // the process died while the op was in flight
+    ++stats_.aborted_ops;
+    st = IoStatus::kAborted;
+    found = false;
+    v = Value{};
+  }
+  if (found) ++stats_.gets_found;
+  sim_.After(0, [job, st, found, v]() {
+    if (job->done) job->done(st, found, v);
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -667,27 +609,20 @@ void KvDb::SimulateCrash() {
   // Collapse every surviving WAL segment — immutables oldest-first, then
   // the active memtable's — into one durable list for Recover(). The
   // SSTable manifest (levels_) models durable metadata and survives.
-  std::vector<BlobAddr> blobs;
-  std::vector<BlobAddr> shadows;
+  std::vector<ReplicaPair> blobs;
   std::vector<std::pair<Key, Value>> records;
   for (auto& imm : immutables_) {
     blobs.insert(blobs.end(), imm.wal_blobs.begin(), imm.wal_blobs.end());
-    shadows.insert(shadows.end(), imm.wal_shadow_blobs.begin(),
-                   imm.wal_shadow_blobs.end());
     records.insert(records.end(), imm.wal_records.begin(),
                    imm.wal_records.end());
   }
   blobs.insert(blobs.end(), wal_blobs_.begin(), wal_blobs_.end());
-  shadows.insert(shadows.end(), wal_shadow_blobs_.begin(),
-                 wal_shadow_blobs_.end());
   records.insert(records.end(), wal_records_.begin(), wal_records_.end());
   memtable_ = Memtable{};
   immutables_.clear();
   wal_blobs_ = std::move(blobs);
-  wal_shadow_blobs_ = std::move(shadows);
   wal_records_ = std::move(records);
-  wal_blob_ = BlobAddr{};  // never append into pre-crash durable bytes
-  wal_shadow_ = BlobAddr{};
+  wal_blob_ = ReplicaPair{};  // never append into pre-crash durable bytes
   wal_used_ = 0;
 
   // Un-acked work dies with the process: the batch on the wire, the batch
@@ -733,8 +668,7 @@ void KvDb::Recover(PutDone done) {
   const uint64_t epoch = epoch_;
   // Snapshot the segment list before replay: replay can rotate the
   // memtable, which moves wal_blobs_ into a fresh immutable.
-  const std::vector<BlobAddr> rblobs = wal_blobs_;
-  const std::vector<BlobAddr> rshadows = wal_shadow_blobs_;
+  const std::vector<ReplicaPair> segments = wal_blobs_;
   // Replay applies synchronously in commit order (last writer wins), so
   // recovered state is visible to the very next operation; the reads
   // below pay the recovery IO in simulated time.
@@ -744,7 +678,7 @@ void KvDb::Recover(PutDone done) {
         sim_.now(), obs::schema::kEvKvRecover,
         obs::Labels::TenantSsd(instance_, -1),
         {{"records", static_cast<double>(wal_records_.size())},
-         {"segments", static_cast<double>(rblobs.size())}});
+         {"segments", static_cast<double>(segments.size())}});
   }
   for (const auto& [k, v] : wal_records_) {
     memtable_.Put(k, v);
@@ -752,19 +686,17 @@ void KvDb::Recover(PutDone done) {
   if (memtable_.bytes() >= config_.memtable_bytes) RotateMemtable();
 
   auto shared_done = std::make_shared<PutDone>(std::move(done));
-  if (rblobs.empty()) {
+  if (segments.empty()) {
     sim_.After(0, [shared_done]() {
       if (*shared_done) (*shared_done)(IoStatus::kOk);
     });
     return;
   }
-  auto remaining = std::make_shared<size_t>(rblobs.size());
+  auto remaining = std::make_shared<size_t>(segments.size());
   auto worst = std::make_shared<IoStatus>(IoStatus::kOk);
-  for (size_t i = 0; i < rblobs.size(); ++i) {
-    const BlobAddr p = rblobs[i];
-    const BlobAddr s = i < rshadows.size() ? rshadows[i] : BlobAddr{};
+  for (const ReplicaPair& segment : segments) {
     blobs_.ReadBalanced(
-        p, s, kReadPriority,
+        segment, kReadPriority,
         [remaining, worst, shared_done, epoch, this](IoStatus st) {
           if (st != IoStatus::kOk && *worst == IoStatus::kOk) *worst = st;
           if (--*remaining > 0) return;

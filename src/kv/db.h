@@ -123,17 +123,12 @@ class KvDb {
   uint64_t BytesAt(int level) const;
   uint64_t memtable_bytes() const { return memtable_.bytes(); }
   size_t immutable_count() const { return immutables_.size(); }
-  bool flush_active() const { return flush_active_; }
-  bool compaction_active() const { return compaction_active_; }
-  bool wal_inflight() const { return wal_inflight_; }
-  size_t wal_waiters() const { return wal_batch_waiters_.size(); }
   const KvDbConfig& config() const { return config_; }
 
  private:
   struct Immutable {
     std::shared_ptr<Memtable> table;
-    std::vector<BlobAddr> wal_blobs;  // primary WAL blobs to free on flush
-    std::vector<BlobAddr> wal_shadow_blobs;
+    std::vector<ReplicaPair> wal_blobs;  // WAL segments to free on flush
     // WAL-committed records backing this table (replayed on recovery).
     std::vector<std::pair<Key, Value>> wal_records;
   };
@@ -160,7 +155,26 @@ class KvDb {
   void WriteTables(std::vector<std::pair<Key, Value>> entries,
                    std::function<void(std::vector<SsTableRef>)> install);
   void AllocatePlacement(SsTable& table);
-  void FreePlacement(const SsTable& table);
+  // TRIM and free every blob: all primaries, then all shadows.
+  void FreeBlobs(const std::vector<ReplicaPair>& blobs);
+
+  // Background pipelines. Each runs as member functions over one job that
+  // only its in-flight completions own, so an abandoned job (crash epoch,
+  // teardown) frees itself with its last completion or dropped event.
+  struct WriteJob;  // a flush's or compaction's table writes
+  struct ScanJob;   // a compaction's merge-scan reads
+  struct ProbeJob;  // a Get's data-block probes
+  void PumpWrites(const std::shared_ptr<WriteJob>& job);
+  void SubmitWrite(const std::shared_ptr<WriteJob>& job, size_t i,
+                   int attempts);
+  void PumpScan(const std::shared_ptr<ScanJob>& job);
+  void FinishScan(const std::shared_ptr<ScanJob>& job);
+  // Drop the job's inputs from both levels, install `outputs` below, and
+  // free the inputs' blobs.
+  void RetireInputs(const ScanJob& job, std::vector<SsTableRef> outputs);
+  void Probe(const std::shared_ptr<ProbeJob>& job, size_t i);
+  void Respond(const std::shared_ptr<ProbeJob>& job, IoStatus st, bool found,
+               Value v);
   uint64_t LevelLimit(int level) const;
   void DrainStalled();
 
@@ -185,11 +199,9 @@ class KvDb {
   std::vector<PutDone> wal_batch_waiters_;
   std::vector<std::pair<Key, Value>> wal_batch_records_;
   bool wal_inflight_ = false;
-  BlobAddr wal_blob_;
-  BlobAddr wal_shadow_;
+  ReplicaPair wal_blob_;   // the segment appends go to
   uint64_t wal_used_ = 0;  // bytes consumed in the current WAL blob
-  std::vector<BlobAddr> wal_blobs_;  // blobs of the active memtable's WAL
-  std::vector<BlobAddr> wal_shadow_blobs_;
+  std::vector<ReplicaPair> wal_blobs_;  // the active memtable's WAL segments
   // Records committed to the active memtable's WAL (recovery replay).
   std::vector<std::pair<Key, Value>> wal_records_;
   // Waiters of the batch currently on the wire, so a crash can abort them.

@@ -60,34 +60,16 @@ uint64_t SsTable::BlockOffsetOf(Key key) const {
   return offset & ~uint64_t{4095};
 }
 
-std::pair<BlobAddr, BlobAddr> SsTable::BlobForOffset(
-    uint64_t file_offset, uint32_t read_bytes) const {
-  assert(!primary_blobs.empty() && "table has no placement");
+ReplicaPair SsTable::BlobForOffset(uint64_t file_offset,
+                                   uint32_t read_bytes) const {
+  assert(!placement.empty() && "table has no placement");
   uint64_t remaining = file_offset;
-  for (size_t i = 0; i < primary_blobs.size(); ++i) {
-    if (remaining < primary_blobs[i].bytes) {
-      BlobAddr p = primary_blobs[i];
-      p.offset += remaining;
-      p.bytes = read_bytes;
-      BlobAddr s;
-      if (i < shadow_blobs.size()) {
-        s = shadow_blobs[i];
-        s.offset += remaining;
-        s.bytes = read_bytes;
-      }
-      return {p, s};
-    }
-    remaining -= primary_blobs[i].bytes;
+  for (const ReplicaPair& r : placement) {
+    if (remaining < r.primary.bytes) return r.Slice(remaining, read_bytes);
+    remaining -= r.primary.bytes;
   }
   // Offset beyond placement (estimation edge): read the last blob's tail.
-  BlobAddr p = primary_blobs.back();
-  p.bytes = read_bytes;
-  BlobAddr s;
-  if (!shadow_blobs.empty()) {
-    s = shadow_blobs.back();
-    s.bytes = read_bytes;
-  }
-  return {p, s};
+  return placement.back().Slice(0, read_bytes);
 }
 
 }  // namespace gimbal::kv

@@ -69,16 +69,12 @@ class SsTable {
   // the placement list a point read must touch.
   uint64_t BlockOffsetOf(Key key) const;
 
-  // Blob placement, set by the DB after allocation. Parallel lists: chunk
-  // i of the file lives at primary_blobs[i] (and shadow_blobs[i] when
-  // replicated).
-  std::vector<BlobAddr> primary_blobs;
-  std::vector<BlobAddr> shadow_blobs;
+  // Blob placement, set by the DB after allocation: chunk i of the file
+  // lives at placement[i].
+  std::vector<ReplicaPair> placement;
 
-  // Map a file-relative offset to the blob (pair of replicas) holding it.
-  // Returns {primary, shadow}; shadow is invalid when unreplicated.
-  std::pair<BlobAddr, BlobAddr> BlobForOffset(uint64_t file_offset,
-                                              uint32_t read_bytes) const;
+  // The `read_bytes` at file-relative `file_offset`, in both replicas.
+  ReplicaPair BlobForOffset(uint64_t file_offset, uint32_t read_bytes) const;
 
  private:
   bool is_range() const { return entries_.empty(); }

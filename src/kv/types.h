@@ -40,4 +40,23 @@ struct BlobAddr {
   bool operator==(const BlobAddr&) const = default;
 };
 
+// One replicated blob (§4.3): writes go to both copies, reads balance
+// across them. `shadow` is invalid when no second backend had room.
+struct ReplicaPair {
+  BlobAddr primary;
+  BlobAddr shadow;
+
+  // `bytes` at `offset` into the blob, in both copies.
+  ReplicaPair Slice(uint64_t offset, uint32_t bytes) const {
+    ReplicaPair r = *this;
+    r.primary.offset += offset;
+    r.primary.bytes = bytes;
+    if (r.shadow.valid()) {
+      r.shadow.offset += offset;
+      r.shadow.bytes = bytes;
+    }
+    return r;
+  }
+};
+
 }  // namespace gimbal::kv

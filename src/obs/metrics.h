@@ -90,17 +90,14 @@ class MetricsRegistry {
   // Instrumentation sites that resolve per-tenant metric handles pass
   // their labels through here first, so a tenant-churn workload keeps the
   // registry (and snapshot size) bounded while trace events — which are
-  // per-event, not per-series — keep exact tenant ids. The default is far
+  // per-event, not per-series — keep exact tenant ids. The limit is far
   // above any figure experiment's tenant count, so small runs see exact
   // per-tenant series.
-  Labels FoldTenant(Labels l) const {
-    if (l.tenant >= tenant_series_limit_) l.tenant = Labels::kOtherTenant;
+  static constexpr int32_t kTenantSeriesLimit = 256;
+  static Labels FoldTenant(Labels l) {
+    if (l.tenant >= kTenantSeriesLimit) l.tenant = Labels::kOtherTenant;
     return l;
   }
-  void set_tenant_series_limit(int32_t limit) {
-    tenant_series_limit_ = limit;
-  }
-  int32_t tenant_series_limit() const { return tenant_series_limit_; }
 
   // Run label applied to instances resolved from now on. The bench harness
   // sets it per testbed (e.g. "gimbal:a") so one binary's successive runs
@@ -145,7 +142,6 @@ class MetricsRegistry {
   std::map<Key, Instance*> index_;
   std::deque<Instance> instances_;  // deque: stable element addresses
   std::string run_;
-  int32_t tenant_series_limit_ = 256;
 };
 
 }  // namespace gimbal::obs

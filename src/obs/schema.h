@@ -2,8 +2,8 @@
 //
 // Every MetricDef and trace-event name the instruments emit lives here so
 // the schema has one source of truth in code. docs/OBSERVABILITY.md is the
-// human-readable mirror — keep both in sync when adding instruments (the
-// doc is part of the review checklist for any PR touching this file).
+// human-readable mirror — keep both in sync when adding instruments
+// (ctest docs.schema fails on a name defined in only one of them).
 #pragma once
 
 #include "obs/metrics.h"
@@ -140,12 +140,7 @@ inline constexpr MetricDef kSsdGcPagesRelocated{
     "ssd/ssd.cc:GcRelocateBatch"};
 inline constexpr MetricDef kSsdBlocksErased{
     "ssd.gc.blocks_erased", "blocks", "victim blocks erased by GC",
-    "ssd/ssd.cc:GcRelocateBatch"};
-inline constexpr MetricDef kTargetOrphanCompletions{
-    "fabric.target.orphan_completions", "ios",
-    "completions whose session was already torn down when they surfaced "
-    "(late arrivals past a disconnect)",
-    "fabric/target.cc:FinishCompletion"};
+    "ssd/ssd.cc:EraseSlice"};
 inline constexpr MetricDef kSloWindows{
     "slo.windows", "windows",
     "closed per-tenant SLO evaluation windows (windows with >= 1 sample)",

@@ -43,11 +43,6 @@ struct SloSpec {
   Tick write_p99 = 0;
   Tick write_p999 = 0;
   Tick window = Milliseconds(100);
-
-  bool Enabled() const {
-    return read_p99 != 0 || read_p999 != 0 || write_p99 != 0 ||
-           write_p999 != 0;
-  }
 };
 
 class SloTracker {
@@ -73,11 +68,9 @@ class SloTracker {
   const Histogram& write_latency() const { return write_hist_; }
   uint64_t windows() const { return windows_; }
   uint64_t windows_violated() const { return windows_violated_; }
-  uint64_t tenants_violated() const { return tenants_violated_; }
   Tick time_in_violation() const {
     return static_cast<Tick>(windows_violated_) * spec_.window;
   }
-  size_t tracked_tenants() const { return tenants_.size(); }
 
   // Emit the schema above into `reg`. Call once, after FinalizeWindows().
   void Export(MetricsRegistry& reg) const;

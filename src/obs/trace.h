@@ -49,7 +49,6 @@ class EventTracer {
     limit_ = limit;
     events_.reserve(limit < 4096 ? limit : 4096);
   }
-  void Disable() { enabled_ = false; }
 
   // Point event at simulated time `ts`.
   void Instant(Tick ts, const char* name, Labels labels,

@@ -76,9 +76,6 @@ struct SsdConfig {
     uint32_t per_die = (blocks + dies() - 1) / dies() + gc_high_watermark;
     return per_die * dies();
   }
-  uint32_t blocks_per_die() const { return physical_blocks() / dies(); }
-  uint32_t read_unit_bytes() const { return read_unit_pages * page_bytes; }
-  uint32_t program_unit_bytes() const { return program_unit_pages * page_bytes; }
 
   // Field by field, so a memo keyed on the config (Ssd's fragmented
   // images) cannot miss a field added later.

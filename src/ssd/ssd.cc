@@ -388,35 +388,8 @@ void Ssd::GcRelocateBatch(int die, uint32_t victim,
                           std::shared_ptr<std::vector<Lpn>> valid,
                           size_t index) {
   if (index >= valid->size()) {
-    // All survivors relocated (or invalidated by host writes): erase, in
-    // suspendable slices so host reads queued at high priority interleave.
-    const int slices = config_.erase_slices > 0 ? config_.erase_slices : 1;
-    const Tick slice = config_.erase_latency / slices;
-    // The stored function holds only a weak self-reference — the strong
-    // one rides in the queued erase-slice closure — so the chain frees
-    // itself (and doesn't outlive a torn-down testbed) once the last
-    // slice runs or its event is dropped.
-    auto run_slice = std::make_shared<std::function<void(int)>>();
-    *run_slice = [this, die, victim, slices, slice,
-                  wrs = std::weak_ptr<std::function<void(int)>>(run_slice)](
-                     int i) {
-      auto self = wrs.lock();
-      die_res_[die]->AcquireLow(slice, [this, die, victim, slices, i,
-                                        self]() {
-        if (i + 1 < slices) {
-          (*self)(i + 1);
-          return;
-        }
-        ftl_.EraseBlock(victim);
-        if (m_gc_erased_) m_gc_erased_->Add(1);
-        AdmitWaiters();
-        // A freed block may unblock pumps beyond this die (pages can have
-        // been redistributed while it was packed).
-        KickAllPumps();
-        GcStep(die);
-      });
-    };
-    (*run_slice)(0);
+    // All survivors relocated (or invalidated by host writes): erase.
+    EraseSlice(die, victim, 0);
     return;
   }
   size_t end = std::min(index + config_.program_unit_pages, valid->size());
@@ -443,6 +416,26 @@ void Ssd::GcRelocateBatch(int die, uint32_t victim,
       GcRelocateBatch(die, victim, valid, end);
     });
   });
+}
+
+// The erase runs in suspendable slices so host reads queued at high
+// priority interleave; slice `i` is followed by `i + 1`, the last erases.
+void Ssd::EraseSlice(int die, uint32_t victim, int i) {
+  const int slices = config_.erase_slices > 0 ? config_.erase_slices : 1;
+  die_res_[die]->AcquireLow(
+      config_.erase_latency / slices, [this, die, victim, i, slices]() {
+        if (i + 1 < slices) {
+          EraseSlice(die, victim, i + 1);
+          return;
+        }
+        ftl_.EraseBlock(victim);
+        if (m_gc_erased_) m_gc_erased_->Add(1);
+        AdmitWaiters();
+        // A freed block may unblock pumps beyond this die (pages can have
+        // been redistributed while it was packed).
+        KickAllPumps();
+        GcStep(die);
+      });
 }
 
 }  // namespace gimbal::ssd

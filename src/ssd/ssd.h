@@ -102,6 +102,7 @@ class Ssd : public BlockDevice {
   void GcStep(int die);
   void GcRelocateBatch(int die, uint32_t victim,
                        std::shared_ptr<std::vector<Lpn>> valid, size_t index);
+  void EraseSlice(int die, uint32_t victim, int i);
   void FinishPart(PendingIo* op);
   void LinkPending(PendingIo* op) {
     op->next = pending_ops_;

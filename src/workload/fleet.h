@@ -81,7 +81,6 @@ class OpenLoopFleet {
   uint64_t connects() const { return connects_; }
   uint64_t disconnects() const { return disconnects_; }
   size_t active_sessions() const { return active_; }
-  size_t draining_sessions() const { return graveyard_.size(); }
 
   // Cumulative stats over every session, live and retired (a retired
   // session's in-flight tail is not counted). Shed arrivals (worker hit

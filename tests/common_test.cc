@@ -145,19 +145,6 @@ TEST(ScrambledZipfian, SpreadsHotKeys) {
   EXPECT_GT(max_count, 1000);
 }
 
-TEST(StreamingStats, Basics) {
-  StreamingStats s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.mean(), 0.0);
-  s.Add(10);
-  s.Add(20);
-  s.Add(30);
-  EXPECT_EQ(s.count(), 3u);
-  EXPECT_DOUBLE_EQ(s.mean(), 20.0);
-  EXPECT_DOUBLE_EQ(s.min(), 10.0);
-  EXPECT_DOUBLE_EQ(s.max(), 30.0);
-}
-
 TEST(Ewma, FirstSampleInitializes) {
   Ewma e(0.5);
   EXPECT_FALSE(e.initialized());
@@ -197,9 +184,8 @@ TEST(Histogram, EmptyIsZero) {
 }
 
 TEST(Histogram, EmptyEveryQuantileDefined) {
-  // Zero-count convention shared with StreamingStats and obs::Histogram:
-  // every quantile of an empty histogram is 0, even for out-of-range or
-  // non-finite q.
+  // Zero-count convention shared with obs::Histogram: every quantile of an
+  // empty histogram is 0, even for out-of-range or non-finite q.
   LatencyHistogram h;
   EXPECT_EQ(h.Percentile(0.0), 0);
   EXPECT_EQ(h.Percentile(0.5), 0);
@@ -217,19 +203,6 @@ TEST(Histogram, QuantileArgumentClamped) {
   EXPECT_EQ(h.Percentile(-0.5), h.Percentile(0.0));
   EXPECT_EQ(h.Percentile(1.5), h.Percentile(1.0));
   EXPECT_EQ(h.Percentile(std::nan("")), h.Percentile(0.0));
-}
-
-TEST(StreamingStats, EmptyReportsZeroNotSentinels) {
-  StreamingStats s;
-  EXPECT_EQ(s.min(), 0.0);  // not +inf
-  EXPECT_EQ(s.max(), 0.0);  // not -inf
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_FALSE(std::isnan(s.mean()));
-  s.Add(5);
-  s.Reset();
-  EXPECT_EQ(s.min(), 0.0);
-  EXPECT_EQ(s.max(), 0.0);
-  EXPECT_EQ(s.mean(), 0.0);
 }
 
 TEST(Histogram, ExactSmallValues) {

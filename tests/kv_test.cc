@@ -109,8 +109,11 @@ TEST(SsTable, BlockOffsetMonotoneAndAligned) {
 
 TEST(SsTable, BlobForOffsetWalksPlacement) {
   SsTable t(1, MakeEntries(1000));  // ~1MB data
-  t.primary_blobs = {{0, 0, 256 * 1024}, {1, 1 << 20, 256 * 1024},
-                     {0, 2 << 20, 256 * 1024}, {2, 0, 256 * 1024}};
+  // Unreplicated: every shadow is invalid.
+  t.placement = {{{0, 0, 256 * 1024}, {}},
+                 {{1, 1 << 20, 256 * 1024}, {}},
+                 {{0, 2 << 20, 256 * 1024}, {}},
+                 {{2, 0, 256 * 1024}, {}}};
   auto [p0, s0] = t.BlobForOffset(0, 4096);
   EXPECT_EQ(p0.backend, 0);
   EXPECT_EQ(p0.offset, 0u);
@@ -123,8 +126,7 @@ TEST(SsTable, BlobForOffsetWalksPlacement) {
 
 TEST(SsTable, ShadowPlacementMirrors) {
   SsTable t(1, MakeEntries(100));
-  t.primary_blobs = {{0, 0, 256 * 1024}};
-  t.shadow_blobs = {{1, 4096, 256 * 1024}};
+  t.placement = {{{0, 0, 256 * 1024}, {1, 4096, 256 * 1024}}};
   auto [p, s] = t.BlobForOffset(8192, 4096);
   EXPECT_EQ(p.backend, 0);
   EXPECT_EQ(s.backend, 1);
