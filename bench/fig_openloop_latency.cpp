@@ -6,7 +6,7 @@
 // unboundedly while Gimbal saturates at the paced rate with bounded device
 // latency (excess arrivals queue at the ingress instead).
 //
-// Part 2 — the tenant-scale scenario suite (ROADMAP item 3): an
+// Part 2 — the tenant-scale scenario suite: an
 // OpenLoopFleet drives a large session population (100k concurrent in the
 // full run; a scaled-down deterministic config under --quick for the
 // golden harness) through four regimes:

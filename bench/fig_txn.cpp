@@ -117,8 +117,7 @@ RunResult RunCell(const RunConfig& rc, const FaultKnobs& k) {
     ccfg.max_attempts = 0;  // retry until committed; drain sets give_up
     coords.push_back(
         std::make_unique<TxnCoordinator>(cluster.sim(), *inst.db, ccfg));
-    coords.back()->AttachObservability(CurrentObs(), inst.id);
-    coords.back()->AttachChecker(&chk);
+    coords.back()->Attach({CurrentObs(), &chk, inst.id});
     workload::TpccSpec spec;
     spec.warehouses = rc.warehouses;
     spec.seed = static_cast<uint64_t>(i) + 1 + g_seed;

@@ -34,9 +34,9 @@ int main() {
   //    clean.
   fabric::Network net(sim);
   fabric::Target target(sim, net, fabric::TargetConfig::SmartNicLike());
-  target.AttachObservability(&obs);
+  target.Attach({.obs = &obs});  // before AddPipeline: reaches the policy
   ssd::Ssd ssd_dev(sim, ssd::SsdConfig::SamsungDct983Like());
-  ssd_dev.AttachObservability(&obs, /*ssd_index=*/0);
+  ssd_dev.Attach({.obs = &obs, .label = /*ssd index*/ 0});
   ssd_dev.PreconditionClean();
 
   // 3. The Gimbal storage switch orchestrates the SSD's pipeline:

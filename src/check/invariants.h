@@ -1,9 +1,10 @@
 // Online invariant checker (docs/TESTING.md).
 //
-// Attaches to a Testbed the way obs::Observability does — every layer keeps
-// a nullable pointer and fires a hook at the events that matter — and
-// verifies, as the simulation runs, the conservation and fairness
-// properties the paper states:
+// Reaches every layer next to obs::Observability, in the obs::Sinks each
+// component takes through its one Attach() — the layer keeps a nullable
+// pointer and fires a hook at the events that matter — and verifies, as
+// the simulation runs, the conservation and fairness properties the paper
+// states:
 //
 //   * per-tenant IO conservation at the client: every admitted IO is
 //     queued, in flight, or terminal at all times, and the checker's

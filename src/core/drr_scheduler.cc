@@ -50,17 +50,19 @@ bool DrrScheduler::OpenSlot(TenantState& t) {
   return true;
 }
 
-void DrrScheduler::AttachObservability(obs::Observability* obs,
-                                       int ssd_index) {
-  if (!obs) {
-    m_pass_exhausted_ = nullptr;
-    m_orphan_completions_ = nullptr;
-    return;
+void DrrScheduler::Attach(const obs::Sinks& sinks) {
+  chk_ = sinks.chk;
+  ssd_index_ = sinks.label;
+  if (chk_) {
+    chk_->ConfigureDrr(ssd_index_, params_.drr_quantum, params_.slot_bytes,
+                       params_.write_cost_worst);
   }
-  const obs::Labels l = obs::Labels::Ssd(ssd_index);
-  m_pass_exhausted_ = &obs->metrics.GetCounter(obs::schema::kDrrPassExhausted, l);
+  if (!sinks.obs) return;
+  const obs::Labels l = obs::Labels::Ssd(ssd_index_);
+  obs::MetricsRegistry& reg = sinks.obs->metrics;
+  m_pass_exhausted_ = &reg.GetCounter(obs::schema::kDrrPassExhausted, l);
   m_orphan_completions_ =
-      &obs->metrics.GetCounter(obs::schema::kDrrOrphanCompletions, l);
+      &reg.GetCounter(obs::schema::kDrrOrphanCompletions, l);
 }
 
 void DrrScheduler::GrantRounds(TenantState& t, uint64_t rounds) {

@@ -93,19 +93,10 @@ class DrrScheduler {
   uint64_t pass_exhausted() const { return pass_exhausted_; }
   uint64_t orphan_completions() const { return orphan_completions_; }
 
-  // Attach metrics sinks for the robustness counters. Null detaches.
-  void AttachObservability(obs::Observability* obs, int ssd_index);
-
-  // Invariant hooks: quantum grants, serves, slot opens and backlog
-  // transitions (docs/TESTING.md). Null detaches.
-  void AttachChecker(check::InvariantChecker* chk, int ssd_index) {
-    chk_ = chk;
-    ssd_index_ = ssd_index;
-    if (chk_) {
-      chk_->ConfigureDrr(ssd_index, params_.drr_quantum, params_.slot_bytes,
-                         params_.write_cost_worst);
-    }
-  }
+  // Attach the robustness counters' metrics and the invariant hooks —
+  // quantum grants, serves, slot opens and backlog transitions
+  // (docs/TESTING.md); `sinks.label` is the ssd index.
+  void Attach(const obs::Sinks& sinks);
 
  private:
   void Activate(TenantState& t);

@@ -10,35 +10,20 @@ GimbalSwitch::GimbalSwitch(sim::Simulator& sim, ssd::BlockDevice& device,
       rate_(params_),
       scheduler_(params_, write_cost_) {}
 
-void GimbalSwitch::AttachObservability(obs::Observability* obs,
-                                       int ssd_index) {
-  PolicyBase::AttachObservability(obs, ssd_index);
-  rate_.AttachObservability(obs, ssd_index, &sim_);
-  write_cost_.AttachObservability(obs, ssd_index, &sim_);
-  scheduler_.AttachObservability(obs, ssd_index);
-  if (!obs) {
-    m_congestion_signals_ = nullptr;
-    m_overload_events_ = nullptr;
-    m_pacing_stalls_ = nullptr;
-    m_credit_grants_ = nullptr;
-    m_queue_depth_ = nullptr;
-    return;
-  }
+void GimbalSwitch::Attach(const obs::Sinks& sinks) {
+  PolicyBase::Attach(sinks);
+  rate_.Attach(sinks, &sim_);
+  write_cost_.Attach(sinks, &sim_);
+  scheduler_.Attach(sinks);
+  if (!obs_) return;
   namespace schema = obs::schema;
-  const obs::Labels l = obs::Labels::Ssd(ssd_index);
-  obs::MetricsRegistry& reg = obs->metrics;
+  const obs::Labels l = obs::Labels::Ssd(ssd_index_);
+  obs::MetricsRegistry& reg = obs_->metrics;
   m_congestion_signals_ = &reg.GetCounter(schema::kCongestionSignals, l);
   m_overload_events_ = &reg.GetCounter(schema::kOverloadEvents, l);
   m_pacing_stalls_ = &reg.GetCounter(schema::kPacingStalls, l);
   m_credit_grants_ = &reg.GetCounter(schema::kCreditGrants, l);
   m_queue_depth_ = &reg.GetGauge(schema::kQueueDepth, l);
-}
-
-void GimbalSwitch::AttachChecker(check::InvariantChecker* chk,
-                                 int ssd_index) {
-  PolicyBase::AttachChecker(chk, ssd_index);
-  rate_.AttachChecker(chk, ssd_index);
-  scheduler_.AttachChecker(chk, ssd_index);
 }
 
 void GimbalSwitch::OnRequest(const IoRequest& req) {

@@ -49,8 +49,7 @@ class GimbalSwitch : public PolicyBase {
     return scheduler_.CreditFor(tenant);
   }
   std::string name() const override { return "gimbal"; }
-  void AttachObservability(obs::Observability* obs, int ssd_index) override;
-  void AttachChecker(check::InvariantChecker* chk, int ssd_index) override;
+  void Attach(const obs::Sinks& sinks) override;
 
   // Per-SSD virtual view for `tenant` (§3.7).
   VirtualView View(TenantId tenant) const;

@@ -64,20 +64,10 @@ class IoPolicy {
 
   void set_completion_fn(CompletionFn fn) { complete_ = std::move(fn); }
 
-  // Attach metrics/trace sinks; `ssd_index` labels everything this policy
-  // emits. A null `obs` (the default state) disables all instrumentation.
-  virtual void AttachObservability(obs::Observability* obs, int ssd_index) {
-    (void)obs;
-    (void)ssd_index;
-  }
-
-  // Attach the online invariant checker (docs/TESTING.md); same contract as
-  // AttachObservability: null detaches, cost when detached is one branch
-  // per hook site.
-  virtual void AttachChecker(check::InvariantChecker* chk, int ssd_index) {
-    (void)chk;
-    (void)ssd_index;
-  }
+  // Attach metrics/trace and the invariant checker (docs/OBSERVABILITY.md,
+  // docs/TESTING.md); `sinks.label` is the ssd index labelling everything
+  // this policy emits. The target calls it once, as the pipeline is added.
+  virtual void Attach(const obs::Sinks& /*sinks*/) {}
 
  protected:
   CompletionFn complete_;
@@ -94,15 +84,10 @@ class PolicyBase : public IoPolicy {
     device_.Trim(offset, length);
   }
 
-  void AttachObservability(obs::Observability* obs, int ssd_index) override {
-    obs_ = obs;
-    ssd_index_ = ssd_index;
-    tenant_metrics_.clear();
-  }
-
-  void AttachChecker(check::InvariantChecker* chk, int ssd_index) override {
-    chk_ = chk;
-    ssd_index_ = ssd_index;
+  void Attach(const obs::Sinks& sinks) override {
+    obs_ = sinks.obs;
+    chk_ = sinks.chk;
+    ssd_index_ = sinks.label;
   }
 
   uint32_t device_inflight() const { return device_.inflight(); }

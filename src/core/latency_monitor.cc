@@ -25,15 +25,16 @@ void LatencyMonitor::Reset() {
   state_ = CongestionState::kUnderUtilized;
 }
 
-void LatencyMonitor::AttachObservability(obs::Observability* obs,
-                                         int ssd_index, IoType type,
-                                         const sim::Simulator* sim) {
-  obs_ = obs;
+void LatencyMonitor::Attach(const obs::Sinks& sinks, IoType type,
+                            const sim::Simulator* sim) {
+  obs_ = sinks.obs;
+  chk_ = sinks.chk;
   obs_sim_ = sim;
-  ssd_index_ = ssd_index;
+  ssd_index_ = sinks.label;
+  const bool read = type == IoType::kRead;
+  chk_is_read_ = read;
   if (!obs_) return;
   namespace schema = obs::schema;
-  const bool read = type == IoType::kRead;
   const obs::Labels l = obs::Labels::Ssd(ssd_index_);
   obs::MetricsRegistry& reg = obs_->metrics;
   m_ewma_ = &reg.GetGauge(read ? schema::kEwmaRead : schema::kEwmaWrite, l);

@@ -41,19 +41,11 @@ class LatencyMonitor {
 
   void Reset();
 
-  // Attach metrics/trace sinks. `type` selects the read or write metric
-  // family; `sim` supplies timestamps for state-transition trace events.
-  void AttachObservability(obs::Observability* obs, int ssd_index, IoType type,
-                           const sim::Simulator* sim);
-
-  // Invariant hook: every Update() reports EWMA/threshold/state for the
-  // §3.2 sanity checks (docs/TESTING.md).
-  void AttachChecker(check::InvariantChecker* chk, int ssd_index,
-                     IoType type) {
-    chk_ = chk;
-    ssd_index_ = ssd_index;
-    chk_is_read_ = type == IoType::kRead;
-  }
+  // Attach metrics/trace and the invariant checker, which sanity-checks
+  // EWMA/threshold/state on every Update() (§3.2, docs/TESTING.md). `type`
+  // selects the read or write metric family; `sim` supplies timestamps for
+  // state-transition trace events.
+  void Attach(const obs::Sinks& sinks, IoType type, const sim::Simulator* sim);
 
  private:
   const GimbalParams& params_;

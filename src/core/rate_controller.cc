@@ -70,13 +70,13 @@ CongestionState RateController::OnCompletion(IoType type, Tick latency,
   return state;
 }
 
-void RateController::AttachObservability(obs::Observability* obs,
-                                         int ssd_index,
-                                         const sim::Simulator* sim) {
-  obs_ = obs;
-  ssd_index_ = ssd_index;
-  read_monitor_.AttachObservability(obs, ssd_index, IoType::kRead, sim);
-  write_monitor_.AttachObservability(obs, ssd_index, IoType::kWrite, sim);
+void RateController::Attach(const obs::Sinks& sinks,
+                            const sim::Simulator* sim) {
+  obs_ = sinks.obs;
+  ssd_index_ = sinks.label;
+  read_monitor_.Attach(sinks, IoType::kRead, sim);
+  write_monitor_.Attach(sinks, IoType::kWrite, sim);
+  bucket_.Attach(sinks);
   if (!obs_) return;
   const obs::Labels l = obs::Labels::Ssd(ssd_index_);
   m_target_rate_ = &obs_->metrics.GetGauge(obs::schema::kTargetRate, l);

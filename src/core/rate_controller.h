@@ -58,17 +58,9 @@ class RateController {
     write_monitor_.Reset();
   }
 
-  // Attach metrics/trace sinks (propagated to both latency monitors).
-  void AttachObservability(obs::Observability* obs, int ssd_index,
-                           const sim::Simulator* sim);
-
-  // Attach the invariant checker (propagated to both latency monitors and
-  // the token bucket).
-  void AttachChecker(check::InvariantChecker* chk, int ssd_index) {
-    read_monitor_.AttachChecker(chk, ssd_index, IoType::kRead);
-    write_monitor_.AttachChecker(chk, ssd_index, IoType::kWrite);
-    bucket_.AttachChecker(chk, ssd_index);
-  }
+  // Attach metrics/trace and the invariant checker, propagated to both
+  // latency monitors and the token bucket; `sim` timestamps trace events.
+  void Attach(const obs::Sinks& sinks, const sim::Simulator* sim);
 
   // Simulated time until the read bucket could cover `bytes` at the current
   // rate (used by the switch to schedule a poke when pacing stalls with no

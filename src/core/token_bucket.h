@@ -12,6 +12,7 @@
 #include "common/time.h"
 #include "core/params.h"
 #include "nvme/types.h"
+#include "obs/obs.h"
 
 namespace gimbal::core {
 
@@ -54,10 +55,11 @@ class DualTokenBucket {
   double capacity() const { return cap_; }
 
   // Invariant hooks: accrual never outruns target_rate x elapsed, tokens
-  // stay in [0, cap], consumes decrement exactly (docs/TESTING.md).
-  void AttachChecker(check::InvariantChecker* chk, int ssd_index) {
-    chk_ = chk;
-    ssd_index_ = ssd_index;
+  // stay in [0, cap], consumes decrement exactly (docs/TESTING.md). The
+  // bucket emits no metrics; `sinks.label` is the ssd index.
+  void Attach(const obs::Sinks& sinks) {
+    chk_ = sinks.chk;
+    ssd_index_ = sinks.label;
   }
 
  private:

@@ -43,13 +43,12 @@ class WriteCostEstimator {
     }
   }
 
-  // Attach metrics/trace sinks; `sim` supplies timestamps for wc.update
-  // trace events.
-  void AttachObservability(obs::Observability* obs, int ssd_index,
-                           const sim::Simulator* sim) {
-    obs_ = obs;
+  // Attach the write.cost gauge and wc.update trace events; `sim` supplies
+  // their timestamps. The estimator has no invariant hooks.
+  void Attach(const obs::Sinks& sinks, const sim::Simulator* sim) {
+    obs_ = sinks.obs;
     obs_sim_ = sim;
-    ssd_index_ = ssd_index;
+    ssd_index_ = sinks.label;
     if (!obs_) return;
     m_cost_ = &obs_->metrics.GetGauge(obs::schema::kWriteCost,
                                       obs::Labels::Ssd(ssd_index_));

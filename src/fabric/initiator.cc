@@ -375,11 +375,10 @@ void Initiator::OnFabricCompletion(const IoCompletion& cpl) {
   IssueLoop();
 }
 
-void Initiator::AttachObservability(obs::Observability* obs) {
-  if (!obs) {
-    obs_.reset();
-    return;
-  }
+void Initiator::Attach(const obs::Sinks& sinks) {
+  chk_ = sinks.chk;
+  obs::Observability* obs = sinks.obs;
+  if (!obs) return;
   namespace schema = obs::schema;
   // Folded label: a churned fleet of 100k tenants shares the "other"
   // series instead of growing the registry per session.

@@ -129,15 +129,14 @@ class Initiator : public CompletionSink {
 
   void OnFabricCompletion(const IoCompletion& cpl) override;
 
-  // Attach metrics sinks. Client-side completion counters tick at the same
-  // event as the fio worker stats, so metric totals and stdout agree
-  // exactly regardless of IOs in flight at window edges.
-  void AttachObservability(obs::Observability* obs);
-
-  // Attach the invariant checker: admit/issue/terminal conservation and
-  // the §3.6 credit law are checked at every transition (docs/TESTING.md).
-  // Shutdown() and Crash() close the session's ledger.
-  void AttachChecker(check::InvariantChecker* chk) { chk_ = chk; }
+  // Attach metrics and the invariant checker; series are labelled by this
+  // session's tenant and pipeline, so `sinks.label` is unused. Client-side
+  // completion counters tick at the same event as the fio worker stats, so
+  // metric totals and stdout agree exactly regardless of IOs in flight at
+  // window edges. The checker sees admit/issue/terminal conservation and
+  // the §3.6 credit law at every transition (docs/TESTING.md); Shutdown()
+  // and Crash() close the session's ledger.
+  void Attach(const obs::Sinks& sinks);
 
  private:
   // One admitted IO. A slot whose id is below the issue cursor and whose
@@ -157,8 +156,8 @@ class Initiator : public CompletionSink {
     sim::TimerHandle timer;
   };
 
-  // Observability sinks, allocated by AttachObservability (null = not
-  // observed), so an unobserved initiator carries one pointer for them.
+  // Observability sinks, allocated by Attach (null = not observed), so an
+  // unobserved initiator carries one pointer for them.
   struct Observed {
     obs::Observability* obs;
     obs::Counter* submitted;

@@ -12,10 +12,10 @@ void Network::ConfigureRack(std::vector<int> node_of, int num_nodes) {
   node_of_ = std::move(node_of);
   num_nodes_ = num_nodes;
   for (int d = 0; d < 2; ++d) {
-    uplink_res_[d] = std::make_unique<sim::FifoResource>(sim_);
+    uplink_res_[d] = std::make_unique<sim::Resource>(sim_);
     node_res_[d].clear();
     for (int n = 0; n < num_nodes; ++n) {
-      node_res_[d].push_back(std::make_unique<sim::FifoResource>(sim_));
+      node_res_[d].push_back(std::make_unique<sim::Resource>(sim_));
     }
   }
   node_uplink_bytes_.assign(static_cast<size_t>(num_nodes), 0);
@@ -60,13 +60,13 @@ void Network::SendRack(Direction dir, int node, uint64_t bytes, Tick extra,
   // The uplink and the access link run at the same rate.
   const Tick t = TransferTime(bytes, config_.bandwidth_bps);
   const int d = dir == Direction::kClientToTarget ? 0 : 1;
-  sim::FifoResource& uplink = *uplink_res_[d];
-  sim::FifoResource& link = *node_res_[d][static_cast<size_t>(node)];
+  sim::Resource& uplink = *uplink_res_[d];
+  sim::Resource& link = *node_res_[d][static_cast<size_t>(node)];
   // Client-to-target crosses the ToR uplink first, then the node's access
   // link; target-to-client the reverse. The second stage runs inside the
   // first stage's completion, so the tandem keeps FIFO order per stage.
-  auto chain = [t, extra](sim::FifoResource& first,
-                          sim::FifoResource* second, sim::EventFn done) {
+  auto chain = [t, extra](sim::Resource& first,
+                          sim::Resource* second, sim::EventFn done) {
     first.AcquireDeferred(
         t, 0, [second, t, extra, done = std::move(done)]() mutable {
           second->AcquireDeferred(t, extra, std::move(done));

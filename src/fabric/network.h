@@ -9,7 +9,7 @@
 // The flat (single-node) link keeps one serialization frontier per
 // direction: a message starts when both it and the link are ready, and
 // its delivery is scheduled once, at serialization end plus the base
-// latency. A rack (ConfigureRack) chains FifoResources instead, so each
+// latency. A rack (ConfigureRack) chains Resources instead, so each
 // stage of the uplink/access-link tandem serves messages in the order they
 // reach it (docs/SIMULATOR.md).
 #pragma once
@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "fault/fault.h"
+#include "obs/obs.h"
 #include "sim/resource.h"
 #include "sim/simulator.h"
 
@@ -96,8 +97,10 @@ class Network {
   void AddNodeOutage(int node, Tick fail_at, Tick recover_at);
   bool NodeDown(int node, Tick when) const;
 
-  // Fires the rack.uplink.conservation check on every uplink crossing.
-  void AttachChecker(check::InvariantChecker* chk) { chk_ = chk; }
+  // The checker gets the rack.uplink.conservation check on every uplink
+  // crossing. The network emits no metrics of its own (the testbed
+  // exports its byte counters) and `sinks.label` is unused.
+  void Attach(const obs::Sinks& sinks) { chk_ = sinks.chk; }
 
   const NetworkConfig& config() const { return config_; }
   uint64_t bytes_sent() const { return bytes_sent_; }
@@ -111,7 +114,7 @@ class Network {
   Tick uplink_busy_time() const { return uplink_busy_accum_; }
 
  private:
-  // Rack path: chain the uplink and node access link FifoResources.
+  // Rack path: chain the uplink and node access link Resources.
   void SendRack(Direction dir, int node, uint64_t bytes, Tick extra,
                 sim::EventFn deliver);
   // Per-node uplink byte accounting + the conservation check.
@@ -136,8 +139,8 @@ class Network {
   };
   std::vector<Outage> outages_;
   // One shared uplink + one access link per node, per direction.
-  std::unique_ptr<sim::FifoResource> uplink_res_[2];
-  std::vector<std::unique_ptr<sim::FifoResource>> node_res_[2];
+  std::unique_ptr<sim::Resource> uplink_res_[2];
+  std::vector<std::unique_ptr<sim::Resource>> node_res_[2];
   // Uplink accounting (rack.uplink.* metrics + conservation invariant).
   uint64_t uplink_bytes_total_ = 0;
   std::vector<uint64_t> node_uplink_bytes_;

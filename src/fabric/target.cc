@@ -13,7 +13,7 @@ Target::Target(sim::Simulator& sim, Network& net, TargetConfig config)
     : sim_(sim), net_(net), config_(config) {
   cores_.reserve(config_.cores);
   for (int i = 0; i < config_.cores; ++i) {
-    cores_.push_back(std::make_unique<sim::FifoResource>(sim_));
+    cores_.push_back(std::make_unique<sim::Resource>(sim_));
   }
 }
 
@@ -32,31 +32,15 @@ int Target::AddPipeline(std::unique_ptr<core::IoPolicy> policy) {
   // routing and the `ssd` metric label stay rack-wide unique.
   const int id = base_ + static_cast<int>(pipelines_.size());
   p->id = id;
-  p->policy->AttachObservability(obs_, id);
-  p->policy->AttachChecker(chk_, id);
+  p->policy->Attach(obs::Sinks{obs_, chk_, id});
   pipelines_.push_back(std::move(p));
   return id;
 }
 
-void Target::AttachObservability(obs::Observability* obs) {
-  obs_ = obs;
-  for (size_t i = 0; i < pipelines_.size(); ++i) {
-    Pipeline& p = *pipelines_[i];
-    p.policy->AttachObservability(obs_, p.id);
-    // Drop cached admit counter handles; they re-resolve against the new
-    // registry (or run label) on the next capsule.
-    for (uint32_t slot : p.sessions.live()) {
-      p.sessions[slot].admit_ios = nullptr;
-      p.sessions[slot].admit_bytes = nullptr;
-    }
-  }
-}
-
-void Target::AttachChecker(check::InvariantChecker* chk) {
-  chk_ = chk;
-  for (const auto& p : pipelines_) {
-    p->policy->AttachChecker(chk_, p->id);
-  }
+void Target::Attach(const obs::Sinks& sinks) {
+  assert(pipelines_.empty() && "attach before AddPipeline");
+  obs_ = sinks.obs;
+  chk_ = sinks.chk;
 }
 
 Target::Session& Target::SessionFor(Pipeline& p, TenantId tenant) {

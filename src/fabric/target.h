@@ -1,7 +1,7 @@
 // NVMe-oF target node: the (SmartNIC or server) JBOF brain.
 //
 // Shared-nothing pipelines as in §4.1: each SSD gets a pipeline bound to a
-// CPU core (cores are FifoResources — wimpy SmartNIC cores are simply
+// CPU core (cores are Resources — wimpy SmartNIC cores are simply
 // slower per operation). The target implements the five-step NVMe-oF
 // request flow of §2.1:
 //   (a) command capsule arrives from the initiator,
@@ -123,14 +123,11 @@ class Target {
   // at the target rather than delivered to a dangling sink.
   uint64_t completions_orphaned() const;
 
-  // Attach metrics/trace sinks; propagated to every pipeline's policy
-  // (existing and future), which forwards to its device-facing
-  // components. Pipeline index doubles as
-  // the `ssd` label. Pass nullptr to detach.
-  void AttachObservability(obs::Observability* obs);
-
-  // Attach the invariant checker; propagated like AttachObservability.
-  void AttachChecker(check::InvariantChecker* chk);
+  // Attach metrics/trace and the invariant checker. Call before the first
+  // AddPipeline: each added pipeline's policy gets them relabelled with its
+  // pipeline id (the `ssd` label) and forwards them to its device-facing
+  // components.
+  void Attach(const obs::Sinks& sinks);
 
   core::IoPolicy& policy(int pipeline) { return *Pipe(pipeline).policy; }
   int pipeline_count() const { return static_cast<int>(pipelines_.size()); }
@@ -188,7 +185,7 @@ class Target {
   Pipeline& Pipe(int pipeline) {
     return *pipelines_[static_cast<size_t>(pipeline - base_)];
   }
-  sim::FifoResource& CoreOf(const Pipeline& p) { return *cores_[p.core]; }
+  sim::Resource& CoreOf(const Pipeline& p) { return *cores_[p.core]; }
   // Session-table plumbing. Deferred callbacks must re-resolve by tenant
   // id (not hold a Session*): a freed slot can be recycled for another
   // tenant while the callback waits its turn on the core.
@@ -215,7 +212,7 @@ class Target {
   sim::Simulator& sim_;
   Network& net_;
   TargetConfig config_;
-  std::vector<std::unique_ptr<sim::FifoResource>> cores_;
+  std::vector<std::unique_ptr<sim::Resource>> cores_;
   std::vector<std::unique_ptr<Pipeline>> pipelines_;
   int base_ = 0;  // global id of this target's first pipeline
   obs::Observability* obs_ = nullptr;  // null = not observed

@@ -22,26 +22,17 @@ FaultInjector::FaultInjector(sim::Simulator& sim, int num_ssds, uint64_t seed)
   }
 }
 
-void FaultInjector::AttachObservability(obs::Observability* obs) {
-  obs_ = obs;
-  m_link_dropped_ = nullptr;
-  m_link_delayed_ = nullptr;
-  namespace schema = obs::schema;
+void FaultInjector::Attach(const obs::Sinks& sinks) {
+  obs_ = sinks.obs;
   for (int i = 0; i < num_ssds(); ++i) {
-    SsdState& s = ssds_[i];
-    s.machine.AttachObservability(obs_, i);
-    s.m_media_errors = nullptr;
-    s.m_device_failed = nullptr;
-    s.m_stalled = nullptr;
-    if (obs_) {
-      s.m_media_errors = &obs_->metrics.GetCounter(schema::kFaultMediaErrors);
-      s.m_device_failed =
-          &obs_->metrics.GetCounter(schema::kFaultDeviceFailedIos);
-      s.m_stalled = &obs_->metrics.GetCounter(schema::kFaultStalledIos);
-    }
+    ssds_[i].machine.Attach(obs::Sinks{sinks.obs, sinks.chk, i});
   }
   if (!obs_) return;
+  namespace schema = obs::schema;
   obs::MetricsRegistry& reg = obs_->metrics;
+  m_media_errors_ = &reg.GetCounter(schema::kFaultMediaErrors);
+  m_device_failed_ = &reg.GetCounter(schema::kFaultDeviceFailedIos);
+  m_stalled_ = &reg.GetCounter(schema::kFaultStalledIos);
   m_link_dropped_ = &reg.GetCounter(schema::kFaultLinkDropped);
   m_link_delayed_ = &reg.GetCounter(schema::kFaultLinkDelayed);
 }
@@ -186,7 +177,7 @@ FaultInjector::IoFault FaultInjector::OnDeviceSubmit(int ssd, IoType /*type*/,
     out.force_status = IoStatus::kDeviceFailed;
     out.fault_latency = Microseconds(5);  // fail-fast controller response
     ++s.device_failed_ios;
-    if (s.m_device_failed) s.m_device_failed->Add(1);
+    if (m_device_failed_) m_device_failed_->Add(1);
     return out;
   }
   // Transient media errors: use the strongest active burst. The SSD's
@@ -204,7 +195,7 @@ FaultInjector::IoFault FaultInjector::OnDeviceSubmit(int ssd, IoType /*type*/,
     out.force_status = IoStatus::kMediaError;
     out.fault_latency = err_latency;
     ++s.media_errors;
-    if (s.m_media_errors) s.m_media_errors->Add(1);
+    if (m_media_errors_) m_media_errors_->Add(1);
     return out;
   }
   for (const StallWindow& w : plan_.stalls) {
@@ -214,7 +205,7 @@ FaultInjector::IoFault FaultInjector::OnDeviceSubmit(int ssd, IoType /*type*/,
   }
   if (out.extra_latency > 0) {
     ++s.stalled_ios;
-    if (s.m_stalled) s.m_stalled->Add(1);
+    if (m_stalled_) m_stalled_->Add(1);
   }
   return out;
 }

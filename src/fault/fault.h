@@ -169,15 +169,10 @@ class FaultInjector {
     ssds_[ssd].observers.push_back(std::move(fn));
   }
 
-  void AttachObservability(obs::Observability* obs);
-
-  // Attach the invariant checker to every SSD's health machine: each
-  // applied transition is re-validated independently (docs/TESTING.md).
-  void AttachChecker(check::InvariantChecker* chk) {
-    for (int i = 0; i < num_ssds(); ++i) {
-      ssds_[i].machine.AttachChecker(chk, i);
-    }
-  }
+  // Attach the fault.* counters and trace events, and pass both sinks to
+  // every SSD's health machine relabelled with its ssd index (the checker
+  // re-validates each applied transition, docs/TESTING.md).
+  void Attach(const obs::Sinks& sinks);
 
   struct FaultCounters {
     uint64_t media_errors = 0;
@@ -199,10 +194,6 @@ class FaultInjector {
     uint64_t media_errors = 0;
     uint64_t device_failed_ios = 0;
     uint64_t stalled_ios = 0;
-    // Metric handles (null = not observed).
-    obs::Counter* m_media_errors = nullptr;
-    obs::Counter* m_device_failed = nullptr;
-    obs::Counter* m_stalled = nullptr;
     // The recovering->healthy heal armed by a failure's recover_at;
     // cancelled if the device fails again during probation (the state
     // machine would reject the heal anyway — cancelling keeps the event
@@ -241,7 +232,11 @@ class FaultInjector {
 
   obs::Observability* obs_ = nullptr;
 
-  // Link metric handles (null = not observed).
+  // Metric handles (null = not observed); the fault.* counters carry no
+  // ssd label, so every SSD shares one series of each.
+  obs::Counter* m_media_errors_ = nullptr;
+  obs::Counter* m_device_failed_ = nullptr;
+  obs::Counter* m_stalled_ = nullptr;
   obs::Counter* m_link_dropped_ = nullptr;
   obs::Counter* m_link_delayed_ = nullptr;
 };

@@ -70,9 +70,7 @@ class FaultyDevice : public ssd::BlockDevice {
     inner_->Trim(offset, length);
   }
 
-  void AttachObservability(obs::Observability* obs, int ssd_index) override {
-    inner_->AttachObservability(obs, ssd_index);
-  }
+  void Attach(const obs::Sinks& sinks) override { inner_->Attach(sinks); }
 
   uint64_t capacity_bytes() const override { return inner_->capacity_bytes(); }
   uint32_t inflight() const override {

@@ -86,21 +86,18 @@ class SsdHealthMachine {
     return true;
   }
 
-  void AttachObservability(obs::Observability* obs, int ssd_index) {
-    obs_ = obs;
-    ssd_index_ = ssd_index;
-    m_health_ = nullptr;
+  // Attach the ssd.health gauge and fault.health trace events, and the
+  // checker, which re-validates every applied transition against its
+  // independent legality table (docs/TESTING.md); `sinks.label` is the ssd
+  // index.
+  void Attach(const obs::Sinks& sinks) {
+    obs_ = sinks.obs;
+    chk_ = sinks.chk;
+    ssd_index_ = sinks.label;
     if (!obs_) return;
     m_health_ = &obs_->metrics.GetGauge(obs::schema::kSsdHealth,
                                         obs::Labels::Ssd(ssd_index_));
     m_health_->Set(static_cast<double>(static_cast<int>(health_)));
-  }
-
-  // Invariant hook: every applied transition is re-validated against the
-  // checker's independent legality table (docs/TESTING.md).
-  void AttachChecker(check::InvariantChecker* chk, int ssd_index) {
-    chk_ = chk;
-    ssd_index_ = ssd_index;
   }
 
  private:

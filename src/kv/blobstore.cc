@@ -8,17 +8,16 @@
 
 namespace gimbal::kv {
 
-void Blobstore::AttachObservability(obs::Observability* obs,
-                                    int32_t instance) {
-  obs_ = obs;
-  instance_ = instance;
+void Blobstore::Attach(const obs::Sinks& sinks) {
+  obs_ = sinks.obs;
+  chk_ = sinks.chk;
+  instance_ = sinks.label;
   if (!obs_) return;
-  const obs::Labels l = obs::Labels::TenantSsd(instance, -1);
+  const obs::Labels l = obs::Labels::TenantSsd(instance_, -1);
   m_failover_ = &obs_->metrics.GetCounter(obs::schema::kKvFailoverReads, l);
   m_degraded_ = &obs_->metrics.GetCounter(obs::schema::kKvDegradedWrites, l);
   m_rebuild_bytes_ =
       &obs_->metrics.GetCounter(obs::schema::kKvRebuildBytes, l);
-  m_lost_ = &obs_->metrics.GetCounter(obs::schema::kKvLostWrites, l);
   m_dirty_ = &obs_->metrics.GetGauge(obs::schema::kKvDirtyReplicas, l);
 }
 
@@ -197,7 +196,7 @@ void Blobstore::WriteReplicated(const ReplicaPair& blob, IoPriority prio,
       return;
     }
     // Both replicas failed: no ack — propagate so the caller retries (the
-    // WAL holds its waiters; kv.lost_writes stays 0 by construction).
+    // WAL holds its waiters, so no acked write is lost by construction).
     if (chk_) {
       chk_->OnKvWriteAck(static_cast<TenantId>(instance_), primary.backend,
                          /*durable=*/0, /*acked=*/false);

@@ -123,10 +123,9 @@ class Blobstore {
                    .max_retries;
   }
 
-  // Metric/trace sinks + the instance id used as the tenant label on
-  // kv.* series and the checker's KV ledgers.
-  void AttachObservability(obs::Observability* obs, int32_t instance);
-  void AttachChecker(check::InvariantChecker* chk) { chk_ = chk; }
+  // Metric/trace sinks and the checker; `sinks.label` is the instance id
+  // used as the tenant label on kv.* series and the checker's KV ledgers.
+  void Attach(const obs::Sinks& sinks);
   int32_t instance() const { return instance_; }
 
   struct Stats {
@@ -183,7 +182,6 @@ class Blobstore {
   obs::Counter* m_failover_ = nullptr;
   obs::Counter* m_degraded_ = nullptr;
   obs::Counter* m_rebuild_bytes_ = nullptr;
-  obs::Counter* m_lost_ = nullptr;
   obs::Gauge* m_dirty_ = nullptr;
   check::InvariantChecker* chk_ = nullptr;
 };

@@ -15,8 +15,7 @@ KvCluster::Instance& KvCluster::AddInstance() {
   }
   inst->blobs = std::make_unique<Blobstore>(bed_.sim(), inst->initiators,
                                             cfg_.load_balance_reads);
-  inst->blobs->AttachObservability(bed_.config().obs, inst->id);
-  inst->blobs->AttachChecker(&bed_.checker());
+  inst->blobs->Attach(bed_.sinks(inst->id));
   Blobstore* blobs = inst->blobs.get();
   // The local allocator's load signal is the §3.7 virtual-view credit.
   inst->alloc = std::make_unique<LocalBlobAllocator>(
@@ -33,7 +32,7 @@ KvCluster::Instance& KvCluster::AddInstance() {
   }
   inst->db = std::make_unique<KvDb>(bed_.sim(), *inst->blobs, *inst->alloc,
                                     cfg_.db);
-  inst->db->AttachObservability(bed_.config().obs, inst->id);
+  inst->db->Attach(bed_.sinks(inst->id));
   // Re-replication rides at background priority next to flush/compaction;
   // the ledger callback wakes it on a new dirty entry or an observed
   // backend recovery. Fault-free it never runs.

@@ -15,11 +15,11 @@ KvDb::KvDb(sim::Simulator& sim, Blobstore& blobs, LocalBlobAllocator& alloc,
   levels_.resize(static_cast<size_t>(config_.levels));
 }
 
-void KvDb::AttachObservability(obs::Observability* obs, int32_t instance) {
-  obs_ = obs;
-  instance_ = instance;
+void KvDb::Attach(const obs::Sinks& sinks) {
+  obs_ = sinks.obs;
+  instance_ = sinks.label;
   if (!obs_) return;
-  const obs::Labels l = obs::Labels::TenantSsd(instance, -1);
+  const obs::Labels l = obs::Labels::TenantSsd(instance_, -1);
   m_wal_retries_ = &obs_->metrics.GetCounter(obs::schema::kKvWalRetries, l);
   m_recoveries_ = &obs_->metrics.GetCounter(obs::schema::kKvRecoveries, l);
 }

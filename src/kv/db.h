@@ -92,8 +92,9 @@ class KvDb {
   void Recover(PutDone done);
 
   // kv.wal_retries / kv.recoveries counters and their trace events;
-  // `instance` labels the series (docs/OBSERVABILITY.md).
-  void AttachObservability(obs::Observability* obs, int32_t instance);
+  // `sinks.label` is the instance id labelling the series
+  // (docs/OBSERVABILITY.md). The db has no invariant hooks of its own.
+  void Attach(const obs::Sinks& sinks);
 
   struct Stats {
     uint64_t puts = 0;

@@ -22,10 +22,11 @@ const char* ToString(TxnProtocol p) {
 
 // --- LockManager -----------------------------------------------------------
 
-void LockManager::AttachObservability(obs::Observability* obs,
-                                      int32_t instance) {
-  instance_ = instance;
-  obs_ = obs;
+void LockManager::Attach(const obs::Sinks& sinks, const sim::Simulator* sim) {
+  obs_ = sinks.obs;
+  chk_ = sinks.chk;
+  instance_ = sinks.label;
+  sim_ = sim;
   if (obs_ == nullptr) return;
   const obs::Labels l =
       obs_->metrics.FoldTenant(obs::Labels::TenantSsd(instance_, -1));
@@ -455,29 +456,22 @@ size_t LockManager::held_count(TxnId txn) const {
 // --- TxnCoordinator --------------------------------------------------------
 
 TxnCoordinator::TxnCoordinator(sim::Simulator& sim, KvDb& db, Config cfg)
-    : sim_(sim), db_(db), cfg_(cfg), locks_(cfg.protocol) {
-  locks_.AttachSim(&sim_);
-}
+    : sim_(sim), db_(db), cfg_(cfg), locks_(cfg.protocol) {}
 
 TxnCoordinator::TxnCoordinator(sim::Simulator& sim, KvDb& db)
     : TxnCoordinator(sim, db, Config()) {}
 
-void TxnCoordinator::AttachObservability(obs::Observability* obs,
-                                         int32_t instance) {
-  instance_ = instance;
-  obs_ = obs;
-  locks_.AttachObservability(obs, instance);
+void TxnCoordinator::Attach(const obs::Sinks& sinks) {
+  obs_ = sinks.obs;
+  chk_ = sinks.chk;
+  instance_ = sinks.label;
+  locks_.Attach(sinks, &sim_);
   if (obs_ == nullptr) return;
   const obs::Labels l =
       obs_->metrics.FoldTenant(obs::Labels::TenantSsd(instance_, -1));
   m_commits_ = &obs_->metrics.GetCounter(obs::schema::kTxnCommits, l);
   m_aborts_ = &obs_->metrics.GetCounter(obs::schema::kTxnAborts, l);
   m_retries_ = &obs_->metrics.GetCounter(obs::schema::kTxnRetries, l);
-}
-
-void TxnCoordinator::AttachChecker(check::InvariantChecker* chk) {
-  chk_ = chk;
-  locks_.AttachChecker(chk);
 }
 
 void TxnCoordinator::Submit(TxnRequest req, TxnDone done) {

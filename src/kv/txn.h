@@ -123,13 +123,11 @@ class LockManager {
   };
   const Stats& stats() const { return stats_; }
 
-  // `instance` labels txn.* metrics and the checker's per-instance txn
-  // ledgers (docs/OBSERVABILITY.md, docs/TESTING.md). A null `obs` still
-  // records the instance label (direct-drive tests with a checker only).
-  void AttachObservability(obs::Observability* obs, int32_t instance);
-  void AttachChecker(check::InvariantChecker* chk) { chk_ = chk; }
-  // Timestamps for txn.wait / txn.wound trace events; null traces at t=0.
-  void AttachSim(const sim::Simulator* sim) { sim_ = sim; }
+  // Attach txn.* metrics/trace and the checker; `sinks.label` is the
+  // instance id labelling the series and the checker's per-instance txn
+  // ledgers (docs/OBSERVABILITY.md, docs/TESTING.md). `sim` timestamps
+  // txn.wait / txn.wound trace events (null traces at t=0).
+  void Attach(const obs::Sinks& sinks, const sim::Simulator* sim);
 
  private:
   struct Request {
@@ -253,8 +251,9 @@ class TxnCoordinator {
   };
   const Stats& stats() const { return stats_; }
 
-  void AttachObservability(obs::Observability* obs, int32_t instance);
-  void AttachChecker(check::InvariantChecker* chk);
+  // Attach txn.* metrics/trace and the checker to the coordinator and its
+  // lock manager; `sinks.label` is the KV instance id.
+  void Attach(const obs::Sinks& sinks);
 
  private:
   struct Txn {

@@ -167,10 +167,6 @@ inline constexpr MetricDef kKvRebuildBytes{
     "kv.rebuild_bytes", "bytes",
     "dirty-replica bytes re-replicated by the background rebuild scanner",
     "kv/blobstore.cc:MarkRepaired"};
-inline constexpr MetricDef kKvLostWrites{
-    "kv.lost_writes", "ios",
-    "acked writes with zero durable replicas — must stay 0 (docs/FAULTS.md)",
-    "kv/blobstore.cc:WriteReplicated"};
 inline constexpr MetricDef kKvWalRetries{
     "kv.wal_retries", "batches",
     "WAL group-commit batches re-submitted after both replicas failed "

@@ -4,7 +4,7 @@
 // the client domain (initiators, workers, KV layer, crash timers) and each
 // further shard owns one target core together with every SSD pipeline
 // mapped onto it (GimbalSwitch/DRR/token bucket, device model, per-core
-// FifoResource). Within a shard, events execute exactly as on the plain
+// Resource). Within a shard, events execute exactly as on the plain
 // engine — same EventQueue, same (when, seq) ordering contract.
 //
 // Shards only interact through the fabric: an initiator-to-target

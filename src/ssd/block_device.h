@@ -50,12 +50,10 @@ class BlockDevice {
     (void)length;
   }
 
-  // Attach metrics/trace sinks; `ssd_index` labels everything this device
-  // emits. Devices without instrumentation ignore it.
-  virtual void AttachObservability(obs::Observability* obs, int ssd_index) {
-    (void)obs;
-    (void)ssd_index;
-  }
+  // Attach metrics/trace (and the checker, which no device model reports
+  // to yet); `sinks.label` is the ssd index labelling everything this
+  // device emits. Devices without instrumentation ignore it.
+  virtual void Attach(const obs::Sinks& /*sinks*/) {}
 
   // Device capacity in bytes.
   virtual uint64_t capacity_bytes() const = 0;

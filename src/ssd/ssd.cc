@@ -64,9 +64,9 @@ void Ssd::PreconditionFragmented(double overwrite_factor, uint64_t seed) {
   }
 }
 
-void Ssd::AttachObservability(obs::Observability* obs, int ssd_index) {
-  obs_ = obs;
-  ssd_index_ = ssd_index;
+void Ssd::Attach(const obs::Sinks& sinks) {
+  obs_ = sinks.obs;
+  ssd_index_ = sinks.label;
   if (!obs_) return;
   namespace schema = obs::schema;
   const obs::Labels l = obs::Labels::Ssd(ssd_index_);
@@ -85,11 +85,11 @@ Ssd::Ssd(sim::Simulator& sim, SsdConfig config)
     : sim_(sim), config_(config), ftl_(config), cmd_engine_(sim) {
   die_res_.reserve(config_.dies());
   for (int d = 0; d < config_.dies(); ++d) {
-    die_res_.push_back(std::make_unique<sim::PrioResource>(sim_));
+    die_res_.push_back(std::make_unique<sim::Resource>(sim_));
   }
   channel_res_.reserve(config_.channels);
   for (int c = 0; c < config_.channels; ++c) {
-    channel_res_.push_back(std::make_unique<sim::FifoResource>(sim_));
+    channel_res_.push_back(std::make_unique<sim::Resource>(sim_));
   }
   pump_active_.assign(config_.dies(), 0);
   gc_active_.assign(config_.dies(), 0);
@@ -316,7 +316,7 @@ void Ssd::PumpDie(int die) {
   const int ch = ChannelOfDie(die);
   channel_res_[ch]->Acquire(
       TransferTime(bytes, config_.channel_bw), [this, die, batch, bytes]() {
-        die_res_[die]->AcquireLow(config_.program_latency, [this, die, batch,
+        die_res_[die]->Acquire(config_.program_latency, [this, die, batch,
                                                             bytes]() {
           // Mapping updates happen at program completion.
           for (Lpn lpn : *batch) {
@@ -396,9 +396,9 @@ void Ssd::GcRelocateBatch(int die, uint32_t victim,
   // One multi-plane copyback: sense then program on the same die. Host IOs
   // queued on the die FIFO interleave between GC steps — that queueing is
   // the read/write interference the paper measures.
-  die_res_[die]->AcquireLow(config_.read_latency, [this, die, victim, valid,
+  die_res_[die]->Acquire(config_.read_latency, [this, die, victim, valid,
                                                    index, end]() {
-    die_res_[die]->AcquireLow(config_.program_latency, [this, die, victim,
+    die_res_[die]->Acquire(config_.program_latency, [this, die, victim,
                                                         valid, index, end]() {
       ftl_.BeginGcAllocation();
       uint64_t relocated = 0;
@@ -422,7 +422,7 @@ void Ssd::GcRelocateBatch(int die, uint32_t victim,
 // priority interleave; slice `i` is followed by `i + 1`, the last erases.
 void Ssd::EraseSlice(int die, uint32_t victim, int i) {
   const int slices = config_.erase_slices > 0 ? config_.erase_slices : 1;
-  die_res_[die]->AcquireLow(
+  die_res_[die]->Acquire(
       config_.erase_latency / slices, [this, die, victim, i, slices]() {
         if (i + 1 < slices) {
           EraseSlice(die, victim, i + 1);

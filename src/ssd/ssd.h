@@ -49,7 +49,7 @@ class Ssd : public BlockDevice {
   // BlockDevice interface -----------------------------------------------------
   void Submit(const DeviceIo& io, CompletionFn done) override;
   void Trim(uint64_t offset, uint32_t length) override;
-  void AttachObservability(obs::Observability* obs, int ssd_index) override;
+  void Attach(const obs::Sinks& sinks) override;
   uint64_t capacity_bytes() const override { return config_.logical_bytes; }
   uint32_t inflight() const override { return inflight_; }
 
@@ -127,11 +127,11 @@ class Ssd : public BlockDevice {
   SsdConfig config_;
   Ftl ftl_;
 
-  sim::FifoResource cmd_engine_;
+  sim::Resource cmd_engine_;
   // Dies serve host reads at high priority ahead of queued programs, GC
   // copybacks and erase slices (controller read-priority / suspension).
-  std::vector<std::unique_ptr<sim::PrioResource>> die_res_;
-  std::vector<std::unique_ptr<sim::FifoResource>> channel_res_;
+  std::vector<std::unique_ptr<sim::Resource>> die_res_;
+  std::vector<std::unique_ptr<sim::Resource>> channel_res_;
 
   // Write buffer state. Buffered pages sit in one global drain FIFO;
   // per-die pumps *pull* a program unit at a time whenever their die can

@@ -1,4 +1,4 @@
-// Arrival processes for open-loop traffic (ROADMAP item 3).
+// Arrival processes for open-loop traffic.
 //
 // Three stacked rate modulations over a base Poisson process:
 //

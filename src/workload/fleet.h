@@ -1,4 +1,4 @@
-// Tenant-scale open-loop traffic engine (ROADMAP item 3).
+// Tenant-scale open-loop traffic engine.
 //
 // Drives a large population of short-lived open-loop sessions — up to and
 // beyond 100k concurrently — through a Testbed. Each live session is one

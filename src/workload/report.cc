@@ -52,10 +52,6 @@ std::string Table::MBps(double bytes_per_sec) {
 
 std::string Table::Us(double ns) { return Num(ns / 1000.0, 1); }
 
-std::string Table::Kiops(double ios_per_sec) {
-  return Num(ios_per_sec / 1000.0, 1);
-}
-
 std::string Table::ToJson() const {
   std::string out = "{\"title\": " + obs::JsonQuote(title_) +
                     ", \"columns\": " + JsonStrings(columns_, false) +

@@ -28,7 +28,6 @@ class Table {
   static std::string Num(double v, int precision = 1);
   static std::string MBps(double bytes_per_sec);
   static std::string Us(double ns);
-  static std::string Kiops(double ios_per_sec);
 
  private:
   std::string title_;

@@ -54,6 +54,7 @@ Testbed::Testbed(TestbedConfig cfg) : cfg_(cfg) {
   if (cfg_.obs) check_->AttachTracer(&cfg_.obs->tracer);
 
   net_ = std::make_unique<fabric::Network>(sim_, cfg_.net);
+  net_->Attach(sinks());
   faults_ = std::make_unique<fault::FaultInjector>(sim_, cfg_.num_ssds,
                                                    cfg_.fault_seed);
   if (cfg_.nodes > 1) {
@@ -63,25 +64,21 @@ Testbed::Testbed(TestbedConfig cfg) : cfg_(cfg) {
     std::vector<int> node_map(static_cast<size_t>(cfg_.num_ssds));
     for (int i = 0; i < cfg_.num_ssds; ++i) node_map[i] = node_of(i);
     net_->ConfigureRack(node_map, cfg_.nodes);
-    net_->AttachChecker(check_);
     faults_->ConfigureNodes(std::move(node_map));
     for (const fault::NodeFailure& nf : cfg_.faults.node_failures) {
       net_->AddNodeOutage(nf.node, nf.fail_at, nf.recover_at);
     }
   }
-  faults_->AttachObservability(cfg_.obs);
+  faults_->Attach(sinks());
   const bool faulted = !cfg_.faults.empty();
   if (!cfg_.faults.link_flaps.empty()) net_->set_fault_injector(faults_.get());
-  faults_->AttachChecker(check_);
 
   // One Target per node; node n hands out global pipeline ids starting at
   // its base, so pipeline/SSD/tenant addressing stays flat rack-wide.
   for (int n = 0; n < cfg_.nodes; ++n) {
     auto target = std::make_unique<fabric::Target>(sim_, *net_, cfg_.target);
     target->SetPipelineBase(n * ssds_per_node_);
-    // Attach before AddPipeline so policies resolve handles as they appear.
-    target->AttachObservability(cfg_.obs);
-    target->AttachChecker(check_);
+    target->Attach(sinks());
     targets_.push_back(std::move(target));
   }
   for (int i = 0; i < cfg_.num_ssds; ++i) {
@@ -104,7 +101,7 @@ Testbed::Testbed(TestbedConfig cfg) : cfg_(cfg) {
       devices_[i] = std::make_unique<fault::FaultyDevice>(
           sim_, std::move(devices_[i]), *faults_, i);
     }
-    if (cfg_.obs) devices_.back()->AttachObservability(cfg_.obs, i);
+    devices_.back()->Attach(sinks(i));
     int id = target_of(i).AddPipeline(MakePolicy(*devices_.back()));
     assert(id == i);
     (void)id;
@@ -167,8 +164,7 @@ std::unique_ptr<fabric::Initiator> Testbed::MakeInitiator(
       sim_, *net_, target_of(ssd_index), ssd_index, tenant,
       throttle.value_or(ThrottleFor(cfg_.scheme)), cfg_.parda, cfg_.retry,
       connect);
-  init->AttachObservability(cfg_.obs);
-  init->AttachChecker(check_);
+  init->Attach(sinks());
   return init;
 }
 

@@ -131,6 +131,12 @@ class Testbed {
   // testbed's own fail-fast instance).
   check::InvariantChecker& checker() { return *check_; }
   const TestbedConfig& config() const { return cfg_; }
+  // What the testbed attaches every component it builds to: cfg.obs and
+  // checker(), labelled `label`. Components built on top of the testbed
+  // (KV instances) attach through it too.
+  obs::Sinks sinks(int32_t label = -1) const {
+    return obs::Sinks{cfg_.obs, check_, label};
+  }
 
   // Overwrite the rack.* gauges in cfg.obs from the Network's totals (rack
   // mode + observed only; gauges, so repeated publishes are idempotent).

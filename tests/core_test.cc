@@ -630,7 +630,7 @@ TEST(DrrScheduler, GrantSequenceIsPinned) {
 TEST(DrrScheduler, StarvedRoundBoostGrantsTheSmallestWholeRoundCount) {
   SchedulerHarness h;
   check::InvariantChecker chk(/*fail_fast=*/false);
-  h.sched.AttachChecker(&chk, 0);
+  h.sched.Attach({.chk = &chk, .label = 0});
   const uint64_t q = h.params.drr_quantum;
   h.sched.Enqueue(MakeReq(1, IoType::kWrite, 128 * 1024));
   h.sched.Enqueue(MakeReq(2, IoType::kWrite, 64 * 1024));

@@ -205,7 +205,7 @@ void CheckBaselineDisconnect(const PolicyFactory& make) {
   std::unique_ptr<core::PolicyBase> policy = make(sim, dev);
   check::InvariantChecker chk;
   chk.AttachSim(&sim);
-  policy->AttachChecker(&chk, 0);
+  policy->Attach({.chk = &chk, .label = 0});
   std::set<uint64_t> aborted;  // offsets, this cycle
   uint64_t ok = 0, total_aborted = 0, reached_device = 0;
   policy->set_completion_fn([&](const IoRequest& req,
@@ -283,7 +283,7 @@ void CheckSurvivorAndRejoin(const PolicyFactory& make) {
   std::unique_ptr<core::PolicyBase> policy = make(sim, dev);
   check::InvariantChecker chk;
   chk.AttachSim(&sim);
-  policy->AttachChecker(&chk, 0);
+  policy->Attach({.chk = &chk, .label = 0});
   uint64_t ok[3] = {0, 0, 0}, aborted[3] = {0, 0, 0};
   std::set<uint64_t> aborted_offsets;
   policy->set_completion_fn([&](const IoRequest& req,

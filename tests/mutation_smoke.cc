@@ -70,7 +70,7 @@ void RunSlotPressure(check::InvariantChecker* chk) {
   core::GimbalParams params;
   core::WriteCostEstimator cost(params);
   core::DrrScheduler sched(params, cost);
-  sched.AttachChecker(chk, 0);
+  sched.Attach({.chk = chk, .label = 0});
   for (uint64_t i = 0; i < 32; ++i) {
     IoRequest req;
     req.id = i + 1;
@@ -104,8 +104,7 @@ void RunHealthConflict(check::InvariantChecker* chk) {
 // key, so the checker's acquired/released ledger cannot balance at drain.
 void RunLockLeak(check::InvariantChecker* chk) {
   kv::LockManager lm(kv::TxnProtocol::kWaitDie);
-  lm.AttachObservability(nullptr, /*instance=*/0);
-  lm.AttachChecker(chk);
+  lm.Attach({.chk = chk, .label = /*instance*/ 0}, /*sim=*/nullptr);
   lm.Begin(1, 1, nullptr);
   lm.Acquire(1, 100, kv::LockMode::kExclusive, nullptr);
   lm.Acquire(1, 101, kv::LockMode::kExclusive, nullptr);
@@ -117,8 +116,7 @@ void RunLockLeak(check::InvariantChecker* chk) {
 // released twice — the second release is of a lock no longer held.
 void RunPhantomUnlock(check::InvariantChecker* chk) {
   kv::LockManager lm(kv::TxnProtocol::kWaitDie);
-  lm.AttachObservability(nullptr, /*instance=*/0);
-  lm.AttachChecker(chk);
+  lm.Attach({.chk = chk, .label = /*instance*/ 0}, /*sim=*/nullptr);
   lm.Begin(1, 1, nullptr);
   lm.Acquire(1, 100, kv::LockMode::kExclusive, nullptr);
   lm.ReleaseAll(1);

@@ -1,5 +1,5 @@
-// Tests for the two-priority resource used by NAND dies (host reads ahead
-// of programs/GC/erase slices).
+// Tests for sim::Resource's high-priority class, which NAND dies use to
+// serve host reads ahead of programs/GC/erase slices.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -11,10 +11,10 @@ namespace {
 
 TEST(PrioResource, HighPriorityJumpsQueue) {
   Simulator sim;
-  PrioResource res(sim);
+  Resource res(sim);
   std::vector<int> order;
-  res.AcquireLow(Microseconds(100), [&]() { order.push_back(1); });  // runs
-  res.AcquireLow(Microseconds(100), [&]() { order.push_back(2); });
+  res.Acquire(Microseconds(100), [&]() { order.push_back(1); });  // runs
+  res.Acquire(Microseconds(100), [&]() { order.push_back(2); });
   res.AcquireHigh(Microseconds(10), [&]() { order.push_back(3); });
   sim.Run();
   // The high-priority item overtakes the queued low item, but not the
@@ -24,9 +24,9 @@ TEST(PrioResource, HighPriorityJumpsQueue) {
 
 TEST(PrioResource, NoPreemptionOfOccupant) {
   Simulator sim;
-  PrioResource res(sim);
+  Resource res(sim);
   Tick high_done = -1;
-  res.AcquireLow(Milliseconds(3), nullptr);  // a long erase slice
+  res.Acquire(Milliseconds(3), nullptr);  // a long erase slice
   sim.At(Microseconds(10), [&]() {
     res.AcquireHigh(Microseconds(65), [&]() { high_done = sim.now(); });
   });
@@ -37,23 +37,23 @@ TEST(PrioResource, NoPreemptionOfOccupant) {
 
 TEST(PrioResource, HighQueueDrainsBeforeLow) {
   Simulator sim;
-  PrioResource res(sim);
+  Resource res(sim);
   std::vector<char> order;
-  res.AcquireLow(Microseconds(10), [&]() { order.push_back('l'); });
+  res.Acquire(Microseconds(10), [&]() { order.push_back('l'); });
   for (int i = 0; i < 3; ++i) {
     res.AcquireHigh(Microseconds(10), [&]() { order.push_back('h'); });
   }
-  res.AcquireLow(Microseconds(10), [&]() { order.push_back('l'); });
+  res.Acquire(Microseconds(10), [&]() { order.push_back('l'); });
   sim.Run();
   EXPECT_EQ(order, (std::vector<char>{'l', 'h', 'h', 'h', 'l'}));
 }
 
 TEST(PrioResource, LowStillRunsWhenNoHigh) {
   Simulator sim;
-  PrioResource res(sim);
+  Resource res(sim);
   int done = 0;
   for (int i = 0; i < 5; ++i) {
-    res.AcquireLow(Microseconds(10), [&]() { ++done; });
+    res.Acquire(Microseconds(10), [&]() { ++done; });
   }
   sim.Run();
   EXPECT_EQ(done, 5);
@@ -62,9 +62,9 @@ TEST(PrioResource, LowStillRunsWhenNoHigh) {
 
 TEST(PrioResource, BusyTimeAccountsBothClasses) {
   Simulator sim;
-  PrioResource res(sim);
+  Resource res(sim);
   res.AcquireHigh(Microseconds(10), nullptr);
-  res.AcquireLow(Microseconds(20), nullptr);
+  res.Acquire(Microseconds(20), nullptr);
   sim.Run();
   EXPECT_EQ(res.busy_time_total(), Microseconds(30));
   EXPECT_FALSE(res.busy());
@@ -74,10 +74,10 @@ TEST(PrioResource, InterleavedStream) {
   // A steady low-priority stream (GC) plus sporadic high arrivals: highs
   // always run next-after-current.
   Simulator sim;
-  PrioResource res(sim);
+  Resource res(sim);
   Tick high_latency = 0;
   for (int i = 0; i < 50; ++i) {
-    res.AcquireLow(Microseconds(500), nullptr);
+    res.Acquire(Microseconds(500), nullptr);
   }
   sim.At(Milliseconds(5), [&]() {
     Tick start = sim.now();

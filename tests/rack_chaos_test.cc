@@ -206,8 +206,7 @@ ChaosOutcome RunTxnChaos(Mix mix, uint64_t seed) {
     ccfg.max_attempts = 0;  // retry until committed; drain sets give_up
     coords.push_back(
         std::make_unique<TxnCoordinator>(cluster.sim(), *inst.db, ccfg));
-    coords.back()->AttachObservability(&obs, inst.id);
-    coords.back()->AttachChecker(&chk);
+    coords.back()->Attach({&obs, &chk, inst.id});
     workload::TpccSpec spec;
     spec.warehouses = 1;
     spec.seed = seed * 97 + static_cast<uint64_t>(i);

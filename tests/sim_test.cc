@@ -95,7 +95,7 @@ TEST(Simulator, EventCountTracking) {
 
 TEST(FifoResource, SerializesWork) {
   Simulator sim;
-  FifoResource res(sim);
+  Resource res(sim);
   std::vector<Tick> completions;
   for (int i = 0; i < 3; ++i) {
     res.Acquire(Microseconds(10), [&]() { completions.push_back(sim.now()); });
@@ -109,7 +109,7 @@ TEST(FifoResource, SerializesWork) {
 
 TEST(FifoResource, IdleThenBusy) {
   Simulator sim;
-  FifoResource res(sim);
+  Resource res(sim);
   EXPECT_FALSE(res.busy());
   res.Acquire(Microseconds(5), nullptr);
   EXPECT_TRUE(res.busy());
@@ -119,7 +119,7 @@ TEST(FifoResource, IdleThenBusy) {
 
 TEST(FifoResource, InterleavedArrivals) {
   Simulator sim;
-  FifoResource res(sim);
+  Resource res(sim);
   std::vector<int> order;
   res.Acquire(Microseconds(10), [&]() { order.push_back(1); });
   sim.At(Microseconds(5), [&]() {
@@ -132,7 +132,7 @@ TEST(FifoResource, InterleavedArrivals) {
 
 TEST(FifoResource, BusyTimeAccounting) {
   Simulator sim;
-  FifoResource res(sim);
+  Resource res(sim);
   res.Acquire(Microseconds(10), nullptr);
   res.Acquire(Microseconds(15), nullptr);
   sim.Run();

@@ -125,8 +125,7 @@ ChaosOutcome RunChaos(Mix mix, TxnProtocol protocol, uint64_t seed) {
     ccfg.max_attempts = 0;  // retry until committed; drain sets give_up
     coords.push_back(
         std::make_unique<TxnCoordinator>(cluster.sim(), *inst.db, ccfg));
-    coords.back()->AttachObservability(&obs, inst.id);
-    coords.back()->AttachChecker(&chk);
+    coords.back()->Attach({&obs, &chk, inst.id});
     workload::TpccSpec spec;
     spec.warehouses = 1;  // every terminal on the same hot rows
     spec.seed = seed * 97 + static_cast<uint64_t>(i);

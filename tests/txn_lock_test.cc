@@ -49,7 +49,7 @@ class Harness {
  public:
   Harness(TxnProtocol protocol, uint64_t seed)
       : protocol_(protocol), lm_(protocol), rng_(seed) {
-    lm_.AttachObservability(nullptr, /*instance=*/0);
+    lm_.Attach({.label = /*instance*/ 0}, /*sim=*/nullptr);
     slots_.resize(kSlots);
     for (int i = 0; i < kSlots; ++i) NewTxn(i);
   }

@@ -276,7 +276,6 @@ TEST(Report, TableFormatsNumbers) {
   EXPECT_EQ(Table::Num(3.14159, 2), "3.14");
   EXPECT_EQ(Table::MBps(1048576.0), "1.0");
   EXPECT_EQ(Table::Us(1500.0), "1.5");
-  EXPECT_EQ(Table::Kiops(2000.0), "2.0");
 }
 
 TEST(Report, TableJsonWritesNumericCellsAsNumbers) {
