@@ -48,7 +48,7 @@ int Run() {
     t.Row({Table::Num(ToSec(now + step), 1), std::to_string(active),
            Table::Num(mon.ewma_latency() / 1000.0),
            Table::Num(mon.threshold() / 1000.0), ToString(mon.state()),
-           std::to_string(sw->stats().congestion_signals)});
+           std::to_string(sw->congestion_signals())});
   }
   t.Print();
   return 0;

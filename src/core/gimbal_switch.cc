@@ -27,7 +27,6 @@ void GimbalSwitch::Attach(const obs::Sinks& sinks) {
 }
 
 void GimbalSwitch::OnRequest(const IoRequest& req) {
-  ++stats_.requests;
   if (health_ == fault::SsdHealth::kFailed) {
     // Fail fast rather than queueing behind a dead device: the client
     // learns immediately and can redirect (docs/FAULTS.md).
@@ -105,13 +104,11 @@ void GimbalSwitch::Pump() {
                          write_cost_.cost())) {
       // Pacing stall: retry when enough tokens will have accrued. The
       // completion path also re-pumps, whichever comes first.
-      ++stats_.pacing_stalls;
       if (m_pacing_stalls_) m_pacing_stalls_->Add(1);
       SchedulePoke(
           rate_.PacingDelay(req.type, req.length, write_cost_.cost()));
       return;
     }
-    ++io_outstanding_;
     SubmitToDevice(req, head_->slot_id);
     head_.reset();
     if (m_queue_depth_) {
@@ -129,9 +126,6 @@ void GimbalSwitch::SchedulePoke(Tick delay) {
 void GimbalSwitch::OnDeviceCompletion(const IoRequest& req,
                                       const ssd::DeviceCompletion& dc,
                                       uint64_t slot_id) {
-  ++stats_.completions;
-  --io_outstanding_;
-
   // Algorithm 1, Completion(): latency feedback -> congestion state ->
   // target rate adjustment. Faulted completions are excluded — a media
   // error's response time says nothing about queueing delay, and letting
@@ -141,12 +135,11 @@ void GimbalSwitch::OnDeviceCompletion(const IoRequest& req,
     CongestionState state =
         rate_.OnCompletion(req.type, dc.latency(), req.length, sim_.now());
     if (state == CongestionState::kCongested) {
-      ++stats_.congestion_signals;
+      ++congestion_signals_;
       if (m_congestion_signals_) m_congestion_signals_->Add(1);
     }
-    if (state == CongestionState::kOverloaded) {
-      ++stats_.overload_events;
-      if (m_overload_events_) m_overload_events_->Add(1);
+    if (state == CongestionState::kOverloaded && m_overload_events_) {
+      m_overload_events_->Add(1);
     }
     MaybeUpdateWriteCost();
   }

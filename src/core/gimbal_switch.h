@@ -45,9 +45,6 @@ class GimbalSwitch : public PolicyBase {
   void OnRequest(const IoRequest& req) override;
   void OnTenantDisconnect(TenantId tenant) override;
   void OnSsdHealthChange(fault::SsdHealth health) override;
-  uint32_t CreditFor(TenantId tenant) const override {
-    return scheduler_.CreditFor(tenant);
-  }
   std::string name() const override { return "gimbal"; }
   void Attach(const obs::Sinks& sinks) override;
 
@@ -59,16 +56,9 @@ class GimbalSwitch : public PolicyBase {
   const WriteCostEstimator& write_cost() const { return write_cost_; }
   const DrrScheduler& scheduler() const { return scheduler_; }
   const GimbalParams& params() const { return params_; }
-  uint32_t io_outstanding() const { return io_outstanding_; }
-
-  struct SwitchStats {
-    uint64_t requests = 0;
-    uint64_t completions = 0;
-    uint64_t congestion_signals = 0;
-    uint64_t overload_events = 0;
-    uint64_t pacing_stalls = 0;
-  };
-  const SwitchStats& stats() const { return stats_; }
+  // Completions that found the SSD congested (also the
+  // gimbal.congestion.signals counter, which exists only when observed).
+  uint64_t congestion_signals() const { return congestion_signals_; }
 
  private:
   void Pump();
@@ -87,7 +77,6 @@ class GimbalSwitch : public PolicyBase {
   // (Gimbal does not reorder after the scheduler; see Appendix C.1).
   std::optional<DrrScheduler::Scheduled> head_;
 
-  uint32_t io_outstanding_ = 0;
   // Last health transition observed from the fault layer; stays kHealthy
   // forever when no FaultInjector is wired up.
   fault::SsdHealth health_ = fault::SsdHealth::kHealthy;
@@ -96,7 +85,7 @@ class GimbalSwitch : public PolicyBase {
   // later than the tokens need.
   sim::TimerHandle poke_timer_;
   Tick last_cost_update_ = 0;
-  SwitchStats stats_;
+  uint64_t congestion_signals_ = 0;
 
   // Observability (null = not observed; see docs/OBSERVABILITY.md).
   obs::Counter* m_congestion_signals_ = nullptr;

@@ -53,13 +53,6 @@ class IoPolicy {
   // (the FaultyDevice still fails whatever such a policy submits).
   virtual void OnSsdHealthChange(fault::SsdHealth health) { (void)health; }
 
-  // Current total credit for a tenant (Algorithm 3's credit_obtain);
-  // policies without flow control grant effectively-unlimited credit.
-  virtual uint32_t CreditFor(TenantId tenant) const {
-    (void)tenant;
-    return UINT32_MAX;
-  }
-
   virtual std::string name() const = 0;
 
   void set_completion_fn(CompletionFn fn) { complete_ = std::move(fn); }
@@ -73,8 +66,8 @@ class IoPolicy {
   CompletionFn complete_;
 };
 
-// Shared plumbing: request tracking, device submission with latency
-// measurement, and an overridable device-completion hook.
+// Shared plumbing: device submission with latency measurement, and an
+// overridable device-completion hook.
 class PolicyBase : public IoPolicy {
  public:
   PolicyBase(sim::Simulator& sim, ssd::BlockDevice& device)
@@ -89,8 +82,6 @@ class PolicyBase : public IoPolicy {
     chk_ = sinks.chk;
     ssd_index_ = sinks.label;
   }
-
-  uint32_t device_inflight() const { return device_.inflight(); }
 
  protected:
   // Hand one command to the SSD; OnDeviceCompletion fires when it finishes.
@@ -107,22 +98,15 @@ class PolicyBase : public IoPolicy {
            {"write", req.type == IoType::kWrite ? 1.0 : 0.0}});
     }
     if (chk_) chk_->OnPolicyDispatch(req.tenant, ssd_index_);
-    uint64_t cookie = next_cookie_++;
-    tracked_.emplace(cookie, Tracked{req, tag});
     ssd::DeviceIo io;
-    io.cookie = cookie;
     io.type = req.type;
     io.offset = req.offset;
     io.length = req.length;
-    device_.Submit(io, [this](const ssd::DeviceCompletion& dc) {
-      auto it = tracked_.find(dc.cookie);
-      Tracked t = it->second;
-      tracked_.erase(it);
-      if (chk_) {
-        chk_->OnDeviceReturn(t.req.tenant, ssd_index_,
-                             dc.status == IoStatus::kOk);
-      }
-      OnDeviceCompletion(t.req, dc, t.tag);
+    // The request and its tag ride the completion closure: the device may
+    // complete commands in any order.
+    device_.Submit(io, [this, req, tag](const ssd::DeviceCompletion& dc) {
+      if (chk_) chk_->OnDeviceReturn(req.tenant, ssd_index_, dc.ok());
+      OnDeviceCompletion(req, dc, tag);
     });
   }
 
@@ -236,14 +220,8 @@ class PolicyBase : public IoPolicy {
   int ssd_index_ = -1;
 
  private:
-  struct Tracked {
-    IoRequest req;
-    uint64_t tag;
-  };
-  std::unordered_map<uint64_t, Tracked> tracked_;
   // Keyed by *folded* tenant label (not TenantId): bounded cardinality.
   std::unordered_map<int32_t, TenantMetrics> tenant_metrics_;
-  uint64_t next_cookie_ = 1;
 };
 
 }  // namespace gimbal::core

@@ -90,8 +90,6 @@ void Target::OnConnectCapsule(int pipeline, TenantId tenant,
 
 void Target::OnCommandCapsule(int pipeline, IoRequest req) {
   Pipeline& p = Pipe(pipeline);
-  ++p.stats.ios;
-  p.stats.bytes += req.length;
   Session& s = SessionFor(p, req.tenant);
   ++s.outstanding;
   if (obs::Observability* o = obs_) {
@@ -278,21 +276,6 @@ size_t Target::live_sessions() const {
   return n;
 }
 
-uint64_t Target::completions_orphaned() const {
-  uint64_t n = 0;
-  for (const auto& p : pipelines_) n += p->completions_orphaned;
-  return n;
-}
-
-Target::TargetStats Target::stats() const {
-  TargetStats total;
-  for (const auto& p : pipelines_) {
-    total.ios += p->stats.ios;
-    total.bytes += p->stats.bytes;
-  }
-  return total;
-}
-
 void Target::FinishCompletion(Pipeline& p, const IoRequest& req,
                               IoCompletion cpl) {
   // Step (e) prologue: completion processing on the core.
@@ -303,8 +286,7 @@ void Target::FinishCompletion(Pipeline& p, const IoRequest& req,
     if (s == nullptr || s->sink == nullptr) {
       // The session was already torn down (a command capsule delayed by a
       // link fault can slip past its tenant's disconnect). The client side
-      // terminated this IO long ago; drop the completion, count it.
-      ++p.completions_orphaned;
+      // terminated this IO long ago; drop the completion.
       if (s != nullptr) FreeSessionIfDrained(p, req.tenant);
       return;
     }

@@ -118,10 +118,6 @@ class Target {
   // return to the number of still-connected setup-time sessions — the
   // churn property test asserts it reaches zero on a fleet-only testbed.
   size_t live_sessions() const;
-  // Completions whose session had already been torn down (e.g. a command
-  // capsule delayed by a link fault past its tenant's disconnect); dropped
-  // at the target rather than delivered to a dangling sink.
-  uint64_t completions_orphaned() const;
 
   // Attach metrics/trace and the invariant checker. Call before the first
   // AddPipeline: each added pipeline's policy gets them relabelled with its
@@ -132,12 +128,6 @@ class Target {
   core::IoPolicy& policy(int pipeline) { return *Pipe(pipeline).policy; }
   int pipeline_count() const { return static_cast<int>(pipelines_.size()); }
   const TargetConfig& config() const { return config_; }
-
-  struct TargetStats {
-    uint64_t ios = 0;
-    uint64_t bytes = 0;
-  };
-  TargetStats stats() const;
 
  private:
   // One tenant's connection state on one pipeline. Everything that used to
@@ -170,12 +160,10 @@ class Target {
     std::unique_ptr<core::IoPolicy> policy;
     int id = 0;
     int core = 0;
-    TargetStats stats;
     common::SlabArena<Session> sessions;
     common::IdIndexMap session_index;  // tenant -> arena slot
     int tracked_sessions = 0;          // sessions with tracked == true
     uint64_t sessions_reaped = 0;
-    uint64_t completions_orphaned = 0;
     // This pipeline's armed reaper scan; not re-armed when no session
     // remains tracked, so Run()-to-idle experiments still drain.
     sim::TimerHandle reaper_timer;

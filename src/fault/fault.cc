@@ -30,9 +30,13 @@ void FaultInjector::Attach(const obs::Sinks& sinks) {
   if (!obs_) return;
   namespace schema = obs::schema;
   obs::MetricsRegistry& reg = obs_->metrics;
-  m_media_errors_ = &reg.GetCounter(schema::kFaultMediaErrors);
-  m_device_failed_ = &reg.GetCounter(schema::kFaultDeviceFailedIos);
-  m_stalled_ = &reg.GetCounter(schema::kFaultStalledIos);
+  for (int i = 0; i < num_ssds(); ++i) {
+    const obs::Labels l = obs::Labels::Ssd(i);
+    SsdState& s = ssds_[i];
+    s.m_media_errors = &reg.GetCounter(schema::kFaultMediaErrors, l);
+    s.m_device_failed = &reg.GetCounter(schema::kFaultDeviceFailedIos, l);
+    s.m_stalled = &reg.GetCounter(schema::kFaultStalledIos, l);
+  }
   m_link_dropped_ = &reg.GetCounter(schema::kFaultLinkDropped);
   m_link_delayed_ = &reg.GetCounter(schema::kFaultLinkDelayed);
 }
@@ -63,6 +67,7 @@ bool FaultInjector::SetHealth(int ssd, SsdHealth to) {
 
 void FaultInjector::Schedule(const FaultPlan& plan) {
   plan_ = plan;
+  scheduled_ = true;
   // Whole-node failures expand into one SsdFailure per SSD on the node,
   // all at the node's fail/recover ticks — the scheduling loop below then
   // treats them exactly like planned per-SSD failures, so every SSD on
@@ -75,22 +80,22 @@ void FaultInjector::Schedule(const FaultPlan& plan) {
         plan_.failures.push_back(SsdFailure{s, nf.fail_at, nf.recover_at});
       }
     }
-    scheduled_.push_back(sim_.At(nf.fail_at, [this, nf]() {
+    sim_.At(nf.fail_at, [this, nf]() {
       Inject("node_fail", -1, static_cast<double>(nf.node));
-    }));
+    });
     if (nf.recover_at > 0) {
-      scheduled_.push_back(sim_.At(nf.recover_at, [this, nf]() {
+      sim_.At(nf.recover_at, [this, nf]() {
         Inject("node_recover", -1, static_cast<double>(nf.node));
-      }));
+      });
     }
   }
   for (const StallWindow& w : plan_.stalls) {
     assert(w.ssd >= 0 && w.ssd < num_ssds());
-    scheduled_.push_back(sim_.At(w.start, [this, w]() {
+    sim_.At(w.start, [this, w]() {
       Inject("stall_ns", w.ssd, static_cast<double>(w.extra_latency));
       SetHealth(w.ssd, SsdHealth::kDegraded);
-    }));
-    scheduled_.push_back(sim_.At(w.end, [this, w]() {
+    });
+    sim_.At(w.end, [this, w]() {
       // Only un-degrade if no other degrading window is still active and
       // the device has not failed meanwhile (Set validates transitions).
       if (!Degrading(w.ssd, sim_.now()) &&
@@ -98,75 +103,61 @@ void FaultInjector::Schedule(const FaultPlan& plan) {
            health(w.ssd) == SsdHealth::kDegraded)) {
         SetHealth(w.ssd, SsdHealth::kHealthy);
       }
-    }));
+    });
   }
   for (const MediaErrorBurst& b : plan_.media_errors) {
     assert(b.ssd >= 0 && b.ssd < num_ssds());
-    scheduled_.push_back(sim_.At(b.start, [this, b]() {
+    sim_.At(b.start, [this, b]() {
       Inject("media_error_p", b.ssd, b.probability);
       SetHealth(b.ssd, SsdHealth::kDegraded);
-    }));
-    scheduled_.push_back(sim_.At(b.end, [this, b]() {
+    });
+    sim_.At(b.end, [this, b]() {
       if (!Degrading(b.ssd, sim_.now()) &&
           (GIMBAL_MUT(kHealthSkip) ||
            health(b.ssd) == SsdHealth::kDegraded)) {
         SetHealth(b.ssd, SsdHealth::kHealthy);
       }
-    }));
+    });
   }
   for (const SsdFailure& f : plan_.failures) {
     assert(f.ssd >= 0 && f.ssd < num_ssds());
-    scheduled_.push_back(sim_.At(f.fail_at, [this, f]() {
+    sim_.At(f.fail_at, [this, f]() {
       Inject("fail", f.ssd, 1.0);
       // A failure during probation kills the pending heal; the re-failed
       // device must wait for its own recovery, not inherit the old one's.
       ssds_[f.ssd].probation.Cancel();
       SetHealth(f.ssd, SsdHealth::kFailed);
-    }));
+    });
     if (f.recover_at > 0) {
       assert(f.recover_at > f.fail_at);
-      scheduled_.push_back(sim_.At(f.recover_at, [this, f]() {
+      sim_.At(f.recover_at, [this, f]() {
         Inject("recover", f.ssd, 1.0);
         if (!SetHealth(f.ssd, SsdHealth::kRecovering)) return;
         ssds_[f.ssd].probation =
             sim_.After(plan_.recovery_probation, [this, f]() {
               SetHealth(f.ssd, SsdHealth::kHealthy);
             });
-      }));
+      });
     }
   }
   for (const LinkFlap& l : plan_.link_flaps) {
-    scheduled_.push_back(sim_.At(l.start, [this, l]() {
+    sim_.At(l.start, [this, l]() {
       Inject("link_flap_p", -1, l.drop_probability);
-    }));
+    });
   }
 }
 
 void FaultInjector::ScheduleTenantCrash(Tick at, TenantId tenant,
                                         std::function<void()> crash_fn) {
-  scheduled_.push_back(
-      sim_.At(at, [this, tenant, crash_fn = std::move(crash_fn)]() {
-        ++crashes_;
-        if (obs_) {
-          obs_->tracer.Instant(
-              sim_.now(), obs::schema::kEvTenantCrash,
-              obs::Labels::TenantSsd(static_cast<int32_t>(tenant), -1));
-        }
-        crash_fn();
-      }));
-}
-
-void FaultInjector::CancelScheduled() {
-  for (sim::TimerHandle& h : scheduled_) h.Cancel();
-  scheduled_.clear();
-  for (SsdState& s : ssds_) s.probation.Cancel();
-}
-
-size_t FaultInjector::pending_scheduled() const {
-  size_t n = 0;
-  for (const sim::TimerHandle& h : scheduled_) n += h.active() ? 1 : 0;
-  for (const SsdState& s : ssds_) n += s.probation.active() ? 1 : 0;
-  return n;
+  sim_.At(at, [this, tenant, crash_fn = std::move(crash_fn)]() {
+    ++crashes_;
+    if (obs_) {
+      obs_->tracer.Instant(
+          sim_.now(), obs::schema::kEvTenantCrash,
+          obs::Labels::TenantSsd(static_cast<int32_t>(tenant), -1));
+    }
+    crash_fn();
+  });
 }
 
 FaultInjector::IoFault FaultInjector::OnDeviceSubmit(int ssd, IoType /*type*/,
@@ -177,7 +168,7 @@ FaultInjector::IoFault FaultInjector::OnDeviceSubmit(int ssd, IoType /*type*/,
     out.force_status = IoStatus::kDeviceFailed;
     out.fault_latency = Microseconds(5);  // fail-fast controller response
     ++s.device_failed_ios;
-    if (m_device_failed_) m_device_failed_->Add(1);
+    if (s.m_device_failed) s.m_device_failed->Add(1);
     return out;
   }
   // Transient media errors: use the strongest active burst. The SSD's
@@ -195,7 +186,7 @@ FaultInjector::IoFault FaultInjector::OnDeviceSubmit(int ssd, IoType /*type*/,
     out.force_status = IoStatus::kMediaError;
     out.fault_latency = err_latency;
     ++s.media_errors;
-    if (m_media_errors_) m_media_errors_->Add(1);
+    if (s.m_media_errors) s.m_media_errors->Add(1);
     return out;
   }
   for (const StallWindow& w : plan_.stalls) {
@@ -205,7 +196,7 @@ FaultInjector::IoFault FaultInjector::OnDeviceSubmit(int ssd, IoType /*type*/,
   }
   if (out.extra_latency > 0) {
     ++s.stalled_ios;
-    if (m_stalled_) m_stalled_->Add(1);
+    if (s.m_stalled) s.m_stalled->Add(1);
   }
   return out;
 }

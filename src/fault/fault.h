@@ -113,7 +113,7 @@ class FaultInjector {
   // NodeFailure can expand into that node's per-SSD failures. Call before
   // Schedule(). Without it every SSD counts as node 0.
   void ConfigureNodes(std::vector<int> node_of) {
-    assert(scheduled_.empty() && "ConfigureNodes must precede Schedule");
+    assert(!scheduled_ && "ConfigureNodes must precede Schedule");
     node_of_ = std::move(node_of);
   }
   int NodeOf(int ssd) const {
@@ -121,20 +121,10 @@ class FaultInjector {
   }
 
   // Schedule every fault in `plan` on the event queue. Call once, before
-  // the experiment runs past the earliest fault time. Every scheduled
-  // window edge holds a TimerHandle, so a plan can be torn down again.
-  // NodeFailures expand here into one SsdFailure per SSD on the node, all
-  // at identical ticks (the atomic whole-node fail/recover).
+  // the experiment runs past the earliest fault time. NodeFailures expand
+  // here into one SsdFailure per SSD on the node, all at identical ticks
+  // (the atomic whole-node fail/recover).
   void Schedule(const FaultPlan& plan);
-
-  // Cancels every still-pending scheduled fault event (window edges,
-  // probation heals). Active windows keep affecting the data path until
-  // their stored end time — this only stops future *transitions* — so call
-  // it when tearing a testbed down, not to end a fault early.
-  void CancelScheduled();
-
-  // Scheduled fault events still pending on the queue (tests).
-  size_t pending_scheduled() const;
 
   // (e) Abrupt tenant crash: runs `crash_fn` (typically Initiator::Crash —
   // no disconnect capsule; the target's keepalive reaper cleans up) at
@@ -169,9 +159,10 @@ class FaultInjector {
     ssds_[ssd].observers.push_back(std::move(fn));
   }
 
-  // Attach the fault.* counters and trace events, and pass both sinks to
-  // every SSD's health machine relabelled with its ssd index (the checker
-  // re-validates each applied transition, docs/TESTING.md).
+  // Attach the fault.* counters (the per-IO device ones labelled with each
+  // SSD's index) and trace events, and pass both sinks to every SSD's
+  // health machine relabelled with its ssd index (the checker re-validates
+  // each applied transition, docs/TESTING.md).
   void Attach(const obs::Sinks& sinks);
 
   struct FaultCounters {
@@ -194,6 +185,10 @@ class FaultInjector {
     uint64_t media_errors = 0;
     uint64_t device_failed_ios = 0;
     uint64_t stalled_ios = 0;
+    // Their fault.* series, labelled with this SSD (null = not observed).
+    obs::Counter* m_media_errors = nullptr;
+    obs::Counter* m_device_failed = nullptr;
+    obs::Counter* m_stalled = nullptr;
     // The recovering->healthy heal armed by a failure's recover_at;
     // cancelled if the device fails again during probation (the state
     // machine would reject the heal anyway — cancelling keeps the event
@@ -226,17 +221,12 @@ class FaultInjector {
   uint64_t link_dropped_ = 0;
   uint64_t link_delayed_ = 0;
   uint64_t crashes_ = 0;
-  // Handles on every scheduled window edge (starts, ends, failures,
-  // recoveries, crashes); fired handles are inert and pruned lazily.
-  std::vector<sim::TimerHandle> scheduled_;
+  bool scheduled_ = false;  // Schedule() has run
 
   obs::Observability* obs_ = nullptr;
 
-  // Metric handles (null = not observed); the fault.* counters carry no
-  // ssd label, so every SSD shares one series of each.
-  obs::Counter* m_media_errors_ = nullptr;
-  obs::Counter* m_device_failed_ = nullptr;
-  obs::Counter* m_stalled_ = nullptr;
+  // Link metric handles (null = not observed); the link is shared, so
+  // these carry no ssd label.
   obs::Counter* m_link_dropped_ = nullptr;
   obs::Counter* m_link_delayed_ = nullptr;
 };

@@ -30,9 +30,7 @@ class FaultyDevice : public ssd::BlockDevice {
     if (f.force_status != IoStatus::kOk) {
       // The command never reaches the device model: complete it locally
       // with the injected status after the fault's response latency.
-      ++own_inflight_;
       ssd::DeviceCompletion cpl;
-      cpl.cookie = io.cookie;
       cpl.type = io.type;
       cpl.length = io.length;
       cpl.status = f.force_status;
@@ -40,7 +38,6 @@ class FaultyDevice : public ssd::BlockDevice {
       sim_.After(f.fault_latency,
                  [this, cpl, done = std::move(done)]() mutable {
                    cpl.complete_time = sim_.now();
-                   --own_inflight_;
                    done(cpl);
                  });
       return;
@@ -53,10 +50,8 @@ class FaultyDevice : public ssd::BlockDevice {
         cpl.status = IoStatus::kDeviceFailed;
       }
       if (extra > 0 && cpl.ok()) {
-        ++own_inflight_;
         sim_.After(extra, [this, cpl, done]() mutable {
           cpl.complete_time = sim_.now();
-          --own_inflight_;
           done(cpl);
         });
         return;
@@ -73,9 +68,6 @@ class FaultyDevice : public ssd::BlockDevice {
   void Attach(const obs::Sinks& sinks) override { inner_->Attach(sinks); }
 
   uint64_t capacity_bytes() const override { return inner_->capacity_bytes(); }
-  uint32_t inflight() const override {
-    return inner_->inflight() + own_inflight_;
-  }
 
   ssd::BlockDevice& inner() { return *inner_; }
 
@@ -84,7 +76,6 @@ class FaultyDevice : public ssd::BlockDevice {
   std::unique_ptr<ssd::BlockDevice> inner_;
   FaultInjector& injector_;
   int ssd_index_;
-  uint32_t own_inflight_ = 0;
 };
 
 }  // namespace gimbal::fault

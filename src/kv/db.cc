@@ -47,12 +47,6 @@ void KvDb::Put(Key key, uint32_t value_bytes, uint64_t stamp, PutDone done) {
               std::move(done));
 }
 
-void KvDb::Delete(Key key, PutDone done) {
-  ++stats_.deletes;
-  PutInternal(key, Value{.stamp = 0, .bytes = 0, .tombstone = true},
-              std::move(done));
-}
-
 void KvDb::PutInternal(Key key, const Value& value, PutDone done) {
   if (immutables_.size() >= static_cast<size_t>(config_.max_immutables)) {
     // RocksDB-style write stall: flushes cannot keep up.
@@ -345,7 +339,7 @@ void KvDb::DrainStalled() {
 // ---------------------------------------------------------------------------
 
 std::vector<std::pair<Key, Value>> KvDb::MergeInputs(
-    const std::vector<SsTableRef>& inputs, bool to_bottom) const {
+    const std::vector<SsTableRef>& inputs) const {
   // Collect (key, recency, value); newest wins.
   struct Tagged {
     Key key;
@@ -366,7 +360,6 @@ std::vector<std::pair<Key, Value>> KvDb::MergeInputs(
   merged.reserve(all.size());
   for (size_t i = 0; i < all.size(); ++i) {
     if (i > 0 && all[i].key == all[i - 1].key) continue;  // older version
-    if (to_bottom && all[i].value.tombstone) continue;    // drop tombstones
     merged.emplace_back(all[i].key, all[i].value);
   }
   return merged;
@@ -477,18 +470,11 @@ void KvDb::PumpScan(const std::shared_ptr<ScanJob>& job) {
 
 void KvDb::FinishScan(const std::shared_ptr<ScanJob>& job) {
   if (job->epoch != epoch_) return;  // crashed: compaction abandoned
-  const bool to_bottom = job->level + 1 == config_.levels - 1;
-  std::vector<std::pair<Key, Value>> merged =
-      MergeInputs(job->inputs, to_bottom);
-  if (merged.empty()) {
-    // Everything was tombstones: just drop the inputs.
-    RetireInputs(*job, {});
-    return;
-  }
-  WriteTables(std::move(merged), [this, job](std::vector<SsTableRef> outputs) {
-    if (job->epoch != epoch_) return;  // crashed: outputs never installed
-    RetireInputs(*job, std::move(outputs));
-  });
+  WriteTables(MergeInputs(job->inputs),
+              [this, job](std::vector<SsTableRef> outputs) {
+                if (job->epoch != epoch_) return;  // crashed: never installed
+                RetireInputs(*job, std::move(outputs));
+              });
 }
 
 void KvDb::RetireInputs(const ScanJob& job, std::vector<SsTableRef> outputs) {
@@ -530,13 +516,13 @@ void KvDb::Get(Key key, GetDone done) {
   // Memory hits: memtable, then immutables newest-first.
   if (auto v = memtable_.Get(key)) {
     ++stats_.memory_hits;
-    Respond(job, IoStatus::kOk, !v->tombstone, *v);
+    Respond(job, IoStatus::kOk, true, *v);
     return;
   }
   for (auto it = immutables_.rbegin(); it != immutables_.rend(); ++it) {
     if (auto v = it->table->Get(key)) {
       ++stats_.memory_hits;
-      Respond(job, IoStatus::kOk, !v->tombstone, *v);
+      Respond(job, IoStatus::kOk, true, *v);
       return;
     }
   }
@@ -577,8 +563,7 @@ void KvDb::Probe(const std::shared_ptr<ProbeJob>& job, size_t i) {
         }
         auto v = job->candidates[i]->Lookup(job->key);
         if (v) {
-          Respond(job, IoStatus::kOk, !v->tombstone,
-                  v->tombstone ? Value{} : *v);
+          Respond(job, IoStatus::kOk, true, *v);
           return;
         }
         Probe(job, i + 1);  // bloom false positive

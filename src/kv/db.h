@@ -67,9 +67,8 @@ class KvDb {
        KvDbConfig config = {});
 
   // Asynchronous point operations. Callbacks fire in simulated time once
-  // the op is durable (Put/Delete: WAL committed) or resolved (Get).
+  // the op is durable (Put: WAL committed) or resolved (Get).
   void Put(Key key, uint32_t value_bytes, uint64_t stamp, PutDone done);
-  void Delete(Key key, PutDone done);
   void Get(Key key, GetDone done);
 
   // Synchronously install `keys` records (0..keys-1) into the bottom
@@ -98,7 +97,6 @@ class KvDb {
 
   struct Stats {
     uint64_t puts = 0;
-    uint64_t deletes = 0;
     uint64_t gets = 0;
     uint64_t gets_found = 0;
     uint64_t data_block_reads = 0;  // SSTable probes that cost IO
@@ -147,10 +145,9 @@ class KvDb {
   void MaybeStartFlush();
   void MaybeCompact();
   void CompactIntoNext(int level);
-  // Merge inputs (newest table wins per key); drop tombstones when
-  // `to_bottom` (nothing below can hold older versions).
+  // Merge inputs (newest table wins per key).
   std::vector<std::pair<Key, Value>> MergeInputs(
-      const std::vector<SsTableRef>& inputs, bool to_bottom) const;
+      const std::vector<SsTableRef>& inputs) const;
   // Build output tables from merged entries, allocate + write their blobs
   // (priority low), then `install`.
   void WriteTables(std::vector<std::pair<Key, Value>> entries,

@@ -25,14 +25,6 @@ std::optional<BlobAddr> GlobalBlobAllocator::AllocateMega(int backend) {
   return std::nullopt;
 }
 
-void GlobalBlobAllocator::FreeMega(const BlobAddr& mega) {
-  assert(mega.valid());
-  uint64_t index = mega.offset / config_.mega_bytes;
-  auto& bm = bitmaps_[static_cast<size_t>(mega.backend)];
-  assert(bm[index]);
-  bm[index] = false;
-}
-
 uint64_t GlobalBlobAllocator::FreeMegasOn(int backend) const {
   uint64_t free = 0;
   for (bool used : bitmaps_[static_cast<size_t>(backend)]) {

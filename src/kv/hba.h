@@ -32,7 +32,6 @@ class GlobalBlobAllocator {
 
   // Allocate one mega blob on `backend`; nullopt when that SSD is full.
   std::optional<BlobAddr> AllocateMega(int backend);
-  void FreeMega(const BlobAddr& mega);
 
   int backends() const { return static_cast<int>(bitmaps_.size()); }
   uint64_t FreeMegasOn(int backend) const;

@@ -22,7 +22,6 @@ using Key = uint64_t;
 struct Value {
   uint64_t stamp = 0;   // version for correctness checks
   uint32_t bytes = 0;   // logical payload size (drives IO sizes)
-  bool tombstone = false;
 
   bool operator==(const Value&) const = default;
 };

@@ -77,15 +77,15 @@ inline constexpr MetricDef kTargetSessionsReaped{
 inline constexpr MetricDef kFaultMediaErrors{
     "fault.media_errors", "ios",
     "IOs failed with an injected media error",
-    "fault/faulty_device.h:Submit"};
+    "fault/fault.cc:OnDeviceSubmit"};
 inline constexpr MetricDef kFaultDeviceFailedIos{
     "fault.device_failed_ios", "ios",
     "IOs failed because the SSD was in the failed state",
-    "fault/faulty_device.h:Submit"};
+    "fault/fault.cc:OnDeviceSubmit"};
 inline constexpr MetricDef kFaultStalledIos{
     "fault.stalled_ios", "ios",
     "IOs delayed by an injected latency stall",
-    "fault/faulty_device.h:Submit"};
+    "fault/fault.cc:OnDeviceSubmit"};
 inline constexpr MetricDef kFaultLinkDropped{
     "fault.link.dropped", "messages",
     "fabric messages dropped by an injected link flap",

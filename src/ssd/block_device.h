@@ -13,8 +13,9 @@
 
 namespace gimbal::ssd {
 
-// One command handed to the device. `cookie` is opaque to the device and
-// returned in the completion so the switch can match it.
+// One command handed to the device. `cookie` is an opaque caller tag the
+// device ignores: a caller matches a completion to its command through the
+// completion callback it passed with it.
 struct DeviceIo {
   uint64_t cookie = 0;
   IoType type = IoType::kRead;
@@ -23,7 +24,6 @@ struct DeviceIo {
 };
 
 struct DeviceCompletion {
-  uint64_t cookie = 0;
   IoType type = IoType::kRead;
   uint32_t length = 0;
   IoStatus status = IoStatus::kOk;  // non-ok only from fault-injected devices
@@ -57,9 +57,6 @@ class BlockDevice {
 
   // Device capacity in bytes.
   virtual uint64_t capacity_bytes() const = 0;
-
-  // Commands accepted but not yet completed.
-  virtual uint32_t inflight() const = 0;
 };
 
 }  // namespace gimbal::ssd

@@ -17,7 +17,6 @@ class NullDevice : public BlockDevice {
   void Submit(const DeviceIo& io, CompletionFn done) override {
     ++inflight_;
     DeviceCompletion cpl;
-    cpl.cookie = io.cookie;
     cpl.type = io.type;
     cpl.length = io.length;
     cpl.submit_time = sim_.now();
@@ -29,7 +28,9 @@ class NullDevice : public BlockDevice {
   }
 
   uint64_t capacity_bytes() const override { return capacity_; }
-  uint32_t inflight() const override { return inflight_; }
+  // Commands accepted but not yet completed (Table 1 paces its queue
+  // depth on it).
+  uint32_t inflight() const { return inflight_; }
 
  private:
   sim::Simulator& sim_;

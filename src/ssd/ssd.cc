@@ -112,7 +112,6 @@ void Ssd::Submit(const DeviceIo& io, CompletionFn done) {
   assert(io.offset % config_.page_bytes == 0);
   assert(io.length % config_.page_bytes == 0);
   assert(io.offset + io.length <= config_.logical_bytes);
-  ++inflight_;
   const Tick submit_time = sim_.now();
   // Controller front-end: each NVMe command costs cmd_cost of serialized
   // controller compute. This is the small-IO IOPS bound.
@@ -145,7 +144,6 @@ void Ssd::Trim(uint64_t offset, uint32_t length) {
 void Ssd::FinishPart(PendingIo* op) {
   if (--op->remaining == 0) {
     op->cpl.complete_time = sim_.now();
-    --inflight_;
     op->done(op->cpl);
     UnlinkPending(op);
     delete op;
@@ -196,7 +194,6 @@ void Ssd::DispatchRead(const DeviceIo& io, CompletionFn done,
 
   auto* op = new PendingIo;
   LinkPending(op);
-  op->cpl.cookie = io.cookie;
   op->cpl.type = io.type;
   op->cpl.length = io.length;
   op->cpl.submit_time = submit_time;
@@ -256,7 +253,6 @@ void Ssd::AdmitWrite(const DeviceIo& io, CompletionFn done, Tick submit_time) {
   // The host sees the write complete once the data is in the DRAM buffer.
   auto* op = new PendingIo;
   LinkPending(op);
-  op->cpl.cookie = io.cookie;
   op->cpl.type = io.type;
   op->cpl.length = io.length;
   op->cpl.submit_time = submit_time;

@@ -51,7 +51,6 @@ class Ssd : public BlockDevice {
   void Trim(uint64_t offset, uint32_t length) override;
   void Attach(const obs::Sinks& sinks) override;
   uint64_t capacity_bytes() const override { return config_.logical_bytes; }
-  uint32_t inflight() const override { return inflight_; }
 
   // Device conditioning (§5.1): run synchronously before the experiment,
   // on a fresh device.
@@ -150,7 +149,6 @@ class Ssd : public BlockDevice {
   std::vector<uint8_t> gc_active_;  // per die
 
   SsdCounters counters_;
-  uint32_t inflight_ = 0;
   PendingIo* pending_ops_ = nullptr;  // head of the in-flight intrusive list
 
   // Observability (null = not observed; see docs/OBSERVABILITY.md).

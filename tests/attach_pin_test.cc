@@ -47,11 +47,20 @@ fabric.target.admitted,counter,gimbal,1,0
 fabric.target.admitted,counter,gimbal,3,2
 fabric.target.admitted_bytes,counter,gimbal,1,0
 fabric.target.admitted_bytes,counter,gimbal,3,2
-fault.device_failed_ios,counter,gimbal,,
+fault.device_failed_ios,counter,gimbal,,0
+fault.device_failed_ios,counter,gimbal,,1
+fault.device_failed_ios,counter,gimbal,,2
+fault.device_failed_ios,counter,gimbal,,3
 fault.link.delayed,counter,gimbal,,
 fault.link.dropped,counter,gimbal,,
-fault.media_errors,counter,gimbal,,
-fault.stalled_ios,counter,gimbal,,
+fault.media_errors,counter,gimbal,,0
+fault.media_errors,counter,gimbal,,1
+fault.media_errors,counter,gimbal,,2
+fault.media_errors,counter,gimbal,,3
+fault.stalled_ios,counter,gimbal,,0
+fault.stalled_ios,counter,gimbal,,1
+fault.stalled_ios,counter,gimbal,,2
+fault.stalled_ios,counter,gimbal,,3
 gimbal.congestion.signals,counter,gimbal,,0
 gimbal.congestion.signals,counter,gimbal,,1
 gimbal.congestion.signals,counter,gimbal,,2
@@ -190,7 +199,7 @@ txn.retries,counter,gimbal,0,
 txn.wait_queue_depth,gauge,gimbal,0,
 txn.wounds,counter,gimbal,0,
 )";
-constexpr size_t kPinnedSeries = 166;
+constexpr size_t kPinnedSeries = 175;
 constexpr uint64_t kPinnedChecks = 52715;
 constexpr size_t kPinnedTraceEvents = 13055;
 

@@ -29,6 +29,8 @@ TEST(Disconnect, SchedulerFailsQueuedAndReapsState) {
   sim::Simulator sim;
   ssd::NullDevice dev(sim, 1ull << 30, Microseconds(100));
   core::GimbalSwitch sw(sim, dev);
+  check::InvariantChecker chk(/*fail_fast=*/false);
+  sw.Attach(obs::Sinks{nullptr, &chk, 0});
   int ok_completions = 0, failed = 0;
   sw.set_completion_fn([&](const IoRequest&, const IoCompletion& cpl) {
     (cpl.ok() ? ok_completions : failed)++;
@@ -40,6 +42,7 @@ TEST(Disconnect, SchedulerFailsQueuedAndReapsState) {
     r.tenant = 1;
     r.type = IoType::kRead;
     r.length = 4096;
+    chk.OnTargetAdmit(r.tenant, 0);
     sw.OnRequest(r);
   }
   // Some are inflight/charged, the rest queued. Disconnect now.
@@ -50,7 +53,9 @@ TEST(Disconnect, SchedulerFailsQueuedAndReapsState) {
   EXPECT_GT(ok_completions, 0);  // inflight ones completed normally
   // All state reaped once the last inflight IO drained.
   EXPECT_EQ(sw.scheduler().tenant_count(), 0u);
-  EXPECT_EQ(sw.io_outstanding(), 0u);
+  // Nothing left at the device: every dispatch came back.
+  EXPECT_TRUE(chk.CheckDrained());
+  EXPECT_TRUE(chk.ok());
 }
 
 TEST(Disconnect, ChurnWithLateCompletionsLeavesNoGhostState) {
@@ -247,8 +252,8 @@ void CheckBaselineDisconnect(const PolicyFactory& make) {
   EXPECT_GT(total_aborted, static_cast<uint64_t>(kCycles));
   EXPECT_EQ(reached_device, 0u);
   EXPECT_TRUE(chk.ok());
+  // Every ledger balanced (device returns == dispatches) and was freed.
   EXPECT_EQ(chk.live_ledgers().policy, 0u);
-  EXPECT_EQ(policy->device_inflight(), 0u);
   // Slack for allocator rounding; one kept flow with its queue costs
   // several KiB, so 900 leaked flows would cost megabytes.
   EXPECT_LE(HeapInUseBytes(), warm_heap + 16 * 1024);
@@ -328,8 +333,8 @@ void CheckSurvivorAndRejoin(const PolicyFactory& make) {
   sim.Run();
   EXPECT_EQ(ok[1], 64u);
   EXPECT_EQ(aborted[1], 0u);
+  EXPECT_TRUE(chk.CheckDrained());
   EXPECT_TRUE(chk.ok());
-  EXPECT_EQ(policy->device_inflight(), 0u);
 }
 
 TEST(Disconnect, ReflexServesSurvivorAndRejoinedTenant) {
@@ -380,7 +385,7 @@ TEST(Disconnect, TimesliceHandsTheActiveSliceOn) {
     }
   }
   // Tenant 1 holds the slice with a full depth in flight; tenant 2 waits.
-  EXPECT_EQ(policy.device_inflight(), params.depth);
+  EXPECT_EQ(dev.inflight(), params.depth);
   policy.OnTenantDisconnect(1);
   sim.Run();
   EXPECT_EQ(survivor_ok, params.depth);

@@ -217,6 +217,43 @@ ScenarioResult RunFaultedScenario(uint64_t seed) {
   return r;
 }
 
+// The per-IO device fault counters carry the ssd label: a media-error
+// burst on SSD 1 of two moves only SSD 1's series, by exactly the
+// injector's own count.
+TEST(FaultE2eTest, MediaErrorCounterIsLabelledWithItsSsd) {
+  obs::Observability obs;
+  TestbedConfig cfg;
+  cfg.scheme = Scheme::kGimbal;
+  cfg.condition = SsdCondition::kClean;
+  cfg.ssd.logical_bytes = 128ull << 20;
+  cfg.num_ssds = 2;
+  cfg.obs = &obs;
+  cfg.faults.media_errors.push_back(
+      {1, Milliseconds(5), Milliseconds(15), 0.1, Microseconds(200)});
+  Testbed bed(cfg);
+  for (int ssd = 0; ssd < 2; ++ssd) {
+    FioSpec spec;
+    spec.io_bytes = 4096;
+    spec.queue_depth = 8;
+    spec.seed = 100 + static_cast<uint64_t>(ssd);
+    bed.AddWorker(spec, ssd);
+  }
+  for (auto& w : bed.workers()) w->Start();
+  bed.sim().RunUntil(Milliseconds(20));
+  for (auto& w : bed.workers()) w->Stop();
+  bed.sim().Run();
+
+  auto media_errors = [&](int ssd) {
+    return obs.metrics
+        .GetCounter(obs::schema::kFaultMediaErrors, obs::Labels::Ssd(ssd))
+        .value();
+  };
+  const uint64_t injected = bed.faults().counters().media_errors;
+  EXPECT_GT(injected, 0u);
+  EXPECT_EQ(media_errors(1), injected);
+  EXPECT_EQ(media_errors(0), 0u);
+}
+
 TEST(FaultE2eTest, SameSeedSameSchedule) {
   const ScenarioResult a = RunFaultedScenario(11);
   const ScenarioResult b = RunFaultedScenario(11);
@@ -415,26 +452,6 @@ TEST(TimerLifecycleTest, CrashedTenantKeepaliveDoesNotResurrectSession) {
   EXPECT_EQ(bed.target().session_count(), 0u);
   bed.workers()[0]->Stop();
   bed.sim().Run();
-}
-
-// Tearing down a fault plan cancels every scheduled window edge; the
-// injector reports none pending and the events never fire.
-TEST(TimerLifecycleTest, CancelScheduledTearsDownFaultPlan) {
-  sim::Simulator sim;
-  FaultInjector inj(sim, 1);
-  FaultPlan plan;
-  plan.stalls.push_back(
-      {0, Milliseconds(10), Milliseconds(20), Microseconds(500)});
-  plan.failures.push_back({0, Milliseconds(30), Milliseconds(40)});
-  inj.Schedule(plan);
-  EXPECT_GT(inj.pending_scheduled(), 0u);
-  EXPECT_EQ(inj.pending_scheduled(), sim.pending_events());
-  inj.CancelScheduled();
-  EXPECT_EQ(inj.pending_scheduled(), 0u);
-  EXPECT_EQ(sim.pending_events(), 0u);
-  sim.Run();
-  // No transition ever fired.
-  EXPECT_EQ(inj.health(0), SsdHealth::kHealthy);
 }
 
 }  // namespace

@@ -55,17 +55,6 @@ TEST(KvDb, GetMissingKey) {
   EXPECT_FALSE(found);
 }
 
-TEST(KvDb, DeleteHidesKey) {
-  KvCluster cluster(SmallCluster());
-  auto& inst = cluster.AddInstance();
-  inst.db->Put(5, 1024, 1, nullptr);
-  inst.db->Delete(5, nullptr);
-  bool found = true;
-  inst.db->Get(5, [&](IoStatus, bool f, Value) { found = f; });
-  cluster.sim().RunUntil(Milliseconds(10));
-  EXPECT_FALSE(found);
-}
-
 TEST(KvDb, WalMakesPutsDurableBeforeCallback) {
   KvCluster cluster(SmallCluster());
   auto& inst = cluster.AddInstance();
@@ -149,8 +138,8 @@ TEST(KvDb, BulkLoadServesReadsWithIo) {
 }
 
 // With two levels every L0 compaction merges into the bulk-loaded bottom
-// level (range-form tables) and drops tombstones there. Reads afterwards
-// must match a std::map oracle key for key.
+// level (range-form tables). Reads afterwards must match a std::map oracle
+// key for key.
 TEST(KvDb, CompactionIntoBulkLoadedLevelMatchesOracle) {
   KvClusterConfig cfg = SmallCluster();
   cfg.db.levels = 2;
@@ -166,13 +155,8 @@ TEST(KvDb, CompactionIntoBulkLoadedLevelMatchesOracle) {
   Rng rng(42);
   for (uint64_t op = 1; op <= 3'000; ++op) {
     const Key k = rng.NextBounded(kKeySpace);
-    if (rng.NextBounded(10) < 3) {
-      inst.db->Delete(k, nullptr);
-      oracle.erase(k);
-    } else {
-      inst.db->Put(k, 1024, op, nullptr);
-      oracle[k] = op;
-    }
+    inst.db->Put(k, 1024, op, nullptr);
+    oracle[k] = op;
     if (op % 100 == 0) {
       cluster.sim().RunUntil(cluster.sim().now() + Milliseconds(5));
     }

@@ -272,17 +272,6 @@ TEST(Ssd, WriteBufferFillsUnderSustainedLoad) {
   EXPECT_GT(wr.latency.p99(), Microseconds(200));
 }
 
-TEST(Ssd, InflightAccounting) {
-  sim::Simulator sim;
-  Ssd dev(sim, SmallConfig());
-  dev.PreconditionClean();
-  dev.Submit({.cookie = 1, .type = IoType::kRead, .offset = 0, .length = 4096},
-             [](const DeviceCompletion&) {});
-  EXPECT_EQ(dev.inflight(), 1u);
-  sim.Run();
-  EXPECT_EQ(dev.inflight(), 0u);
-}
-
 TEST(Ssd, CountersTrackTraffic) {
   sim::Simulator sim;
   Ssd dev(sim, SmallConfig());

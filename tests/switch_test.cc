@@ -2,6 +2,7 @@
 // devices, plus cross-cutting properties (determinism, conservation).
 #include <gtest/gtest.h>
 
+#include "check/invariants.h"
 #include "core/gimbal_switch.h"
 #include "ssd/null_device.h"
 #include "ssd/ssd.h"
@@ -27,16 +28,20 @@ TEST(GimbalSwitch, CompletesEverythingOnNullDevice) {
   sim::Simulator sim;
   ssd::NullDevice dev(sim, 1ull << 30, Microseconds(5));
   GimbalSwitch sw(sim, dev);
+  check::InvariantChecker chk(/*fail_fast=*/false);
+  sw.Attach(obs::Sinks{nullptr, &chk, 0});
   uint64_t done = 0;
   sw.set_completion_fn([&](const IoRequest&, const IoCompletion&) { ++done; });
   for (uint64_t i = 0; i < 2000; ++i) {
-    sw.OnRequest(Req(i + 1, static_cast<TenantId>(i % 4) + 1, IoType::kRead,
-                     4096, (i % 256) * 4096));
+    const TenantId tenant = static_cast<TenantId>(i % 4) + 1;
+    chk.OnTargetAdmit(tenant, 0);
+    sw.OnRequest(Req(i + 1, tenant, IoType::kRead, 4096, (i % 256) * 4096));
   }
   sim.Run();
   EXPECT_EQ(done, 2000u);
-  EXPECT_EQ(sw.io_outstanding(), 0u);
-  EXPECT_EQ(sw.stats().requests, sw.stats().completions);
+  // Nothing left at the device: every dispatch came back and was delivered.
+  EXPECT_TRUE(chk.CheckDrained());
+  EXPECT_TRUE(chk.ok());
 }
 
 TEST(GimbalSwitch, CreditPiggybackedOnCompletions) {
@@ -52,7 +57,7 @@ TEST(GimbalSwitch, CreditPiggybackedOnCompletions) {
   }
   sim.Run();
   EXPECT_GT(last_credit, 0u);
-  EXPECT_EQ(last_credit, sw.CreditFor(1));
+  EXPECT_EQ(last_credit, sw.scheduler().CreditFor(1));
 }
 
 TEST(GimbalSwitch, ViewReflectsWriteCostSplit) {

@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "baselines/fcfs_policy.h"
+#include "obs/schema.h"
 #include "ssd/null_device.h"
 #include "workload/report.h"
 #include "workload/runner.h"
@@ -94,6 +95,8 @@ TEST(InitiatorSplit, LargeIoSplitsIntoMdtsChunks) {
   sim::Simulator sim;
   fabric::Network net(sim);
   fabric::Target target(sim, net);
+  obs::Observability obs;
+  target.Attach(obs::Sinks{&obs, nullptr, -1});
   ssd::NullDevice dev(sim, 1ull << 30);
   target.AddPipeline(std::make_unique<baselines::FcfsPolicy>(sim, dev));
   fabric::Initiator init(sim, net, target, 0, 1);
@@ -107,13 +110,20 @@ TEST(InitiatorSplit, LargeIoSplitsIntoMdtsChunks) {
   sim.Run();
   EXPECT_EQ(completions, 1);               // one aggregated completion
   EXPECT_EQ(reported_length, 512u * 1024); // full length reported
-  EXPECT_EQ(target.stats().ios, 4u);       // but 4 fabric commands
+  // but 4 fabric commands
+  EXPECT_EQ(obs.metrics
+                .GetCounter(obs::schema::kTargetAdmitted,
+                            obs::Labels::TenantSsd(1, 0))
+                .value(),
+            4u);
 }
 
 TEST(InitiatorSplit, UnalignedTailChunk) {
   sim::Simulator sim;
   fabric::Network net(sim);
   fabric::Target target(sim, net);
+  obs::Observability obs;
+  target.Attach(obs::Sinks{&obs, nullptr, -1});
   ssd::NullDevice dev(sim, 1ull << 30);
   target.AddPipeline(std::make_unique<baselines::FcfsPolicy>(sim, dev));
   fabric::Initiator init(sim, net, target, 0, 1);
@@ -122,8 +132,12 @@ TEST(InitiatorSplit, UnalignedTailChunk) {
               [&](const IoCompletion&, Tick) { ++completions; });
   sim.Run();
   EXPECT_EQ(completions, 1);
-  EXPECT_EQ(target.stats().ios, 2u);
-  EXPECT_EQ(target.stats().bytes, 128u * 1024 + 4096);
+  const obs::Labels l = obs::Labels::TenantSsd(1, 0);
+  EXPECT_EQ(obs.metrics.GetCounter(obs::schema::kTargetAdmitted, l).value(),
+            2u);
+  EXPECT_EQ(
+      obs.metrics.GetCounter(obs::schema::kTargetAdmittedBytes, l).value(),
+      128u * 1024 + 4096);
 }
 
 TEST(Ycsb, WorkloadMixesMatchSpecs) {
